@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 INTEGER_SNAP = 1e-9
+# Largest level count uniform_optimal builds.  A design at rate R has up to
+# floor(e**R) + 1 levels, so rates above log(MAX_UNIFORM_LEVELS - 1), about
+# 13.9, raise ValueError before any array is allocated.
+MAX_UNIFORM_LEVELS = 2**20
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ def uniform_optimal(interval: Interval, alpha, rate: float, r: float) -> Interva
     Orders alpha <= 0 (including -inf): floor(e**rate) equal cells.  Orders
     in (0, 1 + r): n equal cells plus one shorter cell at the right end,
     with the short length tuned so the output entropy equals the rate.
-    Requires r > 1.
+    Requires r > 1 and at most MAX_UNIFORM_LEVELS levels.
     """
     r = validate_exponent(r)
     if r <= 1.0:
@@ -153,6 +157,11 @@ def uniform_optimal(interval: Interval, alpha, rate: float, r: float) -> Interva
     a = as_order(alpha)
     if a.is_pos_inf or (a.is_finite and a.value >= 1.0 + r):
         raise ValueError(f"order {a.value!r} is outside the structured regime")
+    if rate > math.log(MAX_UNIFORM_LEVELS - 1):
+        raise ValueError(
+            f"rate {rate!r} needs about e**rate levels, more than "
+            f"MAX_UNIFORM_LEVELS = {MAX_UNIFORM_LEVELS}"
+        )
 
     if a.is_neg_inf or a.value <= 0.0:
         return uniform_quantizer(interval, max(_snap_floor(math.exp(rate)), 1))

@@ -23,6 +23,19 @@ from .densities import (
 __all__ = ["renyi_entropy", "differential_entropy", "relative_entropy"]
 
 WEIGHT_TOL = 1e-9
+_TINY = float(np.finfo(float).tiny)
+
+
+def _log_power_sums(p: np.ndarray, v: float) -> np.ndarray:
+    """log(sum of p**v) along the last axis, as a log-sum-exp over v*log(p).
+
+    The fallback for orders large enough in magnitude that p**v overflows or
+    underflows; zero entries are skipped, and each row needs a positive one.
+    """
+    pos = p > 0.0
+    t = np.where(pos, v * np.log(np.where(pos, p, 1.0)), -np.inf)
+    top = t.max(axis=-1)
+    return top + np.log(np.exp(t - top[..., None]).sum(axis=-1))
 
 
 def _clean_weights(weights) -> np.ndarray:
@@ -45,7 +58,9 @@ def _clean_weights(weights) -> np.ndarray:
 def renyi_entropy(weights, alpha) -> float:
     """Entropy of order alpha of a probability vector.
 
-    Branches: finite alpha != 1 uses log(sum p_i**alpha) / (1 - alpha);
+    Branches: finite alpha != 1 uses log(sum p_i**alpha) / (1 - alpha),
+    switching to a log-sum-exp where the power sum overflows or falls below
+    the smallest normal float;
     alpha = 1 is the Shannon value; alpha = +inf is -log(max p_i); and
     alpha = -inf is -log(min positive p_i).  Orders within the exclusion
     window around 1 (other than exactly 1) are rejected.
@@ -60,7 +75,11 @@ def renyi_entropy(weights, alpha) -> float:
     if branch == "shannon":
         return float(-(pos * np.log(pos)).sum())
     v = a.value
-    return math.log(float((pos**v).sum())) / (1.0 - v)
+    with np.errstate(over="ignore"):
+        total = float((pos**v).sum())
+    if not total >= _TINY or math.isinf(total):
+        return float(_log_power_sums(pos, v)) / (1.0 - v)
+    return math.log(total) / (1.0 - v)
 
 
 def differential_entropy(d: Density, alpha) -> float:

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from itertools import chain, combinations
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import RenyiOrder, as_order, branch_of, validate_exponent
-from .densities import Interval, PiecewiseConstantDensity, density_from_spec, density_to_spec
-from .quantizer import IntervalQuantizer, cell_distortion, optimal_codepoint
+from .densities import PiecewiseConstantDensity, density_from_spec, density_to_spec
+from .entropy import _TINY, _log_power_sums
+from .quantizer import IntervalQuantizer, _cell_distortions, _optimal_codepoints
 
 __all__ = [
     "GridInstance",
@@ -34,6 +35,9 @@ __all__ = [
 MAX_GRID_POINTS = 32
 MAX_CELLS = 8
 FEASIBILITY_SLACK = 1e-12
+# partitions() rows hold grid indices; the smallest type that holds them keeps
+# the largest table (313,912 rows of 8 at 28 points and 7 cells) at 2.5 MB
+_GRID_INDEX = np.min_scalar_type(MAX_GRID_POINTS - 1)
 
 
 class MonotonicityError(RuntimeError):
@@ -45,6 +49,14 @@ class OracleResult:
     value: float
     argmin: IntervalQuantizer
     feasible_count: int
+
+
+class CellTable(NamedTuple):
+    """Per-order oracle table; cell (i, j) spans grid[i] to grid[j], i < j."""
+
+    points: np.ndarray  # optimal codepoint of cell (i, j); NaN off the upper triangle
+    distortions: np.ndarray  # distortion of cell (i, j); 0.0 elsewhere
+    partition_distortion: np.ndarray  # total distortion of each partitions() row
 
 
 class GridInstance:
@@ -86,48 +98,64 @@ class GridInstance:
         self._mass_matrix = None
         self._per_r = {}
 
-    def partitions(self):
-        """All boundary-index tuples, fewest cells first, cuts lexicographic."""
+    def partitions(self) -> np.ndarray:
+        """Boundary indices of every partition, one row each.
+
+        Rows run fewest cells first, cuts lexicographic.  A row holds
+        max_cells + 1 grid indices: 0, the cuts, then the last grid index
+        repeated, so a k-cell row ends in max_cells - k + 1 copies of it.
+        """
         if self._partitions is None:
             last = len(self.grid) - 1
-            out = []
-            for k in range(1, self.max_cells + 1):
-                for cuts in combinations(range(1, last), k - 1):
-                    out.append((0, *cuts, last))
-            self._partitions = out
+            counts = [math.comb(last - 1, k - 1) for k in range(1, self.max_cells + 1)]
+            idx = np.full((sum(counts), self.max_cells + 1), last, dtype=_GRID_INDEX)
+            idx[:, 0] = 0
+            row = 0
+            for k, count in enumerate(counts, start=1):
+                cuts = chain.from_iterable(combinations(range(1, last), k - 1))
+                idx[row : row + count, 1:k] = np.fromiter(
+                    cuts, dtype=_GRID_INDEX, count=count * (k - 1)
+                ).reshape(count, k - 1)
+                row += count
+            idx.flags.writeable = False
+            self._partitions = idx
         return self._partitions
 
     def mass_matrix(self) -> np.ndarray:
-        """Cell masses per partition, zero-padded to max_cells columns."""
+        """Cell masses per partition; padding cells carry an exact zero."""
         if self._mass_matrix is None:
-            parts = self.partitions()
-            m = np.zeros((len(parts), self.max_cells))
+            idx = self.partitions()
             pref = self._mass_prefix
-            for row, idx in enumerate(parts):
-                ix = np.asarray(idx)
-                m[row, : len(idx) - 1] = pref[ix[1:]] - pref[ix[:-1]]
+            m = pref[idx[:, 1:]] - pref[idx[:, :-1]]
             m.flags.writeable = False
             self._mass_matrix = m
         return self._mass_matrix
 
-    def cell_table(self, r: float):
+    def cell_table(self, r: float) -> CellTable:
         """Optimal codepoint and distortion for every contiguous cell."""
         r = validate_exponent(r)
         if r not in self._per_r:
-            pts = {}
-            dists = {}
             g = self.grid
-            for i in range(len(g) - 1):
-                for j in range(i + 1, len(g)):
-                    c = optimal_codepoint(Interval(float(g[i]), float(g[j])), self.density, r)
-                    pts[(i, j)] = c
-                    dists[(i, j)] = cell_distortion(self.density, float(g[i]), float(g[j]), c, r)
-            parts = self.partitions()
-            vec = np.empty(len(parts))
-            for row, idx in enumerate(parts):
-                vec[row] = sum(dists[(a, b)] for a, b in zip(idx[:-1], idx[1:]))
-            vec.flags.writeable = False
-            self._per_r[r] = (pts, vec)
+            n = len(g)
+            lo_i, hi_i = np.triu_indices(n, k=1)
+            lo, hi = g[lo_i], g[hi_i]
+            mass = self._mass_prefix[hi_i] - self._mass_prefix[lo_i]
+            if np.any(mass <= 0.0):
+                k = int(np.flatnonzero(mass <= 0.0)[0])
+                raise ValueError(f"cell [{lo[k]}, {hi[k]}] carries no mass")
+            c = _optimal_codepoints(self.density, lo, hi, r)
+            points = np.full((n, n), np.nan)
+            points[lo_i, hi_i] = c
+            dists = np.zeros((n, n))
+            # the last grid index pairs with itself in padding cells: 0.0
+            dists[lo_i, hi_i] = _cell_distortions(self.density, lo, hi, c, r)
+            idx = self.partitions()
+            vec = dists[idx[:, 0], idx[:, 1]]
+            for j in range(1, self.max_cells):
+                vec += dists[idx[:, j], idx[:, j + 1]]
+            for arr in (points, dists, vec):
+                arr.flags.writeable = False
+            self._per_r[r] = CellTable(points, dists, vec)
         return self._per_r[r]
 
 
@@ -144,8 +172,15 @@ def _entropies(masses: np.ndarray, alpha: RenyiOrder) -> np.ndarray:
     if v == 0.0:
         return np.log((masses > 0.0).sum(axis=1))
     powered = np.zeros_like(masses)
-    np.power(masses, v, out=powered, where=masses > 0.0)
-    return np.log(powered.sum(axis=1)) / (1.0 - v)
+    with np.errstate(over="ignore"):
+        np.power(masses, v, out=powered, where=masses > 0.0)
+    sums = powered.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logs = np.log(sums)
+    # rows whose power sum overflowed or lost precision at large |alpha|
+    bad = ~(sums >= _TINY) | np.isinf(sums)
+    logs[bad] = _log_power_sums(masses[bad], v)
+    return logs / (1.0 - v)
 
 
 def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> OracleResult:
@@ -164,13 +199,14 @@ def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> Ora
     count = int(feasible.sum())
     if count == 0:
         raise ValueError("no partition satisfies the entropy budget")
-    pts, dist = inst.cell_table(r)
+    table = inst.cell_table(r)
+    dist = table.partition_distortion
     best_value = float(dist[feasible].min())
-    idx = int(np.flatnonzero(feasible & (dist == best_value))[0])
-    part = inst.partitions()[idx]
-    bounds = inst.grid[list(part)]
-    points = [pts[(i, j)] for i, j in zip(part[:-1], part[1:])]
-    return OracleResult(best_value, IntervalQuantizer(bounds, np.asarray(points)), count)
+    row = inst.partitions()[int(np.flatnonzero(feasible & (dist == best_value))[0])]
+    part = row[: int(np.argmax(row == row[-1])) + 1]  # drop the padding
+    bounds = inst.grid[part]
+    points = table.points[part[:-1], part[1:]]
+    return OracleResult(best_value, IntervalQuantizer(bounds, points), count)
 
 
 def alpha_profile(inst: GridInstance, alphas, rate: float, r: float):

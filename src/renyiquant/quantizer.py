@@ -162,6 +162,74 @@ def distortion(q: IntervalQuantizer, d: Density, r: float) -> float:
     return float(total)
 
 
+def _piecewise_cell_sums(d: PiecewiseConstantDensity, lo, hi, pieces) -> np.ndarray:
+    """Closed-form integrals over many cells [lo[k], hi[k]] of a piecewise density.
+
+    Each cell is cut at the density breakpoints inside it.  ``pieces(edges,
+    h)`` gets the cut points (one row per cell, one column per cut) and the
+    height of each piece between adjacent cuts, and returns the integral over
+    each piece.  A piece takes the density height at its midpoint and counts
+    only where that height is positive, and the pieces are added left to right
+    from 0.0, so one cell gives bit for bit what a scalar loop over its sorted
+    cut points gives.  Powers must go through ``np.float_power``: it calls the
+    C library ``pow`` as Python's ``**`` does, while ``np.power`` may take a
+    SIMD path that differs in the last bit.
+    """
+    x = d.breakpoints
+    lo = np.asarray(lo, dtype=float)[:, None]
+    hi = np.asarray(hi, dtype=float)[:, None]
+    # breakpoints outside a cell collapse onto its ends and give empty pieces,
+    # which add an exact 0.0
+    edges = np.concatenate((lo, np.minimum(np.maximum(x, lo), hi), hi), axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    # d.pdf at each midpoint: segment k owns (x[k], x[k+1]], segment 0 also x[0]
+    seg = np.searchsorted(x[1:-1], mid, side="left")
+    h = np.where((mid < x[0]) | (mid > x[-1]), 0.0, d.heights[seg])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.where(h > 0.0, pieces(edges, h), 0.0)
+    total = np.zeros(len(lo))
+    for col in terms.T:
+        total += col
+    if not np.isfinite(total).all():
+        raise ValueError("a closed-form cell integral overflows; reduce r or the cell widths")
+    return total
+
+
+def _cell_distortions(d: PiecewiseConstantDensity, lo, hi, c, r: float) -> np.ndarray:
+    """Integral of |x - c[k]|**r over each cell [lo[k], hi[k]]."""
+    rp1 = r + 1.0
+    c = np.asarray(c, dtype=float)[:, None]
+
+    def pieces(edges, h):
+        # antiderivative of |x|**r at each cut, relative to the codepoint
+        y = edges - c
+        psi = np.copysign(np.float_power(np.abs(y), rp1), y) / rp1
+        return h * (psi[:, 1:] - psi[:, :-1])
+
+    return _piecewise_cell_sums(d, lo, hi, pieces)
+
+
+def _codepoint_balances(d: PiecewiseConstantDensity, lo, hi, a, r: float) -> np.ndarray:
+    """One-sided (r-1)-moments of each cell [lo[k], hi[k]] about a[k], left minus right.
+
+    Both sides go through one kernel call, rows [lo, a] first and rows
+    [a, hi] after.  On either side |x - a|**r / r integrates |x - a|**(r-1),
+    falling towards a on the left.  Since a - x and x - a differ only in sign,
+    |x - a| gives both sides' bases exactly.
+    """
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    ac = np.concatenate((a, a))[:, None]
+    left = (np.arange(2 * n) < n)[:, None]
+
+    def pieces(edges, h):
+        g = np.float_power(np.abs(edges - ac), r)
+        return h * np.where(left, g[:, :-1] - g[:, 1:], g[:, 1:] - g[:, :-1]) / r
+
+    sides = _piecewise_cell_sums(d, np.concatenate((lo, a)), np.concatenate((a, hi)), pieces)
+    return sides[:n] - sides[n:]
+
+
 def cell_distortion(d: Density, lo: float, hi: float, c: float, r: float) -> float:
     """Integral of |x - c|**r against the density over a single cell."""
     from .core import validate_exponent
@@ -170,43 +238,13 @@ def cell_distortion(d: Density, lo: float, hi: float, c: float, r: float) -> flo
     if hi <= lo:
         return 0.0
     if isinstance(d, PiecewiseConstantDensity):
-        edges = np.unique(
-            np.concatenate(
-                (np.asarray([lo, hi]), d.breakpoints[(d.breakpoints > lo) & (d.breakpoints < hi)])
-            )
-        )
-        rp1 = r + 1.0
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            h = d.pdf(0.5 * (a + b))
-            if h > 0.0:
-                total += h * (_psi(b - c, rp1) - _psi(a - c, rp1))
-        return float(total)
+        return float(_cell_distortions(d, [lo], [hi], [c], r)[0])
     inner = [x for x in d.interior_breakpoints() if lo < x < hi] + ([c] if lo < c < hi else [])
     return integrate(lambda x: abs(x - c) ** r * d.pdf(x), lo, hi, breakpoints=inner)
 
 
 def _one_sided_moment(d: Density, lo: float, hi: float, a: float, r: float, left: bool) -> float:
     """Integral of |x - a|**(r-1) dmu over [lo, a] (left) or [a, hi] (right)."""
-    if isinstance(d, PiecewiseConstantDensity):
-        s_arr, t_arr = (lo, a) if left else (a, hi)
-        if t_arr <= s_arr:
-            return 0.0
-        edges = np.unique(
-            np.concatenate(
-                (np.asarray([s_arr, t_arr]), d.breakpoints[(d.breakpoints > s_arr) & (d.breakpoints < t_arr)])
-            )
-        )
-        total = 0.0
-        for s, t in zip(edges[:-1], edges[1:]):
-            h = d.pdf(0.5 * (s + t))
-            if h == 0.0:
-                continue
-            if left:
-                total += h * ((a - s) ** r - (a - t) ** r) / r
-            else:
-                total += h * ((t - a) ** r - (s - a) ** r) / r
-        return total
     s, t = (lo, a) if left else (a, hi)
     if t <= s:
         return 0.0
@@ -228,24 +266,56 @@ def optimal_codepoint(cell: Interval, d: Density, r: float) -> float:
     if mass <= 0.0:
         raise ValueError(f"cell [{lo}, {hi}] carries no mass")
 
-    def balance(a):
-        return _one_sided_moment(d, lo, hi, a, r, left=True) - _one_sided_moment(
-            d, lo, hi, a, r, left=False
-        )
+    if isinstance(d, PiecewiseConstantDensity):
+        def balance(a):
+            return float(_codepoint_balances(d, [lo], [hi], [a], r)[0])
+    else:
+        def balance(a):
+            return _one_sided_moment(d, lo, hi, a, r, left=True) - _one_sided_moment(
+                d, lo, hi, a, r, left=False
+            )
 
     return bisect_increasing(balance, lo, hi, target=0.0, tol=1e-13 * (hi - lo))
 
 
+def _optimal_codepoints(d: PiecewiseConstantDensity, lo: np.ndarray, hi: np.ndarray,
+                        r: float) -> np.ndarray:
+    """optimal_codepoint for many cells at once, step for step.
+
+    Every cell runs its own copy of bisect_increasing on the moment balance:
+    the same tolerance, midpoints, comparisons and iteration cap, so each
+    result equals the scalar one exactly.
+    """
+    tol = 1e-13 * (hi - lo)
+    a, b = lo.copy(), hi.copy()
+    for _ in range(200):
+        live = np.flatnonzero(b - a > tol)
+        if len(live) == 0:
+            break
+        al, bl = a[live], b[live]
+        m = 0.5 * (al + bl)
+        below = _codepoint_balances(d, lo[live], hi[live], m, r) < 0.0
+        a[live] = np.where(below, m, al)
+        b[live] = np.where(below, bl, m)
+    return 0.5 * (a + b)
+
+
 def improve_codepoints(q: IntervalQuantizer, d: Density, r: float) -> IntervalQuantizer:
     """Replace each codepoint by the cell optimum; zero-mass cells keep theirs."""
-    new_points = []
-    for i in range(q.levels):
-        cell = Interval(float(q.boundaries[i]), float(q.boundaries[i + 1]))
-        if d.cdf(cell.hi) - d.cdf(cell.lo) > 0.0:
-            new_points.append(optimal_codepoint(cell, d, r))
-        else:
-            new_points.append(float(q.codepoints[i]))
-    return IntervalQuantizer(q.boundaries, np.asarray(new_points))
+    from .core import validate_exponent
+
+    r = validate_exponent(r)
+    lo, hi = q.boundaries[:-1], q.boundaries[1:]
+    has_mass = np.array([d.cdf(float(b)) - d.cdf(float(a)) > 0.0 for a, b in zip(lo, hi)],
+                        dtype=bool)
+    new_points = np.array(q.codepoints)
+    if isinstance(d, PiecewiseConstantDensity):
+        # one batched solve: per-cell calls would each pay the array set-up
+        new_points[has_mass] = _optimal_codepoints(d, lo[has_mass], hi[has_mass], r)
+    else:
+        for i in np.flatnonzero(has_mass):
+            new_points[i] = optimal_codepoint(Interval(float(lo[i]), float(hi[i])), d, r)
+    return IntervalQuantizer(q.boundaries, new_points)
 
 
 def uniform_quantizer(interval: Interval, n: int) -> IntervalQuantizer:

@@ -17,7 +17,7 @@ CRITERIA = [
     ("mixture_composition", "split designs compose exactly"),
     ("allocation_minimizer", "closed-form rate split beats all competitors"),
     ("order_seam_continuity", "limits are continuous across special orders"),
-    ("pierce_bound", "oracle values clear the universal lower bound"),
+    ("pierce_bound", "oracle values stay below the Pierce upper bound"),
     ("point_density_optimality", "the tilted density beats perturbations"),
 ]
 

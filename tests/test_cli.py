@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +229,22 @@ def test_verify_catches_a_perturbed_constant(capsys, monkeypatch):
     rc, out = run_cli(capsys, "verify")
     assert rc == 1
     assert "FAIL bennett_integral" in out
+
+
+GOLDEN_INSTANCE = {
+    "density": {"kind": "piecewise", "breakpoints": [0.0, 0.25, 0.6, 1.0],
+                "heights": [0.4, 1.8, 0.675]},
+    "grid": [0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+    "max_cells": 5,
+}
+
+
+def test_oracle_stdout_matches_the_golden_file(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(GOLDEN_INSTANCE))
+    rc, out = run_cli(capsys, "oracle", "--instance", str(path),
+                      "--alpha", "neg_inf,-2,-1,0,0.5,1,2,pos_inf",
+                      "--rate", "1.2", "--r", "2")
+    assert rc == 0
+    golden = Path(__file__).parent / "data" / "oracle_ladder_stdout.json"
+    assert out == golden.read_text()

@@ -151,3 +151,10 @@ def test_score_at_the_optimum_equals_the_limit(two_mass, alpha):
     star = optimal_point_density(two_mass, alpha, 2.0)
     assert compander_score(two_mass, star, alpha, 2.0) == pytest.approx(
         predicted_limit(two_mass, alpha, 2.0).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [RenyiOrder(-1.0), RenyiOrder(0.5)])
+def test_uniform_optimal_caps_the_level_count(alpha):
+    # e**30 levels would need tens of terabytes; refuse before allocating
+    with pytest.raises(ValueError, match="MAX_UNIFORM_LEVELS"):
+        uniform_optimal(Interval(0.0, 1.0), alpha, 30.0, 2.0)

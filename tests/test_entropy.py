@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from renyiquant import (
     NEG_INF,
@@ -135,3 +135,25 @@ def test_entropy_is_permutation_invariant(raw):
     for alpha in (RenyiOrder(-1.5), RenyiOrder(0.5), RenyiOrder(3.0)):
         assert renyi_entropy(shuffled, alpha) == pytest.approx(
             renyi_entropy(p, alpha), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("v", [2000.0, -2000.0, 1e4, -1e4])
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_extreme_orders_give_log_n_for_equal_masses(v, n):
+    # p**v under- or overflows here; the log-sum-exp fallback must take over
+    p = np.full(n, 1.0 / n)
+    assert renyi_entropy(p, RenyiOrder(v)) == pytest.approx(math.log(n), rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=8),
+       v=st.one_of(st.floats(min_value=-1e4, max_value=-1e-3),
+                   st.floats(min_value=1e-3, max_value=0.99),
+                   st.floats(min_value=1.01, max_value=1e4)))
+def test_entropy_matches_a_50_digit_reference(raw, v):
+    mpmath = pytest.importorskip("mpmath")
+    p = np.asarray(raw) / sum(raw)
+    with mpmath.workdps(50):
+        exact = mpmath.log(mpmath.fsum(mpmath.mpf(float(x)) ** mpmath.mpf(v) for x in p))
+        exact = float(exact / (1 - mpmath.mpf(v)))
+    assert renyi_entropy(p, RenyiOrder(v)) == pytest.approx(exact, rel=1e-12, abs=1e-13)

@@ -5,15 +5,18 @@ import pytest
 
 from renyiquant import (
     GridInstance,
+    Interval,
     NEG_INF,
     POS_INF,
     PiecewiseConstantDensity,
     RenyiOrder,
     alpha_profile,
     brute_force_optimal,
+    cell_distortion,
     empirical_limit_probe,
     instance_from_spec,
     instance_to_spec,
+    optimal_codepoint,
     quantizer_entropy,
     uniform,
 )
@@ -185,3 +188,59 @@ def test_instance_spec_round_trip(two_mass):
     a = brute_force_optimal(inst, RenyiOrder(0.5), math.log(2.0), 2.0)
     b = brute_force_optimal(copy, RenyiOrder(0.5), math.log(2.0), 2.0)
     assert a.value == b.value
+
+
+def test_extreme_negative_order_keeps_equal_cells_feasible():
+    # (1/2)**-2000 overflows; the entropy of two equal cells must stay log 2
+    inst = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, 9), 4)
+    res = brute_force_optimal(inst, RenyiOrder(-2000.0), math.log(2.0), 2.0)
+    assert res.value == pytest.approx(1.0 / 48.0, rel=1e-14)
+    assert np.allclose(res.argmin.boundaries, [0.0, 0.5, 1.0])
+
+
+def test_partition_rows(two_mass):
+    inst = GridInstance(two_mass, np.linspace(0.0, 1.0, 17), 5)
+    parts = inst.partitions()
+    assert parts.shape == (sum(math.comb(15, k - 1) for k in range(1, 6)), 6)
+    assert not parts.flags.writeable
+    assert parts[0].tolist() == [0, 16, 16, 16, 16, 16]
+    assert parts[1].tolist() == [0, 1, 16, 16, 16, 16]
+    assert parts[-1].tolist() == [0, 12, 13, 14, 15, 16]
+    masses = inst.mass_matrix()
+    assert np.all(masses[0, 1:] == 0.0) and masses[0, 0] == 1.0
+    assert np.allclose(masses.sum(axis=1), 1.0, rtol=1e-14)
+
+
+def _random_instance():
+    rng = np.random.default_rng(2024)
+    grid = np.linspace(-1.0, 2.0, 10)
+    grid[1:-1] += rng.uniform(-0.1, 0.1, 8)
+    cuts = np.sort(rng.choice(np.arange(1, 9), 4, replace=False))
+    breaks = np.concatenate(([grid[0]], grid[cuts], [grid[-1]]))
+    heights = rng.uniform(0.2, 3.0, 5)
+    heights /= float(np.dot(heights, np.diff(breaks)))
+    return GridInstance(PiecewiseConstantDensity(breaks, heights), grid, 4)
+
+
+# every cell of each instance, against the scalar bisection; the two 24-point
+# instances split the exponents between them to keep the scalar loop short
+@pytest.mark.parametrize("which, r", [
+    ("one", 1.0), ("one", 2.0), ("two", 1.5), ("two", 3.0),
+    ("random", 1.0), ("random", 1.5), ("random", 2.0), ("random", 3.0),
+])
+def test_cell_table_matches_the_scalar_solve(two_mass, which, r):
+    inst = {"one": lambda: instance_one(two_mass), "two": instance_two,
+            "random": _random_instance}[which]()
+    table = inst.cell_table(r)
+    g = inst.grid
+    for i in range(len(g) - 1):
+        for j in range(i + 1, len(g)):
+            lo, hi = float(g[i]), float(g[j])
+            c = optimal_codepoint(Interval(lo, hi), inst.density, r)
+            assert table.points[i, j] == c
+            assert table.distortions[i, j] == cell_distortion(inst.density, lo, hi, c, r)
+    parts = inst.partitions()
+    for row in (0, len(parts) // 2, len(parts) - 1):
+        part = parts[row]
+        assert table.partition_distortion[row] == sum(
+            table.distortions[a, b] for a, b in zip(part[:-1], part[1:]))

@@ -20,6 +20,8 @@ from renyiquant import (
     uniform,
     uniform_quantizer,
 )
+from renyiquant._quadrature import bisect_increasing
+from renyiquant.quantizer import _codepoint_balances
 
 
 def test_quantizer_validation():
@@ -141,3 +143,56 @@ def test_quantizer_must_cover_the_support():
     q = uniform_quantizer(Interval(0.0, 0.5), 2)
     with pytest.raises(ValueError):
         cell_masses(q, uniform(0.0, 1.0))
+
+
+def _reference_pieces(d, s, t):
+    """Pieces of [s, t] between sorted cut points, with the pdf at each midpoint."""
+    edges = sorted({s, t} | {float(x) for x in d.breakpoints if s < x < t})
+    return [(a, b, d.pdf(0.5 * (a + b))) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _reference_cell_distortion(d, lo, hi, c, r):
+    psi = lambda y: math.copysign(abs(y) ** (r + 1.0), y) / (r + 1.0)
+    total = 0.0
+    for a, b, h in _reference_pieces(d, lo, hi):
+        if h > 0.0:
+            total += h * (psi(b - c) - psi(a - c))
+    return total
+
+
+def _reference_balance(d, lo, hi, a, r):
+    left = right = 0.0
+    for s, t, h in _reference_pieces(d, lo, a) if a > lo else []:
+        if h > 0.0:
+            left += h * ((a - s) ** r - (a - t) ** r) / r
+    for s, t, h in _reference_pieces(d, a, hi) if hi > a else []:
+        if h > 0.0:
+            right += h * ((t - a) ** r - (s - a) ** r) / r
+    return left - right
+
+
+def test_piecewise_closed_forms_match_plain_python_loops():
+    # the array kernel must reproduce a scalar loop with Python's ** bit for bit
+    from renyiquant import PiecewiseConstantDensity
+
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        k = int(rng.integers(1, 6))
+        widths = rng.uniform(0.1, 1.0, size=k)
+        bps = np.concatenate(([0.0], np.cumsum(widths)))
+        d = PiecewiseConstantDensity(bps, rng.dirichlet(np.ones(k)) / widths)
+        pts = np.concatenate((rng.uniform(bps[0], bps[-1], 2), rng.choice(bps, 2)))
+        lo, hi = float(pts.min()), float(pts.max())
+        if hi - lo < 1e-3:
+            continue
+        r = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.5]))
+        for a in np.append(rng.uniform(lo, hi, 8), [lo, hi]):
+            assert _codepoint_balances(d, [lo], [hi], [a], r)[0] == _reference_balance(
+                d, lo, hi, float(a), r)
+        c = optimal_codepoint(Interval(lo, hi), d, r)
+        assert c == bisect_increasing(lambda a: _reference_balance(d, lo, hi, a, r), lo, hi,
+                                      tol=1e-13 * (hi - lo))
+        assert cell_distortion(d, lo, hi, c, r) == _reference_cell_distortion(d, lo, hi, c, r)
+        # cells reaching past the support keep the zero-height pieces out
+        assert cell_distortion(d, lo - 0.5, hi + 0.5, c, r) == _reference_cell_distortion(
+            d, lo - 0.5, hi + 0.5, c, r)
