@@ -26,16 +26,35 @@ WEIGHT_TOL = 1e-9
 _TINY = float(np.finfo(float).tiny)
 
 
-def _log_power_sums(p: np.ndarray, v: float) -> np.ndarray:
+def _log_sum_exp(p: np.ndarray, v: float) -> np.ndarray:
     """log(sum of p**v) along the last axis, as a log-sum-exp over v*log(p).
 
-    The fallback for orders large enough in magnitude that p**v overflows or
-    underflows; zero entries are skipped, and each row needs a positive one.
+    Zero entries are skipped; each row needs a positive one.
     """
     pos = p > 0.0
     t = np.where(pos, v * np.log(np.where(pos, p, 1.0)), -np.inf)
     top = t.max(axis=-1)
     return top + np.log(np.exp(t - top[..., None]).sum(axis=-1))
+
+
+def _log_power_sums(p: np.ndarray, v: float, sums):
+    """log of ``sums``, the sums of p**v along p's last axis.
+
+    A sum that is non-finite or below the smallest normal float, where p**v
+    has overflowed or underflowed at a large |v|, is replaced by the
+    log-sum-exp over v*log(p) of its row.  Every other sum gets the plain log:
+    math.log for a single sum and np.log row by row, which differ in the last
+    bit, so each caller keeps the arithmetic it has always had.
+    """
+    if np.ndim(sums) == 0:
+        s = float(sums)
+        return math.log(s) if _TINY <= s < math.inf else float(_log_sum_exp(p, v))
+    bad = ~((sums >= _TINY) & (sums < np.inf))
+    with np.errstate(divide="ignore"):
+        logs = np.log(sums)
+    if bad.any():
+        logs[bad] = _log_sum_exp(p[bad], v)
+    return logs
 
 
 def _clean_weights(weights) -> np.ndarray:
@@ -76,10 +95,8 @@ def renyi_entropy(weights, alpha) -> float:
         return float(-(pos * np.log(pos)).sum())
     v = a.value
     with np.errstate(over="ignore"):
-        total = float((pos**v).sum())
-    if not total >= _TINY or math.isinf(total):
-        return float(_log_power_sums(pos, v)) / (1.0 - v)
-    return math.log(total) / (1.0 - v)
+        total = (pos**v).sum()
+    return _log_power_sums(pos, v, total) / (1.0 - v)
 
 
 def differential_entropy(d: Density, alpha) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import RenyiOrder, as_order, branch_of, validate_exponent
 from .densities import PiecewiseConstantDensity, density_from_spec, density_to_spec
-from .entropy import _TINY, _log_power_sums
+from .entropy import _log_power_sums
 from .quantizer import IntervalQuantizer, _cell_distortions, _optimal_codepoints
 
 __all__ = [
@@ -174,13 +174,7 @@ def _entropies(masses: np.ndarray, alpha: RenyiOrder) -> np.ndarray:
     powered = np.zeros_like(masses)
     with np.errstate(over="ignore"):
         np.power(masses, v, out=powered, where=masses > 0.0)
-    sums = powered.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        logs = np.log(sums)
-    # rows whose power sum overflowed or lost precision at large |alpha|
-    bad = ~(sums >= _TINY) | np.isinf(sums)
-    logs[bad] = _log_power_sums(masses[bad], v)
-    return logs / (1.0 - v)
+    return _log_power_sums(masses, v, powered.sum(axis=1)) / (1.0 - v)
 
 
 def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> OracleResult:

@@ -302,20 +302,14 @@ def _optimal_codepoints(d: PiecewiseConstantDensity, lo: np.ndarray, hi: np.ndar
 
 def improve_codepoints(q: IntervalQuantizer, d: Density, r: float) -> IntervalQuantizer:
     """Replace each codepoint by the cell optimum; zero-mass cells keep theirs."""
-    from .core import validate_exponent
-
-    r = validate_exponent(r)
-    lo, hi = q.boundaries[:-1], q.boundaries[1:]
-    has_mass = np.array([d.cdf(float(b)) - d.cdf(float(a)) > 0.0 for a, b in zip(lo, hi)],
-                        dtype=bool)
-    new_points = np.array(q.codepoints)
-    if isinstance(d, PiecewiseConstantDensity):
-        # one batched solve: per-cell calls would each pay the array set-up
-        new_points[has_mass] = _optimal_codepoints(d, lo[has_mass], hi[has_mass], r)
-    else:
-        for i in np.flatnonzero(has_mass):
-            new_points[i] = optimal_codepoint(Interval(float(lo[i]), float(hi[i])), d, r)
-    return IntervalQuantizer(q.boundaries, new_points)
+    new_points = []
+    for i in range(q.levels):
+        cell = Interval(float(q.boundaries[i]), float(q.boundaries[i + 1]))
+        if d.cdf(cell.hi) - d.cdf(cell.lo) > 0.0:
+            new_points.append(optimal_codepoint(cell, d, r))
+        else:
+            new_points.append(float(q.codepoints[i]))
+    return IntervalQuantizer(q.boundaries, np.asarray(new_points))
 
 
 def uniform_quantizer(interval: Interval, n: int) -> IntervalQuantizer:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,7 +152,6 @@ def test_extreme_orders_give_log_n_for_equal_masses(v, n):
                    st.floats(min_value=1e-3, max_value=0.99),
                    st.floats(min_value=1.01, max_value=1e4)))
 def test_entropy_matches_a_50_digit_reference(raw, v):
-    mpmath = pytest.importorskip("mpmath")
     p = np.asarray(raw) / sum(raw)
     with mpmath.workdps(50):
         exact = mpmath.log(mpmath.fsum(mpmath.mpf(float(x)) ** mpmath.mpf(v) for x in p))
