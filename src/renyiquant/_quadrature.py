@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["integrate", "bisect_increasing", "golden_extremum"]
+__all__ = ["integrate", "bisect_increasing", "golden_extremum", "scan_extremum"]
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 40
@@ -103,3 +103,18 @@ def golden_extremum(f, lo, hi, maximize, tol=None):
             fd = sign * f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def scan_extremum(f, xs, vals, maximize):
+    """Extremum of f from its values ``vals`` on the increasing grid ``xs``.
+
+    A golden-section search refines between the neighbours of the best grid
+    point; the grid value is kept when the refinement comes out less extreme.
+    """
+    i = int(vals.argmax() if maximize else vals.argmin())
+    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+    best = float(vals[i])
+    if not b > a:
+        return best
+    _, v = golden_extremum(f, a, b, maximize)
+    return float(max(v, best) if maximize else min(v, best))

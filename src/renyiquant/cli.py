@@ -6,9 +6,7 @@ library rejection, 3 input spec parse failure, 4 order-monotonicity violation
 in the oracle (an implementation bug, not a usage error).
 
 Every command is deterministic; identical inputs produce byte-identical
-output.  Numbers print with 12 significant digits.  QUANT_THREADS caps the
-worker count for sweep rows; ordering is by level count regardless of
-completion order.
+output.  Numbers print with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import RenyiOrder, parse_order
@@ -185,39 +181,19 @@ def _sweep_row(f, alpha, r, n, normalization):
     return h, d, scale * d
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QUANT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_sweep(req: SweepRequest):
     """Evaluate every level count; failures become per-row error markers."""
     f = density_from_spec(req.density_spec)
     limit = _dispatch_prediction(f, req.alpha, req.r)
 
-    def one(n):
-        try:
-            return n, _sweep_row(f, req.alpha, req.r, n, req.normalization), None
-        except ValueError as exc:
-            return n, None, str(exc)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, req.levels))
-    else:
-        outcomes = [one(n) for n in req.levels]
-    outcomes.sort(key=lambda item: item[0])
-
     rows, errors = [], []
-    for n, row, err in outcomes:
-        if err is None:
-            rows.append((n, *row))
+    for n in req.levels:
+        try:
+            row = _sweep_row(f, req.alpha, req.r, n, req.normalization)
+        except ValueError as exc:
+            errors.append((n, str(exc)))
         else:
-            errors.append((n, err))
+            rows.append((n, *row))
     final = None
     if rows:
         final = abs(rows[-1][3] / limit.value - 1.0)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quadrature import golden_extremum, integrate
+from ._quadrature import scan_extremum
 from .core import distortion_constant, validate_exponent
 from .densities import (
     Density,
     PiecewiseConstantDensity,
     SmoothDensity,
-    merged_segments,
+    _common_pieces,
+    _pair_integral,
     require_nested_supports,
 )
 from .entropy import relative_entropy
@@ -92,15 +93,8 @@ def bennett_functional(f: Density, g: Density, r: float) -> float:
     require_nested_supports(f, g)
     if g.ess_bounds()[0] <= 0.0:
         raise ValueError("point density must be bounded away from zero")
-    lo, hi = f.support.lo, f.support.hi
-    if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        integral = sum((b - a) * hf / hg**r for a, b, hf, hg in merged_segments(f, g, lo, hi))
-    else:
-        breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
-        integral = integrate(
-            lambda x: f.pdf(x) / g.pdf(x) ** r, lo, hi, breakpoints=breaks
-        )
-    return distortion_constant(r) * float(integral)
+    integral = _pair_integral(f, g, lambda w, hf, hg: w * hf / hg**r)
+    return distortion_constant(r) * integral
 
 
 def entropy_offset(f: Density, g: Density, alpha) -> float:
@@ -124,13 +118,9 @@ def compressed_density(f: Density, g: Density, *, table_cells: int = 256) -> Den
         raise ValueError("point density must be bounded away from zero")
     lo, hi = f.support.lo, f.support.hi
     if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        heights = []
-        widths = []
-        for a, b, hf, hg in merged_segments(f, g, lo, hi):
-            heights.append(hf / hg)
-            widths.append((b - a) * hg)
-        edges = np.concatenate(([g.cdf(lo)], g.cdf(lo) + np.cumsum(widths)))
-        return PiecewiseConstantDensity(edges, heights)
+        widths, hf, hg = _common_pieces(f, g)
+        edges = np.concatenate(([g.cdf(lo)], g.cdf(lo) + np.cumsum(widths * hg)))
+        return PiecewiseConstantDensity(edges, hf / hg)
 
     y_lo, y_hi = g.cdf(lo), g.cdf(hi)
 
@@ -140,11 +130,8 @@ def compressed_density(f: Density, g: Density, *, table_cells: int = 256) -> Den
 
     # essential bounds of f/g are cheap to locate in x-space
     xs = np.linspace(lo, hi, 2048)
-    vals = np.array([f.pdf(float(x)) / g.pdf(float(x)) for x in xs])
     ratio = lambda x: f.pdf(x) / g.pdf(x)
-    i_min, i_max = int(vals.argmin()), int(vals.argmax())
-    _, r_min = golden_extremum(ratio, float(xs[max(i_min - 1, 0)]), float(xs[min(i_min + 1, len(xs) - 1)]), False)
-    _, r_max = golden_extremum(ratio, float(xs[max(i_max - 1, 0)]), float(xs[min(i_max + 1, len(xs) - 1)]), True)
+    vals = np.array([ratio(float(x)) for x in xs])
     breaks = sorted(
         g.cdf(x)
         for x in set(f.interior_breakpoints()) | set(g.interior_breakpoints())
@@ -156,7 +143,7 @@ def compressed_density(f: Density, g: Density, *, table_cells: int = 256) -> Den
         y_hi,
         breakpoints=breaks,
         rel_tol=1e-9,
-        ess_inf=min(r_min, float(vals.min())),
-        ess_sup=max(r_max, float(vals.max())),
+        ess_inf=scan_extremum(ratio, xs, vals, False),
+        ess_sup=scan_extremum(ratio, xs, vals, True),
         table_cells=table_cells,
     )

@@ -18,7 +18,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import bisect_increasing, golden_extremum, integrate
+from ._quadrature import bisect_increasing, integrate, scan_extremum
 
 __all__ = [
     "Interval",
@@ -28,7 +28,6 @@ __all__ = [
     "uniform",
     "truncated_gauss",
     "truncated_laplace",
-    "merged_segments",
     "require_nested_supports",
     "density_from_spec",
     "density_to_spec",
@@ -173,10 +172,8 @@ class SmoothDensity:
     The constructor integrates the pdf cell by cell to build a monotone cdf
     table; individual cdf evaluations then only integrate within one cell.
     ``breakpoints`` lists interior kink locations respected by every
-    quadrature call.  ``weakly_unimodal`` is a caller-asserted hint (not
-    verified) recording that the density has no interior local minima worse
-    than its endpoint values; essential bounds use a dense scan refined by a
-    golden-section pass either way.
+    quadrature call.  Essential bounds use a dense scan refined by a
+    golden-section pass.
     """
 
     def __init__(
@@ -190,7 +187,6 @@ class SmoothDensity:
         max_depth: int = 40,
         ess_inf: float | None = None,
         ess_sup: float | None = None,
-        weakly_unimodal: bool = True,
         table_cells: int = 1024,
     ):
         support = Interval(lo, hi)
@@ -199,7 +195,6 @@ class SmoothDensity:
         self._breaks = sorted(float(x) for x in breakpoints if support.lo < x < support.hi)
         self._rel_tol = float(rel_tol)
         self._max_depth = int(max_depth)
-        self.weakly_unimodal = bool(weakly_unimodal)
 
         pieces = [support.lo] + self._breaks + [support.hi]
         edges = []
@@ -228,21 +223,10 @@ class SmoothDensity:
     def _scan_bounds(self, inf_override, sup_override):
         xs = np.linspace(self._support.lo, self._support.hi, ESS_SCAN_POINTS)
         vals = np.array([self._pdf(float(x)) for x in xs])
-        results = []
-        for maximize, override in ((False, inf_override), (True, sup_override)):
-            if override is not None:
-                results.append(float(override))
-                continue
-            i = int(vals.argmax() if maximize else vals.argmin())
-            a = xs[max(i - 1, 0)]
-            b = xs[min(i + 1, len(xs) - 1)]
-            if b > a:
-                _, v = golden_extremum(self._pdf, float(a), float(b), maximize)
-                v = max(v, float(vals[i])) if maximize else min(v, float(vals[i]))
-            else:
-                v = float(vals[i])
-            results.append(float(v))
-        return results[0], results[1]
+        return tuple(
+            scan_extremum(self._pdf, xs, vals, maximize) if override is None else float(override)
+            for maximize, override in ((False, inf_override), (True, sup_override))
+        )
 
     @property
     def support(self) -> Interval:
@@ -286,14 +270,17 @@ class SmoothDensity:
         p = float(p)
         if p < 0 and self.ess_bounds()[0] <= 0.0:
             raise ValueError("negative power integral requires a density bounded away from zero")
-        return integrate(
-            lambda x: self._pdf(x) ** p,
-            self._support.lo,
-            self._support.hi,
-            self._rel_tol,
-            self._max_depth,
-            breakpoints=self._breaks,
-        )
+        try:
+            return integrate(
+                lambda x: self._pdf(x) ** p,
+                self._support.lo,
+                self._support.hi,
+                self._rel_tol,
+                self._max_depth,
+                breakpoints=self._breaks,
+            )
+        except OverflowError:
+            raise ValueError(f"power integral of order {p} overflows") from None
 
     def log_integral(self) -> float:
         def f(x):
@@ -330,7 +317,6 @@ class SmoothDensity:
             max_depth=self._max_depth,
             ess_inf=i / c,
             ess_sup=s / c,
-            weakly_unimodal=self.weakly_unimodal,
         )
 
     def __repr__(self):
@@ -400,26 +386,67 @@ def require_nested_supports(f: Density, g: Density):
         )
 
 
-def merged_segments(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity, lo: float, hi: float):
-    """Common refinement of two piecewise grids restricted to [lo, hi].
+def _cut_cells(d: PiecewiseConstantDensity, lo, hi):
+    """Cut each cell [lo[k], hi[k]] at the density breakpoints strictly inside it.
 
-    Yields (a, b, f_height, g_height) with heights taken as the pdf value on
-    the open interior of each refined segment (0 outside a support).
+    Returns ``(edges, heights)``.  Row k of ``edges`` holds lo[k], the
+    breakpoints inside the cell in increasing order, and then hi[k], repeated
+    out to the width of the row with the most breakpoints, so short rows end
+    in empty pieces.  ``heights[k, j]`` is the pdf at the midpoint of the
+    piece from ``edges[k, j]`` to ``edges[k, j + 1]``: 0 outside the support.
     """
-    cuts = np.unique(
-        np.concatenate(
-            (
-                np.asarray([lo, hi], dtype=float),
-                f.breakpoints[(f.breakpoints > lo) & (f.breakpoints < hi)],
-                g.breakpoints[(g.breakpoints > lo) & (g.breakpoints < hi)],
-            )
-        )
-    )
-    out = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        out.append((float(a), float(b), f.pdf(mid), g.pdf(mid)))
-    return out
+    x = d.breakpoints
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    first = np.searchsorted(x, lo, side="right")
+    count = np.maximum(np.searchsorted(x, hi, side="left") - first, 0)
+    inner = np.arange(count.max())
+    idx = np.minimum(first[:, None] + inner, len(x) - 1)
+    # column-major: the rows are short, so whole columns make the long loops
+    edges = np.empty((len(lo), len(inner) + 2), order="F")
+    edges[:, 0] = lo
+    edges[:, 1:-1] = np.where(inner < count[:, None], x[idx], hi[:, None])
+    edges[:, -1] = hi
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    # d.pdf at each midpoint: segment k owns (x[k], x[k+1]], segment 0 also x[0]
+    seg = np.searchsorted(x[1:-1], mid, side="left")
+    heights = np.where((mid < x[0]) | (mid > x[-1]), 0.0, d.heights[seg])
+    return edges, heights
+
+
+def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
+    """The support of f cut at the breakpoints of both densities, left to right.
+
+    Returns the piece widths and the heights of f and of g on each piece.
+    """
+    g_edges, g_heights = _cut_cells(g, [f.support.lo], [f.support.hi])
+    edges, f_heights = _cut_cells(f, g_edges[0, :-1], g_edges[0, 1:])
+    # every piece of row k lies inside piece k of g, where g is constant
+    g_heights = np.broadcast_to(g_heights[0][:, None], f_heights.shape)
+    widths = np.diff(edges, axis=1)
+    keep = widths > 0.0
+    return widths[keep], f_heights[keep], g_heights[keep]
+
+
+def _pair_integral(f: Density, g: Density, phi) -> float:
+    """Integral over the support of f, which g must cover, of phi(w, f, g).
+
+    ``phi(w, hf, hg)`` is the integral over a piece of width w on which the
+    densities take the values hf and hg.  For two piecewise densities it is
+    summed left to right over the pieces of their common refinement;
+    otherwise phi(1.0, f(x), g(x)) is integrated by quadrature wherever
+    f(x) > 0.
+    """
+    if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
+        pieces = _common_pieces(f, g)
+        return float(sum(map(phi, *(col.tolist() for col in pieces))))
+
+    def integrand(x):
+        vf = f.pdf(x)
+        return phi(1.0, vf, g.pdf(x)) if vf > 0.0 else 0.0
+
+    breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
+    return float(integrate(integrand, f.support.lo, f.support.hi, breakpoints=breaks))
 
 
 def density_from_spec(spec: dict) -> Density:

@@ -18,7 +18,7 @@ from ._quadrature import bisect_increasing
 from .compander import Compander, bennett_functional
 from .core import as_order, branch_of, distortion_constant, exponents, validate_exponent
 from .densities import Density, Interval, PiecewiseConstantDensity, SmoothDensity, uniform
-from .entropy import relative_entropy, renyi_entropy
+from .entropy import _log_sum_exp, _normal_sums, relative_entropy, renyi_entropy
 from .quantizer import IntervalQuantizer, uniform_quantizer
 
 __all__ = [
@@ -95,7 +95,10 @@ def optimal_point_density(f: Density, alpha, r: float) -> Density:
 def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:
     """Limit of e**(r*R) * D(R) for orders below 1 + r.
 
-    Finite alpha != 1: C(r) * (integral of f**a1) ** a2.
+    Finite alpha != 1: C(r) * (integral of f**a1) ** a2.  Near 1 + r, a1
+    is large and the integral of a piecewise f overflows or underflows; it
+    is then summed in logs.  A smooth f whose integral is not positive and
+    finite raises ValueError.
     alpha = 1: C(r) * exp(-r * integral of f log f).
     alpha = -inf: C(r) * integral of f**(1-r).
     """
@@ -110,7 +113,14 @@ def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:
     if branch == "shannon":
         return PredictedLimit(cr * math.exp(-r * f.log_integral()), "shannon", r)
     pair = exponents(a, r)
-    return PredictedLimit(cr * f.power_integral(pair.first) ** pair.second, "finite", r)
+    with np.errstate(over="ignore"):
+        integral = f.power_integral(pair.first)
+    if isinstance(f, PiecewiseConstantDensity) and not _normal_sums(integral):
+        t = pair.first * np.log(f.heights) + np.log(np.diff(f.breakpoints))
+        return PredictedLimit(cr * math.exp(pair.second * float(_log_sum_exp(t))), "finite", r)
+    if not (math.isfinite(integral) and integral > 0.0):
+        raise ValueError(f"power integral of order {pair.first} is not positive and finite")
+    return PredictedLimit(cr * integral ** pair.second, "finite", r)
 
 
 def predicted_limit_high_alpha(f: Density, alpha, r: float) -> PredictedLimit:

@@ -11,12 +11,13 @@ import math
 
 import numpy as np
 
-from ._quadrature import golden_extremum, integrate
+from ._quadrature import scan_extremum
 from .core import as_order, branch_of
 from .densities import (
     Density,
     PiecewiseConstantDensity,
-    merged_segments,
+    _common_pieces,
+    _pair_integral,
     require_nested_supports,
 )
 
@@ -26,34 +27,46 @@ WEIGHT_TOL = 1e-9
 _TINY = float(np.finfo(float).tiny)
 
 
-def _log_sum_exp(p: np.ndarray, v: float) -> np.ndarray:
-    """log(sum of p**v) along the last axis, as a log-sum-exp over v*log(p).
+def _log_sum_exp(t: np.ndarray) -> np.ndarray:
+    """log(sum of exp(t)) along the last axis; -inf entries add nothing.
 
-    Zero entries are skipped; each row needs a positive one.
+    Each row needs a finite entry.
     """
-    pos = p > 0.0
-    t = np.where(pos, v * np.log(np.where(pos, p, 1.0)), -np.inf)
     top = t.max(axis=-1)
     return top + np.log(np.exp(t - top[..., None]).sum(axis=-1))
+
+
+def _normal_sums(sums):
+    """True where a sum is finite and at least the smallest normal float.
+
+    Only there is its plain log accurate; a power sum or integral outside
+    this range has overflowed or underflowed and must be summed in logs.
+    """
+    return (sums >= _TINY) & (sums < np.inf)
 
 
 def _log_power_sums(p: np.ndarray, v: float, sums):
     """log of ``sums``, the sums of p**v along p's last axis.
 
-    A sum that is non-finite or below the smallest normal float, where p**v
-    has overflowed or underflowed at a large |v|, is replaced by the
-    log-sum-exp over v*log(p) of its row.  Every other sum gets the plain log:
-    math.log for a single sum and np.log row by row, which differ in the last
-    bit, so each caller keeps the arithmetic it has always had.
+    A sum outside ``_normal_sums``, where p**v has overflowed or underflowed
+    at a large |v|, is replaced by the log-sum-exp over v*log(p) of its row,
+    zero entries skipped.  Every other sum gets the plain log: math.log for a
+    single sum and np.log row by row, which differ in the last bit, so each
+    caller keeps the arithmetic it has always had.
     """
+
+    def from_logs(rows):
+        pos = rows > 0.0
+        return _log_sum_exp(np.where(pos, v * np.log(np.where(pos, rows, 1.0)), -np.inf))
+
     if np.ndim(sums) == 0:
         s = float(sums)
-        return math.log(s) if _TINY <= s < math.inf else float(_log_sum_exp(p, v))
-    bad = ~((sums >= _TINY) & (sums < np.inf))
+        return math.log(s) if _normal_sums(s) else float(from_logs(p))
+    bad = ~_normal_sums(sums)
     with np.errstate(divide="ignore"):
         logs = np.log(sums)
     if bad.any():
-        logs[bad] = _log_sum_exp(p[bad], v)
+        logs[bad] = from_logs(p[bad])
     return logs
 
 
@@ -125,17 +138,14 @@ def differential_entropy(d: Density, alpha) -> float:
 
 
 def _ratio_extremum(f: Density, g: Density, maximize: bool) -> float:
-    lo, hi = f.support.lo, f.support.hi
     if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        ratios = [hf / hg for _, _, hf, hg in merged_segments(f, g, lo, hi)]
-        return max(ratios) if maximize else min(ratios)
-    xs = np.linspace(lo, hi, 4096)
+        _, hf, hg = _common_pieces(f, g)
+        ratios = hf / hg
+        return float(ratios.max() if maximize else ratios.min())
+    xs = np.linspace(f.support.lo, f.support.hi, 4096)
     ratio = lambda x: f.pdf(x) / g.pdf(x)
     vals = np.array([ratio(float(x)) for x in xs])
-    i = int(vals.argmax() if maximize else vals.argmin())
-    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
-    _, v = golden_extremum(ratio, a, b, maximize)
-    return max(v, float(vals[i])) if maximize else min(v, float(vals[i]))
+    return scan_extremum(ratio, xs, vals, maximize)
 
 
 def relative_entropy(f: Density, g: Density, alpha) -> float:
@@ -153,35 +163,10 @@ def relative_entropy(f: Density, g: Density, alpha) -> float:
         return math.log(_ratio_extremum(f, g, maximize=True))
     if branch == "neg_inf":
         return math.log(_ratio_extremum(f, g, maximize=False))
-
-    lo, hi = f.support.lo, f.support.hi
-    exact = isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity)
     if branch == "shannon":
-        if exact:
-            val = sum(
-                (b - s) * hf * math.log(hf / hg) for s, b, hf, hg in merged_segments(f, g, lo, hi)
-            )
-        else:
-            def integrand(x):
-                vf = f.pdf(x)
-                return vf * math.log(vf / g.pdf(x)) if vf > 0.0 else 0.0
-
-            breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
-            val = integrate(integrand, lo, hi, breakpoints=breaks)
-        return float(val)
-
+        return _pair_integral(f, g, lambda w, hf, hg: w * hf * math.log(hf / hg))
     v = a.value
-    if exact:
-        integral = sum(
-            (b - s) * hf**v * hg ** (1.0 - v) for s, b, hf, hg in merged_segments(f, g, lo, hi)
-        )
-    else:
-        def integrand(x):
-            vf = f.pdf(x)
-            return vf**v * g.pdf(x) ** (1.0 - v) if vf > 0.0 else 0.0
-
-        breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
-        integral = integrate(integrand, lo, hi, breakpoints=breaks)
+    integral = _pair_integral(f, g, lambda w, hf, hg: w * hf**v * hg ** (1.0 - v))
     if not math.isfinite(integral) or integral <= 0.0:
         raise ValueError(f"divergence integral of order {v} diverges or vanishes")
     return math.log(integral) / (v - 1.0)

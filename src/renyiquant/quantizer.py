@@ -8,13 +8,12 @@ against piecewise-constant densities and by adaptive quadrature otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quadrature import bisect_increasing, integrate
-from .densities import Density, Interval, PiecewiseConstantDensity
+from .densities import Density, Interval, PiecewiseConstantDensity, _cut_cells
 from .entropy import renyi_entropy
 
 __all__ = [
@@ -105,13 +104,10 @@ def cell_masses(q: IntervalQuantizer, d: Density) -> np.ndarray:
     _check_covers(q, d)
     bounds = np.asarray(q.boundaries)
     if isinstance(d, PiecewiseConstantDensity):
-        # accumulate each cell from segment overlaps: no cancellation, so
-        # even tiny masses keep full relative accuracy
-        x = np.asarray(d.breakpoints)
-        h = np.asarray(d.heights)
-        lo = np.maximum(bounds[:-1, None], x[None, :-1])
-        hi = np.minimum(bounds[1:, None], x[None, 1:])
-        masses = np.clip(hi - lo, 0.0, None) @ h
+        # add each cell up from its pieces: no cancellation, so even tiny
+        # masses keep full relative accuracy
+        masses = _piecewise_cell_sums(d, bounds[:-1], bounds[1:],
+                                      lambda edges, h: h * (edges[:, 1:] - edges[:, :-1]))
     else:
         cdf_vals = np.array([d.cdf(float(x)) for x in bounds])
         masses = np.diff(cdf_vals)
@@ -127,76 +123,62 @@ def quantizer_entropy(q: IntervalQuantizer, d: Density, alpha) -> float:
     return renyi_entropy(cell_masses(q, d), alpha)
 
 
-def _psi(y: float, rp1: float) -> float:
-    # antiderivative of |x|**r evaluated at y, with rp1 = r + 1
-    return math.copysign(abs(y) ** rp1, y) / rp1
-
-
 def distortion(q: IntervalQuantizer, d: Density, r: float) -> float:
     """Expected r-th power error of the quantizer against the density."""
     from .core import validate_exponent
 
     r = validate_exponent(r)
     _check_covers(q, d)
+    lo, hi, c = q.boundaries[:-1], q.boundaries[1:], q.codepoints
     if isinstance(d, PiecewiseConstantDensity):
-        edges = np.unique(np.concatenate((q.boundaries, d.breakpoints)))
-        edges = edges[(edges >= q.boundaries[0]) & (edges <= q.boundaries[-1])]
-        rp1 = r + 1.0
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (a + b)
-            h = d.pdf(mid)
-            if h == 0.0:
-                continue
-            c = float(q.codepoints[q.quantize(mid)])
-            total += h * (_psi(b - c, rp1) - _psi(a - c, rp1))
-        return float(total)
-
+        # every piece of every cell, added left to right across the span
+        terms = _piece_terms(d, lo, hi, _distortion_pieces(c, r))
+        return float(_checked(np.cumsum(terms.ravel())[-1]))
     total = 0.0
-    breaks = d.interior_breakpoints()
-    for i in range(q.levels):
-        a, b = float(q.boundaries[i]), float(q.boundaries[i + 1])
-        c = float(q.codepoints[i])
-        inner = [x for x in breaks if a < x < b] + ([c] if a < c < b else [])
-        total += integrate(lambda x: abs(x - c) ** r * d.pdf(x), a, b, breakpoints=inner)
+    for a, b, ci in zip(lo.tolist(), hi.tolist(), c.tolist()):
+        total += _smooth_moment(d, a, b, ci, r)
     return float(total)
 
 
-def _piecewise_cell_sums(d: PiecewiseConstantDensity, lo, hi, pieces) -> np.ndarray:
-    """Closed-form integrals over many cells [lo[k], hi[k]] of a piecewise density.
+def _piece_terms(d: PiecewiseConstantDensity, lo, hi, pieces) -> np.ndarray:
+    """Closed-form integrals over the pieces of many cells [lo[k], hi[k]].
 
-    Each cell is cut at the density breakpoints inside it.  ``pieces(edges,
-    h)`` gets the cut points (one row per cell, one column per cut) and the
-    height of each piece between adjacent cuts, and returns the integral over
-    each piece.  A piece takes the density height at its midpoint and counts
-    only where that height is positive, and the pieces are added left to right
-    from 0.0, so one cell gives bit for bit what a scalar loop over its sorted
-    cut points gives.  Powers must go through ``np.float_power``: it calls the
-    C library ``pow`` as Python's ``**`` does, while ``np.power`` may take a
-    SIMD path that differs in the last bit.
+    ``densities._cut_cells`` cuts each cell at the density breakpoints inside
+    it.  ``pieces(edges, h)`` gets those cut rows and the height of each piece
+    and returns the integral over each piece.  A piece counts only where its
+    height is positive; elsewhere, and on the empty pieces that pad short
+    rows, the term is an exact 0.0.  Powers must go through
+    ``np.float_power``: it calls the C library ``pow`` as Python's ``**``
+    does, while ``np.power`` may take a SIMD path that differs in the last
+    bit.
     """
-    x = d.breakpoints
-    lo = np.asarray(lo, dtype=float)[:, None]
-    hi = np.asarray(hi, dtype=float)[:, None]
-    # breakpoints outside a cell collapse onto its ends and give empty pieces,
-    # which add an exact 0.0
-    edges = np.concatenate((lo, np.minimum(np.maximum(x, lo), hi), hi), axis=1)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    # d.pdf at each midpoint: segment k owns (x[k], x[k+1]], segment 0 also x[0]
-    seg = np.searchsorted(x[1:-1], mid, side="left")
-    h = np.where((mid < x[0]) | (mid > x[-1]), 0.0, d.heights[seg])
+    edges, h = _cut_cells(d, lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.where(h > 0.0, pieces(edges, h), 0.0)
-    total = np.zeros(len(lo))
-    for col in terms.T:
-        total += col
+        return np.where(h > 0.0, pieces(edges, h), 0.0)
+
+
+def _checked(total):
+    """``total``, unless some closed-form sum in it overflowed: then ValueError."""
     if not np.isfinite(total).all():
         raise ValueError("a closed-form cell integral overflows; reduce r or the cell widths")
     return total
 
 
-def _cell_distortions(d: PiecewiseConstantDensity, lo, hi, c, r: float) -> np.ndarray:
-    """Integral of |x - c[k]|**r over each cell [lo[k], hi[k]]."""
+def _piecewise_cell_sums(d: PiecewiseConstantDensity, lo, hi, pieces) -> np.ndarray:
+    """The ``_piece_terms`` of each cell added left to right from 0.0.
+
+    So a cell gives bit for bit what a scalar loop over its sorted cut points
+    gives.  An overflowing sum raises ValueError.
+    """
+    terms = _piece_terms(d, lo, hi, pieces)
+    total = np.zeros(len(terms))
+    for col in terms.T:
+        total += col
+    return _checked(total)
+
+
+def _distortion_pieces(c, r: float):
+    """``pieces`` for the integral of |x - c[k]|**r over cell k."""
     rp1 = r + 1.0
     c = np.asarray(c, dtype=float)[:, None]
 
@@ -206,7 +188,12 @@ def _cell_distortions(d: PiecewiseConstantDensity, lo, hi, c, r: float) -> np.nd
         psi = np.copysign(np.float_power(np.abs(y), rp1), y) / rp1
         return h * (psi[:, 1:] - psi[:, :-1])
 
-    return _piecewise_cell_sums(d, lo, hi, pieces)
+    return pieces
+
+
+def _cell_distortions(d: PiecewiseConstantDensity, lo, hi, c, r: float) -> np.ndarray:
+    """Integral of |x - c[k]|**r over each cell [lo[k], hi[k]]."""
+    return _piecewise_cell_sums(d, lo, hi, _distortion_pieces(c, r))
 
 
 def _codepoint_balances(d: PiecewiseConstantDensity, lo, hi, a, r: float) -> np.ndarray:
@@ -230,6 +217,12 @@ def _codepoint_balances(d: PiecewiseConstantDensity, lo, hi, a, r: float) -> np.
     return sides[:n] - sides[n:]
 
 
+def _smooth_moment(d: Density, s: float, t: float, c: float, p: float) -> float:
+    """Integral of |x - c|**p dmu over [s, t], split at the density's kinks and at c."""
+    inner = [x for x in d.interior_breakpoints() if s < x < t] + ([c] if s < c < t else [])
+    return integrate(lambda x: abs(x - c) ** p * d.pdf(x), s, t, breakpoints=inner)
+
+
 def cell_distortion(d: Density, lo: float, hi: float, c: float, r: float) -> float:
     """Integral of |x - c|**r against the density over a single cell."""
     from .core import validate_exponent
@@ -239,16 +232,7 @@ def cell_distortion(d: Density, lo: float, hi: float, c: float, r: float) -> flo
         return 0.0
     if isinstance(d, PiecewiseConstantDensity):
         return float(_cell_distortions(d, [lo], [hi], [c], r)[0])
-    inner = [x for x in d.interior_breakpoints() if lo < x < hi] + ([c] if lo < c < hi else [])
-    return integrate(lambda x: abs(x - c) ** r * d.pdf(x), lo, hi, breakpoints=inner)
-
-
-def _one_sided_moment(d: Density, lo: float, hi: float, a: float, r: float, left: bool) -> float:
-    """Integral of |x - a|**(r-1) dmu over [lo, a] (left) or [a, hi] (right)."""
-    s, t = (lo, a) if left else (a, hi)
-    if t <= s:
-        return 0.0
-    return integrate(lambda x: abs(x - a) ** (r - 1.0) * d.pdf(x), s, t)
+    return _smooth_moment(d, lo, hi, c, r)
 
 
 def optimal_codepoint(cell: Interval, d: Density, r: float) -> float:
@@ -271,9 +255,7 @@ def optimal_codepoint(cell: Interval, d: Density, r: float) -> float:
             return float(_codepoint_balances(d, [lo], [hi], [a], r)[0])
     else:
         def balance(a):
-            return _one_sided_moment(d, lo, hi, a, r, left=True) - _one_sided_moment(
-                d, lo, hi, a, r, left=False
-            )
+            return _smooth_moment(d, lo, a, a, r - 1.0) - _smooth_moment(d, a, hi, a, r - 1.0)
 
     return bisect_increasing(balance, lo, hi, target=0.0, tol=1e-13 * (hi - lo))
 

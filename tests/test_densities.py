@@ -13,7 +13,7 @@ from renyiquant import (
     truncated_laplace,
     uniform,
 )
-from renyiquant.densities import merged_segments, require_nested_supports
+from renyiquant.densities import _pair_integral, require_nested_supports
 
 
 def test_interval_validation():
@@ -135,12 +135,10 @@ def test_require_nested_supports(two_mass):
         require_nested_supports(uniform(0.0, 2.0), two_mass)
 
 
-def test_merged_segments_reconstruct_mass(two_mass):
+def test_pair_integral_reconstructs_mass(two_mass):
     g = PiecewiseConstantDensity([0.0, 0.25, 1.0], [1.6, 0.8])
-    total_f = total_g = 0.0
-    for a, b, hf, hg in merged_segments(two_mass, g, 0.0, 1.0):
-        total_f += hf * (b - a)
-        total_g += hg * (b - a)
+    total_f = _pair_integral(two_mass, g, lambda w, hf, hg: hf * w)
+    total_g = _pair_integral(two_mass, g, lambda w, hf, hg: hg * w)
     assert total_f == pytest.approx(1.0, abs=1e-14)
     assert total_g == pytest.approx(1.0, abs=1e-14)
 

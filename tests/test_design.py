@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renyiquant import (
     Interval,
     NEG_INF,
     POS_INF,
+    PiecewiseConstantDensity,
     RenyiOrder,
     compander_score,
     design_compander,
@@ -67,6 +70,51 @@ def test_predicted_limit_regimes(two_mass):
     assert predicted_limit(two_mass, NEG_INF, 2.0).regime == "neg_inf"
     with pytest.raises(ValueError):
         predicted_limit(two_mass, RenyiOrder(3.0), 2.0)
+
+
+def _reference_limit(d, alpha, r):
+    """C(r) * (integral of f**a1) ** a2 at 50 digits from the float inputs."""
+    with mpmath.workdps(50):
+        a, r = mpmath.mpf(alpha), mpmath.mpf(r)
+        first = (1 - a + a * r) / (1 - a + r)
+        second = (1 - a + r) / (1 - a)
+        b = [mpmath.mpf(float(x)) for x in d.breakpoints]
+        integral = mpmath.fsum((t - s) * mpmath.mpf(float(h)) ** first
+                               for s, t, h in zip(b, b[1:], d.heights))
+        return float(integral ** second / ((1 + r) * 2 ** r))
+
+
+def test_predicted_limit_near_one_plus_r_is_not_zero(two_mass):
+    # the power integral overflows here, and inf ** (a negative power) is 0
+    value = predicted_limit(two_mass, RenyiOrder(2.999999), 2.0).value
+    assert value == pytest.approx(_reference_limit(two_mass, 2.999999, 2.0), rel=1e-12)
+    assert value == pytest.approx(0.0370370424, rel=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    segments=st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 1.0)),
+                      min_size=1, max_size=6),
+    log_gap=st.floats(-9.0, -1.0),
+    r=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+)
+def test_predicted_limit_matches_mpmath_up_to_one_plus_r(segments, log_gap, r):
+    # wide supports make f**a1 underflow, tall segments make it overflow
+    widths = np.array([w for w, _ in segments])
+    masses = np.array([m for _, m in segments])
+    d = PiecewiseConstantDensity(np.concatenate(([0.0], np.cumsum(widths))),
+                                 masses / masses.sum() / widths)
+    alpha = 1.0 + r - 10.0**log_gap
+    value = predicted_limit(d, RenyiOrder(alpha), r).value
+    assert value == pytest.approx(_reference_limit(d, alpha, r), rel=1e-10)
+
+
+@pytest.mark.parametrize("sigma, lo, hi", [(0.1, 0.0, 1.0), (10.0, -5.0, 5.0)])
+def test_predicted_limit_rejects_a_smooth_integral_out_of_range(sigma, lo, hi):
+    # a peak above 1 overflows the power integral; a density below 1 underflows it
+    with pytest.raises(ValueError, match="power integral"):
+        predicted_limit(truncated_gauss(0.0 if lo < 0 else 0.5, sigma, lo, hi),
+                        RenyiOrder(2.999999), 2.0)
 
 
 def test_predicted_limit_high_order(two_mass):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renyiquant import (
     Interval,
     IntervalQuantizer,
     NEG_INF,
     POS_INF,
+    PiecewiseConstantDensity,
     RenyiOrder,
     SmoothDensity,
     cell_distortion,
@@ -100,8 +102,6 @@ def test_improve_codepoints_never_hurts():
         widths = rng.uniform(0.1, 1.0, size=k)
         bps = np.concatenate(([0.0], np.cumsum(widths)))
         masses = rng.dirichlet(np.ones(k))
-        from renyiquant import PiecewiseConstantDensity
-
         d = PiecewiseConstantDensity(bps, masses / widths)
         cuts = np.sort(rng.uniform(bps[0], bps[-1], size=int(rng.integers(1, 5))))
         bounds = np.concatenate(([bps[0]], cuts, [bps[-1]]))
@@ -173,8 +173,6 @@ def _reference_balance(d, lo, hi, a, r):
 
 def test_piecewise_closed_forms_match_plain_python_loops():
     # the array kernel must reproduce a scalar loop with Python's ** bit for bit
-    from renyiquant import PiecewiseConstantDensity
-
     rng = np.random.default_rng(11)
     for trial in range(40):
         k = int(rng.integers(1, 6))
@@ -196,3 +194,58 @@ def test_piecewise_closed_forms_match_plain_python_loops():
         # cells reaching past the support keep the zero-height pieces out
         assert cell_distortion(d, lo - 0.5, hi + 0.5, c, r) == _reference_cell_distortion(
             d, lo - 0.5, hi + 0.5, c, r)
+
+
+def _reference_distortion(q, d, r):
+    """Per-edge loop over the merged quantizer and density edges, left to right.
+
+    Each piece takes the pdf at its midpoint and the codepoint of the cell
+    holding its left end.  (The cell of the midpoint is wrong for a cell one
+    float wide, whose midpoint can round onto the cell's lower boundary.)
+    """
+    edges = np.unique(np.concatenate((q.boundaries, d.breakpoints)))
+    edges = edges[(edges >= q.boundaries[0]) & (edges <= q.boundaries[-1])].tolist()
+    psi = lambda y: math.copysign(abs(y) ** (r + 1.0), y) / (r + 1.0)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        h = d.pdf(0.5 * (a + b))
+        if h == 0.0:
+            continue
+        c = float(q.codepoints[np.searchsorted(q.boundaries, a, side="right") - 1])
+        total += h * (psi(b - c) - psi(a - c))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    segments=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 1.0)),
+                      min_size=1, max_size=6),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=10),
+    on_breaks=st.lists(st.integers(0, 6), max_size=3),
+    pad=st.tuples(st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.7])),
+    place=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    r=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]) | st.floats(1.0, 8.0),
+)
+def test_piecewise_distortion_matches_the_per_edge_loop(segments, cuts, on_breaks, pad,
+                                                        place, r):
+    widths = np.array([w for w, _ in segments])
+    masses = np.array([m for _, m in segments])
+    bps = np.concatenate(([0.0], np.cumsum(widths))) - 0.4
+    d = PiecewiseConstantDensity(bps, masses / masses.sum() / widths)
+    lo, hi = bps[0] - pad[0], bps[-1] + pad[1]
+    # boundaries anywhere in the span, some of them exactly on breakpoints
+    inner = [lo + c * (hi - lo) for c in cuts] + [bps[i % len(bps)] for i in on_breaks]
+    bounds = np.unique(np.clip(np.array([lo, hi, *inner]), lo, hi))
+    cells = len(bounds) - 1
+    frac = np.resize(np.asarray(place), cells)
+    q = IntervalQuantizer(bounds, bounds[:-1] + frac * np.diff(bounds))
+    assert distortion(q, d, r) == _reference_distortion(q, d, r)
+
+
+def test_distortion_overflow_raises_like_cell_distortion():
+    d = PiecewiseConstantDensity([0.0, 1e3], [1e-3])
+    with pytest.raises(ValueError, match="overflows") as whole:
+        distortion(IntervalQuantizer([0.0, 1e3], [0.0]), d, 200.0)
+    with pytest.raises(ValueError, match="overflows") as cell:
+        cell_distortion(d, 0.0, 1e3, 0.0, 200.0)
+    assert str(whole.value) == str(cell.value)
