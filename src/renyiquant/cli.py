@@ -17,9 +17,15 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .compander import Compander
 from .core import RenyiOrder, parse_order
 from .densities import density_from_spec
-from .design import design_compander, predicted_limit, predicted_limit_high_alpha
+from .design import (
+    design_compander,
+    optimal_point_density,
+    predicted_limit,
+    predicted_limit_high_alpha,
+)
 from .entropy import renyi_entropy
 from .oracle import MonotonicityError, alpha_profile, instance_from_spec
 from .quantizer import cell_masses, distortion
@@ -173,8 +179,8 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(f, alpha, r, n, normalization):
-    q = design_compander(f, alpha, r, n)
+def _sweep_row(compander, f, alpha, r, n, normalization):
+    q = compander.build(n)
     h = renyi_entropy(cell_masses(q, f), alpha)
     d = distortion(q, f, r)
     scale = math.exp(r * h) if normalization == "entropy" else float(n) ** r
@@ -182,18 +188,28 @@ def _sweep_row(f, alpha, r, n, normalization):
 
 
 def run_sweep(req: SweepRequest):
-    """Evaluate every level count; failures become per-row error markers."""
+    """Evaluate every level count; failures become per-row error markers.
+
+    One point density and one compander serve every level count, so each
+    expander value is computed once per sweep.  If they cannot be built,
+    every row carries that error.
+    """
     f = density_from_spec(req.density_spec)
     limit = _dispatch_prediction(f, req.alpha, req.r)
 
     rows, errors = [], []
-    for n in req.levels:
-        try:
-            row = _sweep_row(f, req.alpha, req.r, n, req.normalization)
-        except ValueError as exc:
-            errors.append((n, str(exc)))
-        else:
-            rows.append((n, *row))
+    try:
+        compander = Compander(optimal_point_density(f, req.alpha, req.r))
+    except ValueError as exc:
+        errors = [(n, str(exc)) for n in req.levels]
+    else:
+        for n in req.levels:
+            try:
+                row = _sweep_row(compander, f, req.alpha, req.r, n, req.normalization)
+            except ValueError as exc:
+                errors.append((n, str(exc)))
+            else:
+                rows.append((n, *row))
     final = None
     if rows:
         final = abs(rows[-1][3] / limit.value - 1.0)

@@ -40,6 +40,8 @@ class Compander:
 
     The point density must be bounded away from zero on its support;
     construction verifies that the expander inverts the compressor on a grid.
+    ``build`` remembers every expander value it computes, so a sequence of
+    level counts asks the point density for each argument only once.
     """
 
     def __init__(self, point_density: Density):
@@ -48,9 +50,12 @@ class Compander:
         self.point_density = point_density
         supp = point_density.support
         xs = np.linspace(supp.lo, supp.hi, INVERSE_CHECK_POINTS)
-        worst = max(abs(self.expand(self.compress(float(x))) - float(x)) for x in xs)
+        us = np.array([self.compress(x) for x in xs.tolist()])
+        worst = float(np.max(np.abs(self.expand(us) - xs)))
         if worst > INVERSE_TOL * supp.width:
             raise ValueError(f"expander fails to invert the compressor (err {worst!r})")
+        # every expander value computed so far: sorted arguments and their images
+        self._expanded = (np.empty(0), np.empty(0))
 
     @property
     def support(self):
@@ -59,19 +64,42 @@ class Compander:
     def compress(self, x: float) -> float:
         return self.point_density.cdf(x)
 
-    def expand(self, u: float) -> float:
+    def expand(self, u):
+        """Expander at u, a scalar or an array."""
         return self.point_density.quantile(u)
+
+    def _expand_grid(self, us: np.ndarray) -> np.ndarray:
+        """Expander at the sorted distinct arguments us, each computed only once.
+
+        Values already computed by an earlier call are reused; the rest come
+        from one expander call and join the record.
+        """
+        known_u, known_x = self._expanded
+        pos = np.searchsorted(known_u, us)
+        seen = pos < len(known_u)
+        seen[seen] = known_u[pos[seen]] == us[seen]
+        xs = np.empty(len(us))
+        xs[seen] = known_x[pos[seen]]
+        new = ~seen
+        if new.any():
+            xs[new] = self.expand(us[new])
+            # both sides are sorted, so inserting at pos keeps the record sorted
+            self._expanded = (np.insert(known_u, pos[new], us[new]),
+                              np.insert(known_x, pos[new], xs[new]))
+        return xs
 
     def build(self, n: int) -> IntervalQuantizer:
         """N-level companding quantizer with expanded-midpoint codepoints."""
         n = int(n)
         if n < 1:
             raise ValueError(f"need at least one level, got {n}")
-        bounds = np.array([self.expand(i / n) for i in range(n + 1)])
+        # even entries are the boundaries i/n, odd ones the codepoints (2i-1)/(2n):
+        # a correctly rounded quotient does not depend on how the fraction is written
+        xs = self._expand_grid(np.arange(2 * n + 1) / (2 * n))
+        bounds = xs[0::2]
         if np.any(np.diff(bounds) <= 0):
             raise ValueError(f"companding boundaries collapse at {n} levels")
-        points = np.array([self.expand((2 * i - 1) / (2 * n)) for i in range(1, n + 1)])
-        return IntervalQuantizer(bounds, points)
+        return IntervalQuantizer(bounds, xs[1::2])
 
     def midpoint_variant(self, n: int) -> IntervalQuantizer:
         """Same boundaries as build(n) but with cell-midpoint codepoints."""

@@ -3,8 +3,11 @@
 Two families are supported: piecewise-constant densities, for which every
 integral used by the library has a closed form, and smooth densities backed
 by adaptive quadrature.  Both expose the same small surface: ``pdf``,
-``cdf``, ``quantile`` (the generalized inverse of the cdf), power and
-log-moment integrals, essential bounds, and similarity transforms.
+``cdf``, ``quantile`` (the generalized inverse of the cdf, for a scalar or
+a whole array of arguments; a piecewise density inverts the array in one
+pass), power and log-moment integrals, essential bounds, and similarity
+transforms.  A sweep over level counts designs its point density once and
+asks it for each expander value once (see ``compander.Compander``).
 
 Densities are immutable after construction; all caches are built eagerly in
 ``__init__`` so instances can be shared across threads.
@@ -13,6 +16,7 @@ Densities are immutable after construction; all caches are built eagerly in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -59,6 +63,15 @@ class Interval:
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
+
+
+def _unit_arguments(u):
+    """``u`` as a float array, after checking that every entry lies in [0, 1]."""
+    us = np.asarray(u, dtype=float)
+    bad = ~((us >= 0.0) & (us <= 1.0))
+    if bad.any():
+        raise ValueError(f"quantile argument must lie in [0, 1], got {float(us[bad][0])!r}")
+    return us
 
 
 class PiecewiseConstantDensity:
@@ -123,17 +136,19 @@ class PiecewiseConstantDensity:
             return float(self._cum[j])
         return float(self._cum[j] + self.heights[j] * (x - b[j]))
 
-    def quantile(self, u: float) -> float:
-        """Largest x with cdf(x) <= u; exact segment inversion."""
-        u = float(u)
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"quantile argument must lie in [0, 1], got {u!r}")
-        if u >= 1.0:
-            return float(self.breakpoints[-1])
-        j = int(np.searchsorted(self._cum, u, side="right")) - 1
-        if self._cum[j] == u:
-            return float(self.breakpoints[j])
-        return float(self.breakpoints[j] + (u - self._cum[j]) / self.heights[j])
+    def quantile(self, u):
+        """Largest x with cdf(x) <= u; exact segment inversion.
+
+        ``u`` may be a scalar, giving a float, or an array, giving an array
+        of the same shape.
+        """
+        us = _unit_arguments(u)
+        b, cum = self.breakpoints, self._cum
+        # u >= 1 may land past the last segment; it takes b[-1] below
+        j = np.minimum(np.searchsorted(cum, us, side="right") - 1, len(self.heights) - 1)
+        cj, bj = cum[j], b[j]
+        x = np.where(us >= 1.0, b[-1], np.where(cj == us, bj, bj + (us - cj) / self.heights[j]))
+        return float(x) if x.ndim == 0 else x
 
     def power_integral(self, p: float) -> float:
         """Integral of pdf**p over the support."""
@@ -253,10 +268,17 @@ class SmoothDensity:
         part = integrate(self._pdf, float(self._edges[j]), x, self._rel_tol, self._max_depth)
         return min(float(self._cum[j] + part / self._total), 1.0)
 
-    def quantile(self, u: float) -> float:
-        u = float(u)
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"quantile argument must lie in [0, 1], got {u!r}")
+    def quantile(self, u):
+        """Generalized inverse of the cdf by bisection, one argument at a time.
+
+        ``u`` may be a scalar, giving a float, or an array, giving an array
+        of the same shape.
+        """
+        us = _unit_arguments(u)
+        x = np.array([self._invert(v) for v in us.ravel().tolist()]).reshape(us.shape)
+        return float(x) if x.ndim == 0 else x
+
+    def _invert(self, u: float) -> float:
         if u <= 0.0:
             return self._support.lo
         if u >= 1.0:
@@ -332,14 +354,26 @@ def uniform(lo: float, hi: float) -> PiecewiseConstantDensity:
     return PiecewiseConstantDensity([lo, hi], [1.0 / width])
 
 
+def _require_mass(mass: float):
+    # a subnormal mass has lost its precision, and 1 / mass may overflow
+    if not mass >= sys.float_info.min:
+        raise ValueError("truncation interval carries no mass")
+
+
 def truncated_gauss(mean: float, sigma: float, lo: float, hi: float) -> SmoothDensity:
     """Gaussian restricted to [lo, hi] and renormalized."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     rt2 = math.sqrt(2.0)
-    mass = 0.5 * (math.erf((hi - mean) / (sigma * rt2)) - math.erf((lo - mean) / (sigma * rt2)))
-    if mass <= 0:
-        raise ValueError("truncation interval carries no mass")
+    z_lo, z_hi = (lo - mean) / (sigma * rt2), (hi - mean) / (sigma * rt2)
+    # on one side of the mean the erf difference cancels; the tail there is erfc
+    if z_lo > 0.0:
+        mass = 0.5 * (math.erfc(z_lo) - math.erfc(z_hi))
+    elif z_hi < 0.0:
+        mass = 0.5 * (math.erfc(-z_hi) - math.erfc(-z_lo))
+    else:
+        mass = 0.5 * (math.erf(z_hi) - math.erf(z_lo))
+    _require_mass(mass)
     norm = 1.0 / (mass * sigma * math.sqrt(2.0 * math.pi))
 
     def pdf(x, _m=mean, _s=sigma, _n=norm):
@@ -360,9 +394,12 @@ def truncated_laplace(center: float, scale: float, lo: float, hi: float) -> Smoo
         z = (x - center) / scale
         return 0.5 * math.exp(z) if z < 0 else 1.0 - 0.5 * math.exp(-z)
 
-    mass = raw_cdf(hi) - raw_cdf(lo)
-    if mass <= 0:
-        raise ValueError("truncation interval carries no mass")
+    if lo > center:
+        # 1 - tail cancels right of the center: subtract the tails themselves
+        mass = 0.5 * math.exp(-(lo - center) / scale) - 0.5 * math.exp(-(hi - center) / scale)
+    else:
+        mass = raw_cdf(hi) - raw_cdf(lo)
+    _require_mass(mass)
     norm = 1.0 / (2.0 * scale * mass)
 
     def pdf(x, _c=center, _s=scale, _n=norm):

@@ -145,14 +145,14 @@ def test_sweep_json_report(capsys, density_file):
 
 
 def test_sweep_marks_failing_rows(capsys, density_file, monkeypatch):
-    real = cli.design_compander
+    real = renyiquant.compander.Compander.build
 
-    def flaky(f, alpha, r, n):
+    def flaky(self, n):
         if n == 24:
             raise ValueError("synthetic failure")
-        return real(f, alpha, r, n)
+        return real(self, n)
 
-    monkeypatch.setattr(cli, "design_compander", flaky)
+    monkeypatch.setattr(renyiquant.compander.Compander, "build", flaky)
     rc, out = run_cli(capsys, "sweep", "--density", density_file,
                       "--alpha", "0.5", "--r", "2", "--levels", "16,24,32")
     assert rc == 2
@@ -277,3 +277,28 @@ def test_stdout_matches_the_golden_file(capsys, tmp_path, spec, args, golden):
     rc, out = run_cli(capsys, args[0], "--density", str(path), *args[1:])
     assert rc == 0
     assert out == (Path(__file__).parent / "data" / golden).read_text()
+
+
+def test_a_sweep_without_a_design_marks_every_row(capsys, tmp_path):
+    # no companding optimum at alpha >= 1 + r: every row carries the same error
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(GOLDEN_PIECEWISE))
+    rc, out = run_cli(capsys, "sweep", "--density", str(path), "--alpha", "3.5", "--r", "2",
+                      "--levels", "1,2,16,1024", "--format", "json")
+    assert rc == 2
+    assert out == (Path(__file__).parent / "data" / "sweep_high_order_stdout.json").read_text()
+
+
+def test_sweep_designs_its_point_density_once(capsys, density_file, monkeypatch):
+    calls = []
+    real = cli.optimal_point_density
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "optimal_point_density", counted)
+    rc, _ = run_cli(capsys, "sweep", "--density", density_file,
+                    "--alpha", "0.5", "--r", "2", "--levels", "16,24,32")
+    assert rc == 0
+    assert len(calls) == 1

@@ -17,6 +17,7 @@ from renyiquant import (
     truncated_gauss,
     uniform,
 )
+from renyiquant.quantizer import IntervalQuantizer
 
 ORDERS = (NEG_INF, RenyiOrder(-2.0), RenyiOrder(0.0), RenyiOrder(0.5),
           RenyiOrder(1.0), RenyiOrder(2.0), POS_INF)
@@ -97,3 +98,35 @@ def test_compressed_density_smooth_path():
     for y in (0.2, 0.5, 0.8):
         assert comp.cdf(y) == pytest.approx(tg.cdf(y), abs=1e-6)
     assert comp.power_integral(1.0) == pytest.approx(1.0, abs=1e-6)
+
+
+def _per_point_build(point_density, n):
+    # one scalar expander call per boundary i/n and per codepoint (2i-1)/(2n)
+    bounds = [point_density.quantile(i / n) for i in range(n + 1)]
+    points = [point_density.quantile((2 * i - 1) / (2 * n)) for i in range(1, n + 1)]
+    return IntervalQuantizer(np.array(bounds), np.array(points))
+
+
+@pytest.mark.parametrize("point_density", [
+    PiecewiseConstantDensity([0.0, 0.1, 0.35, 0.5, 1.0], [0.5, 1.6, 0.8, 0.86]),
+    truncated_gauss(0.4, 0.3, 0.0, 1.0),
+], ids=["piecewise", "smooth"])
+def test_build_equals_the_per_point_loop(point_density, monkeypatch):
+    comp = Compander(point_density)
+    asked = []
+    real = type(point_density).quantile
+
+    def counted(self, u):
+        asked.extend(np.atleast_1d(u).tolist())
+        return real(self, u)
+
+    # 64, then nested 16, non-nested 24, the coarsest 1, and 64 again
+    for n in (64, 16, 24, 1, 64):
+        monkeypatch.setattr(type(point_density), "quantile", counted)
+        q = comp.build(n)
+        monkeypatch.undo()
+        expected = _per_point_build(point_density, n)
+        assert q.boundaries.tolist() == expected.boundaries.tolist()
+        assert q.codepoints.tolist() == expected.codepoints.tolist()
+    # 129 arguments for 64 levels, then the 32 of the 49 for 24 levels not among them
+    assert len(asked) == len(set(asked)) == 129 + 32

@@ -1,12 +1,15 @@
+import bisect
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from renyiquant import (
     Interval,
     PiecewiseConstantDensity,
+    SmoothDensity,
     density_from_spec,
     density_to_spec,
     truncated_gauss,
@@ -102,8 +105,6 @@ def test_truncated_laplace_basics():
 
 
 def test_smooth_matches_piecewise_closed_forms(two_mass):
-    from renyiquant import SmoothDensity
-
     smooth = SmoothDensity(two_mass.pdf, 0.0, 1.0, breakpoints=[0.5])
     for p in (0.6, -0.2, 2.0):
         assert smooth.power_integral(p) == pytest.approx(
@@ -155,3 +156,145 @@ def test_random_piecewise_density_is_consistent(masses):
     assert cdf[0] == 0.0 and cdf[-1] == pytest.approx(1.0, abs=1e-14)
     for u in (0.17, 0.5, 0.83):
         assert d.cdf(d.quantile(u)) == pytest.approx(u, abs=1e-12)
+
+
+def _scalar_quantile(d, u):
+    # plain-Python segment inversion, one argument at a time
+    if u >= 1.0:
+        return float(d.breakpoints[-1])
+    cum = d._cum.tolist()
+    j = bisect.bisect_right(cum, u) - 1
+    if cum[j] == u:
+        return float(d.breakpoints[j])
+    return float(d.breakpoints[j]) + (u - cum[j]) / float(d.heights[j])
+
+
+@st.composite
+def _density_and_arguments(draw):
+    m = draw(st.integers(min_value=1, max_value=8))
+    unit = st.floats(min_value=0.01, max_value=1.0)
+    widths = np.array(draw(st.lists(unit, min_size=m, max_size=m)))
+    masses = np.array(draw(st.lists(unit, min_size=m, max_size=m)))
+    start = draw(st.floats(min_value=-5.0, max_value=5.0))
+    d = PiecewiseConstantDensity(np.concatenate(([start], start + np.cumsum(widths))),
+                                 masses / masses.sum() / widths)
+    # the exact cumulative masses, the ends, and the floats next to them
+    anchors = [*d._cum.tolist(), 0.0, 1.0]
+    near = st.sampled_from(anchors).flatmap(lambda a: st.sampled_from(
+        [a, math.nextafter(a, -math.inf), math.nextafter(a, math.inf)]))
+    us = draw(st.lists(near | st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
+    return d, [u for u in us if 0.0 <= u <= 1.0] or [0.5]
+
+
+@given(_density_and_arguments())
+def test_piecewise_quantile_of_an_array_is_the_scalar_inversion(case):
+    d, us = case
+    expected = [_scalar_quantile(d, u) for u in us]
+    assert d.quantile(np.array(us)).tolist() == expected
+    assert [d.quantile(u) for u in us] == expected
+
+
+def test_quantile_keeps_the_shape_of_its_argument(two_mass):
+    us = np.array([[0.0, 0.125], [0.25, 1.0]])
+    assert two_mass.quantile(us).tolist() == [[0.0, 0.25], [0.5, 1.0]]
+    assert two_mass.quantile(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PiecewiseConstantDensity([0.0, 0.5, 1.0], [0.5, 1.5]),
+    lambda: truncated_gauss(0.5, 0.3, 0.0, 1.0),
+])
+def test_quantile_rejects_any_argument_outside_the_unit_interval(make):
+    d = make()
+    for bad in (-1e-300, math.nextafter(1.0, 2.0), math.nan, -math.inf):
+        with pytest.raises(ValueError, match="must lie in"):
+            d.quantile(np.array([0.25, bad, 0.5]))
+        with pytest.raises(ValueError, match="must lie in"):
+            d.quantile(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PiecewiseConstantDensity([0.0, 0.5, 1.0], [0.5, 1.5]),
+    lambda: truncated_gauss(0.5, 0.3, 0.0, 1.0),
+])
+def test_scalar_quantile_returns_a_float(make):
+    d = make()
+    for u in (0.0, 0.3, np.float64(0.7), np.array(0.9), 1):
+        assert type(d.quantile(u)) is float
+    us = [0.0, 0.1, 0.5, 0.9, 1.0]
+    assert d.quantile(np.array(us)).tolist() == [d.quantile(u) for u in us]
+
+
+def _gauss_mass(mean, sigma, a, b):
+    # Gaussian mass of [a, b], from the tail on the far side of the mean
+    s = mpmath.sqrt(2) * sigma
+    za, zb = (mpmath.mpf(a) - mean) / s, (mpmath.mpf(b) - mean) / s
+    if za >= 0:
+        return (mpmath.erfc(za) - mpmath.erfc(zb)) / 2
+    if zb <= 0:
+        return (mpmath.erfc(-zb) - mpmath.erfc(-za)) / 2
+    return (mpmath.erf(zb) - mpmath.erf(za)) / 2
+
+
+def _laplace_mass(center, scale, a, b):
+    ea = mpmath.exp(-abs(mpmath.mpf(a) - center) / scale)
+    eb = mpmath.exp(-abs(mpmath.mpf(b) - center) / scale)
+    if a >= center:
+        return (ea - eb) / 2
+    if b <= center:
+        return (eb - ea) / 2
+    return 1 - (ea + eb) / 2
+
+
+def _check_against_reference(d, pdf, mass, lo, hi):
+    with mpmath.workdps(50):
+        total = mass(lo, hi)
+        for x in np.linspace(lo, hi, 9).tolist():
+            assert d.pdf(x) == pytest.approx(float(pdf(x) / total), rel=1e-12)
+            assert d.cdf(x) == pytest.approx(float(mass(lo, x) / total), abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(left=st.booleans(), gap=st.floats(min_value=0.5, max_value=30.0),
+       sigma=st.floats(min_value=0.2, max_value=3.0))
+def test_far_tail_truncated_gauss_matches_mpmath(left, gap, sigma):
+    # keep the pdf normal at the far end of [0, 1]
+    assume(gap + 1.0 / sigma <= 37.0)
+    mean = -gap * sigma if left else 1.0 + gap * sigma
+    d = truncated_gauss(mean, sigma, 0.0, 1.0)
+    _check_against_reference(
+        d, lambda x: mpmath.npdf(x, mean, sigma),
+        lambda a, b: _gauss_mass(mean, sigma, a, b), 0.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(left=st.booleans(), gap=st.floats(min_value=0.5, max_value=600.0),
+       scale=st.floats(min_value=0.2, max_value=3.0))
+def test_far_tail_truncated_laplace_matches_mpmath(left, gap, scale):
+    assume(gap + 1.0 / scale <= 700.0)
+    center = -gap * scale if left else 1.0 + gap * scale
+    d = truncated_laplace(center, scale, 0.0, 1.0)
+    _check_against_reference(
+        d, lambda x: mpmath.exp(-abs(x - mpmath.mpf(center)) / scale) / (2 * scale),
+        lambda a, b: _laplace_mass(center, scale, a, b), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: truncated_gauss(-8.0, 1.0, 0.0, 1.0),
+    lambda: truncated_gauss(9.0, 1.0, 0.0, 1.0),
+    lambda: truncated_laplace(-40.0, 1.0, 0.0, 1.0),
+])
+def test_far_tail_truncations_construct(make):
+    d = make()
+    assert d.power_integral(1.0) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: truncated_gauss(-38.0, 1.0, 0.0, 1.0),
+    lambda: truncated_gauss(40.0, 1.0, 0.0, 1.0),
+    lambda: truncated_laplace(-720.0, 1.0, 0.0, 1.0),
+    lambda: truncated_laplace(721.0, 1.0, 0.0, 1.0),
+])
+def test_a_subnormal_truncation_mass_is_refused(make):
+    with pytest.raises(ValueError, match="carries no mass"):
+        make()
