@@ -190,9 +190,9 @@ def _sweep_row(compander, f, alpha, r, n, normalization):
 def run_sweep(req: SweepRequest):
     """Evaluate every level count; failures become per-row error markers.
 
-    One point density and one compander serve every level count, so each
-    expander value is computed once per sweep.  If they cannot be built,
-    every row carries that error.
+    One point density and one compander serve every level count, so a sweep
+    over nested level counts computes each expander value once.  If they
+    cannot be built, every row carries that error.
     """
     f = density_from_spec(req.density_spec)
     limit = _dispatch_prediction(f, req.alpha, req.r)

@@ -40,8 +40,8 @@ class Compander:
 
     The point density must be bounded away from zero on its support;
     construction verifies that the expander inverts the compressor on a grid.
-    ``build`` remembers every expander value it computes, so a sequence of
-    level counts asks the point density for each argument only once.
+    ``build`` keeps the expander values of its latest grid, so a sweep over
+    nested level counts asks the point density for each argument only once.
     """
 
     def __init__(self, point_density: Density):
@@ -54,8 +54,8 @@ class Compander:
         worst = float(np.max(np.abs(self.expand(us) - xs)))
         if worst > INVERSE_TOL * supp.width:
             raise ValueError(f"expander fails to invert the compressor (err {worst!r})")
-        # every expander value computed so far: sorted arguments and their images
-        self._expanded = (np.empty(0), np.empty(0))
+        # the latest grid build expanded: sorted arguments and their images
+        self._last_grid = (np.empty(0), np.empty(0))
 
     @property
     def support(self):
@@ -69,23 +69,22 @@ class Compander:
         return self.point_density.quantile(u)
 
     def _expand_grid(self, us: np.ndarray) -> np.ndarray:
-        """Expander at the sorted distinct arguments us, each computed only once.
+        """Expander at the sorted distinct arguments us.
 
-        Values already computed by an earlier call are reused; the rest come
-        from one expander call and join the record.
+        Arguments shared with the previous call reuse its values; the rest
+        come from one expander call.  Only this call's grid is kept, so the
+        memory held stays at one grid whatever sequence of grids is asked.
         """
-        known_u, known_x = self._expanded
-        pos = np.searchsorted(known_u, us)
-        seen = pos < len(known_u)
-        seen[seen] = known_u[pos[seen]] == us[seen]
+        last_u, last_x = self._last_grid
+        pos = np.searchsorted(last_u, us)
+        seen = pos < len(last_u)
+        seen[seen] = last_u[pos[seen]] == us[seen]
         xs = np.empty(len(us))
-        xs[seen] = known_x[pos[seen]]
+        xs[seen] = last_x[pos[seen]]
         new = ~seen
         if new.any():
             xs[new] = self.expand(us[new])
-            # both sides are sorted, so inserting at pos keeps the record sorted
-            self._expanded = (np.insert(known_u, pos[new], us[new]),
-                              np.insert(known_x, pos[new], xs[new]))
+        self._last_grid = (us, xs)
         return xs
 
     def build(self, n: int) -> IntervalQuantizer:

@@ -6,8 +6,9 @@ by adaptive quadrature.  Both expose the same small surface: ``pdf``,
 ``cdf``, ``quantile`` (the generalized inverse of the cdf, for a scalar or
 a whole array of arguments; a piecewise density inverts the array in one
 pass), power and log-moment integrals, essential bounds, and similarity
-transforms.  A sweep over level counts designs its point density once and
-asks it for each expander value once (see ``compander.Compander``).
+transforms.  A sweep over level counts designs its point density once and,
+when the level counts are nested, asks it for each expander value once (see
+``compander.Compander``).
 
 Densities are immutable after construction; all caches are built eagerly in
 ``__init__`` so instances can be shared across threads.
@@ -66,7 +67,13 @@ class Interval:
 
 
 def _unit_arguments(u):
-    """``u`` as a float array, after checking that every entry lies in [0, 1]."""
+    """``u`` as a float, or a float array if it has any dimensions, after
+    checking that every entry lies in [0, 1]."""
+    if isinstance(u, (float, int)) or np.ndim(u) == 0:
+        u = float(u)
+        if not 0.0 <= u <= 1.0:
+            raise ValueError(f"quantile argument must lie in [0, 1], got {u!r}")
+        return u
     us = np.asarray(u, dtype=float)
     bad = ~((us >= 0.0) & (us <= 1.0))
     if bad.any():
@@ -143,12 +150,22 @@ class PiecewiseConstantDensity:
         of the same shape.
         """
         us = _unit_arguments(u)
+        if isinstance(us, float):
+            return self._invert(us)
         b, cum = self.breakpoints, self._cum
         # u >= 1 may land past the last segment; it takes b[-1] below
         j = np.minimum(np.searchsorted(cum, us, side="right") - 1, len(self.heights) - 1)
         cj, bj = cum[j], b[j]
-        x = np.where(us >= 1.0, b[-1], np.where(cj == us, bj, bj + (us - cj) / self.heights[j]))
-        return float(x) if x.ndim == 0 else x
+        return np.where(us >= 1.0, b[-1], np.where(cj == us, bj, bj + (us - cj) / self.heights[j]))
+
+    def _invert(self, u: float) -> float:
+        # the scalar form of the array inversion in quantile, without its set-up
+        if u >= 1.0:
+            return float(self.breakpoints[-1])
+        j = int(np.searchsorted(self._cum, u, side="right")) - 1
+        if self._cum[j] == u:
+            return float(self.breakpoints[j])
+        return float(self.breakpoints[j] + (u - self._cum[j]) / self.heights[j])
 
     def power_integral(self, p: float) -> float:
         """Integral of pdf**p over the support."""
@@ -275,8 +292,9 @@ class SmoothDensity:
         of the same shape.
         """
         us = _unit_arguments(u)
-        x = np.array([self._invert(v) for v in us.ravel().tolist()]).reshape(us.shape)
-        return float(x) if x.ndim == 0 else x
+        if isinstance(us, float):
+            return self._invert(us)
+        return np.array([self._invert(v) for v in us.ravel().tolist()]).reshape(us.shape)
 
     def _invert(self, u: float) -> float:
         if u <= 0.0:

@@ -117,16 +117,20 @@ def test_build_equals_the_per_point_loop(point_density, monkeypatch):
     real = type(point_density).quantile
 
     def counted(self, u):
-        asked.extend(np.atleast_1d(u).tolist())
+        asked[-1].extend(np.atleast_1d(u).tolist())
         return real(self, u)
 
     # 64, then nested 16, non-nested 24, the coarsest 1, and 64 again
     for n in (64, 16, 24, 1, 64):
+        asked.append([])
         monkeypatch.setattr(type(point_density), "quantile", counted)
         q = comp.build(n)
         monkeypatch.undo()
         expected = _per_point_build(point_density, n)
         assert q.boundaries.tolist() == expected.boundaries.tolist()
         assert q.codepoints.tolist() == expected.codepoints.tolist()
-    # 129 arguments for 64 levels, then the 32 of the 49 for 24 levels not among them
-    assert len(asked) == len(set(asked)) == 129 + 32
+    # only the previous grid is kept: 16 needs nothing beyond 64's 129 arguments,
+    # 24 shares the 17 multiples of 1/16 with 16, 1 needs nothing beyond 24, and
+    # 64 again shares only 0, 1/2 and 1 with 1
+    assert [len(a) for a in asked] == [129, 0, 32, 0, 126]
+    assert all(len(a) == len(set(a)) for a in asked)
