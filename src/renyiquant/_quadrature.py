@@ -3,60 +3,128 @@
 All integrands in this package are piecewise smooth on a compact interval,
 with the kink locations known in advance, so a Simpson rule with interval
 bisection and a Richardson correction is both simple and accurate.
+
+One kernel, ``integrate_many``, refines many intervals at once, level by
+level.  Each interval follows the one-interval recursion step for step: the
+same midpoints and Simpson sums, the same stop rule and depth cap, and the
+halves of every split added in the same order, so each result is the
+recursion's bit for bit.  The integrands stay scalar callables; ``call_each``
+evaluates one over an array, a Python float at a time.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["integrate", "bisect_increasing", "golden_extremum", "scan_extremum"]
+import numpy as np
+
+__all__ = [
+    "integrate",
+    "integrate_many",
+    "call_each",
+    "bisect_increasing",
+    "golden_extremum",
+    "scan_extremum",
+]
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 40
+# Intervals refined together by integrate_many.  A block keeps the value of
+# every node of its refinement trees until it adds them up, and its widest
+# level sets the size of every temporary array, so this bounds the memory
+# one call holds (a larger block saves a little numpy overhead per level).
+BLOCK_INTERVALS = 64
 
 
-def _simpson(fa, fm, fb, a, b):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def call_each(f, xs: np.ndarray) -> np.ndarray:
+    """The scalar callable f at each entry of the 1-D float array xs."""
+    return np.fromiter(map(f, xs.tolist()), float, count=len(xs))
 
 
-def _adapt(f, a, b, fa, fm, fb, whole, eps, depth, max_depth):
+def integrate_many(values, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH):
+    """Adaptive Simpson integral over each interval [a[i], b[i]].
+
+    ``values(x, k)`` returns the integrand at the points ``x``, where x[j]
+    lies in interval k[j], so each interval may have its own integrand.
+    The intervals go through in blocks of ``BLOCK_INTERVALS``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    rel_tol, max_depth = float(rel_tol), int(max_depth)
+    out = np.empty(len(a))
+    for start in range(0, len(a), BLOCK_INTERVALS):
+        block = slice(start, start + BLOCK_INTERVALS)
+        k = np.arange(start, start + len(a[block]))
+        out[block] = _refine(values, a[block], b[block], k, rel_tol, max_depth)
+    return out
+
+
+def _refine(values, a, b, k, rel_tol, max_depth):
+    """integrate_many for one block: every tree refined a level at a time.
+
+    A level holds the nodes at one recursion depth.  Each node ends as a
+    leaf, whose value is its Richardson-corrected sum, or splits into two
+    halves; the next level lists all left halves, then all right halves, in
+    the order of the nodes that split.  Adding up runs from the deepest
+    level back to the roots, each split node taking left + right.
+    """
+    n = len(a)
     m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, a, m)
-    right = _simpson(fm, frm, fb, m, b)
-    delta = left + right - whole
-    if depth >= max_depth or abs(delta) <= 15.0 * eps:
-        # Richardson correction: one extrapolation order for free.
-        return left + right + delta / 15.0
-    return _adapt(f, a, m, fa, flm, fm, left, 0.5 * eps, depth + 1, max_depth) + _adapt(
-        f, m, b, fm, frm, fb, right, 0.5 * eps, depth + 1, max_depth
-    )
-
-
-def _integrate_piece(f, a, b, rel_tol, max_depth):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    for v in (fa, fm, fb):
-        if not math.isfinite(v):
-            raise ValueError(f"integrand is not finite on [{a}, {b}]")
-    whole = _simpson(fa, fm, fb, a, b)
-    eps = rel_tol * max(abs(whole), 1e-12)
-    return _adapt(f, a, b, fa, fm, fb, whole, eps, 0, max_depth)
+    f = values(np.concatenate((a, m, b)), np.concatenate((k, k, k)))
+    if not np.isfinite(f).all():
+        i = int(np.isfinite(f.reshape(3, n)).all(axis=0).argmin())
+        raise ValueError(f"integrand is not finite on [{a[i]}, {b[i]}]")
+    fa, fm, fb = f[:n], f[n : 2 * n], f[2 * n :]
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    eps = rel_tol * np.maximum(np.abs(whole), 1e-12)
+    sums, splits = [], []
+    for depth in range(max(max_depth, 0) + 1):
+        m = 0.5 * (a + b)
+        f = values(np.concatenate((0.5 * (a + m), 0.5 * (m + b))), np.concatenate((k, k)))
+        flm, frm = f[:n], f[n:]
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        both = left + right
+        delta = both - whole
+        sums.append(both + delta / 15.0)
+        # a NaN delta splits, as in the recursion
+        done = np.abs(delta) <= 15.0 * eps
+        if depth >= max_depth or done.all():
+            break
+        split = np.nonzero(~done)[0]
+        splits.append(split)
+        # the left halves [a, m] of the split nodes, then their right halves [m, b]
+        ms, fms = m[split], fm[split]
+        a, b = np.concatenate((a[split], ms)), np.concatenate((ms, b[split]))
+        fa, fb = np.concatenate((fa[split], fms)), np.concatenate((fms, fb[split]))
+        fm = np.concatenate((flm[split], frm[split]))
+        whole = np.concatenate((left[split], right[split]))
+        eps = np.tile(0.5 * eps[split], 2)
+        k = np.tile(k[split], 2)
+        n = len(a)
+    total = sums.pop()
+    while sums:
+        level, split = sums.pop(), splits.pop()
+        half = len(split)
+        level[split] = total[:half] + total[half:]
+        total = level
+    return total
 
 
 def integrate(f, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH, breakpoints=()):
-    """Integrate f over [a, b], splitting at the given interior breakpoints."""
+    """Integrate the scalar callable f over [a, b], splitting at the given
+    interior breakpoints; the pieces are added left to right."""
     if b < a:
         raise ValueError(f"empty integration range [{a}, {b}]")
     if b == a:
         return 0.0
-    cuts = [a] + sorted(x for x in breakpoints if a < x < b) + [b]
+    cuts = np.array([a] + sorted(x for x in breakpoints if a < x < b) + [b], dtype=float)
+    lo, hi = cuts[:-1], cuts[1:]
+    keep = hi > lo
+    pieces = integrate_many(lambda x, k: call_each(f, x), lo[keep], hi[keep], rel_tol, max_depth)
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            total += _integrate_piece(f, lo, hi, rel_tol, max_depth)
+    for piece in pieces.tolist():
+        total += piece
     return total
 
 

@@ -50,7 +50,7 @@ class Compander:
         self.point_density = point_density
         supp = point_density.support
         xs = np.linspace(supp.lo, supp.hi, INVERSE_CHECK_POINTS)
-        us = np.array([self.compress(x) for x in xs.tolist()])
+        us = self.compress(xs)
         worst = float(np.max(np.abs(self.expand(us) - xs)))
         if worst > INVERSE_TOL * supp.width:
             raise ValueError(f"expander fails to invert the compressor (err {worst!r})")
@@ -61,7 +61,8 @@ class Compander:
     def support(self):
         return self.point_density.support
 
-    def compress(self, x: float) -> float:
+    def compress(self, x):
+        """Compressor at x, a scalar or an array."""
         return self.point_density.cdf(x)
 
     def expand(self, u):

@@ -3,11 +3,14 @@
 Two families are supported: piecewise-constant densities, for which every
 integral used by the library has a closed form, and smooth densities backed
 by adaptive quadrature.  Both expose the same small surface: ``pdf``,
-``cdf``, ``quantile`` (the generalized inverse of the cdf, for a scalar or
-a whole array of arguments; a piecewise density inverts the array in one
-pass), power and log-moment integrals, essential bounds, and similarity
-transforms.  A sweep over level counts designs its point density once and,
-when the level counts are nested, asks it for each expander value once (see
+``cdf`` and ``quantile`` (the generalized inverse of the cdf), power and
+log-moment integrals, essential bounds, and similarity transforms.  ``cdf``
+and ``quantile`` take a scalar or a whole array of arguments and treat the
+array in one pass: a piecewise density in closed form, a smooth one with
+one batched quadrature call (``_quadrature.integrate_many``) per cdf, and
+per step of one bisection that moves every quantile argument together.  A
+sweep over level counts designs its point density once and, when the level
+counts are nested, asks it for each expander value once (see
 ``compander.Compander``).
 
 Densities are immutable after construction; all caches are built eagerly in
@@ -23,7 +26,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import bisect_increasing, integrate, scan_extremum
+from ._quadrature import call_each, integrate, integrate_many, scan_extremum
 
 __all__ = [
     "Interval",
@@ -64,6 +67,20 @@ class Interval:
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
+
+
+def _real_arguments(x):
+    """``x`` as a float, or a float array if it has any dimensions, after
+    checking that no entry is NaN."""
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+        x = float(x)
+        if math.isnan(x):
+            raise ValueError("cdf argument must not be NaN")
+        return x
+    xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise ValueError("cdf argument must not be NaN")
+    return xs
 
 
 def _unit_arguments(u):
@@ -131,8 +148,25 @@ class PiecewiseConstantDensity:
             return 0.0
         return float(self.heights[self._segment_index(x)])
 
-    def cdf(self, x: float) -> float:
-        x = float(x)
+    def cdf(self, x):
+        """Mass at or left of x, exact.
+
+        ``x`` may be a scalar, giving a float, or an array, giving an array
+        of the same shape.
+        """
+        xs = _real_arguments(x)
+        if isinstance(xs, float):
+            return self._mass_left(xs)
+        b, cum = self.breakpoints, self._cum
+        # outside the support the clipped value is replaced below
+        inside = np.clip(xs, b[0], b[-1])
+        j = np.minimum(np.searchsorted(b, inside, side="right") - 1, len(self.heights) - 1)
+        bj = b[j]
+        v = np.where(bj == inside, cum[j], cum[j] + self.heights[j] * (inside - bj))
+        return np.where(xs <= b[0], 0.0, np.where(xs >= b[-1], 1.0, v))
+
+    def _mass_left(self, x: float) -> float:
+        # the scalar form of the array cdf, without its set-up
         b = self.breakpoints
         if x <= b[0]:
             return 0.0
@@ -201,8 +235,9 @@ class PiecewiseConstantDensity:
 class SmoothDensity:
     """Quadrature-backed density given by a pdf callable on [lo, hi].
 
-    The constructor integrates the pdf cell by cell to build a monotone cdf
-    table; individual cdf evaluations then only integrate within one cell.
+    The constructor integrates the pdf over every cell of a table in one
+    batched quadrature call to build a monotone cdf table; cdf evaluations
+    then only integrate within one cell.
     ``breakpoints`` lists interior kink locations respected by every
     quadrature call.  Essential bounds use a dense scan refined by a
     golden-section pass.
@@ -235,9 +270,7 @@ class SmoothDensity:
             edges.extend(np.linspace(a, b, n + 1)[:-1])
         edges.append(support.hi)
         edges = np.asarray(edges, dtype=float)
-        masses = np.array(
-            [integrate(pdf, a, b, self._rel_tol, self._max_depth) for a, b in zip(edges[:-1], edges[1:])]
-        )
+        masses = integrate_many(self._pdf_pieces, edges[:-1], edges[1:], self._rel_tol, self._max_depth)
         total = float(masses.sum())
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"pdf must integrate to 1 within quadrature tolerance, got {total!r}")
@@ -254,7 +287,7 @@ class SmoothDensity:
 
     def _scan_bounds(self, inf_override, sup_override):
         xs = np.linspace(self._support.lo, self._support.hi, ESS_SCAN_POINTS)
-        vals = np.array([self._pdf(float(x)) for x in xs])
+        vals = call_each(self._pdf, xs)
         return tuple(
             scan_extremum(self._pdf, xs, vals, maximize) if override is None else float(override)
             for maximize, override in ((False, inf_override), (True, sup_override))
@@ -273,38 +306,83 @@ class SmoothDensity:
             return 0.0
         return float(self._pdf(x))
 
-    def cdf(self, x: float) -> float:
-        x = float(x)
-        if x <= self._support.lo:
-            return 0.0
-        if x >= self._support.hi:
-            return 1.0
-        j = int(np.searchsorted(self._edges, x, side="right")) - 1
-        if self._edges[j] == x:
-            return float(self._cum[j])
-        part = integrate(self._pdf, float(self._edges[j]), x, self._rel_tol, self._max_depth)
-        return min(float(self._cum[j] + part / self._total), 1.0)
+    def _pdf_values(self, xs: np.ndarray) -> np.ndarray:
+        """``pdf`` at each entry of the 1-D array xs."""
+        out = np.zeros(len(xs))
+        inside = np.flatnonzero((xs >= self._support.lo) & (xs <= self._support.hi))
+        out[inside] = call_each(self._pdf, xs[inside])
+        return out
+
+    def _pdf_pieces(self, xs, k):
+        # the pdf as an integrate_many integrand: the same on every piece
+        return call_each(self._pdf, xs)
+
+    def cdf(self, x):
+        """Mass at or left of x: the table entry of x's cell plus one
+        quadrature within the cell.
+
+        ``x`` may be a scalar, giving a float, or an array, giving an array
+        of the same shape.
+        """
+        xs = _real_arguments(x)
+        if isinstance(xs, float):
+            return float(self._cdf_values(np.array([xs]))[0])
+        return self._cdf_values(xs.ravel()).reshape(xs.shape)
+
+    def _cdf_values(self, xs: np.ndarray) -> np.ndarray:
+        """cdf at each entry of the 1-D array xs."""
+        lo, hi = self._support.lo, self._support.hi
+        out = np.where(xs <= lo, 0.0, 1.0)
+        inside = np.flatnonzero((xs > lo) & (xs < hi))
+        out[inside] = self._cdf_inside(xs[inside])
+        return out
+
+    def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
+        """cdf at points strictly inside the support, one quadrature call for all.
+
+        A point on a table edge integrates over an empty interval, which
+        gives exactly 0.0, so it takes its table entry unchanged.
+        """
+        j = np.searchsorted(self._edges, x, side="right") - 1
+        part = integrate_many(self._pdf_pieces, self._edges[j], x, self._rel_tol, self._max_depth)
+        return np.minimum(self._cum[j] + part / self._total, 1.0)
 
     def quantile(self, u):
-        """Generalized inverse of the cdf by bisection, one argument at a time.
+        """Generalized inverse of the cdf by bisection inside one table cell.
 
         ``u`` may be a scalar, giving a float, or an array, giving an array
-        of the same shape.
+        of the same shape.  All arguments bisect together, one batched cdf
+        call per step.
         """
         us = _unit_arguments(u)
         if isinstance(us, float):
-            return self._invert(us)
-        return np.array([self._invert(v) for v in us.ravel().tolist()]).reshape(us.shape)
+            return float(self._invert(np.array([us]))[0])
+        return self._invert(us.ravel()).reshape(us.shape)
 
-    def _invert(self, u: float) -> float:
-        if u <= 0.0:
-            return self._support.lo
-        if u >= 1.0:
-            return self._support.hi
-        j = int(np.searchsorted(self._cum, u, side="right")) - 1
-        j = min(j, len(self._edges) - 2)
-        lo, hi = float(self._edges[j]), float(self._edges[j + 1])
-        return bisect_increasing(self.cdf, lo, hi, target=u, tol=1e-13 * self._support.width)
+    def _invert(self, us: np.ndarray) -> np.ndarray:
+        """quantile at each entry of the 1-D array us, step for step.
+
+        Every argument inside (0, 1) runs its own copy of
+        ``_quadrature.bisect_increasing`` on the cdf over its table cell: the
+        same tolerance, midpoints, comparisons and iteration cap.
+        """
+        out = np.where(us <= 0.0, self._support.lo, self._support.hi)
+        inside = np.flatnonzero((us > 0.0) & (us < 1.0))
+        u = us[inside]
+        j = np.minimum(np.searchsorted(self._cum, u, side="right") - 1, len(self._edges) - 2)
+        a, b = self._edges[j], self._edges[j + 1]
+        tol = 1e-13 * self._support.width
+        for _ in range(200):
+            live = np.flatnonzero(b - a > tol)
+            if len(live) == 0:
+                break
+            al, bl = a[live], b[live]
+            m = 0.5 * (al + bl)
+            below = self._cdf_inside(m) < u[live]
+            a[live] = np.where(below, m, al)
+            b[live] = np.where(below, bl, m)
+        out[inside] = 0.5 * (a + b)
+        return out
 
     def power_integral(self, p: float) -> float:
         p = float(p)

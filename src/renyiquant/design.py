@@ -52,14 +52,34 @@ class PredictedLimit:
     rate_exponent: float
 
 
-def _power_density(f: Density, p: float) -> Density:
-    norm = f.power_integral(p)
+def _power_density(f: Density, p: float, order: float) -> Density:
+    """The density proportional to f**p; ``order`` is the order it serves.
+
+    Near order 1 + r, |p| is large and a piecewise f**p overflows or
+    underflows.  When its integral is not a normal float (the rule of
+    ``entropy._normal_sums``) the heights are normalized in logs, as
+    ``predicted_limit`` sums them; a height that still underflows to 0
+    raises ValueError.
+    """
     if isinstance(f, PiecewiseConstantDensity):
-        return PiecewiseConstantDensity(f.breakpoints, f.heights**p / norm)
+        with np.errstate(over="ignore"):
+            norm = f.power_integral(p)
+        if _normal_sums(norm):
+            heights = f.heights**p / norm
+        else:
+            t = p * np.log(f.heights)
+            t -= t.max()
+            heights = np.exp(t - _log_sum_exp(t + np.log(np.diff(f.breakpoints))))
+        if not np.all(heights > 0.0):
+            raise ValueError(f"the point density at order {order!r} underflows to 0 on part of the support")
+        return PiecewiseConstantDensity(f.breakpoints, heights)
+    norm = f.power_integral(p)
     lo_f, hi_f = f.ess_bounds()
     bounds = sorted((lo_f**p / norm, hi_f**p / norm))
 
-    def pdf(x, _f=f.pdf, _p=p, _n=norm):
+    # the point density has f's support, so it never asks outside it and
+    # f's own pdf can skip the support test of f.pdf
+    def pdf(x, _f=f._pdf, _p=p, _n=norm):
         return _f(x) ** _p / _n
 
     return SmoothDensity(
@@ -89,7 +109,7 @@ def optimal_point_density(f: Density, alpha, r: float) -> Density:
     if branch == "shannon":
         supp = f.support
         return uniform(supp.lo, supp.hi)
-    return _power_density(f, 1.0 / exponents(a, r).second)
+    return _power_density(f, 1.0 / exponents(a, r).second, a.value)
 
 
 def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:

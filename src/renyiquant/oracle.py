@@ -93,7 +93,7 @@ class GridInstance:
         self.density = density
         self.grid = g
         self.max_cells = max_cells
-        self._mass_prefix = np.array([density.cdf(float(x)) for x in g])
+        self._mass_prefix = density.cdf(g)
         self._partitions = None
         self._mass_matrix = None
         self._per_r = {}

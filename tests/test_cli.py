@@ -257,6 +257,9 @@ GOLDEN_PIECEWISE = {
                 0.6008010680907876, 1.6021361815754336, 0.5340453938584779],
 }
 GOLDEN_GAUSS = {"kind": "truncated_gauss", "mean": 0.4, "sigma": 0.3, "lo": 0.0, "hi": 1.0}
+# the kink at the center is interior, and at r = 1.5 the cells refine deeply
+# next to each codepoint
+GOLDEN_LAPLACE = {"kind": "truncated_laplace", "center": 0.45, "scale": 0.3, "lo": 0.0, "hi": 1.0}
 
 
 @pytest.mark.parametrize("spec, args, golden", [
@@ -267,6 +270,9 @@ GOLDEN_GAUSS = {"kind": "truncated_gauss", "mean": 0.4, "sigma": 0.3, "lo": 0.0,
     (GOLDEN_GAUSS,
      ("sweep", "--alpha", "0.5", "--r", "1.5", "--levels", "4,16,64,256", "--format", "json"),
      "sweep_gauss_stdout.json"),
+    (GOLDEN_LAPLACE,
+     ("sweep", "--alpha", "-2", "--r", "1.5", "--levels", "3,16,64,256", "--format", "csv"),
+     "sweep_laplace_stdout.csv"),
     (GOLDEN_PIECEWISE,
      ("design", "--alpha", "0.5", "--r", "3", "--levels", "33"),
      "design_piecewise_stdout.json"),

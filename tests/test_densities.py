@@ -17,6 +17,9 @@ from renyiquant import (
     uniform,
 )
 from renyiquant.densities import _pair_integral, require_nested_supports
+from renyiquant.design import optimal_point_density
+
+import reference_quadrature as reference
 
 
 def test_interval_validation():
@@ -223,6 +226,87 @@ def test_scalar_quantile_returns_a_float(make):
         assert type(d.quantile(u)) is float
     us = [0.0, 0.1, 0.5, 0.9, 1.0]
     assert d.quantile(np.array(us)).tolist() == [d.quantile(u) for u in us]
+
+
+SMOOTH = {
+    "gauss": truncated_gauss(0.4, 0.3, 0.0, 1.0),
+    "laplace": truncated_laplace(0.45, 0.3, 0.0, 1.0),
+    "power": optimal_point_density(truncated_laplace(0.45, 0.3, 0.0, 1.0), -2.0, 1.5),
+}
+
+
+def test_the_smooth_cdf_table_is_the_recursion_cell_by_cell():
+    for d in SMOOTH.values():
+        masses = [reference.integrate(d._pdf, a, b, d._rel_tol, d._max_depth)
+                  for a, b in zip(d._edges[:-1].tolist(), d._edges[1:].tolist())]
+        cum = np.concatenate(([0.0], np.cumsum(np.array(masses) / d._total)))
+        cum[-1] = 1.0
+        assert cum.tolist() == d._cum.tolist()
+
+
+def _near(points):
+    # the points themselves and the floats on either side of them
+    return st.sampled_from(points).flatmap(lambda x: st.sampled_from(
+        [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]))
+
+
+@st.composite
+def _density_and_points(draw):
+    if draw(st.booleans()):
+        d = SMOOTH[draw(st.sampled_from(sorted(SMOOTH)))]
+        edges = d._edges.tolist()
+    else:
+        m = draw(st.integers(min_value=1, max_value=6))
+        piece = st.floats(min_value=0.05, max_value=1.0)
+        widths = np.array(draw(st.lists(piece, min_size=m, max_size=m)))
+        masses = np.array(draw(st.lists(piece, min_size=m, max_size=m)))
+        d = PiecewiseConstantDensity(np.concatenate(([-0.3], -0.3 + np.cumsum(widths))),
+                                     masses / masses.sum() / widths)
+        edges = d.breakpoints.tolist()
+    lo, hi = d.support.lo, d.support.hi
+    outside = [lo - 1.0, hi + 1.0, -math.inf, math.inf, -1e300, 1e300]
+    anywhere = st.floats(min_value=lo - 0.5, max_value=hi + 0.5)
+    xs = draw(st.lists(_near(edges) | st.sampled_from(outside) | anywhere, min_size=1, max_size=12))
+    return d, xs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_density_and_points())
+def test_cdf_of_an_array_is_the_scalar_cdf(case):
+    # at breakpoints, table edges, their neighbours and points outside the support
+    d, xs = case
+    scalar = [d.cdf(x) for x in xs]
+    assert all(type(v) is float for v in scalar)
+    assert d.cdf(np.array(xs)).tolist() == scalar
+    if isinstance(d, SmoothDensity):
+        assert scalar == [reference.cdf(d, x) for x in xs]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PiecewiseConstantDensity([0.0, 0.5, 1.0], [0.5, 1.5]),
+    lambda: truncated_gauss(0.5, 0.3, 0.0, 1.0),
+])
+def test_cdf_keeps_the_shape_and_refuses_nan(make):
+    d = make()
+    xs = np.array([[-1.0, 0.0], [0.5, 2.0]])
+    assert d.cdf(xs).tolist() == [[d.cdf(x) for x in row] for row in xs.tolist()]
+    assert d.cdf(np.array([])).shape == (0,)
+    for bad in (math.nan, np.array([0.25, math.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            d.cdf(bad)
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(SMOOTH)), data=st.data())
+def test_smooth_quantile_of_an_array_is_the_scalar_inversion(name, data):
+    d = SMOOTH[name]
+    anchors = [0.0, 1.0, *d._cum[:: max(1, len(d._cum) // 16)].tolist()]
+    us = data.draw(st.lists(_near(anchors) | st.floats(min_value=0.0, max_value=1.0),
+                            min_size=1, max_size=10))
+    us = [u for u in us if 0.0 <= u <= 1.0] or [0.5]
+    expected = [reference.quantile(d, u) for u in us]
+    assert d.quantile(np.array(us)).tolist() == expected
+    assert [d.quantile(u) for u in us] == expected
 
 
 def _gauss_mass(mean, sigma, a, b):

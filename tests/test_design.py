@@ -91,6 +91,37 @@ def test_predicted_limit_near_one_plus_r_is_not_zero(two_mass):
     assert value == pytest.approx(0.0370370424, rel=1e-9)
 
 
+def test_a_point_density_that_underflows_names_the_order(two_mass):
+    # f**p with p near -2e6: the height on the tall half underflows to 0
+    with pytest.raises(ValueError, match="order 2.999999 underflows"):
+        design_compander(two_mass, RenyiOrder(2.999999), 2.0, 8)
+
+
+def test_point_density_heights_out_of_float_range_are_normalized_in_logs():
+    # every height**p underflows here, so the power integral is 0
+    flat = PiecewiseConstantDensity([0.0, 0.25, 0.5], [2.0, 2.0])
+    g = optimal_point_density(flat, RenyiOrder(2.999999), 2.0)
+    assert g.heights.tolist() == pytest.approx([2.0, 2.0], rel=1e-15)
+    q = design_compander(flat, RenyiOrder(2.999999), 2.0, 8)
+    assert q.boundaries.tolist() == pytest.approx(np.linspace(0.0, 0.5, 9).tolist(), abs=1e-15)
+    # unequal heights that survive the normalization
+    d = PiecewiseConstantDensity([0.0, 0.005, 0.01], [99.995, 100.005])
+    p = 1.0 / ((1.0 - 2.999999 + 2.0) / (1.0 - 2.999999))
+    g = optimal_point_density(d, RenyiOrder(2.999999), 2.0)
+    with mpmath.workdps(50):
+        powers = [mpmath.mpf(h) ** p for h in d.heights.tolist()]
+        norm = sum(w * 0.005 for w in powers)
+        expected = [float(w / norm) for w in powers]
+    assert g.heights.tolist() == pytest.approx(expected, rel=1e-8)
+    assert 0.0 < g.heights[1] < 1e-80
+
+
+def test_point_density_heights_in_float_range_keep_their_arithmetic(two_mass):
+    p = 1.0 / ((1.0 - 0.5 + 2.0) / (1.0 - 0.5))
+    g = optimal_point_density(two_mass, RenyiOrder(0.5), 2.0)
+    assert g.heights.tolist() == (two_mass.heights**p / two_mass.power_integral(p)).tolist()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     segments=st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 1.0)),

@@ -19,11 +19,19 @@ from renyiquant import (
     optimal_codepoint,
     quantizer_entropy,
     transform_quantizer,
+    truncated_gauss,
+    truncated_laplace,
     uniform,
     uniform_quantizer,
 )
 from renyiquant._quadrature import bisect_increasing
-from renyiquant.quantizer import _codepoint_balances
+from renyiquant.quantizer import _codepoint_balances, _smooth_moments
+
+import reference_quadrature as reference
+
+# the Laplace kink at 0.45 is interior
+SMOOTH = {"gauss": truncated_gauss(0.4, 0.3, 0.0, 1.0),
+          "laplace": truncated_laplace(0.45, 0.3, 0.0, 1.0)}
 
 
 def test_quantizer_validation():
@@ -249,3 +257,57 @@ def test_distortion_overflow_raises_like_cell_distortion():
     with pytest.raises(ValueError, match="overflows") as cell:
         cell_distortion(d, 0.0, 1e3, 0.0, 200.0)
     assert str(whole.value) == str(cell.value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SMOOTH)),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    on_kink=st.booleans(),
+    place=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    r=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+)
+def test_smooth_distortion_is_the_per_cell_loop(name, cuts, on_kink, place, r):
+    d = SMOOTH[name]
+    inner = cuts + ([0.45] if on_kink else [])
+    bounds = np.unique(np.array([0.0, 1.0, *inner]))
+    cells = len(bounds) - 1
+    points = bounds[:-1] + np.resize(np.asarray(place), cells) * np.diff(bounds)
+    # a codepoint on the kink cuts its cell there only once
+    kink_cell = np.searchsorted(bounds, 0.45) - 1
+    if on_kink:
+        points[kink_cell] = 0.45
+    q = IntervalQuantizer(bounds, points)
+    expected = 0.0
+    for s, t, c in zip(q.boundaries[:-1].tolist(), q.boundaries[1:].tolist(), q.codepoints.tolist()):
+        expected += reference.moment(d, s, t, c, r)
+    assert distortion(q, d, r) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH))
+def test_smooth_cell_moments_match_the_recursion_on_seeded_cells(name):
+    d = SMOOTH[name]
+    rng = np.random.default_rng(23)
+    # a cell across the kink, one beside it, one at the left end and one
+    # reaching past the support.  That one takes r = 1 and points left of its
+    # middle: a piece from the point to past the support, 0 at all three root
+    # samples, gets a tolerance of rel_tol * 1e-12 and refines almost forever.
+    cells = [(0.3, 0.6), tuple(np.sort(rng.uniform(0.5, 1.0, 2))), (0.0, 0.35), (0.9, 1.02)]
+    for (lo, hi), r in zip(cells, (2.0, 3.0, 1.5, 1.0)):
+        lo, hi = float(lo), float(hi)
+        for a in rng.uniform(lo, hi, 3).tolist() + [lo, hi]:
+            m = _smooth_moments(d, [lo, a], [a, hi], [a, a], r - 1.0)
+            assert m[0] - m[1] == reference.balance(d, lo, hi, a, r)
+        for point in (lo + 0.1 * (hi - lo), 0.5 * (lo + hi), 0.45):
+            assert cell_distortion(d, lo, hi, point, r) == reference.moment(d, lo, hi, point, r)
+    # the whole bisection, where |x - a|**(r - 1) stays smooth at a
+    lo, hi = 0.3, 0.6
+    c = optimal_codepoint(Interval(lo, hi), d, 3.0)
+    assert c == bisect_increasing(lambda a: reference.balance(d, lo, hi, a, 3.0), lo, hi,
+                                  tol=1e-13 * (hi - lo))
+
+
+def test_an_overflowing_smooth_moment_raises():
+    d = truncated_gauss(0.0, 100.0, -500.0, 500.0)
+    with pytest.raises(ValueError, match="overflows"):
+        cell_distortion(d, -500.0, 500.0, 0.0, 200.0)
