@@ -33,7 +33,7 @@ DEFAULT_MAX_DEPTH = 40
 # every node of its refinement trees until it adds them up, and its widest
 # level sets the size of every temporary array, so this bounds the memory
 # one call holds (a larger block saves a little numpy overhead per level).
-BLOCK_INTERVALS = 64
+BLOCK_INTERVALS = 48
 
 
 def call_each(f, xs: np.ndarray) -> np.ndarray:
