@@ -155,27 +155,14 @@ class PiecewiseConstantDensity:
         of the same shape.
         """
         xs = _real_arguments(x)
-        if isinstance(xs, float):
-            return self._mass_left(xs)
         b, cum = self.breakpoints, self._cum
         # outside the support the clipped value is replaced below
         inside = np.clip(xs, b[0], b[-1])
         j = np.minimum(np.searchsorted(b, inside, side="right") - 1, len(self.heights) - 1)
         bj = b[j]
         v = np.where(bj == inside, cum[j], cum[j] + self.heights[j] * (inside - bj))
-        return np.where(xs <= b[0], 0.0, np.where(xs >= b[-1], 1.0, v))
-
-    def _mass_left(self, x: float) -> float:
-        # the scalar form of the array cdf, without its set-up
-        b = self.breakpoints
-        if x <= b[0]:
-            return 0.0
-        if x >= b[-1]:
-            return 1.0
-        j = int(np.searchsorted(b, x, side="right")) - 1
-        if b[j] == x:
-            return float(self._cum[j])
-        return float(self._cum[j] + self.heights[j] * (x - b[j]))
+        v = np.where(xs <= b[0], 0.0, np.where(xs >= b[-1], 1.0, v))
+        return float(v) if isinstance(xs, float) else v
 
     def quantile(self, u):
         """Largest x with cdf(x) <= u; exact segment inversion.
