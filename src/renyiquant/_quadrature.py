@@ -46,7 +46,8 @@ def integrate_many(values, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_
 
     ``values(x, k)`` returns the integrand at the points ``x``, where x[j]
     lies in interval k[j], so each interval may have its own integrand.
-    The intervals go through in blocks of ``BLOCK_INTERVALS``.
+    An empty interval (a[i] == b[i]) gives exactly 0.0.  The intervals go
+    through in blocks of ``BLOCK_INTERVALS``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -86,6 +87,7 @@ def _refine(values, a, b, k, rel_tol, max_depth):
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         both = left + right
         delta = both - whole
+        # Richardson correction: one extrapolation order for free
         sums.append(both + delta / 15.0)
         # a NaN delta splits, as in the recursion
         done = np.abs(delta) <= 15.0 * eps

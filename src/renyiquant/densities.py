@@ -69,33 +69,28 @@ class Interval:
         return self.lo - tol <= x <= self.hi + tol
 
 
-def _real_arguments(x):
+def _arguments(x, ok, rule: str):
     """``x`` as a float, or a float array if it has any dimensions, after
-    checking that no entry is NaN."""
+    checking that ``ok`` holds for every entry; ValueError stating ``rule``
+    otherwise."""
     if isinstance(x, (float, int)) or np.ndim(x) == 0:
         x = float(x)
-        if math.isnan(x):
-            raise ValueError("cdf argument must not be NaN")
+        if not ok(x):
+            raise ValueError(f"{rule}, got {x!r}")
         return x
     xs = np.asarray(x, dtype=float)
-    if np.isnan(xs).any():
-        raise ValueError("cdf argument must not be NaN")
+    bad = ~ok(xs)
+    if bad.any():
+        raise ValueError(f"{rule}, got {float(xs[bad][0])!r}")
     return xs
 
 
+def _cdf_arguments(x):
+    return _arguments(x, lambda v: v == v, "cdf argument must not be NaN")
+
+
 def _unit_arguments(u):
-    """``u`` as a float, or a float array if it has any dimensions, after
-    checking that every entry lies in [0, 1]."""
-    if isinstance(u, (float, int)) or np.ndim(u) == 0:
-        u = float(u)
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"quantile argument must lie in [0, 1], got {u!r}")
-        return u
-    us = np.asarray(u, dtype=float)
-    bad = ~((us >= 0.0) & (us <= 1.0))
-    if bad.any():
-        raise ValueError(f"quantile argument must lie in [0, 1], got {float(us[bad][0])!r}")
-    return us
+    return _arguments(u, lambda v: (0.0 <= v) & (v <= 1.0), "quantile argument must lie in [0, 1]")
 
 
 class PiecewiseConstantDensity:
@@ -154,7 +149,7 @@ class PiecewiseConstantDensity:
         ``x`` may be a scalar, giving a float, or an array, giving an array
         of the same shape.
         """
-        xs = _real_arguments(x)
+        xs = _cdf_arguments(x)
         b, cum = self.breakpoints, self._cum
         # outside the support the clipped value is replaced below
         inside = np.clip(xs, b[0], b[-1])
@@ -311,18 +306,13 @@ class SmoothDensity:
         ``x`` may be a scalar, giving a float, or an array, giving an array
         of the same shape.
         """
-        xs = _real_arguments(x)
-        if isinstance(xs, float):
-            return float(self._cdf_values(np.array([xs]))[0])
-        return self._cdf_values(xs.ravel()).reshape(xs.shape)
-
-    def _cdf_values(self, xs: np.ndarray) -> np.ndarray:
-        """cdf at each entry of the 1-D array xs."""
+        xs = _cdf_arguments(x)
+        flat = np.ravel(xs)
         lo, hi = self._support.lo, self._support.hi
-        out = np.where(xs <= lo, 0.0, 1.0)
-        inside = np.flatnonzero((xs > lo) & (xs < hi))
-        out[inside] = self._cdf_inside(xs[inside])
-        return out
+        out = np.where(flat <= lo, 0.0, 1.0)
+        inside = np.flatnonzero((flat > lo) & (flat < hi))
+        out[inside] = self._cdf_inside(flat[inside])
+        return float(out[0]) if isinstance(xs, float) else out.reshape(xs.shape)
 
     def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
         """cdf at points strictly inside the support, one quadrature call for all.
@@ -342,9 +332,8 @@ class SmoothDensity:
         call per step.
         """
         us = _unit_arguments(u)
-        if isinstance(us, float):
-            return float(self._invert(np.array([us]))[0])
-        return self._invert(us.ravel()).reshape(us.shape)
+        out = self._invert(np.ravel(us))
+        return float(out[0]) if isinstance(us, float) else out.reshape(us.shape)
 
     def _invert(self, us: np.ndarray) -> np.ndarray:
         """quantile at each entry of the 1-D array us, step for step.
