@@ -252,7 +252,8 @@ class SmoothDensity:
             edges.extend(np.linspace(a, b, n + 1)[:-1])
         edges.append(support.hi)
         edges = np.asarray(edges, dtype=float)
-        masses = integrate_many(self._pdf_pieces, edges[:-1], edges[1:], self._rel_tol, self._max_depth)
+        masses = integrate_many(self._pdf_pieces, edges[:-1], edges[1:], self._rel_tol,
+                                self._max_depth)
         total = float(masses.sum())
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"pdf must integrate to 1 within quadrature tolerance, got {total!r}")

@@ -71,7 +71,8 @@ def _power_density(f: Density, p: float, order: float) -> Density:
             t -= t.max()
             heights = np.exp(t - _log_sum_exp(t + np.log(np.diff(f.breakpoints))))
         if not np.all(heights > 0.0):
-            raise ValueError(f"the point density at order {order!r} underflows to 0 on part of the support")
+            raise ValueError(
+                f"the point density at order {order!r} underflows to 0 on part of the support")
         return PiecewiseConstantDensity(f.breakpoints, heights)
     norm = f.power_integral(p)
     lo_f, hi_f = f.ess_bounds()

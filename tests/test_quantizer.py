@@ -279,7 +279,8 @@ def test_smooth_distortion_is_the_per_cell_loop(name, cuts, on_kink, place, r):
         points[kink_cell] = 0.45
     q = IntervalQuantizer(bounds, points)
     expected = 0.0
-    for s, t, c in zip(q.boundaries[:-1].tolist(), q.boundaries[1:].tolist(), q.codepoints.tolist()):
+    for s, t, c in zip(q.boundaries[:-1].tolist(), q.boundaries[1:].tolist(),
+                       q.codepoints.tolist()):
         expected += reference.moment(d, s, t, c, r)
     assert distortion(q, d, r) == expected
 
