@@ -4,12 +4,16 @@ All integrands in this package are piecewise smooth on a compact interval,
 with the kink locations known in advance, so a Simpson rule with interval
 bisection and a Richardson correction is both simple and accurate.
 
-One kernel, ``integrate_many``, refines many intervals at once, level by
-level.  Each interval follows the one-interval recursion step for step: the
-same midpoints and Simpson sums, the same stop rule and depth cap, and the
-halves of every split added in the same order, so each result is the
-recursion's bit for bit.  The integrands stay scalar callables; ``call_each``
-evaluates one over an array, a Python float at a time.
+The rule is the classic recursion: an interval whose two half-interval
+Simpson sums differ from its own by more than 15 * eps splits into halves,
+each with eps / 2, until ``max_depth``; a leaf returns its halves plus the
+Richardson correction, and a split interval returns left + right.  One
+kernel, ``integrate_many``, runs that recursion on many intervals at once,
+level by level, with the same midpoints, sums, stop rule, depth cap and
+order of additions, so each result equals the recursive one bit for bit
+(``tests/reference_quadrature.py`` keeps the recursion as the reference).
+The integrands stay scalar callables; ``call_each`` evaluates one over an
+array, a Python float at a time.
 """
 
 from __future__ import annotations
