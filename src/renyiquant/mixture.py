@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import as_order, branch_of, exponents, validate_exponent
 from .densities import Density, PiecewiseConstantDensity
+from .entropy import _log_sum_exp, _normal_sums
 from .quantizer import IntervalQuantizer
 
 __all__ = [
@@ -117,6 +118,9 @@ def allocation_weights(weights, alpha, r: float) -> np.ndarray:
 
     t_i = s_i**(1/a2) * (sum_j s_j**a1)**(-1/(1-alpha)) with the exponent
     pair of (alpha, r); they satisfy sum_i s_i**alpha * t_i**(1-alpha) = 1.
+    Near alpha = 1 + r the two factors overflow and underflow, so where a
+    plain t_i is not a normal float it is taken from logs; a weight that
+    still leaves the float range raises ``ValueError``.
     """
     s = _clean_weights(weights)
     r = validate_exponent(r)
@@ -128,8 +132,19 @@ def allocation_weights(weights, alpha, r: float) -> np.ndarray:
     if a.value >= 1.0 + r:
         raise ValueError(f"allocation weights require order < 1 + r, got {a.value}")
     pair = exponents(a, r)
-    scale = float((s**pair.first).sum()) ** (-1.0 / (1.0 - a.value))
-    return s ** (1.0 / pair.second) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float((s**pair.first).sum()) ** (-1.0 / (1.0 - a.value))
+        t = s ** (1.0 / pair.second) * scale
+        if np.all(_normal_sums(t)):
+            return t
+        # log t_i = -log(sum_j s_j**a1 / s_i**c) / (1-alpha), c = a1 - alpha, with
+        # the ratio taken before the power so the huge exponents cannot cancel
+        v, log_s = a.value, np.log(s)
+        c = (1.0 - v) ** 2 / (1.0 - v + r)
+        t = np.exp(-_log_sum_exp(v * log_s + c * (log_s - log_s[:, None])) / (1.0 - v))
+    if not np.all(_normal_sums(t)):
+        raise ValueError(f"allocation weights at order {a.value} leave the float range")
+    return t
 
 
 def allocate_rates(weights, alpha, r: float, rate: float) -> np.ndarray:
@@ -146,6 +161,19 @@ def allocate_rates(weights, alpha, r: float, rate: float) -> np.ndarray:
     return rate + np.log(t)
 
 
+def _log_weighted_sum(s: np.ndarray, v: float, xs: np.ndarray) -> float:
+    """log of sum_i s_i**v * e**((1-v) x_i), by the ``entropy._log_power_sums`` rule.
+
+    The plain sum where it is a normal float, so those cases keep their bits;
+    a log-sum-exp over v log s_i + (1-v) x_i where it overflows or underflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((s**v * np.exp((1.0 - v) * xs)).sum())
+    if _normal_sums(total):
+        return math.log(total)
+    return float(_log_sum_exp(v * np.log(s) + (1.0 - v) * xs))
+
+
 def check_rate_condition(weights, rates, rate: float, alpha) -> bool:
     """Whether component rates meet the composability budget at the order.
 
@@ -156,13 +184,15 @@ def check_rate_condition(weights, rates, rate: float, alpha) -> bool:
     rs = np.ascontiguousarray(rates, dtype=float)
     if rs.shape != s.shape:
         raise ValueError("need one rate per weight")
+    if not np.all(np.isfinite(rs)):
+        raise ValueError("rates must be finite")
     a = as_order(alpha)
     if not a.is_finite or a.value < 0.0:
         raise ValueError("the rate condition is stated for finite orders >= 0")
     if branch_of(a) == "shannon":
         raise ValueError("the rate condition is undefined at order 1")
     v = a.value
-    lhs = math.log(float((s**v * np.exp((1.0 - v) * rs)).sum()))
+    lhs = _log_weighted_sum(s, v, rs)
     rhs = (1.0 - v) * float(rate)
     if v < 1.0:
         return lhs <= rhs + 1e-12
@@ -180,6 +210,8 @@ def composed_entropy(weights, entropies, alpha) -> float:
     hs = np.ascontiguousarray(entropies, dtype=float)
     if hs.shape != s.shape:
         raise ValueError("need one entropy per weight")
+    if not np.all(np.isfinite(hs)):
+        raise ValueError("entropies must be finite")
     a = as_order(alpha)
     branch = branch_of(a)
     if branch == "pos_inf":
@@ -188,8 +220,7 @@ def composed_entropy(weights, entropies, alpha) -> float:
         return -math.log(float((s * np.exp(-hs)).min()))
     if branch == "shannon":
         return float((s * hs).sum() - (s * np.log(s)).sum())
-    v = a.value
-    return math.log(float((s**v * np.exp((1.0 - v) * hs)).sum())) / (1.0 - v)
+    return _log_weighted_sum(s, a.value, hs) / (1.0 - a.value)
 
 
 def compose(spec: MixtureSpec, parts: Sequence[IntervalQuantizer]) -> IntervalQuantizer:
@@ -222,16 +253,27 @@ def compose(spec: MixtureSpec, parts: Sequence[IntervalQuantizer]) -> IntervalQu
     return IntervalQuantizer(np.concatenate(bounds), np.concatenate(points))
 
 
-def f_functional(weights, values, r: float) -> float:
-    """Aggregate inverse-power objective sum_i s_i * v_i**(-r)."""
+def f_functional(weights, values, r: float) -> float | np.ndarray:
+    """Aggregate inverse-power objective sum_i s_i * v_i**(-r).
+
+    ``values`` of shape (k,) is one candidate and gives a float.  Shape
+    (m, k) holds m candidates, one per row, and gives an array of m values;
+    row i equals the call on ``values[i]`` bit for bit, and the weights and
+    r are validated once.  A value that is not positive, or an objective
+    that overflows or underflows, raises ``ValueError``.
+    """
     s = _clean_weights(weights)
     v = np.ascontiguousarray(values, dtype=float)
-    if v.shape != s.shape:
+    if v.ndim not in (1, 2) or v.shape[-1:] != s.shape:
         raise ValueError("need one value per weight")
-    if np.any(v <= 0.0):
+    if not np.all(v > 0.0):
         raise ValueError("values must be strictly positive")
     r = validate_exponent(r)
-    return float((s * v ** (-r)).sum())
+    with np.errstate(over="ignore"):
+        f = (s * v ** (-r)).sum(axis=-1)
+    if not np.all(_normal_sums(f)):
+        raise ValueError(f"f_functional at r = {r} leaves the float range")
+    return float(f) if v.ndim == 1 else f
 
 
 def f_minimizer(weights, alpha, r: float) -> np.ndarray:

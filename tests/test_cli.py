@@ -219,6 +219,14 @@ def test_verify_json_lists_every_suite(capsys):
     assert "bennett_integral" in names and "oracle_monotonicity" in names
 
 
+def test_verify_stdout_matches_the_golden_file(capsys):
+    # every suite's worst slack at full precision, recorded before the suites
+    # were batched: the batched suites must reproduce it bit for bit
+    rc, out = run_cli(capsys, "verify", "--format", "json")
+    assert rc == 0
+    assert out == (Path(__file__).parent / "data" / "verify_stdout.json").read_text()
+
+
 def test_verify_catches_a_perturbed_constant(capsys, monkeypatch):
     real = renyiquant.compander.distortion_constant
     monkeypatch.setattr(renyiquant.compander, "distortion_constant",

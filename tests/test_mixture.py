@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,3 +154,112 @@ def test_composed_uniform_parts_track_the_limit(two_mass, rate):
     q = compose(spec, parts)
     scaled = math.exp(r * rate) * distortion(q, spec.combined_density(), r)
     assert scaled <= 1.05 * predicted_limit(two_mass, alpha, r).value
+
+
+def _mp_composed_entropy(s, hs, v):
+    with mpmath.workdps(50):
+        v = mpmath.mpf(v)
+        total = mpmath.fsum(mpmath.mpf(si) ** v * mpmath.exp((1 - v) * mpmath.mpf(hi))
+                            for si, hi in zip(s, hs))
+        return float(mpmath.log(total) / (1 - v))
+
+
+@pytest.mark.parametrize("alpha", [500.0, -500.0, 5000.0, -5000.0])
+def test_composed_entropy_at_extreme_orders_matches_mpmath(alpha):
+    s, hs = [0.3, 0.7], [2.0, 3.0]
+    got = composed_entropy(s, hs, RenyiOrder(alpha))
+    assert got == pytest.approx(_mp_composed_entropy(s, hs, alpha), rel=1e-13)
+    # between the +inf and -inf limits -log max/min s_i e^-H_i
+    assert composed_entropy(s, hs, POS_INF) <= got <= composed_entropy(s, hs, NEG_INF)
+
+
+def test_composed_entropy_keeps_the_plain_sum_where_it_is_normal():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        k = int(rng.integers(2, 6))
+        s = rng.dirichlet(np.ones(k))
+        hs = rng.uniform(0.0, 5.0, size=k)
+        v = float(rng.uniform(-5.0, 5.0))
+        if abs(v - 1.0) < 1e-3:
+            continue
+        plain = math.log(float((s**v * np.exp((1.0 - v) * hs)).sum())) / (1.0 - v)
+        assert composed_entropy(s, hs, RenyiOrder(v)) == plain
+
+
+@pytest.mark.parametrize("alpha", ORDERS)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_composition_rejects_non_finite_entropies_and_rates(alpha, bad):
+    with pytest.raises(ValueError, match="entropies must be finite"):
+        composed_entropy([0.5, 0.5], [bad, 1.0], alpha)
+    if alpha.is_finite and alpha.value >= 0.0 and alpha.value != 1.0:
+        with pytest.raises(ValueError, match="rates must be finite"):
+            check_rate_condition([0.5, 0.5], [bad, 1.0], 1.0, alpha)
+
+
+@pytest.mark.parametrize("alpha", [500.0, 5000.0])
+def test_check_rate_condition_at_extreme_orders(alpha):
+    # for alpha > 1 the budget holds iff the composed entropy is at most the rate
+    s, rates = [0.3, 0.7], [2.0, 3.0]
+    h = _mp_composed_entropy(s, rates, alpha)
+    assert check_rate_condition(s, rates, h * (1.0 + 1e-9), RenyiOrder(alpha))
+    assert not check_rate_condition(s, rates, h * (1.0 - 1e-9), RenyiOrder(alpha))
+
+
+@pytest.mark.parametrize("alpha", [2.999, 2.9999999])
+def test_allocation_weights_near_one_plus_r_never_return_nan(alpha):
+    # equal weights: t = 1/2 exactly, though each plain factor leaves the float range
+    t = allocation_weights([0.5, 0.5], RenyiOrder(alpha), 2.0)
+    assert np.allclose(t, [0.5, 0.5], rtol=1e-13, atol=0.0)
+    # unequal weights: the larger t_i is far past the largest float
+    with pytest.raises(ValueError, match=f"order {alpha}"):
+        allocation_weights([0.3, 0.7], RenyiOrder(alpha), 2.0)
+
+
+def test_allocation_weights_in_logs_match_mpmath():
+    # at 2.999 the plain factors overflow and underflow; t_1 is near 6.7e173
+    s, alpha, r = [0.45, 0.55], 2.999, 2.0
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        first, second = (1 - a + a * r) / (1 - a + r), (1 - a + r) / (1 - a)
+        scale = mpmath.fsum(mpmath.mpf(x) ** first for x in s) ** (-1 / (1 - a))
+        ref = [float(mpmath.mpf(x) ** (1 / second) * scale) for x in s]
+    assert np.allclose(allocation_weights(s, RenyiOrder(alpha), r), ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([float("nan"), 1.0], "strictly positive"),
+    ([0.0, 1.0], "strictly positive"),
+    ([1e-200, 1.0], "float range"),
+    ([1e200, 1e200], "float range"),
+])
+def test_f_functional_rejects_values_it_cannot_evaluate(values, message):
+    with pytest.raises(ValueError, match=message):
+        f_functional([0.3, 0.7], values, 2.0)
+    with pytest.raises(ValueError, match=message):
+        f_functional([0.3, 0.7], [[1.0, 1.0], values], 2.0)
+
+
+def test_f_functional_rows_report_the_same_errors():
+    for bad in ([1.0, 1.0, 1.0], [1.0, -1.0]):
+        with pytest.raises(ValueError) as one:
+            f_functional([0.3, 0.7], bad, 2.0)
+        with pytest.raises(ValueError) as rows:
+            f_functional([0.3, 0.7], [[1.0] * len(bad), bad], 2.0)
+        assert str(rows.value) == str(one.value)
+
+
+@settings(max_examples=60)
+@given(
+    data=st.data(),
+    k=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=1, max_value=20),
+    r=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+)
+def test_f_functional_rows_equal_the_one_dimensional_calls(data, k, m, r):
+    raw = np.asarray(data.draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    s = raw / raw.sum()
+    values = np.asarray(data.draw(st.lists(
+        st.lists(st.floats(0.05, 3.0), min_size=k, max_size=k), min_size=m, max_size=m)))
+    rows = f_functional(s, values, r)
+    assert rows.shape == (m,)
+    assert rows.tolist() == [f_functional(s, row, r) for row in values]
