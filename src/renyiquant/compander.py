@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quadrature import scan_extremum
+from ._quadrature import scan_extremum, with_array_form
 from .core import distortion_constant, validate_exponent
 from .densities import (
     Density,
@@ -151,22 +151,20 @@ def compressed_density(f: Density, g: Density, *, table_cells: int = 256) -> Den
         return PiecewiseConstantDensity(edges, hf / hg)
 
     y_lo, y_hi = g.cdf(lo), g.cdf(hi)
-
-    def pdf(y):
-        x = g.quantile(y)
-        return f.pdf(x) / g.pdf(x)
+    ratio = lambda x: f.pdf(x) / g.pdf(x)
+    ratios = lambda xs: f._pdf_values(xs) / g._pdf_values(xs)
+    pdf = lambda y: ratio(g.quantile(y))
 
     # essential bounds of f/g are cheap to locate in x-space
     xs = np.linspace(lo, hi, 2048)
-    ratio = lambda x: f.pdf(x) / g.pdf(x)
-    vals = np.array([ratio(float(x)) for x in xs])
+    vals = ratios(xs)
     breaks = sorted(
         g.cdf(x)
         for x in set(f.interior_breakpoints()) | set(g.interior_breakpoints())
         if lo < x < hi
     )
     return SmoothDensity(
-        pdf,
+        with_array_form(pdf, lambda ys: ratios(g.quantile(ys))),
         y_lo,
         y_hi,
         breakpoints=breaks,

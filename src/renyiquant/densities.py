@@ -26,7 +26,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import call_each, integrate, integrate_many, scan_extremum
+from ._quadrature import integrate, integrate_many, over_arrays, scan_extremum, with_array_form
 
 __all__ = [
     "Interval",
@@ -143,6 +143,13 @@ class PiecewiseConstantDensity:
             return 0.0
         return float(self.heights[self._segment_index(x)])
 
+    def _pdf_values(self, xs: np.ndarray) -> np.ndarray:
+        """``pdf`` at each entry of the array xs."""
+        # segment k owns (b[k], b[k+1]], segment 0 also b[0]
+        b = self.breakpoints
+        return np.where((xs < b[0]) | (xs > b[-1]), 0.0,
+                        self.heights[np.searchsorted(b[1:-1], xs, side="left")])
+
     def cdf(self, x):
         """Mass at or left of x, exact.
 
@@ -219,7 +226,11 @@ class SmoothDensity:
 
     The constructor integrates the pdf over every cell of a table in one
     batched quadrature call to build a monotone cdf table; cdf evaluations
-    then only integrate within one cell.
+    then only integrate within one cell.  Every integrand, and the scan for
+    the essential bounds, evaluates the pdf over whole arrays: the package's
+    own pdfs carry an array form (``_quadrature.with_array_form``) that
+    equals the scalar pdf bit for bit, and any other pdf is called once per
+    point.
     ``breakpoints`` lists interior kink locations respected by every
     quadrature call.  Essential bounds use a dense scan refined by a
     golden-section pass.
@@ -240,6 +251,7 @@ class SmoothDensity:
     ):
         support = Interval(lo, hi)
         self._pdf = pdf
+        self._pdf_many = over_arrays(pdf)
         self._support = support
         self._breaks = sorted(float(x) for x in breakpoints if support.lo < x < support.hi)
         self._rel_tol = float(rel_tol)
@@ -270,7 +282,7 @@ class SmoothDensity:
 
     def _scan_bounds(self, inf_override, sup_override):
         xs = np.linspace(self._support.lo, self._support.hi, ESS_SCAN_POINTS)
-        vals = call_each(self._pdf, xs)
+        vals = self._pdf_many(xs)
         return tuple(
             scan_extremum(self._pdf, xs, vals, maximize) if override is None else float(override)
             for maximize, override in ((False, inf_override), (True, sup_override))
@@ -293,12 +305,12 @@ class SmoothDensity:
         """``pdf`` at each entry of the 1-D array xs."""
         out = np.zeros(len(xs))
         inside = np.flatnonzero((xs >= self._support.lo) & (xs <= self._support.hi))
-        out[inside] = call_each(self._pdf, xs[inside])
+        out[inside] = self._pdf_many(xs[inside])
         return out
 
     def _pdf_pieces(self, xs, k):
         # the pdf as an integrate_many integrand: the same on every piece
-        return call_each(self._pdf, xs)
+        return self._pdf_many(xs)
 
     def cdf(self, x):
         """Mass at or left of x: the table entry of x's cell plus one
@@ -365,15 +377,18 @@ class SmoothDensity:
         p = float(p)
         if p < 0 and self.ess_bounds()[0] <= 0.0:
             raise ValueError("negative power integral requires a density bounded away from zero")
+
+        def power_many(x):
+            with np.errstate(over="ignore"):
+                v = np.float_power(self._pdf_many(x), p)
+            if np.isinf(v).any():
+                raise OverflowError  # as Python's ** does
+            return v
+
         try:
-            return integrate(
-                lambda x: self._pdf(x) ** p,
-                self._support.lo,
-                self._support.hi,
-                self._rel_tol,
-                self._max_depth,
-                breakpoints=self._breaks,
-            )
+            return integrate(with_array_form(lambda x: self._pdf(x) ** p, power_many),
+                             self._support.lo, self._support.hi, self._rel_tol,
+                             self._max_depth, breakpoints=self._breaks)
         except OverflowError:
             raise ValueError(f"power integral of order {p} overflows") from None
 
@@ -393,18 +408,20 @@ class SmoothDensity:
         c = float(c)
         if not c > 0:
             raise ValueError(f"scale must be positive, got {c!r}")
-        base = self._pdf
+        base, base_many = self._pdf, self._pdf_many
         if reflect:
             new_pdf = lambda y: base((t - y) / c) / c
+            many = lambda y: base_many((t - y) / c) / c
             lo, hi = t - c * self._support.hi, t - c * self._support.lo
             breaks = [t - c * x for x in self._breaks]
         else:
             new_pdf = lambda y: base((y - t) / c) / c
+            many = lambda y: base_many((y - t) / c) / c
             lo, hi = t + c * self._support.lo, t + c * self._support.hi
             breaks = [t + c * x for x in self._breaks]
         i, s = self._ess
         return SmoothDensity(
-            new_pdf,
+            with_array_form(new_pdf, many),
             lo,
             hi,
             breakpoints=breaks,
@@ -425,6 +442,12 @@ def uniform(lo: float, hi: float) -> PiecewiseConstantDensity:
     """Uniform density on [lo, hi]."""
     width = float(hi) - float(lo)
     return PiecewiseConstantDensity([lo, hi], [1.0 / width])
+
+
+def _exp_each(z: np.ndarray) -> np.ndarray:
+    # libm's exp, as math.exp calls it: np.exp may take a SIMD path that
+    # differs in the last bit
+    return np.fromiter(map(math.exp, z.tolist()), float, count=len(z))
 
 
 def _require_mass(mass: float):
@@ -452,7 +475,10 @@ def truncated_gauss(mean: float, sigma: float, lo: float, hi: float) -> SmoothDe
     def pdf(x, _m=mean, _s=sigma, _n=norm):
         return _n * math.exp(-0.5 * ((x - _m) / _s) ** 2)
 
-    d = SmoothDensity(pdf, lo, hi)
+    def many(x, _m=mean, _s=sigma, _n=norm):
+        return _n * _exp_each(-0.5 * np.float_power((x - _m) / _s, 2.0))
+
+    d = SmoothDensity(with_array_form(pdf, many), lo, hi)
     d.spec = {"kind": "truncated_gauss", "mean": float(mean),
               "sigma": float(sigma), "lo": float(lo), "hi": float(hi)}
     return d
@@ -478,9 +504,12 @@ def truncated_laplace(center: float, scale: float, lo: float, hi: float) -> Smoo
     def pdf(x, _c=center, _s=scale, _n=norm):
         return _n * math.exp(-abs(x - _c) / _s)
 
+    def many(x, _c=center, _s=scale, _n=norm):
+        return _n * _exp_each(-np.abs(x - _c) / _s)
+
     # the kink at the center matters for quadrature when it is interior
     breaks = [center] if lo < center < hi else []
-    d = SmoothDensity(pdf, lo, hi, breakpoints=breaks)
+    d = SmoothDensity(with_array_form(pdf, many), lo, hi, breakpoints=breaks)
     d.spec = {"kind": "truncated_laplace", "center": float(center),
               "scale": float(scale), "lo": float(lo), "hi": float(hi)}
     return d
@@ -517,11 +546,7 @@ def _cut_cells(d: PiecewiseConstantDensity, lo, hi):
     edges[:, 0] = lo
     edges[:, 1:-1] = np.where(inner < count[:, None], x[idx], hi[:, None])
     edges[:, -1] = hi
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    # d.pdf at each midpoint: segment k owns (x[k], x[k+1]], segment 0 also x[0]
-    seg = np.searchsorted(x[1:-1], mid, side="left")
-    heights = np.where((mid < x[0]) | (mid > x[-1]), 0.0, d.heights[seg])
-    return edges, heights
+    return edges, d._pdf_values(0.5 * (edges[:, :-1] + edges[:, 1:]))
 
 
 def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):

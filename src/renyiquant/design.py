@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import bisect_increasing
+from ._quadrature import bisect_increasing, with_array_form
 from .compander import Compander, bennett_functional
 from .core import as_order, branch_of, distortion_constant, exponents, validate_exponent
 from .densities import Density, Interval, PiecewiseConstantDensity, SmoothDensity, uniform
@@ -83,8 +83,11 @@ def _power_density(f: Density, p: float, order: float) -> Density:
     def pdf(x, _f=f._pdf, _p=p, _n=norm):
         return _f(x) ** _p / _n
 
+    def many(x, _f=f._pdf_many, _p=p, _n=norm):
+        return np.float_power(_f(x), _p) / _n
+
     return SmoothDensity(
-        pdf,
+        with_array_form(pdf, many),
         f.support.lo,
         f.support.hi,
         breakpoints=f.interior_breakpoints(),

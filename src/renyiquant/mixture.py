@@ -214,10 +214,16 @@ def composed_entropy(weights, entropies, alpha) -> float:
         raise ValueError("entropies must be finite")
     a = as_order(alpha)
     branch = branch_of(a)
-    if branch == "pos_inf":
-        return -math.log(float((s * np.exp(-hs)).max()))
-    if branch == "neg_inf":
-        return -math.log(float((s * np.exp(-hs)).min()))
+    if branch in ("pos_inf", "neg_inf"):
+        top = branch == "pos_inf"
+        with np.errstate(over="ignore"):
+            scaled = s * np.exp(-hs)
+        mass = float(scaled.max() if top else scaled.min())
+        if _normal_sums(mass):
+            return -math.log(mass)
+        # the same limit without the exponential: the extreme of H_i - log s_i
+        logs = hs - np.log(s)
+        return float(logs.min() if top else logs.max())
     if branch == "shannon":
         return float((s * hs).sum() - (s * np.log(s)).sum())
     return _log_weighted_sum(s, a.value, hs) / (1.0 - a.value)

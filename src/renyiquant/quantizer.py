@@ -220,15 +220,18 @@ def _codepoint_balances(d: PiecewiseConstantDensity, lo, hi, a, r: float) -> np.
 def _smooth_moments(d: SmoothDensity, s, t, c, p: float) -> np.ndarray:
     """Integral of |x - c[k]|**p dmu over each cell [s[k], t[k]].
 
-    Each cell is cut at the density's kinks and at c[k] where they lie
-    strictly inside it.  All pieces of all cells go through one
+    Each cell is first clipped to the support, where the pdf vanishes, and
+    then cut at the density's kinks and at c[k] where they lie strictly
+    inside it.  All pieces of all cells go through one
     ``integrate_many`` call, with the package's default tolerance and depth;
     each cell adds its pieces left to right from 0.0, as a scalar
     ``integrate`` call with those breakpoints does.  The power goes through
     ``np.float_power``, which calls the C library ``pow`` as Python's ``**``
     does.
     """
-    s, t, c = (np.asarray(v, dtype=float) for v in (s, t, c))
+    supp = d.support
+    s, t = (np.clip(np.asarray(v, dtype=float), supp.lo, supp.hi) for v in (s, t))
+    c = np.asarray(c, dtype=float)
     kinks = [np.full(len(s), x) for x in d.interior_breakpoints()]
     inner = np.column_stack(kinks + [c])
     strictly = (s[:, None] < inner) & (inner < t[:, None])
@@ -243,7 +246,8 @@ def _smooth_moments(d: SmoothDensity, s, t, c, p: float) -> np.ndarray:
             w = np.float_power(np.abs(x - centre[k]), p)
         if np.isinf(w).any():
             raise ValueError("a cell moment overflows; reduce r or the cell widths")
-        return w * d._pdf_values(x)
+        # every point lies in the clipped cells, so the support test is not needed
+        return w * d._pdf_many(x)
 
     pieces = np.zeros(lo.shape)
     pieces[live] = integrate_many(values, lo[live], hi[live])

@@ -87,7 +87,9 @@ def quantile(d, u: float) -> float:
 
 
 def moment(d, s: float, t: float, c: float, p: float) -> float:
-    """Integral of |x - c|**p against d over [s, t], split at its kinks and at c."""
+    """Integral of |x - c|**p against d over [s, t], clipped to the support of
+    d (where the pdf vanishes) and split at its kinks and at c."""
+    s, t = (min(max(v, d.support.lo), d.support.hi) for v in (s, t))
     inner = [x for x in d.interior_breakpoints() if s < x < t] + ([c] if s < c < t else [])
     return integrate(lambda x: abs(x - c) ** p * d.pdf(x), s, t, breakpoints=inner)
 

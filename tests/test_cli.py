@@ -316,3 +316,35 @@ def test_sweep_designs_its_point_density_once(capsys, density_file, monkeypatch)
                     "--alpha", "0.5", "--r", "2", "--levels", "16,24,32")
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_smooth_design_stdout_matches_the_golden_file(capsys, tmp_path):
+    # design_compander's smooth path, recorded before the smooth pdfs took arrays
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(GOLDEN_LAPLACE))
+    rc, out = run_cli(capsys, "design", "--density", str(path), "--alpha", "-2", "--r", "1.5",
+                      "--levels", "24")
+    assert rc == 0
+    assert out == (Path(__file__).parent / "data" / "design_laplace_stdout.json").read_text()
+
+
+@pytest.mark.parametrize("spec, args, golden", [
+    (GOLDEN_GAUSS, ("--alpha", "0.5", "--r", "1.5", "--levels", "4,16,64,256", "--format", "json"),
+     "sweep_gauss_stdout.json"),
+    (GOLDEN_LAPLACE, ("--alpha", "-2", "--r", "1.5", "--levels", "3,16,64,256", "--format", "csv"),
+     "sweep_laplace_stdout.csv"),
+], ids=["gauss", "laplace"])
+def test_smooth_sweeps_call_no_scalar_pdf_per_point(capsys, tmp_path, monkeypatch, spec, args,
+                                                    golden):
+    # every integrand of a smooth sweep runs on the array form of its pdf
+    import renyiquant._quadrature
+
+    def refuse(f, xs):
+        raise AssertionError("a scalar pdf was mapped over an array")
+
+    monkeypatch.setattr(renyiquant._quadrature, "call_each", refuse)
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(spec))
+    rc, out = run_cli(capsys, "sweep", "--density", str(path), *args)
+    assert rc == 0
+    assert out == (Path(__file__).parent / "data" / golden).read_text()

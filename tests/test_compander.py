@@ -17,6 +17,8 @@ from renyiquant import (
     truncated_gauss,
     uniform,
 )
+from renyiquant._quadrature import scan_extremum
+from renyiquant.design import optimal_point_density
 from renyiquant.quantizer import IntervalQuantizer
 
 ORDERS = (NEG_INF, RenyiOrder(-2.0), RenyiOrder(0.0), RenyiOrder(0.5),
@@ -98,6 +100,29 @@ def test_compressed_density_smooth_path():
     for y in (0.2, 0.5, 0.8):
         assert comp.cdf(y) == pytest.approx(tg.cdf(y), abs=1e-6)
     assert comp.power_integral(1.0) == pytest.approx(1.0, abs=1e-6)
+
+
+SOURCE = truncated_gauss(0.45, 0.3, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("f, g", [
+    (SOURCE, optimal_point_density(SOURCE, 0.5, 2.0)),
+    (PiecewiseConstantDensity([0.0, 0.3, 1.0], [0.5, 8.5 / 7.0]), SOURCE),
+    (SOURCE, PiecewiseConstantDensity([0.0, 0.4, 1.0], [0.75, 7.0 / 6.0])),
+], ids=["smooth_pair", "piecewise_source", "piecewise_point_density"])
+def test_compressed_density_is_the_per_point_scalar_form(f, g):
+    comp = compressed_density(f, g)
+    ys = np.linspace(comp.support.lo, comp.support.hi, 51)
+    xs = [g.quantile(y) for y in ys.tolist()]
+    expected = [f.pdf(x) / g.pdf(x) for x in xs]
+    assert comp._pdf_many(ys).tolist() == expected
+    assert [comp.pdf(y) for y in ys.tolist()] == expected
+    # the essential bounds come from the 2048-point ratio scan in x-space
+    grid = np.linspace(f.support.lo, f.support.hi, 2048)
+    ratio = lambda x: f.pdf(x) / g.pdf(x)
+    vals = np.array([ratio(x) for x in grid.tolist()])
+    assert comp.ess_bounds() == (scan_extremum(ratio, grid, vals, False),
+                                 scan_extremum(ratio, grid, vals, True))
 
 
 def _per_point_build(point_density, n):

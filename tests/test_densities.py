@@ -382,3 +382,99 @@ def test_far_tail_truncations_construct(make):
 def test_a_subnormal_truncation_mass_is_refused(make):
     with pytest.raises(ValueError, match="carries no mass"):
         make()
+
+
+# The array forms of the smooth pdfs must give the scalar pdf's bits.  Each
+# example evaluates over 1000 random points plus the special ones, enough
+# that np.exp in place of math.exp (a SIMD path on some CPUs) would differ.
+ARRAY_POINTS = 1000
+
+
+def _scalar_each(pdf, xs):
+    return [pdf(x) for x in xs.tolist()]
+
+
+def _with_specials(d, seed, extra=()):
+    lo, hi = d.support.lo, d.support.hi
+    special = [lo, hi, *extra]
+    special += [np.nextafter(x, side) for x in special for side in (-np.inf, np.inf)]
+    xs = np.random.default_rng(seed).uniform(lo, hi, ARRAY_POINTS)
+    return np.concatenate((xs, [x for x in special if lo <= x <= hi]))
+
+
+@st.composite
+def _smooth_source(draw):
+    kind = draw(st.sampled_from(["gauss", "laplace"]))
+    spread = draw(st.floats(min_value=0.05, max_value=2.0))
+    # the location inside [0, 1], just outside it, or far out in a tail
+    where = draw(st.sampled_from([0.45, -1.0, 2.0, -7.0, 8.0, -30.0, 31.0]))
+    loc = where if 0.0 < where < 1.0 else where * (spread if kind == "laplace" else min(spread, 1.0))
+    assume(kind == "laplace" or abs(loc - 0.5) / spread < 30.0)
+    if kind == "gauss":
+        return truncated_gauss(loc, spread, 0.0, 1.0), [loc]
+    return truncated_laplace(loc, spread, 0.0, 1.0), [loc]
+
+
+@settings(max_examples=25, deadline=None)
+@given(source=_smooth_source(), seed=st.integers(0, 2**32 - 1))
+def test_the_array_pdf_gives_the_scalar_bits(source, seed):
+    d, centre = source
+    xs = _with_specials(d, seed, centre)
+    assert d._pdf_many(xs).tolist() == _scalar_each(d._pdf, xs)
+    assert d._pdf_values(xs).tolist() == _scalar_each(d.pdf, xs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["gauss", "laplace"]), p=st.floats(min_value=-3.0, max_value=3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_array_power_density_gives_the_scalar_bits(kind, p, seed):
+    from renyiquant.design import _power_density
+
+    f = truncated_gauss(0.4, 0.3, 0.0, 1.0) if kind == "gauss" else \
+        truncated_laplace(0.45, 0.3, 0.0, 1.0)
+    g = _power_density(f, p, 0.5)
+    xs = _with_specials(g, seed, [0.45])
+    assert g._pdf_many(xs).tolist() == _scalar_each(g._pdf, xs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["gauss", "laplace"]), c=st.floats(min_value=0.1, max_value=10.0),
+       t=st.floats(min_value=-5.0, max_value=5.0), reflect=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_array_similarity_transform_gives_the_scalar_bits(kind, c, t, reflect, seed):
+    f = truncated_gauss(0.4, 0.3, 0.0, 1.0) if kind == "gauss" else \
+        truncated_laplace(0.45, 0.3, 0.0, 1.0)
+    g = f.similarity_transform(c, t, reflect)
+    xs = _with_specials(g, seed, g.interior_breakpoints())
+    assert g._pdf_many(xs).tolist() == _scalar_each(g._pdf, xs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: truncated_gauss(0.4, 0.3, 0.0, 1.0),
+    lambda: truncated_laplace(0.45, 0.3, 0.0, 1.0),
+    lambda: truncated_laplace(-40.0, 1.0, 0.0, 1.0),
+], ids=["gauss", "laplace", "far_laplace"])
+@pytest.mark.parametrize("p", [-1.5, 0.5, 1.0, 2.5])
+def test_power_integral_equals_the_scalar_integral(make, p):
+    d = make()
+    expected = reference.integrate(lambda x: d._pdf(x) ** p, d.support.lo, d.support.hi,
+                                   1e-10, 40, d.interior_breakpoints())
+    assert d.power_integral(p) == expected
+
+
+def test_a_caller_pdf_is_called_with_python_floats():
+    seen = set()
+
+    def pdf(x):
+        seen.add(type(x))
+        return 1.0
+
+    d = SmoothDensity(pdf, 0.0, 1.0)
+    d.cdf(np.linspace(0.0, 1.0, 7))
+    assert seen == {float}
+
+
+def test_piecewise_pdf_values_match_the_scalar_pdf(two_mass):
+    b = two_mass.breakpoints.tolist()
+    xs = np.array(b + [np.nextafter(x, s) for x in b for s in (-np.inf, np.inf)] + [0.3, 7.0])
+    assert two_mass._pdf_values(xs).tolist() == _scalar_each(two_mass.pdf, xs)

@@ -173,6 +173,37 @@ def test_composed_entropy_at_extreme_orders_matches_mpmath(alpha):
     assert composed_entropy(s, hs, POS_INF) <= got <= composed_entropy(s, hs, NEG_INF)
 
 
+def _mp_extreme_entropy(s, hs, top):
+    # -log of the largest (top) or smallest scaled mass s_i e^-H_i, 50 digits
+    with mpmath.workdps(50):
+        masses = [mpmath.mpf(si) * mpmath.exp(-mpmath.mpf(hi)) for si, hi in zip(s, hs)]
+        return float(-mpmath.log(max(masses) if top else min(masses)))
+
+
+@pytest.mark.parametrize("s, hs", [
+    ([0.5, 0.5], [800.0, 800.0]),
+    ([0.3, 0.7], [800.0, 760.0]),
+    ([0.3, 0.7], [2.0, 900.0]),
+    ([0.2, 0.8], [-800.0, -790.0]),
+])
+def test_composed_entropy_at_infinite_orders_matches_mpmath(s, hs):
+    assert composed_entropy(s, hs, POS_INF) == pytest.approx(_mp_extreme_entropy(s, hs, True),
+                                                             rel=1e-14)
+    assert composed_entropy(s, hs, NEG_INF) == pytest.approx(_mp_extreme_entropy(s, hs, False),
+                                                             rel=1e-14)
+
+
+def test_composed_entropy_at_infinite_orders_keeps_the_plain_form_where_it_is_normal():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        k = int(rng.integers(2, 6))
+        s = rng.dirichlet(np.ones(k))
+        hs = rng.uniform(0.0, 20.0, k)
+        masses = s * np.exp(-hs)
+        assert composed_entropy(s, hs, POS_INF) == -math.log(float(masses.max()))
+        assert composed_entropy(s, hs, NEG_INF) == -math.log(float(masses.min()))
+
+
 def test_composed_entropy_keeps_the_plain_sum_where_it_is_normal():
     rng = np.random.default_rng(21)
     for _ in range(50):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_quadrature as reference
+import renyiquant._quadrature as quadrature
 from renyiquant import truncated_gauss, truncated_laplace
 from renyiquant._quadrature import BLOCK_INTERVALS, call_each, integrate, integrate_many
 from renyiquant.design import optimal_point_density
@@ -14,6 +16,8 @@ LAPLACE = truncated_laplace(0.45, 0.3, 0.0, 1.0)
 # the optimal point density of the Laplace source: a pdf that calls a pdf
 POWER = optimal_point_density(LAPLACE, -2.0, 1.5)
 PDFS = {"gauss": GAUSS.pdf, "laplace": LAPLACE.pdf, "power": POWER.pdf}
+ARRAY_PDFS = {"gauss": GAUSS._pdf_values, "laplace": LAPLACE._pdf_values,
+              "power": POWER._pdf_values}
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -102,3 +106,29 @@ def test_integrate_many_gives_zero_on_an_empty_interval():
     out = integrate_many(lambda x, k: call_each(math.exp, x), [0.3, 0.5], [0.3, 0.7])
     assert out.tolist() == [0.0, reference.integrate(math.exp, 0.5, 0.7)]
     assert integrate_many(lambda x, k: x, [], []).shape == (0,)
+
+
+@contextlib.contextmanager
+def _block_size(n):
+    saved = quadrature.BLOCK_INTERVALS
+    quadrature.BLOCK_INTERVALS = n
+    try:
+        yield
+    finally:
+        quadrature.BLOCK_INTERVALS = saved
+
+
+@settings(max_examples=10, deadline=None)
+@given(pdf=st.sampled_from(sorted(ARRAY_PDFS)),
+       intervals=st.lists(_interval(), min_size=1, max_size=2 * BLOCK_INTERVALS + 3),
+       scale=st.floats(min_value=0.5, max_value=2.0))
+def test_integrate_many_does_not_depend_on_the_block_size(pdf, intervals, scale):
+    # each interval refines on its own: its block only sets what runs together
+    f = ARRAY_PDFS[pdf]
+    a, b = (np.array(col) for col in zip(*intervals))
+    weight = scale * (1.0 + np.arange(len(a)))
+    results = []
+    for n in sorted({1, 48, BLOCK_INTERVALS}):
+        with _block_size(n):
+            results.append(integrate_many(lambda x, k: weight[k] * f(x), a, b).tolist())
+    assert all(r == results[0] for r in results)

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -290,9 +292,11 @@ def test_smooth_cell_moments_match_the_recursion_on_seeded_cells(name):
     d = SMOOTH[name]
     rng = np.random.default_rng(23)
     # a cell across the kink, one beside it, one at the left end and one
-    # reaching past the support.  That one takes r = 1 and points left of its
-    # middle: a piece from the point to past the support, 0 at all three root
-    # samples, gets a tolerance of rel_tol * 1e-12 and refines almost forever.
+    # reaching past the support, which the kernel and the reference both clip
+    # to the support.  That one takes r = 1 and points left of its middle:
+    # unclipped, a piece from the point to past the support, 0 at all three
+    # root samples, gets a tolerance of rel_tol * 1e-12 and refines almost
+    # forever.
     cells = [(0.3, 0.6), tuple(np.sort(rng.uniform(0.5, 1.0, 2))), (0.0, 0.35), (0.9, 1.02)]
     for (lo, hi), r in zip(cells, (2.0, 3.0, 1.5, 1.0)):
         lo, hi = float(lo), float(hi)
@@ -312,3 +316,40 @@ def test_an_overflowing_smooth_moment_raises():
     d = truncated_gauss(0.0, 100.0, -500.0, 500.0)
     with pytest.raises(ValueError, match="overflows"):
         cell_distortion(d, -500.0, 500.0, 0.0, 200.0)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    # a cell whose quadrature runs away never returns: fail it instead
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_cell_past_the_support_is_clipped_to_it():
+    # on [0.85625, 1.4] the pdf is 0 at 1.4 and at the midpoint, and
+    # |x - 0.85625|**2 is 0 at the left end: unclipped, all three root
+    # samples are 0 and the refinement runs to depth 40
+    d = truncated_gauss(0.4, 0.3, 0.0, 1.0)
+    with _time_limit(10.0):
+        got = cell_distortion(d, 0.85625, 1.4, 0.85625, 2.0)
+        point = optimal_codepoint(Interval(0.8, 1.4), d, 3.0)
+    assert got == cell_distortion(d, 0.85625, 1.0, 0.85625, 2.0)
+    assert point == pytest.approx(optimal_codepoint(Interval(0.8, 1.0), d, 3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH))
+def test_cells_past_either_end_of_the_support_keep_the_clipped_moments(name):
+    d = SMOOTH[name]
+    s, t, c = [-0.5, 0.2, 0.9, 1.2], [0.3, 0.7, 1.6, 1.9], [0.1, 0.45, 0.95, 1.5]
+    with _time_limit(10.0):
+        got = _smooth_moments(d, s, t, c, 2.0).tolist()
+    assert got == _smooth_moments(d, [0.0, 0.2, 0.9, 1.0], [0.3, 0.7, 1.0, 1.0], c, 2.0).tolist()
+    assert got[-1] == 0.0
