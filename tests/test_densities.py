@@ -404,15 +404,15 @@ def _with_specials(d, seed, extra=()):
 
 @st.composite
 def _smooth_source(draw):
+    # the mean or center inside [0, 1], or that many spreads outside it, out
+    # to far-tail truncations
     kind = draw(st.sampled_from(["gauss", "laplace"]))
     spread = draw(st.floats(min_value=0.05, max_value=2.0))
-    # the location inside [0, 1], just outside it, or far out in a tail
-    where = draw(st.sampled_from([0.45, -1.0, 2.0, -7.0, 8.0, -30.0, 31.0]))
-    loc = where if 0.0 < where < 1.0 else where * (spread if kind == "laplace" else min(spread, 1.0))
-    assume(kind == "laplace" or abs(loc - 0.5) / spread < 30.0)
-    if kind == "gauss":
-        return truncated_gauss(loc, spread, 0.0, 1.0), [loc]
-    return truncated_laplace(loc, spread, 0.0, 1.0), [loc]
+    gap = draw(st.sampled_from([None, 1.0, 7.0] + ([30.0] if kind == "laplace" else [])))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    loc = 0.45 if gap is None else max(side, 0.0) + side * gap * spread
+    make = truncated_gauss if kind == "gauss" else truncated_laplace
+    return make(loc, spread, 0.0, 1.0), [loc]
 
 
 @settings(max_examples=25, deadline=None)
