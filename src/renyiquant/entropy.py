@@ -45,14 +45,15 @@ def _normal_sums(sums):
     return (sums >= _TINY) & (sums < np.inf)
 
 
-def _log_power_sums(p: np.ndarray, v: float, sums):
+def _log_power_sums(p, v: float, sums):
     """log of ``sums``, the sums of p**v along p's last axis.
 
     A sum outside ``_normal_sums``, where p**v has overflowed or underflowed
     at a large |v|, is replaced by the log-sum-exp over v*log(p) of its row,
     zero entries skipped.  Every other sum gets the plain log: math.log for a
     single sum and np.log row by row, which differ in the last bit, so each
-    caller keeps the arithmetic it has always had.
+    caller keeps the arithmetic it has always had.  With an array of sums,
+    p(mask) gives the rows of the masked sums, built only when needed.
     """
 
     def from_logs(rows):
@@ -66,7 +67,7 @@ def _log_power_sums(p: np.ndarray, v: float, sums):
     with np.errstate(divide="ignore"):
         logs = np.log(sums)
     if bad.any():
-        logs[bad] = from_logs(p[bad])
+        logs[bad] = from_logs(p(bad))
     return logs
 
 

@@ -3,15 +3,15 @@
 The search space is every partition of a fixed candidate boundary grid into
 at most ``max_cells`` contiguous cells, each cell carrying its exactly
 optimal codepoint.  Instances are deliberately tiny (grid of at most 32
-points, at most 8 cells) so the enumeration stays exact and fast; per-cell
-masses and distortions are cached and shared across entropy orders.
+points, at most 8 cells) so the enumeration stays exact and fast.  An n-point
+grid has only n(n - 1)/2 cells, so per-partition work reduces one n * n
+per-cell table (masses, powers, distortions) through a flat cell index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -93,8 +93,10 @@ class GridInstance:
         self.density = density
         self.grid = g
         self.max_cells = max_cells
-        self._mass_prefix = density.cdf(g)
+        pref = density.cdf(g)
+        self._cell_mass = (pref[None, :] - pref[:, None]).ravel()  # cell (i, j) at i * n + j
         self._partitions = None
+        self._cells = None
         self._mass_matrix = None
         self._per_r = {}
 
@@ -110,25 +112,40 @@ class GridInstance:
             counts = [math.comb(last - 1, k - 1) for k in range(1, self.max_cells + 1)]
             idx = np.full((sum(counts), self.max_cells + 1), last, dtype=_GRID_INDEX)
             idx[:, 0] = 0
-            row = 0
-            for k, count in enumerate(counts, start=1):
-                cuts = chain.from_iterable(combinations(range(1, last), k - 1))
-                idx[row : row + count, 1:k] = np.fromiter(
-                    cuts, dtype=_GRID_INDEX, count=count * (k - 1)
-                ).reshape(count, k - 1)
-                row += count
+            start, stop = 0, 1
+            for k in range(1, self.max_cells):
+                # each (k - 1)-cut row, in order, followed by every later cut
+                prev = idx[start:stop, :k]
+                more = last - 1 - prev[:, -1].astype(np.intp)
+                new = idx[stop : stop + counts[k]]
+                new[:, :k] = np.repeat(prev, more, axis=0)
+                new[:, k] = new[:, k - 1] + np.arange(1, counts[k] + 1) - np.repeat(
+                    np.cumsum(more) - more, more)
+                start, stop = stop, stop + counts[k]
             idx.flags.writeable = False
             self._partitions = idx
         return self._partitions
 
+    def _cell_index(self) -> np.ndarray:
+        """Row j: flat cell i * n + k of slot j of every partitions() row.
+
+        Padding cells are (last, last), whose mass and distortion are 0.
+        """
+        if self._cells is None:
+            idx = self.partitions()
+            cells = np.empty((self.max_cells, len(idx)), dtype=np.intp)
+            for j, row in enumerate(cells):
+                np.multiply(idx[:, j], len(self.grid), out=row, dtype=np.intp)
+                row += idx[:, j + 1]
+            cells.flags.writeable = False
+            self._cells = cells
+        return self._cells
+
     def mass_matrix(self) -> np.ndarray:
         """Cell masses per partition; padding cells carry an exact zero."""
         if self._mass_matrix is None:
-            idx = self.partitions()
-            pref = self._mass_prefix
-            m = pref[idx[:, 1:]] - pref[idx[:, :-1]]
-            m.flags.writeable = False
-            self._mass_matrix = m
+            self._mass_matrix = self._cell_mass[self._cell_index().T]
+            self._mass_matrix.flags.writeable = False
         return self._mass_matrix
 
     def cell_table(self, r: float) -> CellTable:
@@ -139,7 +156,7 @@ class GridInstance:
             n = len(g)
             lo_i, hi_i = np.triu_indices(n, k=1)
             lo, hi = g[lo_i], g[hi_i]
-            mass = self._mass_prefix[hi_i] - self._mass_prefix[lo_i]
+            mass = self._cell_mass.reshape(n, n)[lo_i, hi_i]
             if np.any(mass <= 0.0):
                 k = int(np.flatnonzero(mass <= 0.0)[0])
                 raise ValueError(f"cell [{lo[k]}, {hi[k]}] carries no mass")
@@ -149,32 +166,47 @@ class GridInstance:
             dists = np.zeros((n, n))
             # the last grid index pairs with itself in padding cells: 0.0
             dists[lo_i, hi_i] = _cell_distortions(self.density, lo, hi, c, r)
-            idx = self.partitions()
-            vec = dists[idx[:, 0], idx[:, 1]]
-            for j in range(1, self.max_cells):
-                vec += dists[idx[:, j], idx[:, j + 1]]
+            vec = _partition_reduce(dists.ravel(), self._cell_index(), np.add)
             for arr in (points, dists, vec):
                 arr.flags.writeable = False
             self._per_r[r] = CellTable(points, dists, vec)
         return self._per_r[r]
 
 
-def _entropies(masses: np.ndarray, alpha: RenyiOrder) -> np.ndarray:
+def _partition_reduce(table: np.ndarray, cells: np.ndarray, op) -> np.ndarray:
+    """Reduce a flat per-cell table over each partition's cells, left to right."""
+    out = table[cells[0]]
+    for slot in cells[1:]:
+        op(out, table[slot], out=out)
+    return out
+
+
+def _partition_sums(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Sum over each partition as np.sum adds a row: by pairs of pairs at 8 cells."""
+    if len(cells) < 8:
+        return _partition_reduce(table, cells, np.add)
+    pairs = [table[a] + table[b] for a, b in zip(cells[::2], cells[1::2])]
+    return (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+
+
+def _entropies(mass: np.ndarray, cells: np.ndarray, alpha: RenyiOrder) -> np.ndarray:
+    """Entropy of order alpha of every partition, from the flat cell masses."""
     branch = branch_of(alpha)
     if branch == "pos_inf":
-        return -np.log(masses.max(axis=1))
+        return -np.log(_partition_reduce(mass, cells, np.maximum))
     if branch == "neg_inf":
-        return -np.log(np.where(masses > 0.0, masses, np.inf).min(axis=1))
+        return -np.log(_partition_reduce(np.where(mass > 0.0, mass, np.inf), cells, np.minimum))
     if branch == "shannon":
-        safe = np.where(masses > 0.0, masses, 1.0)
-        return -(safe * np.log(safe)).sum(axis=1)
+        safe = np.where(mass > 0.0, mass, 1.0)
+        return -_partition_sums(safe * np.log(safe), cells)
     v = alpha.value
     if v == 0.0:
-        return np.log((masses > 0.0).sum(axis=1))
-    powered = np.zeros_like(masses)
+        return np.log(_partition_sums((mass > 0.0).astype(float), cells))
+    powered = np.zeros_like(mass)
     with np.errstate(over="ignore"):
-        np.power(masses, v, out=powered, where=masses > 0.0)
-    return _log_power_sums(masses, v, powered.sum(axis=1)) / (1.0 - v)
+        np.power(mass, v, out=powered, where=mass > 0.0)
+    rows = lambda bad: np.ascontiguousarray(mass[cells[:, bad]].T)
+    return _log_power_sums(rows, v, _partition_sums(powered, cells)) / (1.0 - v)
 
 
 def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> OracleResult:
@@ -186,9 +218,11 @@ def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> Ora
     """
     a = as_order(alpha)
     rate = float(rate)
+    if math.isnan(rate):
+        raise ValueError(f"the rate must be a number, got {rate!r}")
     if rate < 0.0:
         raise ValueError(f"the feasible set is empty for negative rate {rate!r}")
-    ent = _entropies(inst.mass_matrix(), a)
+    ent = _entropies(inst._cell_mass, inst._cell_index(), a)
     feasible = ent <= rate + FEASIBILITY_SLACK
     count = int(feasible.sum())
     if count == 0:
@@ -225,7 +259,16 @@ def alpha_profile(inst: GridInstance, alphas, rate: float, r: float):
 def empirical_limit_probe(inst: GridInstance, alpha, r: float, rates) -> list:
     """Scaled oracle values e**(r * rate) * value along a rate schedule."""
     r = validate_exponent(r)
-    return [math.exp(r * float(R)) * brute_force_optimal(inst, alpha, R, r).value for R in rates]
+    scaled = []
+    for R in map(float, rates):
+        value = brute_force_optimal(inst, alpha, R, r).value
+        try:
+            scaled.append(math.exp(r * R) * value)
+        except OverflowError:
+            scaled.append(math.inf)
+        if not math.isfinite(scaled[-1]):
+            raise ValueError(f"the scaled oracle value at rate {R!r} overflows")
+    return scaled
 
 
 def instance_from_spec(spec: dict) -> GridInstance:

@@ -191,6 +191,16 @@ def test_oracle_baseline_round_trip(capsys, tmp_path, instance_file):
     assert out_path.read_text() == first
 
 
+def test_oracle_nan_rate_exits_two_naming_the_rate(capsys, instance_file):
+    rc = main(["oracle", "--instance", instance_file, "--alpha", "0,0.5",
+               "--rate", "nan", "--r", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "rate" in captured.err and "nan" in captured.err
+    assert "entropy budget" not in captured.err
+
+
 def test_oracle_monotonicity_violation_exits_four(capsys, instance_file,
                                                   monkeypatch):
     def broken(*args, **kwargs):

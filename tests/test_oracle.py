@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_oracle as ref
 from renyiquant import (
     GridInstance,
     Interval,
@@ -20,6 +21,8 @@ from renyiquant import (
     quantizer_entropy,
     uniform,
 )
+from renyiquant.entropy import _normal_sums
+from renyiquant.oracle import _entropies
 
 PROFILE_ORDERS = (NEG_INF, RenyiOrder(-2.0), RenyiOrder(-1.0), RenyiOrder(0.0),
                   RenyiOrder(0.5), RenyiOrder(1.0), RenyiOrder(2.0), POS_INF)
@@ -244,3 +247,88 @@ def test_cell_table_matches_the_scalar_solve(two_mass, which, r):
         part = parts[row]
         assert table.partition_distortion[row] == sum(
             table.distortions[a, b] for a, b in zip(part[:-1], part[1:]))
+
+
+def _seeded_instance(seed, n, max_cells, segments):
+    # shaped like the benchmark's oracle instances: a jittered uniform grid
+    # with the density's breakpoints on grid points
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, n)
+    grid[1:-1] += rng.uniform(-0.3, 0.3, n - 2) / (n - 1)
+    cuts = np.sort(rng.choice(np.arange(1, n - 1), segments - 1, replace=False))
+    breaks = np.concatenate(([0.0], grid[cuts], [1.0]))
+    heights = rng.uniform(0.3, 3.0, segments)
+    heights /= float(np.dot(heights, np.diff(breaks)))
+    return GridInstance(PiecewiseConstantDensity(breaks, heights), grid, max_cells)
+
+
+REFERENCE_ORDERS = (NEG_INF, RenyiOrder(-500.0), RenyiOrder(-2.0), RenyiOrder(-1.0),
+                    RenyiOrder(0.0), RenyiOrder(0.5), RenyiOrder(1.0), RenyiOrder(2.0),
+                    RenyiOrder(500.0), POS_INF)
+
+
+# (seed, grid points, max_cells, density segments); the last is the
+# benchmark's 28-point, 7-cell shape (313,912 partitions)
+@pytest.mark.parametrize("seed, n, max_cells, segments", [
+    (11, 9, 8, 2), (12, 12, 5, 3), (13, 17, 4, 5), (14, 20, 6, 4), (15, 28, 7, 6),
+])
+def test_per_cell_search_matches_the_mass_matrix_reference(seed, n, max_cells, segments):
+    inst = _seeded_instance(seed, n, max_cells, segments)
+    idx = ref.partitions(n, max_cells)
+    masses = ref.mass_matrix(inst.density.cdf(inst.grid), idx)
+    for alpha in REFERENCE_ORDERS:
+        got = _entropies(inst._cell_mass, inst._cell_index(), alpha)
+        assert np.array_equal(got, ref.entropies(masses, alpha)), alpha
+    table = inst.cell_table(2.0)
+    assert np.array_equal(table.partition_distortion,
+                          ref.partition_distortion(table.distortions, idx))
+
+
+def test_large_orders_reach_the_log_sum_exp_fallback():
+    # the +-500 reference cases above must leave the normal range, or they
+    # never test the fallback
+    inst = _seeded_instance(12, 12, 5, 3)
+    masses = ref.mass_matrix(inst.density.cdf(inst.grid), ref.partitions(12, 5))
+    for v in (-500.0, 500.0):
+        with np.errstate(over="ignore"):
+            powered = np.power(masses, v, out=np.zeros_like(masses), where=masses > 0.0)
+        assert not _normal_sums(powered.sum(axis=1)).all()
+
+
+@pytest.mark.parametrize("n, max_cells", [
+    (n, k) for n in range(2, 13) for k in range(1, min(n - 1, 8) + 1)
+] + [(32, 8)])
+def test_partition_table_matches_itertools(n, max_cells):
+    inst = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, n), max_cells)
+    parts = inst.partitions()
+    expected = ref.partitions(n, max_cells)
+    assert parts.dtype == expected.dtype
+    assert np.array_equal(parts, expected)
+
+
+def test_profile_never_builds_the_mass_matrix(two_mass):
+    inst = GridInstance(two_mass, np.linspace(0.0, 1.0, 17), 5)
+    alpha_profile(inst, PROFILE_ORDERS, math.log(3.0), 2.0)
+    assert inst._mass_matrix is None
+
+
+def test_nan_rate_is_rejected_by_name():
+    inst = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, 9), 4)
+    with pytest.raises(ValueError, match="rate.*nan"):
+        brute_force_optimal(inst, RenyiOrder(0.5), math.nan, 2.0)
+
+
+def test_probe_keeps_the_plain_product():
+    inst = GridInstance(PiecewiseConstantDensity([0.0, 0.5, 1.0], [0.5, 1.5]),
+                        np.linspace(0.0, 1.0, 13), 4)
+    rates = [0.0, 0.3, math.log(3.0), 2.0]
+    probe = empirical_limit_probe(inst, RenyiOrder(0.5), 2.0, rates)
+    assert probe == [math.exp(2.0 * R) * brute_force_optimal(inst, RenyiOrder(0.5), R, 2.0).value
+                     for R in rates]
+
+
+@pytest.mark.parametrize("rate", [400.0, math.inf])
+def test_probe_overflow_names_the_rate(rate):
+    inst = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, 9), 4)
+    with pytest.raises(ValueError, match=f"rate {rate!r}"):
+        empirical_limit_probe(inst, RenyiOrder(0.5), 2.0, [1.0, rate])
