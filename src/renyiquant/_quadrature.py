@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature and scalar search helpers.
+"""Adaptive Simpson quadrature, bisection and scalar search helpers.
 
 All integrands in this package are piecewise smooth on a compact interval,
 with the kink locations known in advance, so a Simpson rule with interval
@@ -14,7 +14,10 @@ order of additions, so each result equals the recursive one bit for bit
 (``tests/reference_quadrature.py`` keeps the recursion as the reference).
 The integrands take arrays: the smooth families give their pdfs an array
 form that equals the scalar pdf bit for bit, and ``call_each`` maps any
-other scalar callable over an array, a Python float at a time.
+other scalar callable over an array, a Python float at a time.  Bisection
+works the same way: ``bisect_many`` runs one ``bisect_increasing`` per
+bracket, all brackets a step at a time, for every smooth quantile inversion
+and every codepoint solve.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "with_array_form",
     "over_arrays",
     "bisect_increasing",
+    "bisect_many",
     "golden_extremum",
     "scan_extremum",
 ]
@@ -175,6 +179,28 @@ def bisect_increasing(f, lo, hi, target=0.0, tol=None, max_iter=200):
             a = m
         else:
             b = m
+    return 0.5 * (a + b)
+
+
+def bisect_many(below, lo, hi, tol, max_iter=200):
+    """``bisect_increasing`` on every bracket [lo[k], hi[k]] at once, step for step.
+
+    Bracket k gets the midpoints, comparisons, tolerance ``tol`` (a scalar
+    or one per bracket) and iteration cap of its own scalar call.
+    ``below(m, k)`` gets the midpoints m of the brackets k still open and
+    returns, for each, whether f_k(m) < target_k.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for _ in range(max_iter):
+        # the scalar loop stops where b - a <= tol, so a NaN width keeps going
+        live = np.flatnonzero(~(b - a <= tol))
+        if len(live) == 0:
+            break
+        al, bl = a[live], b[live]
+        m = 0.5 * (al + bl)
+        go = below(m, live)
+        a[live] = np.where(go, m, al)
+        b[live] = np.where(go, bl, m)
     return 0.5 * (a + b)
 
 

@@ -61,10 +61,15 @@ def _levels_arg(text: str) -> tuple:
         levels = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad level list {text!r}") from None
-    if not levels or any(n < 1 for n in levels):
-        raise argparse.ArgumentTypeError("levels must be positive integers")
+    return _check_levels(levels, argparse.ArgumentTypeError)
+
+
+def _check_levels(levels: tuple, error=ValueError) -> tuple:
+    """The level counts, if strictly increasing positive integers; else raises ``error``."""
+    if not levels or any(int(n) < 1 for n in levels):
+        raise error("levels must be positive integers")
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise argparse.ArgumentTypeError("levels must be strictly increasing")
+        raise error("levels must be strictly increasing")
     return levels
 
 
@@ -93,10 +98,7 @@ class SweepRequest:
     normalization: str = "entropy"
 
     def __post_init__(self):
-        if not self.levels or any(int(n) < 1 for n in self.levels):
-            raise ValueError("levels must be positive integers")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError("levels must be strictly increasing")
+        _check_levels(self.levels)
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.normalization not in ("entropy", "levels"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quadrature import scan_extremum, with_array_form
+from ._quadrature import with_array_form
 from .core import distortion_constant, validate_exponent
 from .densities import (
     Density,
@@ -19,6 +19,7 @@ from .densities import (
     SmoothDensity,
     _common_pieces,
     _pair_integral,
+    _ratio_bounds,
     require_nested_supports,
 )
 from .entropy import relative_entropy
@@ -156,8 +157,7 @@ def compressed_density(f: Density, g: Density, *, table_cells: int = 256) -> Den
     pdf = lambda y: ratio(g.quantile(y))
 
     # essential bounds of f/g are cheap to locate in x-space
-    xs = np.linspace(lo, hi, 2048)
-    vals = ratios(xs)
+    ess_inf, ess_sup = _ratio_bounds(f, g, 2048)
     breaks = sorted(
         g.cdf(x)
         for x in set(f.interior_breakpoints()) | set(g.interior_breakpoints())
@@ -169,7 +169,7 @@ def compressed_density(f: Density, g: Density, *, table_cells: int = 256) -> Den
         y_hi,
         breakpoints=breaks,
         rel_tol=1e-9,
-        ess_inf=scan_extremum(ratio, xs, vals, False),
-        ess_sup=scan_extremum(ratio, xs, vals, True),
+        ess_inf=ess_inf,
+        ess_sup=ess_sup,
         table_cells=table_cells,
     )

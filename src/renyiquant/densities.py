@@ -8,10 +8,10 @@ log-moment integrals, essential bounds, and similarity transforms.  ``cdf``
 and ``quantile`` take a scalar or a whole array of arguments and treat the
 array in one pass: a piecewise density in closed form, a smooth one with
 one batched quadrature call (``_quadrature.integrate_many``) per cdf, and
-per step of one bisection that moves every quantile argument together.  A
-sweep over level counts designs its point density once and, when the level
-counts are nested, asks it for each expander value once (see
-``compander.Compander``).
+per step of one bisection (``_quadrature.bisect_many``) that moves every
+quantile argument together.  A sweep over level counts designs its point
+density once and, when the level counts are nested, asks it for each
+expander value once (see ``compander.Compander``).
 
 Densities are immutable after construction; all caches are built eagerly in
 ``__init__`` so instances can be shared across threads.
@@ -26,7 +26,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import integrate, integrate_many, over_arrays, scan_extremum, with_array_form
+from ._quadrature import (bisect_many, integrate, integrate_many, over_arrays, scan_extremum,
+                          with_array_form)
 
 __all__ = [
     "Interval",
@@ -85,8 +86,8 @@ def _arguments(x, ok, rule: str):
     return xs
 
 
-def _cdf_arguments(x):
-    return _arguments(x, lambda v: v == v, "cdf argument must not be NaN")
+def _not_nan(x, name="cdf argument"):
+    return _arguments(x, lambda v: v == v, f"{name} must not be NaN")
 
 
 def _unit_arguments(u):
@@ -156,7 +157,7 @@ class PiecewiseConstantDensity:
         ``x`` may be a scalar, giving a float, or an array, giving an array
         of the same shape.
         """
-        xs = _cdf_arguments(x)
+        xs = _not_nan(x)
         b, cum = self.breakpoints, self._cum
         # outside the support the clipped value is replaced below
         inside = np.clip(xs, b[0], b[-1])
@@ -319,7 +320,7 @@ class SmoothDensity:
         ``x`` may be a scalar, giving a float, or an array, giving an array
         of the same shape.
         """
-        xs = _cdf_arguments(x)
+        xs = _not_nan(x)
         flat = np.ravel(xs)
         lo, hi = self._support.lo, self._support.hi
         out = np.where(flat <= lo, 0.0, 1.0)
@@ -349,28 +350,18 @@ class SmoothDensity:
         return float(out[0]) if isinstance(us, float) else out.reshape(us.shape)
 
     def _invert(self, us: np.ndarray) -> np.ndarray:
-        """quantile at each entry of the 1-D array us, step for step.
+        """quantile at each entry of the 1-D array us.
 
-        Every argument inside (0, 1) runs its own copy of
-        ``_quadrature.bisect_increasing`` on the cdf over its table cell: the
-        same tolerance, midpoints, comparisons and iteration cap.
+        Every argument inside (0, 1) bisects the cdf over its table cell, all
+        in one ``_quadrature.bisect_many`` call, with tolerance 1e-13 times
+        the support width.
         """
         out = np.where(us <= 0.0, self._support.lo, self._support.hi)
         inside = np.flatnonzero((us > 0.0) & (us < 1.0))
         u = us[inside]
         j = np.minimum(np.searchsorted(self._cum, u, side="right") - 1, len(self._edges) - 2)
-        a, b = self._edges[j], self._edges[j + 1]
-        tol = 1e-13 * self._support.width
-        for _ in range(200):
-            live = np.flatnonzero(b - a > tol)
-            if len(live) == 0:
-                break
-            al, bl = a[live], b[live]
-            m = 0.5 * (al + bl)
-            below = self._cdf_inside(m) < u[live]
-            a[live] = np.where(below, m, al)
-            b[live] = np.where(below, bl, m)
-        out[inside] = 0.5 * (a + b)
+        out[inside] = bisect_many(lambda m, k: self._cdf_inside(m) < u[k], self._edges[j],
+                                  self._edges[j + 1], 1e-13 * self._support.width)
         return out
 
     def power_integral(self, p: float) -> float:
@@ -561,6 +552,25 @@ def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
     widths = np.diff(edges, axis=1)
     keep = widths > 0.0
     return widths[keep], f_heights[keep], g_heights[keep]
+
+
+def _ratio_bounds(f: Density, g: Density, points: int):
+    """Essential infimum and supremum of f/g over the support of f, which g must cover.
+
+    Two piecewise densities give the extreme height ratios of their common
+    refinement; otherwise the array ratio at ``points`` evenly spaced points
+    is refined by ``_quadrature.scan_extremum`` with the scalar ratio.
+    """
+    if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
+        _, hf, hg = _common_pieces(f, g)
+        return float((hf / hg).min()), float((hf / hg).max())
+    xs = np.linspace(f.support.lo, f.support.hi, points)
+    with np.errstate(all="ignore"):
+        vals = f._pdf_values(xs) / g._pdf_values(xs)
+    if not np.isfinite(vals).all():
+        raise ValueError("the density ratio is unbounded: the second density vanishes")
+    ratio = lambda x: f.pdf(x) / g.pdf(x)
+    return scan_extremum(ratio, xs, vals, False), scan_extremum(ratio, xs, vals, True)
 
 
 def _pair_integral(f: Density, g: Density, phi) -> float:

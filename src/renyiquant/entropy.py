@@ -11,15 +11,8 @@ import math
 
 import numpy as np
 
-from ._quadrature import scan_extremum
 from .core import as_order, branch_of
-from .densities import (
-    Density,
-    PiecewiseConstantDensity,
-    _common_pieces,
-    _pair_integral,
-    require_nested_supports,
-)
+from .densities import Density, _pair_integral, _ratio_bounds, require_nested_supports
 
 __all__ = ["renyi_entropy", "differential_entropy", "relative_entropy"]
 
@@ -138,17 +131,6 @@ def differential_entropy(d: Density, alpha) -> float:
     return math.log(integral) / (1.0 - v)
 
 
-def _ratio_extremum(f: Density, g: Density, maximize: bool) -> float:
-    if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        _, hf, hg = _common_pieces(f, g)
-        ratios = hf / hg
-        return float(ratios.max() if maximize else ratios.min())
-    xs = np.linspace(f.support.lo, f.support.hi, 4096)
-    ratio = lambda x: f.pdf(x) / g.pdf(x)
-    vals = np.array([ratio(float(x)) for x in xs])
-    return scan_extremum(ratio, xs, vals, maximize)
-
-
 def relative_entropy(f: Density, g: Density, alpha) -> float:
     """Divergence of order alpha of f from g.
 
@@ -160,10 +142,9 @@ def relative_entropy(f: Density, g: Density, alpha) -> float:
     require_nested_supports(f, g)
     a = as_order(alpha)
     branch = branch_of(a)
-    if branch == "pos_inf":
-        return math.log(_ratio_extremum(f, g, maximize=True))
-    if branch == "neg_inf":
-        return math.log(_ratio_extremum(f, g, maximize=False))
+    if branch in ("pos_inf", "neg_inf"):
+        low, high = _ratio_bounds(f, g, 4096)
+        return math.log(high if branch == "pos_inf" else low)
     if branch == "shannon":
         return _pair_integral(f, g, lambda w, hf, hg: w * hf * math.log(hf / hg))
     v = a.value

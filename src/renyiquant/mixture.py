@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import as_order, branch_of, exponents, validate_exponent
-from .densities import Density, PiecewiseConstantDensity
-from .entropy import _log_sum_exp, _normal_sums
+from .densities import Density, Interval, PiecewiseConstantDensity
+from .entropy import _clean_weights as _entropy_weights, _log_sum_exp, _normal_sums
 from .quantizer import IntervalQuantizer
 
 __all__ = [
@@ -69,8 +69,6 @@ class MixtureSpec:
 
     @property
     def span(self):
-        from .densities import Interval
-
         return Interval(self.components[0].density.support.lo, self.components[-1].density.support.hi)
 
     def is_abutting(self) -> bool:
@@ -103,13 +101,10 @@ class MixtureSpec:
 
 
 def _clean_weights(weights) -> np.ndarray:
+    """The weight vector, after ``entropy._clean_weights`` and with every weight positive."""
     s = np.ascontiguousarray(weights, dtype=float)
-    if s.ndim != 1 or len(s) < 1:
-        raise ValueError("weights must be a nonempty 1-d vector")
-    if np.any(~np.isfinite(s)) or np.any(s <= 0.0):
-        raise ValueError("weights must be positive and finite")
-    if abs(float(s.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {float(s.sum())!r}")
+    if len(_entropy_weights(s)) < s.size:
+        raise ValueError("weights must be positive")
     return s
 
 

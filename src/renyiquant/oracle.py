@@ -19,7 +19,7 @@ import numpy as np
 from .core import RenyiOrder, as_order, branch_of, validate_exponent
 from .densities import PiecewiseConstantDensity, density_from_spec, density_to_spec
 from .entropy import _log_power_sums
-from .quantizer import IntervalQuantizer, _cell_distortions, _optimal_codepoints
+from .quantizer import IntervalQuantizer, _cell_moments, _optimal_codepoints
 
 __all__ = [
     "GridInstance",
@@ -165,7 +165,7 @@ class GridInstance:
             points[lo_i, hi_i] = c
             dists = np.zeros((n, n))
             # the last grid index pairs with itself in padding cells: 0.0
-            dists[lo_i, hi_i] = _cell_distortions(self.density, lo, hi, c, r)
+            dists[lo_i, hi_i] = _cell_moments(self.density, lo, hi, c, r)
             vec = _partition_reduce(dists.ravel(), self._cell_index(), np.add)
             for arr in (points, dists, vec):
                 arr.flags.writeable = False

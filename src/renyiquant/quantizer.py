@@ -6,7 +6,10 @@ closed on the left.  Distortion and cell masses are evaluated in closed form
 against piecewise-constant densities, one array pass over all cells and
 density pieces.  Against smooth densities the cell masses are differences of
 one array cdf call, and every cell moment goes through ``_smooth_moments``:
-one batched adaptive-Simpson call over the pieces of all cells.
+one batched adaptive-Simpson call over the pieces of all cells.  Per-cell
+work dispatches on the family in ``_cell_moments`` (distortions) and
+``_balances`` (codepoint balances); every codepoint solve, for one cell or
+many, is one ``_quadrature.bisect_many`` call on ``_balances``.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import bisect_increasing, integrate_many
-from .densities import Density, Interval, PiecewiseConstantDensity, SmoothDensity, _cut_cells
+from ._quadrature import bisect_many, integrate_many
+from .core import validate_exponent
+from .densities import (Density, Interval, PiecewiseConstantDensity, SmoothDensity, _cut_cells,
+                        _not_nan)
 from .entropy import renyi_entropy
 
 __all__ = [
@@ -70,7 +75,7 @@ class IntervalQuantizer:
         """Cell index of x; the first cell is closed on the left."""
         x = float(x)
         b = self.boundaries
-        if x < b[0] or x > b[-1]:
+        if not b[0] <= x <= b[-1]:
             raise ValueError(f"{x!r} is outside the quantizer span [{b[0]}, {b[-1]}]")
         idx = int(np.searchsorted(b, x, side="left")) - 1
         return min(max(idx, 0), self.levels - 1)
@@ -127,8 +132,6 @@ def quantizer_entropy(q: IntervalQuantizer, d: Density, alpha) -> float:
 
 def distortion(q: IntervalQuantizer, d: Density, r: float) -> float:
     """Expected r-th power error of the quantizer against the density."""
-    from .core import validate_exponent
-
     r = validate_exponent(r)
     _check_covers(q, d)
     lo, hi, c = q.boundaries[:-1], q.boundaries[1:], q.codepoints
@@ -189,11 +192,6 @@ def _distortion_pieces(c, r: float):
         return h * (psi[:, 1:] - psi[:, :-1])
 
     return pieces
-
-
-def _cell_distortions(d: PiecewiseConstantDensity, lo, hi, c, r: float) -> np.ndarray:
-    """Integral of |x - c[k]|**r over each cell [lo[k], hi[k]]."""
-    return _piecewise_cell_sums(d, lo, hi, _distortion_pieces(c, r))
 
 
 def _codepoint_balances(d: PiecewiseConstantDensity, lo, hi, a, r: float) -> np.ndarray:
@@ -257,16 +255,30 @@ def _smooth_moments(d: SmoothDensity, s, t, c, p: float) -> np.ndarray:
     return total
 
 
+def _cell_moments(d: Density, lo, hi, c, p: float) -> np.ndarray:
+    """Integral of |x - c[k]|**p against the density over each cell [lo[k], hi[k]]."""
+    if isinstance(d, PiecewiseConstantDensity):
+        return _piecewise_cell_sums(d, lo, hi, _distortion_pieces(c, p))
+    return _smooth_moments(d, lo, hi, c, p)
+
+
+def _balances(d: Density, lo, hi, a, r: float) -> np.ndarray:
+    """One-sided (r-1)-moments of each cell [lo[k], hi[k]] about a[k], left minus right."""
+    if isinstance(d, PiecewiseConstantDensity):
+        return _codepoint_balances(d, lo, hi, a, r)
+    n = len(a)
+    sides = _smooth_moments(d, np.concatenate((lo, a)), np.concatenate((a, hi)),
+                            np.concatenate((a, a)), r - 1.0)
+    return sides[:n] - sides[n:]
+
+
 def cell_distortion(d: Density, lo: float, hi: float, c: float, r: float) -> float:
     """Integral of |x - c|**r against the density over a single cell."""
-    from .core import validate_exponent
-
     r = validate_exponent(r)
+    lo, hi, c = _not_nan(lo, "lo"), _not_nan(hi, "hi"), _not_nan(c, "c")
     if hi <= lo:
         return 0.0
-    if isinstance(d, PiecewiseConstantDensity):
-        return float(_cell_distortions(d, [lo], [hi], [c], r)[0])
-    return float(_smooth_moments(d, [lo], [hi], [c], r)[0])
+    return float(_cell_moments(d, [lo], [hi], [c], r)[0])
 
 
 def optimal_codepoint(cell: Interval, d: Density, r: float) -> float:
@@ -276,57 +288,31 @@ def optimal_codepoint(cell: Interval, d: Density, r: float) -> float:
     bisection brackets the stationary point; for r = 2 this is the
     conditional mean, for r = 1 the conditional median.
     """
-    from .core import validate_exponent
-
     r = validate_exponent(r)
     lo, hi = cell.lo, cell.hi
-    mass = d.cdf(hi) - d.cdf(lo)
-    if mass <= 0.0:
+    if d.cdf(hi) - d.cdf(lo) <= 0.0:
         raise ValueError(f"cell [{lo}, {hi}] carries no mass")
-
-    if isinstance(d, PiecewiseConstantDensity):
-        def balance(a):
-            return float(_codepoint_balances(d, [lo], [hi], [a], r)[0])
-    else:
-        def balance(a):
-            left, right = _smooth_moments(d, [lo, a], [a, hi], [a, a], r - 1.0).tolist()
-            return left - right
-
-    return bisect_increasing(balance, lo, hi, target=0.0, tol=1e-13 * (hi - lo))
+    return float(_optimal_codepoints(d, np.array([lo]), np.array([hi]), r)[0])
 
 
-def _optimal_codepoints(d: PiecewiseConstantDensity, lo: np.ndarray, hi: np.ndarray,
-                        r: float) -> np.ndarray:
-    """optimal_codepoint for many cells at once, step for step.
+def _optimal_codepoints(d: Density, lo: np.ndarray, hi: np.ndarray, r: float) -> np.ndarray:
+    """Optimal codepoint of every cell [lo[k], hi[k]], in one ``bisect_many`` call.
 
-    Every cell runs its own copy of bisect_increasing on the moment balance:
-    the same tolerance, midpoints, comparisons and iteration cap, so each
-    result equals the scalar one exactly.
+    Each cell gets what a scalar ``bisect_increasing`` call on its balance
+    alone gives, with tolerance 1e-13 times the cell width.
     """
-    tol = 1e-13 * (hi - lo)
-    a, b = lo.copy(), hi.copy()
-    for _ in range(200):
-        live = np.flatnonzero(b - a > tol)
-        if len(live) == 0:
-            break
-        al, bl = a[live], b[live]
-        m = 0.5 * (al + bl)
-        below = _codepoint_balances(d, lo[live], hi[live], m, r) < 0.0
-        a[live] = np.where(below, m, al)
-        b[live] = np.where(below, bl, m)
-    return 0.5 * (a + b)
+    return bisect_many(lambda m, k: _balances(d, lo[k], hi[k], m, r) < 0.0, lo, hi,
+                       1e-13 * (hi - lo))
 
 
 def improve_codepoints(q: IntervalQuantizer, d: Density, r: float) -> IntervalQuantizer:
     """Replace each codepoint by the cell optimum; zero-mass cells keep theirs."""
-    new_points = []
-    for i in range(q.levels):
-        cell = Interval(float(q.boundaries[i]), float(q.boundaries[i + 1]))
-        if d.cdf(cell.hi) - d.cdf(cell.lo) > 0.0:
-            new_points.append(optimal_codepoint(cell, d, r))
-        else:
-            new_points.append(float(q.codepoints[i]))
-    return IntervalQuantizer(q.boundaries, np.asarray(new_points))
+    r = validate_exponent(r)
+    b = q.boundaries
+    live = np.flatnonzero(np.diff(d.cdf(b)) > 0.0)
+    points = q.codepoints.copy()
+    points[live] = _optimal_codepoints(d, b[:-1][live], b[1:][live], r)
+    return IntervalQuantizer(b, points)
 
 
 def uniform_quantizer(interval: Interval, n: int) -> IntervalQuantizer:

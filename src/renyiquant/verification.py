@@ -37,6 +37,7 @@ from .mixture import (
 )
 from .oracle import GridInstance, MonotonicityError, alpha_profile, brute_force_optimal
 from .quantizer import (
+    IntervalQuantizer,
     cell_masses,
     distortion,
     transform_quantizer,
@@ -238,8 +239,6 @@ def _random_quantizer(rng, support: Interval, n: int):
     cuts = np.sort(rng.uniform(support.lo, support.hi, size=n - 1))
     bounds = np.concatenate(([support.lo], cuts, [support.hi]))
     points = (bounds[:-1] + bounds[1:]) / 2.0
-    from .quantizer import IntervalQuantizer
-
     return IntervalQuantizer(bounds, points)
 
 

@@ -172,6 +172,17 @@ def test_sweep_request_validation():
         ConvergenceReport(((2, 1.0, 0.1, -0.5),), 0.5, 0.0)
 
 
+@pytest.mark.parametrize("levels, message", [((0, 2), "levels must be positive integers"),
+                                             ((4, 2), "levels must be strictly increasing")])
+def test_sweep_levels_get_one_check_and_message(capsys, density_file, levels, message):
+    with pytest.raises(ValueError, match=message):
+        SweepRequest({}, None, 2.0, levels, None, "csv")
+    rc = main(["sweep", "--density", density_file, "--alpha", "0.5", "--r", "2",
+               "--levels", ",".join(map(str, levels))])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_oracle_baseline_round_trip(capsys, tmp_path, instance_file):
     out_path = tmp_path / "baseline.json"
     rc, _ = run_cli(capsys, "oracle", "--instance", instance_file,

@@ -10,10 +10,15 @@ from renyiquant import (
     POS_INF,
     RenyiOrder,
     differential_entropy,
+    PiecewiseConstantDensity,
     relative_entropy,
     renyi_entropy,
+    truncated_gauss,
+    truncated_laplace,
     uniform,
 )
+from renyiquant._quadrature import scan_extremum
+from renyiquant.design import optimal_point_density
 
 ALL_ORDERS = (NEG_INF, RenyiOrder(-2.0), RenyiOrder(0.0), RenyiOrder(0.5),
               RenyiOrder(1.0), RenyiOrder(2.0), POS_INF)
@@ -108,6 +113,32 @@ def test_relative_entropy_to_self_is_zero(two_mass, alpha):
 def test_relative_entropy_requires_nested_support(two_mass):
     with pytest.raises(ValueError):
         relative_entropy(uniform(0.0, 2.0), two_mass, RenyiOrder(0.5))
+
+
+GAUSS = truncated_gauss(0.45, 0.3, 0.0, 1.0)
+LAPLACE = truncated_laplace(0.45, 0.3, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("f, g", [
+    (GAUSS, optimal_point_density(GAUSS, 0.5, 2.0)),
+    (LAPLACE, optimal_point_density(LAPLACE, -2.0, 1.5)),
+    (LAPLACE, GAUSS),
+    (PiecewiseConstantDensity([0.0, 0.3, 1.0], [0.5, 8.5 / 7.0]), GAUSS),
+    (uniform(0.0, 1.0), LAPLACE),
+], ids=["gauss_design", "laplace_design", "laplace_gauss", "piecewise_gauss", "uniform_laplace"])
+def test_infinite_order_divergence_is_the_scalar_ratio_scan(f, g):
+    # the 4096-point scan of f/g, one scalar pdf call per point, then refined
+    grid = np.linspace(f.support.lo, f.support.hi, 4096)
+    ratio = lambda x: f.pdf(x) / g.pdf(x)
+    vals = np.array([ratio(x) for x in grid.tolist()])
+    assert relative_entropy(f, g, POS_INF) == math.log(scan_extremum(ratio, grid, vals, True))
+    assert relative_entropy(f, g, NEG_INF) == math.log(scan_extremum(ratio, grid, vals, False))
+
+
+def test_infinite_order_divergence_rejects_a_vanishing_second_density():
+    # the narrow Gaussian's pdf underflows to 0 well inside [0, 1]
+    with pytest.raises(ValueError, match="unbounded"):
+        relative_entropy(uniform(0.0, 1.0), truncated_gauss(0.0, 0.01, 0.0, 1.0), POS_INF)
 
 
 def test_relative_entropy_smooth_pair_matches_moment():

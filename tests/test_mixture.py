@@ -22,6 +22,7 @@ from renyiquant import (
     f_functional,
     f_minimizer,
     predicted_limit,
+    renyi_entropy,
     uniform,
     uniform_optimal,
     uniform_quantizer,
@@ -49,6 +50,23 @@ def test_mixture_validation():
                      MixtureComponent(0.5, uniform(0.8, 2.0))])
     with pytest.raises(ValueError):
         MixtureComponent(0.0, uniform(0.0, 1.0))
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [0.5, 0.5 + 5e-10, -5e-10]])
+def test_mixture_functions_need_positive_weights(weights):
+    calls = [
+        lambda: allocation_weights(weights, 0.5, 2.0),
+        lambda: allocate_rates(weights, 0.5, 2.0, 3.0),
+        lambda: check_rate_condition(weights, [1.0, 1.0, 1.0], 1.0, 0.5),
+        lambda: composed_entropy(weights, [1.0, 1.0, 1.0], 0.5),
+        lambda: f_functional(weights, [1.0, 1.0, 1.0], 2.0),
+        lambda: f_minimizer(weights, 0.5, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="weights must be positive"):
+            call()
+    # the entropy of a mass vector drops those entries instead
+    assert renyi_entropy(weights, 0.5) == renyi_entropy(weights[:2], 0.5)
 
 
 def test_combined_density_scales_heights(two_mass):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import reference_quadrature as reference
 import renyiquant._quadrature as quadrature
 from renyiquant import truncated_gauss, truncated_laplace
-from renyiquant._quadrature import BLOCK_INTERVALS, call_each, integrate, integrate_many
+from renyiquant._quadrature import (BLOCK_INTERVALS, bisect_increasing, bisect_many, call_each,
+                                   integrate, integrate_many)
 from renyiquant.design import optimal_point_density
 
 GAUSS = truncated_gauss(0.4, 0.3, 0.0, 1.0)
@@ -132,3 +133,42 @@ def test_integrate_many_does_not_depend_on_the_block_size(pdf, intervals, scale)
         with _block_size(n):
             results.append(integrate_many(lambda x, k: weight[k] * f(x), a, b).tolist())
     assert all(r == results[0] for r in results)
+
+
+@st.composite
+def _bracket(draw):
+    lo = draw(st.floats(min_value=-10.0, max_value=10.0))
+    # open, zero-width and already converged brackets (width <= tol)
+    width = draw(st.sampled_from([0.0, 1e-300, 1e-14]) | st.floats(min_value=0.0, max_value=10.0))
+    tol = draw(st.sampled_from([0.0, 1e-13, 1e-6, 1.0]))
+    # a nondecreasing step function with flat stretches: f(x) = floor(scale * x)
+    scale = draw(st.floats(min_value=0.5, max_value=1e3))
+    target = draw(st.floats(min_value=-1e4, max_value=1e4))
+    return lo, lo + width, tol, scale, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(brackets=st.lists(_bracket(), min_size=1, max_size=8), shared_tol=st.booleans(),
+       max_iter=st.sampled_from([0, 1, 5, 40, 200]))
+def test_bisect_many_is_one_bisect_increasing_per_bracket(brackets, shared_tol, max_iter):
+    lo, hi, tol, scale, target = (np.array(col) for col in zip(*brackets))
+    if shared_tol:
+        tol = np.full(len(lo), tol[0])
+    expected = [bisect_increasing(lambda x, s=s: math.floor(s * x), a, b, t, e, max_iter)
+                for a, b, e, s, t in zip(*(col.tolist() for col in (lo, hi, tol, scale, target)))]
+    got = bisect_many(lambda m, k: np.floor(scale[k] * m) < target[k], lo, hi,
+                      tol[0] if shared_tol else tol, max_iter)
+    assert got.tolist() == expected
+
+
+def test_bisect_many_asks_only_for_the_open_brackets():
+    asked = []
+
+    def below(m, k):
+        asked.append(k.tolist())
+        return m < 0.3
+
+    got = bisect_many(below, [0.0, 0.5, 0.0], [1.0, 0.5, 1.0], [1e-3, 1e-3, 1.0], max_iter=3)
+    # the zero-width bracket and the one already within its tolerance are never asked
+    assert asked == [[0], [0], [0]]
+    assert got.tolist() == [0.3125, 0.5, 0.5]

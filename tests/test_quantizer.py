@@ -55,6 +55,11 @@ def test_quantize_maps_to_cell_indices():
         q.quantize(1.5)
 
 
+def test_quantize_rejects_nan():
+    with pytest.raises(ValueError, match="outside the quantizer span"):
+        uniform_quantizer(Interval(0.0, 1.0), 4).quantize(float("nan"))
+
+
 def test_uniform_quantizer_figures():
     q = uniform_quantizer(Interval(0.0, 1.0), 4)
     u = uniform(0.0, 1.0)
@@ -126,6 +131,46 @@ def test_improve_codepoints_keeps_empty_cells():
     better = improve_codepoints(q, uniform(0.0, 0.5), 2.0)
     assert better.codepoints[3] == q.codepoints[3]
     assert better.codepoints[0] == pytest.approx(0.125, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.5, float("nan")])
+def test_improve_codepoints_checks_r_when_no_cell_has_mass(r):
+    with pytest.raises(ValueError, match="distortion exponent"):
+        improve_codepoints(uniform_quantizer(Interval(2.0, 3.0), 2), uniform(0.0, 1.0), r)
+
+
+@pytest.mark.parametrize("d, r", [
+    (PiecewiseConstantDensity([0.0, 0.3, 1.0], [0.5, 8.5 / 7.0]), 3.0),
+    (SMOOTH["laplace"], 1.5),
+], ids=["piecewise", "laplace"])
+def test_improve_codepoints_is_the_per_cell_solve(d, r):
+    # the two cells left of the support carry no mass and keep their codepoints
+    q = uniform_quantizer(Interval(-0.5, 1.0), 6)
+    expected = [optimal_codepoint(Interval(lo, hi), d, r) if d.cdf(hi) - d.cdf(lo) > 0.0 else c
+                for lo, hi, c in zip(q.boundaries[:-1].tolist(), q.boundaries[1:].tolist(),
+                                     q.codepoints.tolist())]
+    assert improve_codepoints(q, d, r).codepoints.tolist() == expected
+    assert expected[:2] == q.codepoints[:2].tolist()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("d", [PiecewiseConstantDensity([0.0, 0.3, 1.0], [0.5, 8.5 / 7.0]),
+                               SMOOTH["gauss"]], ids=["piecewise", "gauss"])
+@pytest.mark.parametrize("name, cell", [("lo", (NAN, 0.6, 0.3)), ("hi", (0.2, NAN, 0.3)),
+                                        ("c", (0.2, 0.6, NAN))])
+def test_cell_distortion_rejects_nan_naming_the_argument(d, name, cell):
+    with pytest.raises(ValueError, match=f"^{name} must not be NaN"):
+        cell_distortion(d, *cell, 2.0)
+
+
+@pytest.mark.parametrize("d", [PiecewiseConstantDensity([0.0, 0.3, 1.0], [0.5, 8.5 / 7.0]),
+                               SMOOTH["gauss"]], ids=["piecewise", "gauss"])
+def test_cell_distortion_keeps_empty_cells_and_infinite_ends(d):
+    assert cell_distortion(d, 0.6, 0.2, 0.3, 2.0) == 0.0
+    assert cell_distortion(d, -math.inf, math.inf, 0.3, 2.0) == cell_distortion(
+        d, 0.0, 1.0, 0.3, 2.0)
 
 
 def test_transform_quantizer(two_mass):
