@@ -13,8 +13,8 @@ quantile argument together.  A sweep over level counts designs its point
 density once and, when the level counts are nested, asks it for each
 expander value once (see ``compander.Compander``).
 
-Densities are immutable after construction; all caches are built eagerly in
-``__init__`` so instances can be shared across threads.
+Densities are immutable; all caches, ``support`` among them, are built
+eagerly in ``__init__`` so instances can be shared across threads.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ ESS_SCAN_POINTS = 4096
 
 @dataclass(frozen=True, order=True)
 class Interval:
-    """Closed bounded interval [lo, hi] with lo < hi."""
+    """Closed bounded interval [lo, hi] with lo < hi and a finite width."""
 
     lo: float
     hi: float
@@ -59,6 +59,8 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if not lo < hi:
             raise ValueError(f"interval must satisfy lo < hi, got [{lo}, {hi}]")
+        if hi - lo == math.inf:
+            raise ValueError(f"interval width overflows, got [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -107,13 +109,13 @@ class PiecewiseConstantDensity:
         h = np.ascontiguousarray(heights, dtype=float)
         if b.ndim != 1 or h.ndim != 1 or len(b) != len(h) + 1 or len(h) < 1:
             raise ValueError("need m+1 breakpoints for m >= 1 heights")
-        if not np.all(np.isfinite(b)) or not np.all(np.isfinite(h)):
+        if not (np.isfinite(b).all() and np.isfinite(h).all()):
             raise ValueError("breakpoints and heights must be finite")
-        if np.any(np.diff(b) <= 0):
+        lens = b[1:] - b[:-1]
+        if (lens <= 0.0).any():
             raise ValueError("breakpoints must be strictly increasing")
-        if np.any(h <= 0):
+        if (h <= 0.0).any():
             raise ValueError("heights must be strictly positive")
-        lens = np.diff(b)
         total = float(np.dot(h, lens))
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass must be 1 within {MASS_TOL}, got {total!r}")
@@ -122,13 +124,14 @@ class PiecewiseConstantDensity:
         self.breakpoints = b
         self.heights = h
         self._lens = lens
+        self._support = Interval(float(b[0]), float(b[-1]))
         cum = np.concatenate(([0.0], np.cumsum(h * lens)))
         cum[-1] = 1.0
         self._cum = cum
 
     @property
     def support(self) -> Interval:
-        return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
+        return self._support
 
     def interior_breakpoints(self):
         return [float(x) for x in self.breakpoints[1:-1]]
@@ -148,8 +151,7 @@ class PiecewiseConstantDensity:
         """``pdf`` at each entry of the array xs."""
         # segment k owns (b[k], b[k+1]], segment 0 also b[0]
         b = self.breakpoints
-        return np.where((xs < b[0]) | (xs > b[-1]), 0.0,
-                        self.heights[np.searchsorted(b[1:-1], xs, side="left")])
+        return np.where((xs < b[0]) | (xs > b[-1]), 0.0, self.heights[b[1:-1].searchsorted(xs)])
 
     def cdf(self, x):
         """Mass at or left of x, exact.
@@ -528,14 +530,15 @@ def _cut_cells(d: PiecewiseConstantDensity, lo, hi):
     x = d.breakpoints
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    first = np.searchsorted(x, lo, side="right")
-    count = np.maximum(np.searchsorted(x, hi, side="left") - first, 0)
+    first = x.searchsorted(lo, side="right")
+    count = np.maximum(x.searchsorted(hi) - first, 0)
     inner = np.arange(count.max())
-    idx = np.minimum(first[:, None] + inner, len(x) - 1)
     # column-major: the rows are short, so whole columns make the long loops
     edges = np.empty((len(lo), len(inner) + 2), order="F")
     edges[:, 0] = lo
-    edges[:, 1:-1] = np.where(inner < count[:, None], x[idx], hi[:, None])
+    # padding slots read a clipped index, then take hi[k]
+    inside = x.take(first[:, None] + inner, mode="clip")
+    edges[:, 1:-1] = np.where(inner < count[:, None], inside, hi[:, None])
     edges[:, -1] = hi
     return edges, d._pdf_values(0.5 * (edges[:, :-1] + edges[:, 1:]))
 
@@ -543,15 +546,13 @@ def _cut_cells(d: PiecewiseConstantDensity, lo, hi):
 def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
     """The support of f cut at the breakpoints of both densities, left to right.
 
-    Returns the piece widths and the heights of f and of g on each piece.
+    Returns the piece widths and the heights of f and of g at their midpoints.
     """
-    g_edges, g_heights = _cut_cells(g, [f.support.lo], [f.support.hi])
-    edges, f_heights = _cut_cells(f, g_edges[0, :-1], g_edges[0, 1:])
-    # every piece of row k lies inside piece k of g, where g is constant
-    g_heights = np.broadcast_to(g_heights[0][:, None], f_heights.shape)
-    widths = np.diff(edges, axis=1)
-    keep = widths > 0.0
-    return widths[keep], f_heights[keep], g_heights[keep]
+    lo, hi = f.breakpoints[0], f.breakpoints[-1]
+    cuts = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
+    edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return edges[1:] - edges[:-1], f._pdf_values(mids), g._pdf_values(mids)
 
 
 def _ratio_bounds(f: Density, g: Density, points: int):

@@ -65,23 +65,21 @@ def _log_power_sums(p, v: float, sums):
 
 
 def _clean_weights(weights) -> np.ndarray:
+    """The positive entries of a checked probability vector; as it sums to 1, some exist."""
     w = np.ascontiguousarray(weights, dtype=float)
     if w.ndim != 1 or len(w) == 0:
         raise ValueError("weights must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.any(w < -WEIGHT_TOL):
+    if (w < -WEIGHT_TOL).any():
         raise ValueError("weights must be nonnegative")
     total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"weights must sum to 1, got {total!r}")
-    pos = w[w > 0.0]
-    if len(pos) == 0:
-        raise ValueError("weights must contain a positive entry")
-    return pos
+    return w[w > 0.0]
 
 
-def renyi_entropy(weights, alpha) -> float:
+def renyi_entropy(weights, alpha) -> float | list[float]:
     """Entropy of order alpha of a probability vector.
 
     Branches: finite alpha != 1 uses log(sum p_i**alpha) / (1 - alpha),
@@ -90,8 +88,19 @@ def renyi_entropy(weights, alpha) -> float:
     alpha = 1 is the Shannon value; alpha = +inf is -log(max p_i); and
     alpha = -inf is -log(min positive p_i).  Orders within the exclusion
     window around 1 (other than exactly 1) are rejected.
+
+    ``alpha`` may also be a list or tuple of orders: the weights are then
+    checked once, and the result is a list of floats whose entry i equals
+    ``renyi_entropy(weights, alpha[i])`` bit for bit.
     """
     pos = _clean_weights(weights)
+    if isinstance(alpha, (list, tuple)):
+        return [_entropy_of(pos, a) for a in alpha]
+    return _entropy_of(pos, alpha)
+
+
+def _entropy_of(pos: np.ndarray, alpha) -> float:
+    """``renyi_entropy`` at one order, of the positive masses ``pos``."""
     a = as_order(alpha)
     branch = branch_of(a)
     if branch == "pos_inf":

@@ -130,14 +130,14 @@ def allocation_weights(weights, alpha, r: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         scale = float((s**pair.first).sum()) ** (-1.0 / (1.0 - a.value))
         t = s ** (1.0 / pair.second) * scale
-        if np.all(_normal_sums(t)):
+        if _normal_sums(t).all():
             return t
         # log t_i = -log(sum_j s_j**a1 / s_i**c) / (1-alpha), c = a1 - alpha, with
         # the ratio taken before the power so the huge exponents cannot cancel
         v, log_s = a.value, np.log(s)
         c = (1.0 - v) ** 2 / (1.0 - v + r)
         t = np.exp(-_log_sum_exp(v * log_s + c * (log_s - log_s[:, None])) / (1.0 - v))
-    if not np.all(_normal_sums(t)):
+    if not _normal_sums(t).all():
         raise ValueError(f"allocation weights at order {a.value} leave the float range")
     return t
 
@@ -179,7 +179,7 @@ def check_rate_condition(weights, rates, rate: float, alpha) -> bool:
     rs = np.ascontiguousarray(rates, dtype=float)
     if rs.shape != s.shape:
         raise ValueError("need one rate per weight")
-    if not np.all(np.isfinite(rs)):
+    if not np.isfinite(rs).all():
         raise ValueError("rates must be finite")
     a = as_order(alpha)
     if not a.is_finite or a.value < 0.0:
@@ -205,7 +205,7 @@ def composed_entropy(weights, entropies, alpha) -> float:
     hs = np.ascontiguousarray(entropies, dtype=float)
     if hs.shape != s.shape:
         raise ValueError("need one entropy per weight")
-    if not np.all(np.isfinite(hs)):
+    if not np.isfinite(hs).all():
         raise ValueError("entropies must be finite")
     a = as_order(alpha)
     branch = branch_of(a)
@@ -267,12 +267,12 @@ def f_functional(weights, values, r: float) -> float | np.ndarray:
     v = np.ascontiguousarray(values, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1:] != s.shape:
         raise ValueError("need one value per weight")
-    if not np.all(v > 0.0):
+    if not (v > 0.0).all():
         raise ValueError("values must be strictly positive")
     r = validate_exponent(r)
     with np.errstate(over="ignore"):
         f = (s * v ** (-r)).sum(axis=-1)
-    if not np.all(_normal_sums(f)):
+    if not _normal_sums(f).all():
         raise ValueError(f"f_functional at r = {r} leaves the float range")
     return float(f) if v.ndim == 1 else f
 

@@ -49,15 +49,16 @@ class IntervalQuantizer:
         c = np.ascontiguousarray(self.codepoints, dtype=float)
         if b.ndim != 1 or c.ndim != 1 or len(b) != len(c) + 1 or len(c) < 1:
             raise ValueError("need n+1 boundaries for n >= 1 codepoints")
-        if not np.all(np.isfinite(b)) or not np.all(np.isfinite(c)):
+        if not (np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("boundaries and codepoints must be finite")
-        if np.any(np.diff(b) <= 0):
+        lo, hi = b[:-1], b[1:]
+        if (hi <= lo).any():
             raise ValueError("boundaries must be strictly increasing")
         tol = CODEPOINT_TOL * (b[-1] - b[0])
-        if np.any(c < b[:-1] - tol) or np.any(c > b[1:] + tol):
+        if ((c < lo - tol) | (c > hi + tol)).any():
             raise ValueError("each codepoint must lie in the closure of its cell")
         # snap float dust back into the closed cell so the invariant is exact
-        c = np.minimum(np.maximum(c, b[:-1]), b[1:])
+        c = np.minimum(np.maximum(c, lo), hi)
         b.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "boundaries", b)
@@ -98,19 +99,20 @@ class IntervalQuantizer:
 
 
 def _check_covers(q: IntervalQuantizer, d: Density):
-    span, supp = q.span, d.support
-    tol = 1e-12 * max(span.width, 1.0)
-    if supp.lo < span.lo - tol or supp.hi > span.hi + tol:
+    supp = d.support
+    lo, hi = float(q.boundaries[0]), float(q.boundaries[-1])
+    tol = 1e-12 * max(hi - lo, 1.0)
+    if supp.lo < lo - tol or supp.hi > hi + tol:
         raise ValueError(
             f"density support [{supp.lo}, {supp.hi}] is not covered by the "
-            f"quantizer span [{span.lo}, {span.hi}]"
+            f"quantizer span [{lo}, {hi}]"
         )
 
 
 def cell_masses(q: IntervalQuantizer, d: Density) -> np.ndarray:
     """Probability carried by each cell; exact zeros stay exact."""
     _check_covers(q, d)
-    bounds = np.asarray(q.boundaries)
+    bounds = q.boundaries
     if isinstance(d, PiecewiseConstantDensity):
         # add each cell up from its pieces: no cancellation, so even tiny
         # masses keep full relative accuracy

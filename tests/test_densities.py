@@ -16,9 +16,10 @@ from renyiquant import (
     truncated_laplace,
     uniform,
 )
-from renyiquant.densities import _pair_integral, require_nested_supports
+from renyiquant.densities import _common_pieces, _pair_integral, require_nested_supports
 from renyiquant.design import optimal_point_density
 
+import reference_pieces
 import reference_quadrature as reference
 
 
@@ -32,6 +33,12 @@ def test_interval_validation():
         Interval(0.0, float("inf"))
 
 
+def test_an_interval_whose_width_overflows_is_refused():
+    with pytest.raises(ValueError, match=r"width overflows, got \[-1e\+308, 1e\+308\]"):
+        Interval(-1e308, 1e308)
+    assert Interval(-1e308, 0.0).width == 1e308
+
+
 @pytest.mark.parametrize("bps, heights", [
     ([0.0, 1.0], [0.9]),                  # mass != 1
     ([0.0, 0.5, 0.5, 1.0], [1, 1, 1]),    # repeated breakpoint
@@ -41,6 +48,75 @@ def test_interval_validation():
 def test_piecewise_validation(bps, heights):
     with pytest.raises(ValueError):
         PiecewiseConstantDensity(bps, heights)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("bps, heights, message", [
+    ([0.0, NAN, 1.0], [1.0, 1.0], "breakpoints and heights must be finite"),
+    ([0.0, 1.0], [NAN], "breakpoints and heights must be finite"),
+    ([-INF, 1.0], [1.0], "breakpoints and heights must be finite"),
+    ([0.0, 1.0], [INF], "breakpoints and heights must be finite"),
+    ([0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0], "breakpoints must be strictly increasing"),
+    ([1.0, 0.0], [1.0], "breakpoints must be strictly increasing"),
+    ([0.0, 0.5, 1.0], [0.0, 2.0], "heights must be strictly positive"),
+    ([0.0, 0.5, 1.0], [-1.0, 3.0], "heights must be strictly positive"),
+    ([0.0, 1.0], [0.9], "total mass must be 1 within 1e-12, got 0.9"),
+    ([0.0, 1.0], [1.0, 1.0], "need m\\+1 breakpoints for m >= 1 heights"),
+    ([[0.0, 1.0]], [1.0], "need m\\+1 breakpoints for m >= 1 heights"),
+])
+def test_each_piecewise_check_raises_its_message(bps, heights, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        PiecewiseConstantDensity(bps, heights)
+
+
+def test_the_piecewise_support_is_built_once(two_mass):
+    assert two_mass.support is two_mass.support
+    assert two_mass.support == Interval(0.0, 1.0)
+
+
+@st.composite
+def _nested_pair(draw):
+    """Two piecewise densities, f inside the support of g.
+
+    The breakpoints lie on lattices with steps 1/8, 1/24, 1/32 or 1/6 of the
+    unit interval, or on the ends of g's support, so breakpoints of f and g
+    are either shared or far apart.  f either lies inside g's support, or
+    reaches past both of its ends by up to the 1e-12 nesting tolerance.
+    """
+    def density(points):
+        m = len(points) - 1
+        masses = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+        return PiecewiseConstantDensity(points, masses / masses.sum() / np.diff(points))
+
+    def lattice(lo, hi):
+        n = draw(st.sampled_from([8, 24, 32, 6]))
+        grid = [lo, hi, *(k / n for k in range(n + 1) if lo < k / n < hi)]
+        return sorted(set(draw(st.lists(st.sampled_from(grid), min_size=2, max_size=6))))
+
+    gb = lattice(0.0, 1.0)
+    assume(len(gb) >= 2)
+    g = density(gb)
+    if draw(st.booleans()):
+        fb = lattice(gb[0], gb[-1])
+        assume(len(fb) >= 2)
+    else:
+        tol = 1e-12 * max(gb[-1] - gb[0], 1.0)
+        inner = [x for x in lattice(gb[0], gb[-1]) if gb[0] < x < gb[-1]]
+        fb = [gb[0] - draw(st.floats(0.0, tol)), *inner, gb[-1] + draw(st.floats(0.0, tol))]
+    f = density(fb)
+    require_nested_supports(f, g)
+    return f, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_nested_pair())
+def test_merged_common_pieces_equal_the_two_cut_reference(pair):
+    f, g = pair
+    for got, expected in zip(_common_pieces(f, g), reference_pieces.common_pieces(f, g)):
+        assert got.shape == expected.shape
+        assert (got == expected).all()
 
 
 def test_cdf_is_exact_at_breakpoints(two_mass):

@@ -20,6 +20,7 @@ from renyiquant import (
     predicted_limit_high_alpha,
     quantizer_entropy,
     truncated_gauss,
+    truncated_laplace,
     uniform,
     uniform_optimal,
 )
@@ -138,6 +139,49 @@ def test_predicted_limit_matches_mpmath_up_to_one_plus_r(segments, log_gap, r):
     alpha = 1.0 + r - 10.0**log_gap
     value = predicted_limit(d, RenyiOrder(alpha), r).value
     assert value == pytest.approx(_reference_limit(d, alpha, r), rel=1e-10)
+
+
+@st.composite
+def _far_tail_source(draw):
+    """A truncated Gaussian or Laplace on [0, 1], its mean or center ``gap`` spreads outside.
+
+    Returned with its log pdf, up to a constant, as a function mpmath evaluates.
+    """
+    kind = draw(st.sampled_from(["gauss", "laplace"]))
+    spread = draw(st.floats(min_value=0.2, max_value=2.0))
+    gap = draw(st.floats(min_value=1.0, max_value=8.0 if kind == "gauss" else 30.0))
+    loc = -gap * spread if draw(st.booleans()) else 1.0 + gap * spread
+    if kind == "gauss":
+        return truncated_gauss(loc, spread, 0.0, 1.0), lambda x: -((x - loc) / spread) ** 2 / 2
+    return truncated_laplace(loc, spread, 0.0, 1.0), lambda x: -abs(x - loc) / spread
+
+
+@settings(max_examples=4, deadline=None)
+@given(source=_far_tail_source(),
+       case=st.sampled_from([(-2.0, 2.0), (0.5, 2.0), (0.5, 1.0), (1.5, 1.0), (-2.0, 3.0)]))
+def test_far_tail_limit_and_point_density_match_mpmath(source, case):
+    d, log_pdf = source
+    a, r = case
+    xs = [0.0, 0.3, 0.7, 1.0]
+    with mpmath.workdps(50):
+        am, rm = mpmath.mpf(a), mpmath.mpf(r)
+        first = (1 - am + am * rm) / (1 - am + rm)
+        second = (1 - am + rm) / (1 - am)
+        log_z = mpmath.log(mpmath.quad(lambda x: mpmath.exp(log_pdf(x)), [0, 1]))
+
+        def power(p, x):
+            # the normalized pdf to the power p
+            return mpmath.exp(p * (log_pdf(mpmath.mpf(x)) - log_z))
+
+        limit = mpmath.quad(lambda x: power(first, x), [0, 1]) ** second / ((1 + rm) * 2 ** rm)
+        p = 1 / second
+        norm = mpmath.quad(lambda x: power(p, x), [0, 1])
+        pdf = [float(power(p, x) / norm) for x in xs]
+        cdf = [float(mpmath.quad(lambda x: power(p, x), [0, x]) / norm) for x in xs[1:3]]
+    assert predicted_limit(d, RenyiOrder(a), r).value == pytest.approx(float(limit), rel=1e-8)
+    g = optimal_point_density(d, RenyiOrder(a), r)
+    assert [g.pdf(x) for x in xs] == pytest.approx(pdf, rel=1e-9)
+    assert [g.cdf(x) for x in xs[1:3]] == pytest.approx(cdf, abs=1e-9)
 
 
 @pytest.mark.parametrize("sigma, lo, hi", [(0.1, 0.0, 1.0), (10.0, -5.0, 5.0)])

@@ -188,3 +188,45 @@ def test_entropy_matches_a_50_digit_reference(raw, v):
         exact = mpmath.log(mpmath.fsum(mpmath.mpf(float(x)) ** mpmath.mpf(v) for x in p))
         exact = float(exact / (1 - mpmath.mpf(v)))
     assert renyi_entropy(p, RenyiOrder(v)) == pytest.approx(exact, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0.5, -0.1, 0.6], "weights must be nonnegative"),
+    ([0.5, 0.6], "weights must sum to 1, got 1.1"),
+    ([0.0, 0.0, 0.0], "weights must sum to 1, got 0.0"),
+    ([[0.5, 0.5]], "weights must be a nonempty 1-d vector"),
+    ([], "weights must be a nonempty 1-d vector"),
+    ([0.5, float("inf")], "weights must be finite"),
+    ([0.5, float("nan"), 0.5], "weights must be finite"),
+])
+@pytest.mark.parametrize("alpha", [RenyiOrder(0.5), [RenyiOrder(0.5), POS_INF]])
+def test_each_weight_check_raises_its_message(weights, message, alpha):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        renyi_entropy(weights, alpha)
+
+
+@pytest.mark.parametrize("orders, message", [
+    ([RenyiOrder(0.5), 1.0 + 1e-10, POS_INF], "order 1.0000000001 is inside the exclusion window"),
+    ((NEG_INF, float("nan")), "entropy order must not be NaN"),
+])
+def test_a_bad_order_in_a_list_raises_its_message(orders, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        renyi_entropy([0.25, 0.75], orders)
+
+
+_SOME_ORDERS = st.sampled_from([-math.inf, -500.0, -2.0, 0.0, 0.5, 1.0, 2.0, 500.0, math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=st.lists(st.sampled_from([0.0, 1e-300]) | st.floats(min_value=1e-6, max_value=1.0),
+                    min_size=1, max_size=8).filter(lambda xs: sum(xs) > 0.0),
+       orders=st.lists(_SOME_ORDERS | st.floats(min_value=-600.0, max_value=600.0).filter(
+           lambda v: abs(v - 1.0) >= 1e-9), min_size=1, max_size=9),
+       as_tuple=st.booleans())
+def test_the_orders_of_one_call_equal_the_single_order_calls(raw, orders, as_tuple):
+    # zero masses, the infinite orders, order 1, and |alpha| = 500, where the
+    # power sums leave the normal range and the log-sum-exp takes over
+    p = np.asarray(raw) / sum(raw)
+    got = renyi_entropy(p, tuple(orders) if as_tuple else orders)
+    assert isinstance(got, list) and all(type(h) is float for h in got)
+    assert [h.hex() for h in got] == [renyi_entropy(p, a).hex() for a in orders]

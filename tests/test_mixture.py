@@ -69,6 +69,25 @@ def test_mixture_functions_need_positive_weights(weights):
     assert renyi_entropy(weights, 0.5) == renyi_entropy(weights[:2], 0.5)
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([0.5, -0.1, 0.6], "weights must be nonnegative"),
+    ([0.5, 0.6, 0.0], "weights must sum to 1, got 1.1"),
+    ([0.0, 0.0, 0.0], "weights must sum to 1, got 0.0"),
+    ([[0.5, 0.25, 0.25]], "weights must be a nonempty 1-d vector"),
+    ([0.5, 0.5, 0.0], "weights must be positive"),
+])
+def test_each_mixture_weight_check_raises_its_message(weights, message):
+    calls = [
+        lambda: allocation_weights(weights, 0.5, 2.0),
+        lambda: check_rate_condition(weights, [1.0, 1.0, 1.0], 1.0, 0.5),
+        lambda: composed_entropy(weights, [1.0, 1.0, 1.0], 0.5),
+        lambda: f_functional(weights, [1.0, 1.0, 1.0], 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
+
+
 def test_combined_density_scales_heights(two_mass):
     combined = halves_spec().combined_density()
     assert np.allclose(combined.breakpoints, two_mass.breakpoints)

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,29 @@ def test_quantizer_validation():
         IntervalQuantizer([0.0, 0.5, 1.0], [0.25, 0.4])  # codepoint outside cell
     q = IntervalQuantizer([0.0, 0.5, 1.0], [0.25, 0.5 - 1e-10])
     assert q.codepoints[1] == 0.5  # snapped onto the cell
+
+
+@pytest.mark.parametrize("bounds, points, message", [
+    ([0.0, float("nan"), 1.0], [0.25, 0.75], "boundaries and codepoints must be finite"),
+    ([0.0, 1.0], [float("inf")], "boundaries and codepoints must be finite"),
+    ([-float("inf"), 1.0], [0.5], "boundaries and codepoints must be finite"),
+    ([0.0, 0.5, 0.5, 1.0], [0.25, 0.5, 0.75], "boundaries must be strictly increasing"),
+    ([1.0, 0.0], [0.5], "boundaries must be strictly increasing"),
+    ([0.0, 0.5, 1.0], [0.25, 0.4], "each codepoint must lie in the closure of its cell"),
+    ([0.0, 0.5, 1.0], [0.6, 0.75], "each codepoint must lie in the closure of its cell"),
+    ([0.0, 1.0], [0.5, 0.5], "need n\\+1 boundaries for n >= 1 codepoints"),
+])
+def test_each_quantizer_check_raises_its_message(bounds, points, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        IntervalQuantizer(bounds, points)
+
+
+def test_a_cell_whose_width_overflows_is_refused_without_numpy_warnings():
+    # the width was inf, so the bisection stopped at once on the midpoint 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^interval width overflows, got \[-1e\+308, 1e\+308\]"):
+            optimal_codepoint(Interval(-1e308, 1e308), truncated_gauss(0.4, 0.3, 0, 1), 2.0)
 
 
 def test_quantize_maps_to_cell_indices():
