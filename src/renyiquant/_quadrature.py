@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature, bisection and scalar search helpers.
+"""Adaptive Simpson quadrature, bisection, scalar search and log-sum-exp helpers.
 
 All integrands in this package are piecewise smooth on a compact interval,
 with the kink locations known in advance, so a Simpson rule with interval
@@ -17,7 +17,7 @@ form that equals the scalar pdf bit for bit, and ``call_each`` maps any
 other scalar callable over an array, a Python float at a time.  Bisection
 works the same way: ``bisect_many`` runs one ``bisect_increasing`` per
 bracket, all brackets a step at a time, for every smooth quantile inversion
-and every codepoint solve.
+and every codepoint solve.  ``_log_sum_exp`` sums powers that leave the float range.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "scan_extremum",
 ]
 
+_TINY = float(np.finfo(float).tiny)
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 40
 # Intervals refined together by integrate_many.  A block keeps the value of
@@ -46,6 +47,24 @@ DEFAULT_MAX_DEPTH = 40
 # one call holds; a larger block saves numpy overhead per level (at 96 a
 # smooth sweep's peak resident set is about 2% above that at 48, at 128 3%).
 BLOCK_INTERVALS = 96
+
+
+def _log_sum_exp(t: np.ndarray) -> np.ndarray:
+    """log(sum of exp(t)) along the last axis; -inf entries add nothing.
+
+    Each row needs a finite entry.
+    """
+    top = t.max(axis=-1)
+    return top + np.log(np.exp(t - top[..., None]).sum(axis=-1))
+
+
+def _normal_sums(sums):
+    """True where a sum is finite and at least the smallest normal float.
+
+    Only there is its plain log accurate; a power sum or integral outside
+    this range has overflowed or underflowed and must be summed in logs.
+    """
+    return (sums >= _TINY) & (sums < np.inf)
 
 
 def call_each(f, xs: np.ndarray) -> np.ndarray:

@@ -11,17 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quadrature import with_array_form
 from .core import distortion_constant, validate_exponent
-from .densities import (
-    Density,
-    PiecewiseConstantDensity,
-    SmoothDensity,
-    _common_pieces,
-    _pair_integral,
-    _ratio_bounds,
-    require_nested_supports,
-)
+from .densities import Density, _compressed, _pair_integral, require_nested_supports
 from .entropy import relative_entropy
 from .quantizer import IntervalQuantizer
 
@@ -145,31 +136,4 @@ def compressed_density(f: Density, g: Density, *, table_cells: int = 256) -> Den
     require_nested_supports(f, g)
     if g.ess_bounds()[0] <= 0.0:
         raise ValueError("point density must be bounded away from zero")
-    lo, hi = f.support.lo, f.support.hi
-    if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        widths, hf, hg = _common_pieces(f, g)
-        edges = np.concatenate(([g.cdf(lo)], g.cdf(lo) + np.cumsum(widths * hg)))
-        return PiecewiseConstantDensity(edges, hf / hg)
-
-    y_lo, y_hi = g.cdf(lo), g.cdf(hi)
-    ratio = lambda x: f.pdf(x) / g.pdf(x)
-    ratios = lambda xs: f._pdf_values(xs) / g._pdf_values(xs)
-    pdf = lambda y: ratio(g.quantile(y))
-
-    # essential bounds of f/g are cheap to locate in x-space
-    ess_inf, ess_sup = _ratio_bounds(f, g, 2048)
-    breaks = sorted(
-        g.cdf(x)
-        for x in set(f.interior_breakpoints()) | set(g.interior_breakpoints())
-        if lo < x < hi
-    )
-    return SmoothDensity(
-        with_array_form(pdf, lambda ys: ratios(g.quantile(ys))),
-        y_lo,
-        y_hi,
-        breakpoints=breaks,
-        rel_tol=1e-9,
-        ess_inf=ess_inf,
-        ess_sup=ess_sup,
-        table_cells=table_cells,
-    )
+    return _compressed(f, g, table_cells)

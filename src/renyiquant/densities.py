@@ -13,6 +13,12 @@ quantile argument together.  A sweep over level counts designs its point
 density once and, when the level counts are nested, asks it for each
 expander value once (see ``compander.Compander``).
 
+Every formula that differs between the families lives here: each class
+has the private methods ``_cell_masses``, ``_moment_terms``, ``_balances``,
+``_power_density`` and ``_integral_power``, and the functions of two
+densities pick the closed form when both are piecewise.  No other module
+tests the family.
+
 Densities are immutable; all caches, ``support`` among them, are built
 eagerly in ``__init__`` so instances can be shared across threads.
 """
@@ -26,8 +32,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import (bisect_many, integrate, integrate_many, over_arrays, scan_extremum,
-                          with_array_form)
+from ._quadrature import (_log_sum_exp, _normal_sums, bisect_many, integrate, integrate_many,
+                          over_arrays, scan_extremum, with_array_form)
 
 __all__ = [
     "Interval",
@@ -125,6 +131,8 @@ class PiecewiseConstantDensity:
         self.heights = h
         self._lens = lens
         self._support = Interval(float(b[0]), float(b[-1]))
+        # heights with a 0 on either side: entry j + 1 for segment j
+        self._padded = np.concatenate(([0.0], h, [0.0]))
         cum = np.concatenate(([0.0], np.cumsum(h * lens)))
         cum[-1] = 1.0
         self._cum = cum
@@ -152,6 +160,11 @@ class PiecewiseConstantDensity:
         # segment k owns (b[k], b[k+1]], segment 0 also b[0]
         b = self.breakpoints
         return np.where((xs < b[0]) | (xs > b[-1]), 0.0, self.heights[b[1:-1].searchsorted(xs)])
+
+    def _heights_right_of(self, xs: np.ndarray) -> np.ndarray:
+        """Height just right of each entry of xs, 0 outside [b[0], b[-1]): the
+        height of a piece starting there, even one float wide."""
+        return self._padded[self.breakpoints.searchsorted(xs, side="right")]
 
     def cdf(self, x):
         """Mass at or left of x, exact.
@@ -203,6 +216,113 @@ class PiecewiseConstantDensity:
 
     def ess_bounds(self):
         return float(self.heights.min()), float(self.heights.max())
+
+    def _piece_terms(self, lo, hi, pieces) -> np.ndarray:
+        """Closed-form integrals over the pieces of many cells [lo[k], hi[k]].
+
+        Each cell is cut at the breakpoints strictly inside it: row k of
+        ``edges`` holds lo[k], those breakpoints and then hi[k], repeated out
+        to the longest row, so short rows end in empty pieces.
+        ``pieces(edges, h)`` gets those rows and the height of each piece
+        (``_heights_right_of`` its left end, 0 outside the support) and
+        returns the integral over each piece.  A piece counts only where its
+        height is positive and the padding adds 0, so elsewhere the term is
+        an exact 0.0.  Powers must go through ``np.float_power``: it calls
+        the C library ``pow`` as Python's ``**`` does, while ``np.power`` may
+        take a SIMD path that differs in the last bit.
+        """
+        x = self.breakpoints
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        first = x.searchsorted(lo, side="right")
+        count = np.maximum(x.searchsorted(hi) - first, 0)
+        inner = np.arange(count.max())
+        # column-major: the rows are short, so whole columns make the long loops
+        edges = np.empty((len(lo), len(inner) + 2), order="F")
+        edges[:, 0] = lo
+        # padding slots read a clipped index, then take hi[k]
+        inside = x.take(first[:, None] + inner, mode="clip")
+        edges[:, 1:-1] = np.where(inner < count[:, None], inside, hi[:, None])
+        edges[:, -1] = hi
+        h = self._heights_right_of(edges[:, :-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(h > 0.0, pieces(edges, h), 0.0)
+
+    def _cell_masses(self, bounds: np.ndarray) -> np.ndarray:
+        """Mass of each cell between consecutive entries of ``bounds``."""
+        # add each cell up from its pieces: no cancellation, so even tiny
+        # masses keep full relative accuracy
+        return _cell_sums(self._piece_terms(bounds[:-1], bounds[1:],
+                                            lambda edges, h: h * (edges[:, 1:] - edges[:, :-1])))
+
+    def _moment_terms(self, lo, hi, c, p: float) -> np.ndarray:
+        """Integral of |x - c[k]|**p dmu over each piece of each cell [lo[k], hi[k]].
+
+        Row k holds the pieces of cell k left to right; ``_cell_sums`` adds
+        them up.
+        """
+        rp1 = p + 1.0
+        c = np.asarray(c, dtype=float)[:, None]
+
+        def pieces(edges, h):
+            # antiderivative of |x|**p at each cut, relative to the codepoint
+            y = edges - c
+            psi = np.copysign(np.float_power(np.abs(y), rp1), y) / rp1
+            return h * (psi[:, 1:] - psi[:, :-1])
+
+        return self._piece_terms(lo, hi, pieces)
+
+    def _balances(self, lo, hi, a, r: float) -> np.ndarray:
+        """One-sided (r-1)-moments of each cell [lo[k], hi[k]] about a[k], left minus right.
+
+        Both sides go through one kernel call, rows [lo, a] first and rows
+        [a, hi] after.  On either side |x - a|**r / r integrates |x - a|**(r-1),
+        falling towards a on the left.  Since a - x and x - a differ only in
+        sign, |x - a| gives both sides' bases exactly.
+        """
+        a = np.asarray(a, dtype=float)
+        n = len(a)
+        ac = np.concatenate((a, a))[:, None]
+        left = (np.arange(2 * n) < n)[:, None]
+
+        def pieces(edges, h):
+            g = np.float_power(np.abs(edges - ac), r)
+            return h * np.where(left, g[:, :-1] - g[:, 1:], g[:, 1:] - g[:, :-1]) / r
+
+        sides = _cell_sums(self._piece_terms(np.concatenate((lo, a)), np.concatenate((a, hi)),
+                                             pieces))
+        return sides[:n] - sides[n:]
+
+    def _power_density(self, p: float, order: float) -> "PiecewiseConstantDensity":
+        """The density proportional to pdf**p; ``order`` is the order it serves.
+
+        Near order 1 + r, |p| is large and pdf**p overflows or underflows.
+        When its integral is not a normal float (``_quadrature._normal_sums``)
+        the heights are normalized in logs, as ``_integral_power`` sums them;
+        a height that still underflows to 0 raises ValueError.
+        """
+        with np.errstate(over="ignore"):
+            norm = self.power_integral(p)
+        if _normal_sums(norm):
+            heights = self.heights**p / norm
+        else:
+            t = p * np.log(self.heights)
+            t -= t.max()
+            heights = np.exp(t - _log_sum_exp(t + np.log(self._lens)))
+        if not (heights > 0.0).all():
+            raise ValueError(
+                f"the point density at order {order!r} underflows to 0 on part of the support")
+        return PiecewiseConstantDensity(self.breakpoints, heights)
+
+    def _integral_power(self, p: float, q: float) -> float:
+        """(integral of pdf**p) ** q; summed in logs where the integral
+        overflows or underflows, as it does at large |p|."""
+        with np.errstate(over="ignore"):
+            integral = self.power_integral(p)
+        if _normal_sums(integral):
+            return integral**q
+        t = p * np.log(self.heights) + np.log(self._lens)
+        return math.exp(q * float(_log_sum_exp(t)))
 
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
         """Density of c*X + t (or c*(-X) + t when reflect is set)."""
@@ -397,6 +517,77 @@ class SmoothDensity:
     def ess_bounds(self):
         return self._ess
 
+    def _cell_masses(self, bounds: np.ndarray) -> np.ndarray:
+        """Mass of each cell between consecutive entries of ``bounds``: cdf differences."""
+        masses = np.diff(self.cdf(bounds))
+        masses[masses < 0.0] = 0.0
+        return masses
+
+    def _moment_terms(self, s, t, c, p: float) -> np.ndarray:
+        """Integral of |x - c[k]|**p dmu over each cell [s[k], t[k]], as one column.
+
+        Each cell is clipped to the support and cut at the kinks and at c[k]
+        inside it.  All pieces of all cells go through one ``integrate_many``
+        call with the default tolerance and depth; each cell adds its pieces
+        left to right from 0.0, as a scalar ``integrate`` call with those
+        breakpoints does.  Powers go through ``np.float_power``.
+        """
+        supp = self._support
+        s, t = (np.clip(np.asarray(v, dtype=float), supp.lo, supp.hi) for v in (s, t))
+        c = np.asarray(c, dtype=float)
+        kinks = [np.full(len(s), x) for x in self._breaks]
+        inner = np.column_stack(kinks + [c])
+        strictly = (s[:, None] < inner) & (inner < t[:, None])
+        # cut points past the end sort last and leave empty pieces
+        cuts = np.column_stack((s, np.sort(np.where(strictly, inner, t[:, None]), axis=1), t))
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        live = hi > lo
+        centre = c[np.nonzero(live)[0]]
+
+        def values(x, k):
+            with np.errstate(over="ignore"):
+                w = np.float_power(np.abs(x - centre[k]), p)
+            if np.isinf(w).any():
+                raise ValueError("a cell moment overflows; reduce r or the cell widths")
+            # every point lies in the clipped cells, so the support test is not needed
+            return w * self._pdf_many(x)
+
+        pieces = np.zeros(lo.shape)
+        pieces[live] = integrate_many(values, lo[live], hi[live])
+        return _cell_sums(pieces)[:, None]
+
+    def _balances(self, lo, hi, a, r: float) -> np.ndarray:
+        """One-sided (r-1)-moments of each cell [lo[k], hi[k]] about a[k], left minus right."""
+        n = len(a)
+        sides = self._moment_terms(np.concatenate((lo, a)), np.concatenate((a, hi)),
+                                   np.concatenate((a, a)), r - 1.0)[:, 0]
+        return sides[:n] - sides[n:]
+
+    def _power_density(self, p: float, order: float) -> "SmoothDensity":
+        """The density proportional to pdf**p; ``order`` is the order it serves."""
+        norm = self.power_integral(p)
+        lo_f, hi_f = self._ess
+        bounds = sorted((lo_f**p / norm, hi_f**p / norm))
+
+        # the point density has this support, so it never asks outside it and
+        # the raw pdf can skip the support test of pdf
+        def pdf(x, _f=self._pdf, _p=p, _n=norm):
+            return _f(x) ** _p / _n
+
+        def many(x, _f=self._pdf_many, _p=p, _n=norm):
+            return np.float_power(_f(x), _p) / _n
+
+        return SmoothDensity(with_array_form(pdf, many), self._support.lo, self._support.hi,
+                             breakpoints=self._breaks, ess_inf=bounds[0], ess_sup=bounds[1])
+
+    def _integral_power(self, p: float, q: float) -> float:
+        """(integral of pdf**p) ** q; ValueError unless the integral is positive and finite."""
+        with np.errstate(over="ignore"):
+            integral = self.power_integral(p)
+        if not (math.isfinite(integral) and integral > 0.0):
+            raise ValueError(f"power integral of order {p} is not positive and finite")
+        return integral**q
+
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
         c = float(c)
         if not c > 0:
@@ -518,41 +709,36 @@ def require_nested_supports(f: Density, g: Density):
         )
 
 
-def _cut_cells(d: PiecewiseConstantDensity, lo, hi):
-    """Cut each cell [lo[k], hi[k]] at the density breakpoints strictly inside it.
+def _checked(total):
+    """``total``, unless some sum in it overflowed: then ValueError."""
+    if not np.isfinite(total).all():
+        raise ValueError("a closed-form cell integral overflows; reduce r or the cell widths")
+    return total
 
-    Returns ``(edges, heights)``.  Row k of ``edges`` holds lo[k], the
-    breakpoints inside the cell in increasing order, and then hi[k], repeated
-    out to the width of the row with the most breakpoints, so short rows end
-    in empty pieces.  ``heights[k, j]`` is the pdf at the midpoint of the
-    piece from ``edges[k, j]`` to ``edges[k, j + 1]``: 0 outside the support.
+
+def _cell_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row of ``terms`` added left to right from 0.0.
+
+    So a piecewise cell gives bit for bit what a scalar loop over its sorted
+    cut points gives, and a one-column smooth row gives its entry.  An
+    overflowing sum raises ValueError.
     """
-    x = d.breakpoints
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    first = x.searchsorted(lo, side="right")
-    count = np.maximum(x.searchsorted(hi) - first, 0)
-    inner = np.arange(count.max())
-    # column-major: the rows are short, so whole columns make the long loops
-    edges = np.empty((len(lo), len(inner) + 2), order="F")
-    edges[:, 0] = lo
-    # padding slots read a clipped index, then take hi[k]
-    inside = x.take(first[:, None] + inner, mode="clip")
-    edges[:, 1:-1] = np.where(inner < count[:, None], inside, hi[:, None])
-    edges[:, -1] = hi
-    return edges, d._pdf_values(0.5 * (edges[:, :-1] + edges[:, 1:]))
+    total = np.zeros(len(terms))
+    for col in terms.T:
+        total += col
+    return _checked(total)
 
 
 def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
     """The support of f cut at the breakpoints of both densities, left to right.
 
-    Returns the piece widths and the heights of f and of g at their midpoints.
+    Returns the piece widths and the heights of f and of g on each piece.
     """
     lo, hi = f.breakpoints[0], f.breakpoints[-1]
     cuts = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
     edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return edges[1:] - edges[:-1], f._pdf_values(mids), g._pdf_values(mids)
+    left = edges[:-1]
+    return edges[1:] - left, f._heights_right_of(left), g._heights_right_of(left)
 
 
 def _ratio_bounds(f: Density, g: Density, points: int):
@@ -593,6 +779,34 @@ def _pair_integral(f: Density, g: Density, phi) -> float:
 
     breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
     return float(integrate(integrand, f.support.lo, f.support.hi, breakpoints=breaks))
+
+
+def _compressed(f: Density, g: Density, table_cells: int) -> Density:
+    """Density of G(X), X drawn from f and G the cdf of g; g must cover f's
+    support and be bounded away from zero there.
+
+    Two piecewise densities give a piecewise density with the heights f/g of
+    their common refinement.  Otherwise the result is a quadrature-backed
+    density on [G(lo_f), G(hi_f)] with ``table_cells`` table cells.
+    """
+    lo, hi = f.support.lo, f.support.hi
+    if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
+        widths, hf, hg = _common_pieces(f, g)
+        edges = np.concatenate(([g.cdf(lo)], g.cdf(lo) + np.cumsum(widths * hg)))
+        return PiecewiseConstantDensity(edges, hf / hg)
+
+    y_lo, y_hi = g.cdf(lo), g.cdf(hi)
+    ratio = lambda x: f.pdf(x) / g.pdf(x)
+    ratios = lambda xs: f._pdf_values(xs) / g._pdf_values(xs)
+    pdf = lambda y: ratio(g.quantile(y))
+
+    # essential bounds of f/g are cheap to locate in x-space
+    ess_inf, ess_sup = _ratio_bounds(f, g, 2048)
+    breaks = sorted(g.cdf(x) for x in set(f.interior_breakpoints()) | set(g.interior_breakpoints())
+                    if lo < x < hi)
+    return SmoothDensity(with_array_form(pdf, lambda ys: ratios(g.quantile(ys))), y_lo, y_hi,
+                         breakpoints=breaks, rel_tol=1e-9, ess_inf=ess_inf, ess_sup=ess_sup,
+                         table_cells=table_cells)
 
 
 def density_from_spec(spec: dict) -> Density:

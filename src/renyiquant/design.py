@@ -4,7 +4,9 @@ For orders below 1 + r the scaled distortion e**(r*H) * D of a good
 companding quantizer approaches a closed-form constant; this module computes
 those constants, the point density reaching them, and the exact optimum for
 a uniform source at finite rate.  Orders at or above 1 + r scale differently
-and get their own predictor.
+and get their own predictor.  The family formulas (the density
+proportional to f**p, and (integral of f**p)**q) are methods of the density
+classes in ``densities``; this module never tests the family.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import bisect_increasing, with_array_form
+from ._quadrature import bisect_increasing
 from .compander import Compander, bennett_functional
 from .core import as_order, branch_of, distortion_constant, exponents, validate_exponent
-from .densities import Density, Interval, PiecewiseConstantDensity, SmoothDensity, uniform
-from .entropy import _log_sum_exp, _normal_sums, relative_entropy, renyi_entropy
+from .densities import Density, Interval, uniform
+from .entropy import relative_entropy, renyi_entropy
 from .quantizer import IntervalQuantizer, uniform_quantizer
 
 __all__ = [
@@ -52,50 +54,6 @@ class PredictedLimit:
     rate_exponent: float
 
 
-def _power_density(f: Density, p: float, order: float) -> Density:
-    """The density proportional to f**p; ``order`` is the order it serves.
-
-    Near order 1 + r, |p| is large and a piecewise f**p overflows or
-    underflows.  When its integral is not a normal float (the rule of
-    ``entropy._normal_sums``) the heights are normalized in logs, as
-    ``predicted_limit`` sums them; a height that still underflows to 0
-    raises ValueError.
-    """
-    if isinstance(f, PiecewiseConstantDensity):
-        with np.errstate(over="ignore"):
-            norm = f.power_integral(p)
-        if _normal_sums(norm):
-            heights = f.heights**p / norm
-        else:
-            t = p * np.log(f.heights)
-            t -= t.max()
-            heights = np.exp(t - _log_sum_exp(t + np.log(np.diff(f.breakpoints))))
-        if not np.all(heights > 0.0):
-            raise ValueError(
-                f"the point density at order {order!r} underflows to 0 on part of the support")
-        return PiecewiseConstantDensity(f.breakpoints, heights)
-    norm = f.power_integral(p)
-    lo_f, hi_f = f.ess_bounds()
-    bounds = sorted((lo_f**p / norm, hi_f**p / norm))
-
-    # the point density has f's support, so it never asks outside it and
-    # f's own pdf can skip the support test of f.pdf
-    def pdf(x, _f=f._pdf, _p=p, _n=norm):
-        return _f(x) ** _p / _n
-
-    def many(x, _f=f._pdf_many, _p=p, _n=norm):
-        return np.float_power(_f(x), _p) / _n
-
-    return SmoothDensity(
-        with_array_form(pdf, many),
-        f.support.lo,
-        f.support.hi,
-        breakpoints=f.interior_breakpoints(),
-        ess_inf=bounds[0],
-        ess_sup=bounds[1],
-    )
-
-
 def optimal_point_density(f: Density, alpha, r: float) -> Density:
     """Point density minimizing the asymptotic scaled distortion.
 
@@ -113,18 +71,22 @@ def optimal_point_density(f: Density, alpha, r: float) -> Density:
     if branch == "shannon":
         supp = f.support
         return uniform(supp.lo, supp.hi)
-    return _power_density(f, 1.0 / exponents(a, r).second, a.value)
+    return f._power_density(1.0 / exponents(a, r).second, a.value)
 
 
 def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:
     """Limit of e**(r*R) * D(R) for orders below 1 + r.
 
-    Finite alpha != 1: C(r) * (integral of f**a1) ** a2.  Near 1 + r, a1
-    is large and the integral of a piecewise f overflows or underflows; it
-    is then summed in logs.  A smooth f whose integral is not positive and
-    finite raises ValueError.
+    Finite alpha != 1: C(r) * (integral of f**a1) ** a2, summed in logs for a
+    piecewise f whose integral leaves the float range near 1 + r; a smooth f
+    whose integral is not positive and finite raises ValueError.
     alpha = 1: C(r) * exp(-r * integral of f log f).
     alpha = -inf: C(r) * integral of f**(1-r).
+
+    Proven orders: 0 and 1 (classical), [-inf, 0) and (0, 1) (the source
+    paper, arXiv:1008.1744); 1 + r and above (earlier work) is
+    ``predicted_limit_high_alpha``.  On (1, 1 + r) the value is only what
+    companding achieves, not a proven optimum.
     """
     r = validate_exponent(r)
     a = as_order(alpha)
@@ -137,14 +99,7 @@ def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:
     if branch == "shannon":
         return PredictedLimit(cr * math.exp(-r * f.log_integral()), "shannon", r)
     pair = exponents(a, r)
-    with np.errstate(over="ignore"):
-        integral = f.power_integral(pair.first)
-    if isinstance(f, PiecewiseConstantDensity) and not _normal_sums(integral):
-        t = pair.first * np.log(f.heights) + np.log(np.diff(f.breakpoints))
-        return PredictedLimit(cr * math.exp(pair.second * float(_log_sum_exp(t))), "finite", r)
-    if not (math.isfinite(integral) and integral > 0.0):
-        raise ValueError(f"power integral of order {pair.first} is not positive and finite")
-    return PredictedLimit(cr * integral ** pair.second, "finite", r)
+    return PredictedLimit(cr * f._integral_power(pair.first, pair.second), "finite", r)
 
 
 def predicted_limit_high_alpha(f: Density, alpha, r: float) -> PredictedLimit:

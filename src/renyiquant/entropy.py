@@ -11,31 +11,13 @@ import math
 
 import numpy as np
 
+from ._quadrature import _log_sum_exp, _normal_sums
 from .core import as_order, branch_of
 from .densities import Density, _pair_integral, _ratio_bounds, require_nested_supports
 
 __all__ = ["renyi_entropy", "differential_entropy", "relative_entropy"]
 
 WEIGHT_TOL = 1e-9
-_TINY = float(np.finfo(float).tiny)
-
-
-def _log_sum_exp(t: np.ndarray) -> np.ndarray:
-    """log(sum of exp(t)) along the last axis; -inf entries add nothing.
-
-    Each row needs a finite entry.
-    """
-    top = t.max(axis=-1)
-    return top + np.log(np.exp(t - top[..., None]).sum(axis=-1))
-
-
-def _normal_sums(sums):
-    """True where a sum is finite and at least the smallest normal float.
-
-    Only there is its plain log accurate; a power sum or integral outside
-    this range has overflowed or underflowed and must be summed in logs.
-    """
-    return (sums >= _TINY) & (sums < np.inf)
 
 
 def _log_power_sums(p, v: float, sums):

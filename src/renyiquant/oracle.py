@@ -17,9 +17,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import RenyiOrder, as_order, branch_of, validate_exponent
-from .densities import PiecewiseConstantDensity, density_from_spec, density_to_spec
+from .densities import PiecewiseConstantDensity, _cell_sums, density_from_spec, density_to_spec
 from .entropy import _log_power_sums
-from .quantizer import IntervalQuantizer, _cell_moments, _optimal_codepoints
+from .quantizer import IntervalQuantizer, _optimal_codepoints
 
 __all__ = [
     "GridInstance",
@@ -165,7 +165,7 @@ class GridInstance:
             points[lo_i, hi_i] = c
             dists = np.zeros((n, n))
             # the last grid index pairs with itself in padding cells: 0.0
-            dists[lo_i, hi_i] = _cell_moments(self.density, lo, hi, c, r)
+            dists[lo_i, hi_i] = _cell_sums(self.density._moment_terms(lo, hi, c, r))
             vec = _partition_reduce(dists.ravel(), self._cell_index(), np.add)
             for arr in (points, dists, vec):
                 arr.flags.writeable = False
@@ -281,8 +281,6 @@ def instance_from_spec(spec: dict) -> GridInstance:
         max_cells = spec["max_cells"]
     except KeyError as exc:
         raise ValueError(f"instance spec is missing field {exc}") from None
-    if not isinstance(density, PiecewiseConstantDensity):
-        raise ValueError("instance density must be uniform or piecewise")
     return GridInstance(density, grid, max_cells)
 
 

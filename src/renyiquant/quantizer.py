@@ -2,14 +2,15 @@
 
 A quantizer is a strictly increasing boundary vector plus one codepoint per
 cell.  Cell i covers (boundaries[i], boundaries[i+1]]; the first cell is
-closed on the left.  Distortion and cell masses are evaluated in closed form
-against piecewise-constant densities, one array pass over all cells and
-density pieces.  Against smooth densities the cell masses are differences of
-one array cdf call, and every cell moment goes through ``_smooth_moments``:
-one batched adaptive-Simpson call over the pieces of all cells.  Per-cell
-work dispatches on the family in ``_cell_moments`` (distortions) and
-``_balances`` (codepoint balances); every codepoint solve, for one cell or
-many, is one ``_quadrature.bisect_many`` call on ``_balances``.
+closed on the left.  The formulas of each density family live in
+``densities``: this module asks the density for its cell masses
+(``_cell_masses``), its moment terms (``_moment_terms``: a closed form per
+piece of each cell for a piecewise density, one batched adaptive-Simpson
+total per cell for a smooth one) and its codepoint balances
+(``_balances``), and never looks at the family.  A distortion adds all
+moment terms left to right across the span; a cell's own moment adds its
+row (``densities._cell_sums``).  Every codepoint solve, for one cell or
+many, is one ``_quadrature.bisect_many`` call on the balances.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import bisect_many, integrate_many
+from ._quadrature import bisect_many
 from .core import validate_exponent
-from .densities import (Density, Interval, PiecewiseConstantDensity, SmoothDensity, _cut_cells,
-                        _not_nan)
+from .densities import Density, Interval, _cell_sums, _checked, _not_nan
 from .entropy import renyi_entropy
 
 __all__ = [
@@ -112,15 +112,7 @@ def _check_covers(q: IntervalQuantizer, d: Density):
 def cell_masses(q: IntervalQuantizer, d: Density) -> np.ndarray:
     """Probability carried by each cell; exact zeros stay exact."""
     _check_covers(q, d)
-    bounds = q.boundaries
-    if isinstance(d, PiecewiseConstantDensity):
-        # add each cell up from its pieces: no cancellation, so even tiny
-        # masses keep full relative accuracy
-        masses = _piecewise_cell_sums(d, bounds[:-1], bounds[1:],
-                                      lambda edges, h: h * (edges[:, 1:] - edges[:, :-1]))
-    else:
-        masses = np.diff(d.cdf(bounds))
-        masses[masses < 0.0] = 0.0
+    masses = d._cell_masses(q.boundaries)
     total = float(masses.sum())
     if total <= 0.0:
         raise ValueError("density mass inside the quantizer span is zero")
@@ -136,142 +128,9 @@ def distortion(q: IntervalQuantizer, d: Density, r: float) -> float:
     """Expected r-th power error of the quantizer against the density."""
     r = validate_exponent(r)
     _check_covers(q, d)
-    lo, hi, c = q.boundaries[:-1], q.boundaries[1:], q.codepoints
-    if isinstance(d, PiecewiseConstantDensity):
-        # every piece of every cell, added left to right across the span
-        terms = _piece_terms(d, lo, hi, _distortion_pieces(c, r))
-        return float(_checked(np.cumsum(terms.ravel())[-1]))
-    # cell by cell, added left to right
-    return float(np.cumsum(_smooth_moments(d, lo, hi, c, r))[-1])
-
-
-def _piece_terms(d: PiecewiseConstantDensity, lo, hi, pieces) -> np.ndarray:
-    """Closed-form integrals over the pieces of many cells [lo[k], hi[k]].
-
-    ``densities._cut_cells`` cuts each cell at the density breakpoints inside
-    it.  ``pieces(edges, h)`` gets those cut rows and the height of each piece
-    and returns the integral over each piece.  A piece counts only where its
-    height is positive; elsewhere, and on the empty pieces that pad short
-    rows, the term is an exact 0.0.  Powers must go through
-    ``np.float_power``: it calls the C library ``pow`` as Python's ``**``
-    does, while ``np.power`` may take a SIMD path that differs in the last
-    bit.
-    """
-    edges, h = _cut_cells(d, lo, hi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(h > 0.0, pieces(edges, h), 0.0)
-
-
-def _checked(total):
-    """``total``, unless some closed-form sum in it overflowed: then ValueError."""
-    if not np.isfinite(total).all():
-        raise ValueError("a closed-form cell integral overflows; reduce r or the cell widths")
-    return total
-
-
-def _piecewise_cell_sums(d: PiecewiseConstantDensity, lo, hi, pieces) -> np.ndarray:
-    """The ``_piece_terms`` of each cell added left to right from 0.0.
-
-    So a cell gives bit for bit what a scalar loop over its sorted cut points
-    gives.  An overflowing sum raises ValueError.
-    """
-    terms = _piece_terms(d, lo, hi, pieces)
-    total = np.zeros(len(terms))
-    for col in terms.T:
-        total += col
-    return _checked(total)
-
-
-def _distortion_pieces(c, r: float):
-    """``pieces`` for the integral of |x - c[k]|**r over cell k."""
-    rp1 = r + 1.0
-    c = np.asarray(c, dtype=float)[:, None]
-
-    def pieces(edges, h):
-        # antiderivative of |x|**r at each cut, relative to the codepoint
-        y = edges - c
-        psi = np.copysign(np.float_power(np.abs(y), rp1), y) / rp1
-        return h * (psi[:, 1:] - psi[:, :-1])
-
-    return pieces
-
-
-def _codepoint_balances(d: PiecewiseConstantDensity, lo, hi, a, r: float) -> np.ndarray:
-    """One-sided (r-1)-moments of each cell [lo[k], hi[k]] about a[k], left minus right.
-
-    Both sides go through one kernel call, rows [lo, a] first and rows
-    [a, hi] after.  On either side |x - a|**r / r integrates |x - a|**(r-1),
-    falling towards a on the left.  Since a - x and x - a differ only in sign,
-    |x - a| gives both sides' bases exactly.
-    """
-    a = np.asarray(a, dtype=float)
-    n = len(a)
-    ac = np.concatenate((a, a))[:, None]
-    left = (np.arange(2 * n) < n)[:, None]
-
-    def pieces(edges, h):
-        g = np.float_power(np.abs(edges - ac), r)
-        return h * np.where(left, g[:, :-1] - g[:, 1:], g[:, 1:] - g[:, :-1]) / r
-
-    sides = _piecewise_cell_sums(d, np.concatenate((lo, a)), np.concatenate((a, hi)), pieces)
-    return sides[:n] - sides[n:]
-
-
-def _smooth_moments(d: SmoothDensity, s, t, c, p: float) -> np.ndarray:
-    """Integral of |x - c[k]|**p dmu over each cell [s[k], t[k]].
-
-    Each cell is first clipped to the support, where the pdf vanishes, and
-    then cut at the density's kinks and at c[k] where they lie strictly
-    inside it.  All pieces of all cells go through one
-    ``integrate_many`` call, with the package's default tolerance and depth;
-    each cell adds its pieces left to right from 0.0, as a scalar
-    ``integrate`` call with those breakpoints does.  The power goes through
-    ``np.float_power``, which calls the C library ``pow`` as Python's ``**``
-    does.
-    """
-    supp = d.support
-    s, t = (np.clip(np.asarray(v, dtype=float), supp.lo, supp.hi) for v in (s, t))
-    c = np.asarray(c, dtype=float)
-    kinks = [np.full(len(s), x) for x in d.interior_breakpoints()]
-    inner = np.column_stack(kinks + [c])
-    strictly = (s[:, None] < inner) & (inner < t[:, None])
-    # cut points past the end sort last and leave empty pieces
-    cuts = np.column_stack((s, np.sort(np.where(strictly, inner, t[:, None]), axis=1), t))
-    lo, hi = cuts[:, :-1], cuts[:, 1:]
-    live = hi > lo
-    centre = c[np.nonzero(live)[0]]
-
-    def values(x, k):
-        with np.errstate(over="ignore"):
-            w = np.float_power(np.abs(x - centre[k]), p)
-        if np.isinf(w).any():
-            raise ValueError("a cell moment overflows; reduce r or the cell widths")
-        # every point lies in the clipped cells, so the support test is not needed
-        return w * d._pdf_many(x)
-
-    pieces = np.zeros(lo.shape)
-    pieces[live] = integrate_many(values, lo[live], hi[live])
-    total = np.zeros(len(s))
-    for col in pieces.T:
-        total += col
-    return total
-
-
-def _cell_moments(d: Density, lo, hi, c, p: float) -> np.ndarray:
-    """Integral of |x - c[k]|**p against the density over each cell [lo[k], hi[k]]."""
-    if isinstance(d, PiecewiseConstantDensity):
-        return _piecewise_cell_sums(d, lo, hi, _distortion_pieces(c, p))
-    return _smooth_moments(d, lo, hi, c, p)
-
-
-def _balances(d: Density, lo, hi, a, r: float) -> np.ndarray:
-    """One-sided (r-1)-moments of each cell [lo[k], hi[k]] about a[k], left minus right."""
-    if isinstance(d, PiecewiseConstantDensity):
-        return _codepoint_balances(d, lo, hi, a, r)
-    n = len(a)
-    sides = _smooth_moments(d, np.concatenate((lo, a)), np.concatenate((a, hi)),
-                            np.concatenate((a, a)), r - 1.0)
-    return sides[:n] - sides[n:]
+    terms = d._moment_terms(q.boundaries[:-1], q.boundaries[1:], q.codepoints, r)
+    # every term of every cell, added left to right across the span
+    return float(_checked(np.cumsum(terms.ravel())[-1]))
 
 
 def cell_distortion(d: Density, lo: float, hi: float, c: float, r: float) -> float:
@@ -280,7 +139,7 @@ def cell_distortion(d: Density, lo: float, hi: float, c: float, r: float) -> flo
     lo, hi, c = _not_nan(lo, "lo"), _not_nan(hi, "hi"), _not_nan(c, "c")
     if hi <= lo:
         return 0.0
-    return float(_cell_moments(d, [lo], [hi], [c], r)[0])
+    return float(_cell_sums(d._moment_terms([lo], [hi], [c], r))[0])
 
 
 def optimal_codepoint(cell: Interval, d: Density, r: float) -> float:
@@ -303,7 +162,7 @@ def _optimal_codepoints(d: Density, lo: np.ndarray, hi: np.ndarray, r: float) ->
     Each cell gets what a scalar ``bisect_increasing`` call on its balance
     alone gives, with tolerance 1e-13 times the cell width.
     """
-    return bisect_many(lambda m, k: _balances(d, lo[k], hi[k], m, r) < 0.0, lo, hi,
+    return bisect_many(lambda m, k: d._balances(lo[k], hi[k], m, r) < 0.0, lo, hi,
                        1e-13 * (hi - lo))
 
 

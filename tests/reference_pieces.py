@@ -5,11 +5,24 @@ then cuts each of those pieces at the breakpoints of f inside it, with one
 ``cut_cells`` call per density.  ``renyiquant.densities._common_pieces``
 merges both breakpoint sets in one step and must return the same widths
 and heights, float for float.
+
+A piece takes the height of the segment it lies in, found from its left end
+with a scalar search, 0 outside the support.  Its midpoint would not do: a
+piece one float wide has its midpoint rounded onto one of its ends, which
+may be a breakpoint or an end of the support.
 """
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
+
+
+def height_right_of(d, x: float) -> float:
+    """Height of d on the segment (b[j], b[j + 1]] with b[j] <= x < b[j + 1]; 0 if none."""
+    j = bisect.bisect_right(d.breakpoints.tolist(), x) - 1
+    return float(d.heights[j]) if 0 <= j < len(d.heights) else 0.0
 
 
 def cut_cells(d, lo, hi):
@@ -17,7 +30,7 @@ def cut_cells(d, lo, hi):
 
     Returns ``(edges, heights)``: row k of ``edges`` holds lo[k], the inner
     breakpoints and then hi[k], repeated out to the longest row;
-    ``heights[k, j]`` is the pdf at the midpoint of piece j of row k.
+    ``heights[k, j]`` is the height of piece j of row k.
     """
     x = d.breakpoints
     lo = np.asarray(lo, dtype=float)
@@ -30,7 +43,9 @@ def cut_cells(d, lo, hi):
     edges[:, 0] = lo
     edges[:, 1:-1] = np.where(inner < count[:, None], x[idx], hi[:, None])
     edges[:, -1] = hi
-    return edges, d._pdf_values(0.5 * (edges[:, :-1] + edges[:, 1:]))
+    left = edges[:, :-1]
+    heights = np.array([height_right_of(d, x) for x in left.ravel().tolist()])
+    return edges, heights.reshape(left.shape)
 
 
 def common_pieces(f, g):

@@ -212,6 +212,20 @@ def test_oracle_nan_rate_exits_two_naming_the_rate(capsys, instance_file):
     assert "entropy budget" not in captured.err
 
 
+def test_oracle_refuses_a_smooth_instance_density(capsys, tmp_path):
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps({
+        "density": {"kind": "truncated_gauss", "mean": 0.5, "sigma": 0.3, "lo": 0.0, "hi": 1.0},
+        "grid": [0.0, 0.5, 1.0],
+        "max_cells": 2,
+    }))
+    rc = main(["oracle", "--instance", str(path), "--alpha", "0.5", "--rate", "1", "--r", "2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "piecewise-constant density" in captured.err
+
+
 def test_oracle_monotonicity_violation_exits_four(capsys, instance_file,
                                                   monkeypatch):
     def broken(*args, **kwargs):

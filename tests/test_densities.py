@@ -8,10 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from renyiquant import (
     Interval,
+    IntervalQuantizer,
     PiecewiseConstantDensity,
     SmoothDensity,
+    cell_masses,
     density_from_spec,
     density_to_spec,
+    relative_entropy,
     truncated_gauss,
     truncated_laplace,
     uniform,
@@ -117,6 +120,17 @@ def test_merged_common_pieces_equal_the_two_cut_reference(pair):
     for got, expected in zip(_common_pieces(f, g), reference_pieces.common_pieces(f, g)):
         assert got.shape == expected.shape
         assert (got == expected).all()
+
+
+def test_a_piece_one_float_wide_takes_its_own_height():
+    # the midpoint of [0.5, mid] rounds onto 0.5, where the pdf is that of the
+    # segment to the left; the middle piece carries half the mass
+    mid = math.nextafter(0.5, 1.0)
+    f = PiecewiseConstantDensity([0.0, 0.5, mid, 1.0], [0.5, 0.5 / (mid - 0.5), 0.5])
+    q = IntervalQuantizer(f.breakpoints, [0.25, 0.5, 0.75])
+    assert cell_masses(q, f) == pytest.approx([0.25, 0.5, 0.25], rel=1e-12)
+    assert relative_entropy(f, uniform(0.0, 1.0), 1) == pytest.approx(25.5 * math.log(2.0),
+                                                                      rel=1e-12)
 
 
 def test_cdf_is_exact_at_breakpoints(two_mass):
@@ -504,11 +518,9 @@ def test_the_array_pdf_gives_the_scalar_bits(source, seed):
 @given(kind=st.sampled_from(["gauss", "laplace"]), p=st.floats(min_value=-3.0, max_value=3.0),
        seed=st.integers(0, 2**32 - 1))
 def test_the_array_power_density_gives_the_scalar_bits(kind, p, seed):
-    from renyiquant.design import _power_density
-
     f = truncated_gauss(0.4, 0.3, 0.0, 1.0) if kind == "gauss" else \
         truncated_laplace(0.45, 0.3, 0.0, 1.0)
-    g = _power_density(f, p, 0.5)
+    g = f._power_density(p, 0.5)
     xs = _with_specials(g, seed, [0.45])
     assert g._pdf_many(xs).tolist() == _scalar_each(g._pdf, xs)
 

@@ -28,7 +28,7 @@ from renyiquant import (
     uniform_quantizer,
 )
 from renyiquant._quadrature import bisect_increasing
-from renyiquant.quantizer import _codepoint_balances, _smooth_moments
+from renyiquant.densities import _cell_sums
 
 import reference_quadrature as reference
 
@@ -264,7 +264,7 @@ def test_piecewise_closed_forms_match_plain_python_loops():
             continue
         r = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.5]))
         for a in np.append(rng.uniform(lo, hi, 8), [lo, hi]):
-            assert _codepoint_balances(d, [lo], [hi], [a], r)[0] == _reference_balance(
+            assert d._balances([lo], [hi], [a], r)[0] == _reference_balance(
                 d, lo, hi, float(a), r)
         c = optimal_codepoint(Interval(lo, hi), d, r)
         assert c == bisect_increasing(lambda a: _reference_balance(d, lo, hi, a, r), lo, hi,
@@ -370,7 +370,7 @@ def test_smooth_cell_moments_match_the_recursion_on_seeded_cells(name):
     for (lo, hi), r in zip(cells, (2.0, 3.0, 1.5, 1.0)):
         lo, hi = float(lo), float(hi)
         for a in rng.uniform(lo, hi, 3).tolist() + [lo, hi]:
-            m = _smooth_moments(d, [lo, a], [a, hi], [a, a], r - 1.0)
+            m = _cell_sums(d._moment_terms([lo, a], [a, hi], [a, a], r - 1.0))
             assert m[0] - m[1] == reference.balance(d, lo, hi, a, r)
         for point in (lo + 0.1 * (hi - lo), 0.5 * (lo + hi), 0.45):
             assert cell_distortion(d, lo, hi, point, r) == reference.moment(d, lo, hi, point, r)
@@ -419,6 +419,7 @@ def test_cells_past_either_end_of_the_support_keep_the_clipped_moments(name):
     d = SMOOTH[name]
     s, t, c = [-0.5, 0.2, 0.9, 1.2], [0.3, 0.7, 1.6, 1.9], [0.1, 0.45, 0.95, 1.5]
     with _time_limit(10.0):
-        got = _smooth_moments(d, s, t, c, 2.0).tolist()
-    assert got == _smooth_moments(d, [0.0, 0.2, 0.9, 1.0], [0.3, 0.7, 1.0, 1.0], c, 2.0).tolist()
+        got = _cell_sums(d._moment_terms(s, t, c, 2.0)).tolist()
+    assert got == _cell_sums(d._moment_terms([0.0, 0.2, 0.9, 1.0], [0.3, 0.7, 1.0, 1.0], c,
+                                             2.0)).tolist()
     assert got[-1] == 0.0
