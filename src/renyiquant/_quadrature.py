@@ -17,7 +17,10 @@ form that equals the scalar pdf bit for bit, and ``call_each`` maps any
 other scalar callable over an array, a Python float at a time.  Bisection
 works the same way: ``bisect_many`` runs one ``bisect_increasing`` per
 bracket, all brackets a step at a time, for every smooth quantile inversion
-and every codepoint solve.  ``_log_sum_exp`` sums powers that leave the float range.
+and every codepoint solve.  A power sum that leaves the float range is
+summed in logs: ``_log_of_sum`` does it for one sum, with ``math.log`` where
+the sum is a normal float, and ``oracle._entropies`` row by row with
+``np.log``, whose last bit may differ.
 """
 
 from __future__ import annotations
@@ -65,6 +68,14 @@ def _normal_sums(sums):
     this range has overflowed or underflowed and must be summed in logs.
     """
     return (sums >= _TINY) & (sums < np.inf)
+
+
+def _log_of_sum(total: float, log_terms) -> float:
+    """log of ``total``, the sum of exp over ``log_terms()``: math.log where total
+    is a normal float, else the log-sum-exp of the terms, built only then."""
+    if _normal_sums(total):
+        return math.log(total)
+    return float(_log_sum_exp(log_terms()))
 
 
 def call_each(f, xs: np.ndarray) -> np.ndarray:

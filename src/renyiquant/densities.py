@@ -189,22 +189,12 @@ class PiecewiseConstantDensity:
         of the same shape.
         """
         us = _unit_arguments(u)
-        if isinstance(us, float):
-            return self._invert(us)
         b, cum = self.breakpoints, self._cum
         # u >= 1 may land past the last segment; it takes b[-1] below
         j = np.minimum(np.searchsorted(cum, us, side="right") - 1, len(self.heights) - 1)
         cj, bj = cum[j], b[j]
-        return np.where(us >= 1.0, b[-1], np.where(cj == us, bj, bj + (us - cj) / self.heights[j]))
-
-    def _invert(self, u: float) -> float:
-        # the scalar form of the array inversion in quantile, without its set-up
-        if u >= 1.0:
-            return float(self.breakpoints[-1])
-        j = int(np.searchsorted(self._cum, u, side="right")) - 1
-        if self._cum[j] == u:
-            return float(self.breakpoints[j])
-        return float(self.breakpoints[j] + (u - self._cum[j]) / self.heights[j])
+        v = np.where(us >= 1.0, b[-1], np.where(cj == us, bj, bj + (us - cj) / self.heights[j]))
+        return float(v) if isinstance(us, float) else v
 
     def power_integral(self, p: float) -> float:
         """Integral of pdf**p over the support."""
@@ -329,13 +319,10 @@ class PiecewiseConstantDensity:
         c = float(c)
         if not c > 0:
             raise ValueError(f"scale must be positive, got {c!r}")
-        if reflect:
-            b = (t - c * self.breakpoints)[::-1]
-            h = self.heights[::-1] / c
-        else:
-            b = t + c * self.breakpoints
-            h = self.heights / c
-        return PiecewiseConstantDensity(b, h)
+        # negation is exact, so t + (-c) * x is t - c * x; reflecting reverses the order
+        step = -1 if reflect else 1
+        return PiecewiseConstantDensity((t + step * c * self.breakpoints)[::step],
+                                        (self.heights / c)[::step])
 
     def __repr__(self):
         return (
@@ -593,26 +580,23 @@ class SmoothDensity:
         if not c > 0:
             raise ValueError(f"scale must be positive, got {c!r}")
         base, base_many = self._pdf, self._pdf_many
-        if reflect:
-            new_pdf = lambda y: base((t - y) / c) / c
-            many = lambda y: base_many((t - y) / c) / c
-            lo, hi = t - c * self._support.hi, t - c * self._support.lo
-            breaks = [t - c * x for x in self._breaks]
-        else:
-            new_pdf = lambda y: base((y - t) / c) / c
-            many = lambda y: base_many((y - t) / c) / c
-            lo, hi = t + c * self._support.lo, t + c * self._support.hi
-            breaks = [t + c * x for x in self._breaks]
-        i, s = self._ess
+        # y = t + s * x with s = +-c.  Negation is exact, so the inverse
+        # (sign * y - sign * t) / c is (t - y) / c when reflecting, +0.0 at y == t.
+        sign = -1.0 if reflect else 1.0
+        s, shift = sign * c, sign * t
+        new_pdf = lambda y: base((sign * y - shift) / c) / c
+        many = lambda y: base_many((sign * y - shift) / c) / c
+        lo, hi = sorted(t + s * x for x in (self._support.lo, self._support.hi))
+        ess_inf, ess_sup = self._ess
         return SmoothDensity(
             with_array_form(new_pdf, many),
             lo,
             hi,
-            breakpoints=breaks,
+            breakpoints=[t + s * x for x in self._breaks],
             rel_tol=self._rel_tol,
             max_depth=self._max_depth,
-            ess_inf=i / c,
-            ess_sup=s / c,
+            ess_inf=ess_inf / c,
+            ess_sup=ess_sup / c,
         )
 
     def __repr__(self):
@@ -741,17 +725,30 @@ def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
     return edges[1:] - left, f._heights_right_of(left), g._heights_right_of(left)
 
 
+def _shared_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
+    """``_common_pieces`` where g is positive: ``require_nested_supports`` lets
+    f reach a sliver past g, and the pair functions skip it."""
+    widths, hf, hg = _common_pieces(f, g)
+    keep = hg > 0.0
+    return widths[keep], hf[keep], hg[keep]
+
+
+def _shared_support(f: Density, g: Density):
+    """The ends of the part of f's support that g covers (see ``_shared_pieces``)."""
+    return max(f.support.lo, g.support.lo), min(f.support.hi, g.support.hi)
+
+
 def _ratio_bounds(f: Density, g: Density, points: int):
-    """Essential infimum and supremum of f/g over the support of f, which g must cover.
+    """Essential infimum and supremum of f/g over ``_shared_support(f, g)``.
 
     Two piecewise densities give the extreme height ratios of their common
     refinement; otherwise the array ratio at ``points`` evenly spaced points
     is refined by ``_quadrature.scan_extremum`` with the scalar ratio.
     """
     if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        _, hf, hg = _common_pieces(f, g)
+        _, hf, hg = _shared_pieces(f, g)
         return float((hf / hg).min()), float((hf / hg).max())
-    xs = np.linspace(f.support.lo, f.support.hi, points)
+    xs = np.linspace(*_shared_support(f, g), points)
     with np.errstate(all="ignore"):
         vals = f._pdf_values(xs) / g._pdf_values(xs)
     if not np.isfinite(vals).all():
@@ -761,7 +758,7 @@ def _ratio_bounds(f: Density, g: Density, points: int):
 
 
 def _pair_integral(f: Density, g: Density, phi) -> float:
-    """Integral over the support of f, which g must cover, of phi(w, f, g).
+    """Integral over ``_shared_support(f, g)`` of phi(w, f, g).
 
     ``phi(w, hf, hg)`` is the integral over a piece of width w on which the
     densities take the values hf and hg.  For two piecewise densities it is
@@ -770,7 +767,7 @@ def _pair_integral(f: Density, g: Density, phi) -> float:
     f(x) > 0.
     """
     if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        pieces = _common_pieces(f, g)
+        pieces = _shared_pieces(f, g)
         return float(sum(map(phi, *(col.tolist() for col in pieces))))
 
     def integrand(x):
@@ -778,7 +775,7 @@ def _pair_integral(f: Density, g: Density, phi) -> float:
         return phi(1.0, vf, g.pdf(x)) if vf > 0.0 else 0.0
 
     breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
-    return float(integrate(integrand, f.support.lo, f.support.hi, breakpoints=breaks))
+    return float(integrate(integrand, *_shared_support(f, g), breakpoints=breaks))
 
 
 def _compressed(f: Density, g: Density, table_cells: int) -> Density:
@@ -789,9 +786,9 @@ def _compressed(f: Density, g: Density, table_cells: int) -> Density:
     their common refinement.  Otherwise the result is a quadrature-backed
     density on [G(lo_f), G(hi_f)] with ``table_cells`` table cells.
     """
-    lo, hi = f.support.lo, f.support.hi
+    lo, hi = _shared_support(f, g)
     if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        widths, hf, hg = _common_pieces(f, g)
+        widths, hf, hg = _shared_pieces(f, g)
         edges = np.concatenate(([g.cdf(lo)], g.cdf(lo) + np.cumsum(widths * hg)))
         return PiecewiseConstantDensity(edges, hf / hg)
 

@@ -155,14 +155,9 @@ def uniform_optimal(interval: Interval, alpha, rate: float, r: float) -> Interva
     if a.is_neg_inf or a.value <= 0.0:
         return uniform_quantizer(interval, max(_snap_floor(math.exp(rate)), 1))
 
-    # alpha > 0: the entropy constraint binds with equality; the bucket has
-    # log(n_equal) < rate <= log(n_equal + 1)
-    x = math.exp(rate)
-    k = round(x)
-    if abs(x - k) <= INTEGER_SNAP * max(1.0, k):
-        n_equal = int(k) - 1
-    else:
-        n_equal = int(math.floor(x))
+    # alpha > 0: the entropy constraint binds with equality; n_equal is the
+    # least n with rate <= log(n + 1), that is e**rate snapped up, minus 1
+    n_equal = -_snap_floor(-math.exp(rate)) - 1
     if n_equal < 1:
         return uniform_quantizer(interval, 1)
 

@@ -2,7 +2,8 @@
 
 All logarithms are natural.  Zero masses never contribute: the conventions
 0 * log 0 = 0 and 0**0 = 0 are applied throughout, so the order-0 value is
-the log of the number of positive entries.
+the log of the number of positive entries.  Power sums that leave the float
+range at a large |alpha| are summed in logs (``_quadrature._log_of_sum``).
 """
 
 from __future__ import annotations
@@ -11,39 +12,14 @@ import math
 
 import numpy as np
 
-from ._quadrature import _log_sum_exp, _normal_sums
+# _log_sum_exp and _normal_sums stay importable from here for the tests
+from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums  # noqa: F401
 from .core import as_order, branch_of
 from .densities import Density, _pair_integral, _ratio_bounds, require_nested_supports
 
 __all__ = ["renyi_entropy", "differential_entropy", "relative_entropy"]
 
 WEIGHT_TOL = 1e-9
-
-
-def _log_power_sums(p, v: float, sums):
-    """log of ``sums``, the sums of p**v along p's last axis.
-
-    A sum outside ``_normal_sums``, where p**v has overflowed or underflowed
-    at a large |v|, is replaced by the log-sum-exp over v*log(p) of its row,
-    zero entries skipped.  Every other sum gets the plain log: math.log for a
-    single sum and np.log row by row, which differ in the last bit, so each
-    caller keeps the arithmetic it has always had.  With an array of sums,
-    p(mask) gives the rows of the masked sums, built only when needed.
-    """
-
-    def from_logs(rows):
-        pos = rows > 0.0
-        return _log_sum_exp(np.where(pos, v * np.log(np.where(pos, rows, 1.0)), -np.inf))
-
-    if np.ndim(sums) == 0:
-        s = float(sums)
-        return math.log(s) if _normal_sums(s) else float(from_logs(p))
-    bad = ~_normal_sums(sums)
-    with np.errstate(divide="ignore"):
-        logs = np.log(sums)
-    if bad.any():
-        logs[bad] = from_logs(p(bad))
-    return logs
 
 
 def _clean_weights(weights) -> np.ndarray:
@@ -94,7 +70,7 @@ def _entropy_of(pos: np.ndarray, alpha) -> float:
     v = a.value
     with np.errstate(over="ignore"):
         total = (pos**v).sum()
-    return _log_power_sums(pos, v, total) / (1.0 - v)
+    return _log_of_sum(total, lambda: v * np.log(pos)) / (1.0 - v)
 
 
 def differential_entropy(d: Density, alpha) -> float:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import as_order, branch_of, exponents, validate_exponent
 from .densities import Density, Interval, PiecewiseConstantDensity
-from .entropy import _clean_weights as _entropy_weights, _log_sum_exp, _normal_sums
+from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums
+from .entropy import _clean_weights as _entropy_weights
 from .quantizer import IntervalQuantizer
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "f_minimizer",
 ]
 
-WEIGHT_TOL = 1e-12
 SPAN_TOL = 1e-12
 
 
@@ -54,9 +54,7 @@ class MixtureSpec:
         comps = list(components)
         if len(comps) < 2:
             raise ValueError("a mixture needs at least two components")
-        total = sum(c.weight for c in comps)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
+        _clean_weights([c.weight for c in comps])
         span = comps[-1].density.support.hi - comps[0].density.support.lo
         for left, right in zip(comps[:-1], comps[1:]):
             if right.density.support.lo < left.density.support.hi - SPAN_TOL * max(span, 1.0):
@@ -157,16 +155,10 @@ def allocate_rates(weights, alpha, r: float, rate: float) -> np.ndarray:
 
 
 def _log_weighted_sum(s: np.ndarray, v: float, xs: np.ndarray) -> float:
-    """log of sum_i s_i**v * e**((1-v) x_i), by the ``entropy._log_power_sums`` rule.
-
-    The plain sum where it is a normal float, so those cases keep their bits;
-    a log-sum-exp over v log s_i + (1-v) x_i where it overflows or underflows.
-    """
+    """log of sum_i s_i**v * e**((1-v) x_i), by the ``_quadrature._log_of_sum`` rule."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = float((s**v * np.exp((1.0 - v) * xs)).sum())
-    if _normal_sums(total):
-        return math.log(total)
-    return float(_log_sum_exp(v * np.log(s) + (1.0 - v) * xs))
+    return _log_of_sum(total, lambda: v * np.log(s) + (1.0 - v) * xs)
 
 
 def check_rate_condition(weights, rates, rate: float, alpha) -> bool:

@@ -6,6 +6,8 @@ optimal codepoint.  Instances are deliberately tiny (grid of at most 32
 points, at most 8 cells) so the enumeration stays exact and fast.  An n-point
 grid has only n(n - 1)/2 cells, so per-partition work reduces one n * n
 per-cell table (masses, powers, distortions) through a flat cell index.
+``_entropies`` holds the row form of the range rule of ``_quadrature._log_of_sum``:
+``np.log`` of each normal power sum, the log-sum-exp of its row's logs for the rest.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._quadrature import _log_sum_exp, _normal_sums
 from .core import RenyiOrder, as_order, branch_of, validate_exponent
 from .densities import PiecewiseConstantDensity, _cell_sums, density_from_spec, density_to_spec
-from .entropy import _log_power_sums
 from .quantizer import IntervalQuantizer, _optimal_codepoints
 
 __all__ = [
@@ -205,8 +207,15 @@ def _entropies(mass: np.ndarray, cells: np.ndarray, alpha: RenyiOrder) -> np.nda
     powered = np.zeros_like(mass)
     with np.errstate(over="ignore"):
         np.power(mass, v, out=powered, where=mass > 0.0)
-    rows = lambda bad: np.ascontiguousarray(mass[cells[:, bad]].T)
-    return _log_power_sums(rows, v, _partition_sums(powered, cells)) / (1.0 - v)
+    sums = _partition_sums(powered, cells)
+    with np.errstate(divide="ignore"):
+        logs = np.log(sums)
+    bad = ~_normal_sums(sums)
+    if bad.any():
+        rows = np.ascontiguousarray(mass[cells[:, bad]].T)
+        pos = rows > 0.0
+        logs[bad] = _log_sum_exp(np.where(pos, v * np.log(np.where(pos, rows, 1.0)), -np.inf))
+    return logs / (1.0 - v)
 
 
 def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> OracleResult:

@@ -76,6 +76,40 @@ def test_parse_failures_exit_three(capsys, tmp_path, density_file):
     assert rc == 3
 
 
+_PIECEWISE = {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "heights": [0.5, 1.5]}
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("oracle", [_PIECEWISE], "instance spec must be an object"),
+    ("oracle", {"density": _PIECEWISE, "max_cells": 2}, "missing field 'grid'"),
+    ("oracle", {"density": _PIECEWISE, "grid": [0.0], "max_cells": 1}, "at least two points"),
+    ("oracle", {"density": _PIECEWISE, "grid": [0.0, 0.5, 0.5, 1.0], "max_cells": 2},
+     "strictly increasing"),
+    ("oracle", {"density": _PIECEWISE, "grid": [0.0, 0.5, 1.0], "max_cells": 3},
+     "max_cells exceeds"),
+    ("predict", [_PIECEWISE], "density spec must be an object"),
+    ("predict", {"kind": "truncated_gauss", "mean": 0.5, "lo": 0.0, "hi": 1.0},
+     "missing field 'sigma'"),
+    ("predict", {"kind": "truncated_gauss", "mean": 0.5, "sigma": 0.0, "lo": 0.0, "hi": 1.0},
+     "sigma must be positive"),
+    ("predict", {"kind": "truncated_laplace", "center": 0.5, "scale": -1.0, "lo": 0.0, "hi": 1.0},
+     "scale must be positive"),
+], ids=["instance_not_an_object", "no_grid", "one_point_grid", "repeated_grid_point",
+        "too_many_cells", "density_not_an_object", "no_sigma", "zero_sigma", "negative_scale"])
+def test_a_bad_spec_exits_three_with_empty_stdout(capsys, tmp_path, command, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    if command == "oracle":
+        args = ["oracle", "--instance", str(path), "--alpha", "0.5", "--rate", "1", "--r", "2"]
+    else:
+        args = ["predict", "--density", str(path), "--alpha", "0.5", "--r", "2"]
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_usage_errors_surface_argparse_code(capsys):
     assert main(["predict"]) == 2
     capsys.readouterr()

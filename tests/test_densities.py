@@ -537,6 +537,28 @@ def test_the_array_similarity_transform_gives_the_scalar_bits(kind, c, t, reflec
     assert g._pdf_many(xs).tolist() == _scalar_each(g._pdf, xs)
 
 
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["piecewise", "gauss", "laplace"]),
+       c=st.floats(min_value=0.1, max_value=10.0), t=st.floats(min_value=-5.0, max_value=5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_reflection_mirrors_the_transform_with_the_opposite_shift(kind, c, t, seed):
+    f = {"piecewise": PiecewiseConstantDensity([-0.5, 0.1, 0.35, 0.6], [1 / 3, 2.0, 1.2]),
+         "gauss": truncated_gauss(0.4, 0.3, 0.0, 1.0),
+         "laplace": truncated_laplace(0.45, 0.3, 0.0, 1.0)}[kind]
+    mirror, plain = f.similarity_transform(c, t, True), f.similarity_transform(c, -t)
+    assert (mirror.support.lo, mirror.support.hi) == (-plain.support.hi, -plain.support.lo)
+    assert mirror.interior_breakpoints() == [-x for x in reversed(plain.interior_breakpoints())]
+    if kind == "piecewise":
+        assert mirror.heights.tolist() == plain.heights[::-1].tolist()
+    # a piecewise pdf takes the left height at an interior breakpoint, so only
+    # the support ends and t (y == t maps to x == 0) join the random points
+    lo, hi = mirror.support.lo, mirror.support.hi
+    ys = np.random.default_rng(seed).uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 64)
+    ys = np.concatenate((ys, [lo, hi, t]))
+    assert _scalar_each(mirror.pdf, ys) == _scalar_each(plain.pdf, -ys)
+    assert mirror._pdf_values(ys).tolist() == plain._pdf_values(-ys).tolist()
+
+
 @pytest.mark.parametrize("make", [
     lambda: truncated_gauss(0.4, 0.3, 0.0, 1.0),
     lambda: truncated_laplace(0.45, 0.3, 0.0, 1.0),

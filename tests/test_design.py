@@ -242,6 +242,15 @@ def test_uniform_optimal_exact_rate_is_equal_cells():
                                                                   rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [2, 7, 50])
+@pytest.mark.parametrize("offset", [-1e-8, -1.01e-9, -0.99e-9, 0.0, 0.99e-9, 1.01e-9, 1e-8])
+def test_uniform_optimal_snaps_the_level_count_near_an_integer(k, offset):
+    # e**rate within 1e-9 * k of k counts as k: k - 1 equal cells and a short one
+    rate = math.log(k * (1.0 + offset))
+    q = uniform_optimal(Interval(0.0, 1.0), RenyiOrder(0.5), rate, 2.0)
+    assert len(q.codepoints) == (k + 1 if offset > 1e-9 else k)
+
+
 def test_uniform_optimal_rejections():
     box = Interval(0.0, 1.0)
     with pytest.raises(ValueError):

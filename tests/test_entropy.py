@@ -18,6 +18,7 @@ from renyiquant import (
     uniform,
 )
 from renyiquant._quadrature import scan_extremum
+from renyiquant.compander import bennett_functional, compressed_density
 from renyiquant.design import optimal_point_density
 
 ALL_ORDERS = (NEG_INF, RenyiOrder(-2.0), RenyiOrder(0.0), RenyiOrder(0.5),
@@ -139,6 +140,38 @@ def test_infinite_order_divergence_rejects_a_vanishing_second_density():
     # the narrow Gaussian's pdf underflows to 0 well inside [0, 1]
     with pytest.raises(ValueError, match="unbounded"):
         relative_entropy(uniform(0.0, 1.0), truncated_gauss(0.0, 0.01, 0.0, 1.0), POS_INF)
+
+
+SLIVER = 1e-13  # past g's end, within require_nested_supports' 1e-12 tolerance
+SLIVER_HEIGHT = 1.0 / (1.0 + SLIVER)
+
+
+@pytest.mark.parametrize("f", [
+    PiecewiseConstantDensity([-SLIVER, 1.0], [SLIVER_HEIGHT]),
+    PiecewiseConstantDensity([0.0, 1.0 + SLIVER], [SLIVER_HEIGHT]),
+], ids=["left", "right"])
+def test_piecewise_pair_functions_skip_the_sliver_where_g_is_zero(f):
+    g, h = uniform(0.0, 1.0), SLIVER_HEIGHT
+    # on [0, 1] the ratio f/g is h, on the sliver g is 0
+    assert relative_entropy(f, g, 1) == h * math.log(h)
+    assert relative_entropy(f, g, 2) == pytest.approx(2.0 * math.log(h), abs=1e-15)
+    assert relative_entropy(f, g, POS_INF) == relative_entropy(f, g, NEG_INF) == math.log(h)
+    assert bennett_functional(f, g, 2.0) == pytest.approx(h / 12.0, rel=1e-15)
+    compressed = compressed_density(f, g)
+    assert compressed.breakpoints.tolist() == [0.0, 1.0]
+    assert compressed.heights.tolist() == [h]
+
+
+@pytest.mark.parametrize("alpha", [RenyiOrder(0.5), RenyiOrder(1.0), RenyiOrder(2.0), POS_INF,
+                                   NEG_INF])
+def test_smooth_pair_functions_skip_the_sliver_where_g_is_zero(alpha):
+    f, g = truncated_gauss(0.5, 0.3, -SLIVER, 1.0), uniform(0.0, 1.0)
+    nested = truncated_gauss(0.5, 0.3, 0.0, 1.0)
+    assert relative_entropy(f, g, alpha) == pytest.approx(relative_entropy(nested, g, alpha),
+                                                          abs=1e-9)
+    assert bennett_functional(f, g, 2.0) == pytest.approx(bennett_functional(nested, g, 2.0),
+                                                          rel=1e-9)
+    assert compressed_density(f, g).support == compressed_density(nested, g).support
 
 
 def test_relative_entropy_smooth_pair_matches_moment():

@@ -52,6 +52,18 @@ def test_mixture_validation():
         MixtureComponent(0.0, uniform(0.0, 1.0))
 
 
+def test_a_mixture_spec_checks_its_weights_as_the_mixture_functions_do():
+    # a sum within 1e-9 of 1 passes every weight check, the spec's included
+    spec = MixtureSpec([MixtureComponent(0.5, uniform(0.0, 1.0)),
+                        MixtureComponent(0.5 + 5e-10, uniform(1.0, 2.0))])
+    combined = spec.combined_density()
+    mass = float(np.dot(combined.heights, np.diff(combined.breakpoints)))
+    assert mass == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="^weights must sum to 1, got 1.000000002"):
+        MixtureSpec([MixtureComponent(0.5, uniform(0.0, 1.0)),
+                     MixtureComponent(0.5 + 2e-9, uniform(1.0, 2.0))])
+
+
 @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [0.5, 0.5 + 5e-10, -5e-10]])
 def test_mixture_functions_need_positive_weights(weights):
     calls = [
