@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import distortion_constant, validate_exponent
-from .densities import Density, _compressed, _pair_integral, require_nested_supports
+from .densities import Density, _compressed, _pair_integral, _require_covered
 from .entropy import relative_entropy
 from .quantizer import IntervalQuantizer
 
@@ -107,10 +107,10 @@ def bennett_functional(f: Density, g: Density, r: float) -> float:
     """Predicted scaled distortion limit: C(r) times the integral of f/g**r.
 
     Integration runs over the support of f, which must sit inside the
-    support of g; the point density g must be bounded away from zero there.
+    support of g with no mass past it; g must be bounded away from zero there.
     """
     r = validate_exponent(r)
-    require_nested_supports(f, g)
+    _require_covered(f, g)
     if g.ess_bounds()[0] <= 0.0:
         raise ValueError("point density must be bounded away from zero")
     integral = _pair_integral(f, g, lambda w, hf, hg: w * hf / hg**r)
@@ -131,9 +131,9 @@ def compressed_density(f: Density, g: Density, *, table_cells: int = 256) -> Den
 
     For piecewise inputs the result is piecewise-constant with heights f/g
     mapped through the compressor; otherwise a quadrature-backed density on
-    [G(lo_f), G(hi_f)] is returned.
+    [G(lo_f), G(hi_f)] is returned.  f may have no mass past the support of g.
     """
-    require_nested_supports(f, g)
+    _require_covered(f, g)
     if g.ess_bounds()[0] <= 0.0:
         raise ValueError("point density must be bounded away from zero")
     return _compressed(f, g, table_cells)

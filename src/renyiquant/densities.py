@@ -738,6 +738,17 @@ def _shared_support(f: Density, g: Density):
     return max(f.support.lo, g.support.lo), min(f.support.hi, g.support.hi)
 
 
+def _require_covered(f: Density, g: Density):
+    """``require_nested_supports``, and at most MASS_TOL of f past g, where it
+    makes divergences from order 1 up, f/g**r and G(X)'s density infinite."""
+    require_nested_supports(f, g)
+    (lo, hi), s = _shared_support(f, g), f.support
+    slivers = [(a, b) for a, b in ((s.lo, lo), (hi, s.hi)) if a < b]
+    mass = sum(integrate(f.pdf, a, b, breakpoints=f.interior_breakpoints()) for a, b in slivers)
+    if mass > MASS_TOL:
+        raise ValueError(f"the first density has mass {mass!r} where the second vanishes")
+
+
 def _ratio_bounds(f: Density, g: Density, points: int):
     """Essential infimum and supremum of f/g over ``_shared_support(f, g)``.
 
@@ -779,12 +790,12 @@ def _pair_integral(f: Density, g: Density, phi) -> float:
 
 
 def _compressed(f: Density, g: Density, table_cells: int) -> Density:
-    """Density of G(X), X drawn from f and G the cdf of g; g must cover f's
-    support and be bounded away from zero there.
+    """Density of G(X), X drawn from f and G the cdf of g, over [lo, hi] =
+    ``_shared_support(f, g)``; g must be bounded away from zero there.
 
     Two piecewise densities give a piecewise density with the heights f/g of
     their common refinement.  Otherwise the result is a quadrature-backed
-    density on [G(lo_f), G(hi_f)] with ``table_cells`` table cells.
+    density on [G(lo), G(hi)] with ``table_cells`` table cells.
     """
     lo, hi = _shared_support(f, g)
     if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):

@@ -15,7 +15,8 @@ import numpy as np
 # _log_sum_exp and _normal_sums stay importable from here for the tests
 from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums  # noqa: F401
 from .core import as_order, branch_of
-from .densities import Density, _pair_integral, _ratio_bounds, require_nested_supports
+from .densities import (Density, _pair_integral, _ratio_bounds, _require_covered,
+                        require_nested_supports)
 
 __all__ = ["renyi_entropy", "differential_entropy", "relative_entropy"]
 
@@ -102,13 +103,15 @@ def relative_entropy(f: Density, g: Density, alpha) -> float:
     """Divergence of order alpha of f from g.
 
     Finite alpha != 1: log(integral of f**alpha * g**(1-alpha)) / (alpha - 1),
-    over the support of f.  alpha = 1 is the usual log-ratio integral;
-    alpha = +inf / -inf take the essential sup / inf of f/g.  The support of
-    f must be contained in the support of g.
+    over the part of f's support that g covers.  alpha = 1 is the usual
+    log-ratio integral; alpha = +inf / -inf take the essential sup / inf of
+    f/g.  f's support must lie in g's, and from order 1 up f has no mass past it.
     """
     require_nested_supports(f, g)
     a = as_order(alpha)
     branch = branch_of(a)
+    if a.value >= 1.0:
+        _require_covered(f, g)
     if branch in ("pos_inf", "neg_inf"):
         low, high = _ratio_bounds(f, g, 4096)
         return math.log(high if branch == "pos_inf" else low)

@@ -160,6 +160,32 @@ def test_piecewise_pair_functions_skip_the_sliver_where_g_is_zero(f):
     compressed = compressed_density(f, g)
     assert compressed.breakpoints.tolist() == [0.0, 1.0]
     assert compressed.heights.tolist() == [h]
+    # the skipped mass, 1e-13, bounds how far a divergence may fall below 0
+    for alpha in (0.0, 0.5, 1.0, 2.0, POS_INF):
+        assert relative_entropy(f, g, alpha) >= -2e-13
+
+
+HEAVY = 1e-3  # f's mass on the sliver, far above MASS_TOL
+
+
+@pytest.mark.parametrize("f", [
+    PiecewiseConstantDensity([-1e-12, 0.0, 1.0], [HEAVY / 1e-12, 1.0 - HEAVY]),
+    PiecewiseConstantDensity([0.0, 1.0, 1.0 + 1e-12], [1.0 - HEAVY, HEAVY / (1.0 + 1e-12 - 1.0)]),
+    truncated_gauss(0.0, 0.01, -1e-12, 1.0),
+], ids=["left", "right", "smooth"])
+def test_pair_functions_refuse_mass_where_g_is_zero(f):
+    g = uniform(0.0, 1.0)
+    # from order 1 up, and for the Bennett integral, mass where g is 0 diverges
+    for call in (lambda: relative_entropy(f, g, 1), lambda: relative_entropy(f, g, 2),
+                 lambda: relative_entropy(f, g, POS_INF), lambda: bennett_functional(f, g, 2.0),
+                 lambda: compressed_density(f, g)):
+        with pytest.raises(ValueError, match="where the second vanishes"):
+            call()
+    if isinstance(f, PiecewiseConstantDensity):
+        # below order 1 and at -inf the sliver adds nothing, and skipping it is exact
+        h = 1.0 - HEAVY
+        assert relative_entropy(f, g, 0.5) == pytest.approx(-math.log(h), rel=1e-12)
+        assert relative_entropy(f, g, NEG_INF) == math.log(h)
 
 
 @pytest.mark.parametrize("alpha", [RenyiOrder(0.5), RenyiOrder(1.0), RenyiOrder(2.0), POS_INF,
