@@ -189,14 +189,14 @@ def _sweep_row(compander, f, alpha, r, n, normalization):
     return h, d, scale * d
 
 
-def run_sweep(req: SweepRequest):
-    """Evaluate every level count; failures become per-row error markers.
+def run_sweep(req: SweepRequest, f):
+    """Evaluate every level count on f, the density built from
+    ``req.density_spec``; failures become per-row error markers.
 
     One point density and one compander serve every level count, so a sweep
     over nested level counts computes each expander value once.  If they
     cannot be built, every row carries that error.
     """
-    f = density_from_spec(req.density_spec)
     limit = _dispatch_prediction(f, req.alpha, req.r)
 
     rows, errors = [], []
@@ -253,10 +253,10 @@ def _render_json(report: ConvergenceReport, errors) -> str:
 
 
 def cmd_sweep(args) -> int:
-    spec, _ = _load_density(args.density)
+    spec, f = _load_density(args.density)
     req = SweepRequest(spec, args.alpha, args.r, args.levels, args.out,
                        args.format, args.normalization)
-    report, errors = run_sweep(req)
+    report, errors = run_sweep(req, f)
     text = _render_csv(report, errors) if req.format == "csv" else _render_json(report, errors)
     _emit(text, req.out)
     return EXIT_REGIME if errors else EXIT_OK

@@ -106,19 +106,27 @@ def relative_entropy(f: Density, g: Density, alpha) -> float:
     over the part of f's support that g covers.  alpha = 1 is the usual
     log-ratio integral; alpha = +inf / -inf take the essential sup / inf of
     f/g.  f's support must lie in g's, and from order 1 up f has no mass past it.
+    Below order 0, f must be bounded away from zero: where its pdf vanishes or
+    underflows, f**alpha is out of range.
     """
     require_nested_supports(f, g)
     a = as_order(alpha)
     branch = branch_of(a)
     if a.value >= 1.0:
         _require_covered(f, g)
+    if a.value < 0.0 and f.ess_bounds()[0] <= 0.0:
+        raise ValueError(f"a divergence of negative order {a.value} requires a first density "
+                         "bounded away from zero; its pdf vanishes or underflows")
     if branch in ("pos_inf", "neg_inf"):
         low, high = _ratio_bounds(f, g, 4096)
         return math.log(high if branch == "pos_inf" else low)
     if branch == "shannon":
         return _pair_integral(f, g, lambda w, hf, hg: w * hf * math.log(hf / hg))
     v = a.value
-    integral = _pair_integral(f, g, lambda w, hf, hg: w * hf**v * hg ** (1.0 - v))
+    try:
+        integral = _pair_integral(f, g, lambda w, hf, hg: w * hf**v * hg ** (1.0 - v))
+    except OverflowError:
+        raise ValueError(f"divergence integral of order {v} overflows") from None
     if not math.isfinite(integral) or integral <= 0.0:
         raise ValueError(f"divergence integral of order {v} diverges or vanishes")
     return math.log(integral) / (v - 1.0)

@@ -88,10 +88,32 @@ def quantile(d, u: float) -> float:
 
 def moment(d, s: float, t: float, c: float, p: float) -> float:
     """Integral of |x - c|**p against d over [s, t], clipped to the support of
-    d (where the pdf vanishes) and split at its kinks and at c."""
+    d (where the pdf vanishes) and split at its kinks and at c.
+
+    At a non-integer p, a piece of width h with c at one end integrates
+    s**3 * pdf(c +- h * s**k) over s in [0, 1], with k = 4 / (p + 1), and
+    takes k * h**(p + 1) times that; every other piece integrates
+    |x - c|**p * pdf(x) over x.  The pieces add left to right from 0.0.
+    """
     s, t = (min(max(v, d.support.lo), d.support.hi) for v in (s, t))
     inner = [x for x in d.interior_breakpoints() if s < x < t] + ([c] if s < c < t else [])
-    return integrate(lambda x: abs(x - c) ** p * d.pdf(x), s, t, breakpoints=inner)
+    cuts = [s] + sorted(inner) + [t]
+    bend = not float(p).is_integer()
+    k = 4.0 / (p + 1.0)
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if not hi > lo:
+            continue
+        if bend and c in (lo, hi):
+            reach = hi - lo if lo == c else lo - hi
+
+            def g(u, lo=lo, hi=hi, reach=reach):
+                return u * u * u * d.pdf(min(max(c + reach * u**k, lo), hi))
+
+            total += k * (hi - lo) ** (p + 1.0) * integrate(g, 0.0, 1.0)
+        else:
+            total += integrate(lambda x: abs(x - c) ** p * d.pdf(x), lo, hi)
+    return total
 
 
 def balance(d, lo: float, hi: float, a: float, r: float) -> float:

@@ -334,8 +334,9 @@ GOLDEN_PIECEWISE = {
                 0.6008010680907876, 1.6021361815754336, 0.5340453938584779],
 }
 GOLDEN_GAUSS = {"kind": "truncated_gauss", "mean": 0.4, "sigma": 0.3, "lo": 0.0, "hi": 1.0}
-# the kink at the center is interior, and at r = 1.5 the cells refine deeply
-# next to each codepoint
+# the kink at the center is interior, and at r = 1.5 each cell's pieces at
+# its codepoint integrate after the change of variables that removes the
+# singular derivative of |x - c|**1.5 there
 GOLDEN_LAPLACE = {"kind": "truncated_laplace", "center": 0.45, "scale": 0.3, "lo": 0.0, "hi": 1.0}
 
 
@@ -385,6 +386,31 @@ def test_sweep_designs_its_point_density_once(capsys, density_file, monkeypatch)
                     "--alpha", "0.5", "--r", "2", "--levels", "16,24,32")
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_sweep_builds_its_density_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = cli.density_from_spec
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "density_from_spec", counted)
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(GOLDEN_GAUSS))
+    rc, _ = run_cli(capsys, "sweep", "--density", str(path), "--alpha", "0.5", "--r", "2",
+                    "--levels", "4,8")
+    assert rc == 0
+    assert calls == [GOLDEN_GAUSS]
+    # a spec that does not build still exits 3, with nothing on stdout
+    path.write_text(json.dumps({"kind": "truncated_gauss", "mean": 0.5, "sigma": 0.0,
+                                "lo": 0.0, "hi": 1.0}))
+    rc = main(["sweep", "--density", str(path), "--alpha", "0.5", "--r", "2", "--levels", "4"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "sigma must be positive" in captured.err
 
 
 def test_smooth_design_stdout_matches_the_golden_file(capsys, tmp_path):

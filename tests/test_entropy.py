@@ -21,6 +21,8 @@ from renyiquant._quadrature import scan_extremum
 from renyiquant.compander import bennett_functional, compressed_density
 from renyiquant.design import optimal_point_density
 
+from time_limit import time_limit
+
 ALL_ORDERS = (NEG_INF, RenyiOrder(-2.0), RenyiOrder(0.0), RenyiOrder(0.5),
               RenyiOrder(1.0), RenyiOrder(2.0), POS_INF)
 
@@ -198,6 +200,25 @@ def test_smooth_pair_functions_skip_the_sliver_where_g_is_zero(alpha):
     assert bennett_functional(f, g, 2.0) == pytest.approx(bennett_functional(nested, g, 2.0),
                                                           rel=1e-9)
     assert compressed_density(f, g).support == compressed_density(nested, g).support
+
+
+@pytest.mark.parametrize("alpha", [RenyiOrder(-2.0), RenyiOrder(-0.5), NEG_INF])
+def test_negative_orders_refuse_a_first_density_that_underflows(alpha):
+    # the narrow Gaussian's pdf underflows to 0 well inside [0, 1], where
+    # f**alpha leaves the float range; order -2 used to raise OverflowError,
+    # -inf a math domain error from log(0), and -0.5 refined without end
+    f, g = truncated_gauss(0.0, 0.01, 0.0, 1.0), uniform(0.0, 1.0)
+    with time_limit(10.0), pytest.raises(ValueError,
+                                         match="requires a first density bounded away from zero"):
+        relative_entropy(f, g, alpha)
+
+
+def test_a_divergence_integral_that_overflows_raises():
+    # f stays positive on [0, 1], but f**-5 at its far end is about 1e430
+    f, g = truncated_gauss(0.0, 0.05, 0.0, 1.0), uniform(0.0, 1.0)
+    assert math.isfinite(relative_entropy(f, g, -2.0))
+    with pytest.raises(ValueError, match="divergence integral of order -5.0 overflows"):
+        relative_entropy(f, g, -5.0)
 
 
 def test_relative_entropy_smooth_pair_matches_moment():

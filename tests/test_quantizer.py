@@ -1,11 +1,10 @@
-import contextlib
 import math
-import signal
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from renyiquant import (
     Interval,
@@ -27,10 +26,14 @@ from renyiquant import (
     uniform,
     uniform_quantizer,
 )
+from renyiquant import densities
 from renyiquant._quadrature import bisect_increasing
+from renyiquant.compander import Compander
+from renyiquant.design import optimal_point_density
 from renyiquant.densities import _cell_sums
 
 import reference_quadrature as reference
+from time_limit import time_limit
 
 # the Laplace kink at 0.45 is interior
 SMOOTH = {"gauss": truncated_gauss(0.4, 0.3, 0.0, 1.0),
@@ -383,23 +386,10 @@ def test_smooth_cell_moments_match_the_recursion_on_seeded_cells(name):
 
 def test_an_overflowing_smooth_moment_raises():
     d = truncated_gauss(0.0, 100.0, -500.0, 500.0)
-    with pytest.raises(ValueError, match="overflows"):
-        cell_distortion(d, -500.0, 500.0, 0.0, 200.0)
-
-
-@contextlib.contextmanager
-def _time_limit(seconds):
-    # a cell whose quadrature runs away never returns: fail it instead
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+    # at 200.5 both halves of the cell take the change of variables at c = 0
+    for r in (200.0, 200.5):
+        with pytest.raises(ValueError, match="a cell moment overflows"):
+            cell_distortion(d, -500.0, 500.0, 0.0, r)
 
 
 def test_a_cell_past_the_support_is_clipped_to_it():
@@ -407,7 +397,7 @@ def test_a_cell_past_the_support_is_clipped_to_it():
     # |x - 0.85625|**2 is 0 at the left end: unclipped, all three root
     # samples are 0 and the refinement runs to depth 40
     d = truncated_gauss(0.4, 0.3, 0.0, 1.0)
-    with _time_limit(10.0):
+    with time_limit(10.0):
         got = cell_distortion(d, 0.85625, 1.4, 0.85625, 2.0)
         point = optimal_codepoint(Interval(0.8, 1.4), d, 3.0)
     assert got == cell_distortion(d, 0.85625, 1.0, 0.85625, 2.0)
@@ -418,8 +408,135 @@ def test_a_cell_past_the_support_is_clipped_to_it():
 def test_cells_past_either_end_of_the_support_keep_the_clipped_moments(name):
     d = SMOOTH[name]
     s, t, c = [-0.5, 0.2, 0.9, 1.2], [0.3, 0.7, 1.6, 1.9], [0.1, 0.45, 0.95, 1.5]
-    with _time_limit(10.0):
+    with time_limit(10.0):
         got = _cell_sums(d._moment_terms(s, t, c, 2.0)).tolist()
     assert got == _cell_sums(d._moment_terms([0.0, 0.2, 0.9, 1.0], [0.3, 0.7, 1.0, 1.0], c,
                                              2.0)).tolist()
     assert got[-1] == 0.0
+
+
+def _mp_pdf(d):
+    """The pdf of the truncated Gaussian or Laplace density d in mpmath,
+    normalized by mpmath quadrature, and its kinks."""
+    spec = d.spec
+    lo, hi = mpmath.mpf(spec["lo"]), mpmath.mpf(spec["hi"])
+    if spec["kind"] == "truncated_gauss":
+        m, s = mpmath.mpf(spec["mean"]), mpmath.mpf(spec["sigma"])
+        raw, kinks = (lambda x: mpmath.exp(-((x - m) / s) ** 2 / 2)), []
+    else:
+        m, s = mpmath.mpf(spec["center"]), mpmath.mpf(spec["scale"])
+        raw, kinks = (lambda x: mpmath.exp(-abs(x - m) / s)), [m] if lo < m < hi else []
+    mass = mpmath.quad(raw, [lo, *kinks, hi])
+    return (lambda x: raw(x) / mass), kinks
+
+
+def _mp_moment(pdf, kinks, lo, hi, c, p):
+    """Integral of |x - c|**p * pdf over [lo, hi], split at the kinks and at c."""
+    cuts = sorted({lo, hi, *(x for x in (*kinks, c) if lo < x < hi)})
+    return mpmath.quad(lambda x: abs(x - c) ** p * pdf(x), cuts)
+
+
+MP_REL_TOL = 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SMOOTH)),
+    width=st.floats(1e-3, 0.1),
+    start=st.floats(0.0, 1.0),
+    place=st.sampled_from(["lo", "hi", "kink", "inside"]),
+    inside=st.floats(0.0, 1.0),
+    r=st.floats(1.0, 4.0),
+)
+@example(name="gauss", width=1e-3, start=0.5, place="lo", inside=0.0, r=1.0000001)
+@example(name="laplace", width=1e-3, start=0.9, place="inside", inside=0.5, r=3.9)
+def test_smooth_cells_match_a_50_digit_reference(name, width, start, place, inside, r):
+    # cells as wide as those of quantizers with 10 to 1000 levels on [0, 1];
+    # a "kink" cell holds 0.45, the Laplace kink, and takes it as its codepoint
+    d = SMOOTH[name]
+    lo = 0.45 - start * width if place == "kink" else start * (1.0 - width)
+    hi = lo + width
+    c = {"lo": lo, "hi": hi, "kink": 0.45, "inside": lo + inside * width}[place]
+    got = cell_distortion(d, lo, hi, c, r)
+    point = optimal_codepoint(Interval(lo, hi), d, r)
+    with mpmath.workdps(50):
+        pdf, kinks = _mp_pdf(d)
+        lo, hi, c, r = (mpmath.mpf(v) for v in (lo, hi, c, r))
+        exact = _mp_moment(pdf, kinks, lo, hi, c, r)
+        assert abs(got - exact) <= MP_REL_TOL * exact
+
+        def balance(a):
+            return (_mp_moment(pdf, kinks, lo, a, a, r - 1)
+                    - _mp_moment(pdf, kinks, a, hi, a, r - 1))
+
+        # the balance changes sign within 1e-10 of the cell width of the
+        # codepoint: moments good to the quadrature's rel_tol of 1e-10 move
+        # the root by about that much, at integer r too
+        point, slack = mpmath.mpf(point), mpmath.mpf(1e-10) * (hi - lo)
+        assert balance(point - slack) < 0 < balance(point + slack)
+
+
+# The r = 1.5 distortions of the golden sweeps' quantizers (tests/test_cli.py):
+# order, level count, the sum of 50-digit mpmath cell moments (as in
+# ``_mp_moment``), and the float the recursion gave before the change of
+# variables at the codepoints.
+GOLDEN_DISTORTIONS = {
+    "laplace": (-2.0, [(3, "0.0247471408793678884038105034743", 0.024747140879368607),
+                       (16, "0.00212213450189541687326298270245", 0.002122134501895492),
+                       (64, "0.000265852193040648449182398547401", 0.0002658521930406579)]),
+    "gauss": (0.5, [(4, "0.0165543555164694209756861077615", 0.01655435551647094),
+                    (16, "0.00209421151150883029652576783473", 0.002094211511508906),
+                    (64, "0.000261966786564370944688332684648", 0.0002619667865643804),
+                    (256, "0.0000327473330226706317274942476702", 3.274733302267182e-05)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DISTORTIONS))
+def test_golden_distortions_come_no_farther_from_mpmath(name):
+    d = SMOOTH[name]
+    alpha, cases = GOLDEN_DISTORTIONS[name]
+    compander = Compander(optimal_point_density(d, alpha, 1.5))
+    with mpmath.workdps(50):
+        for n, exact, before in cases:
+            q = compander.build(n)
+            exact = mpmath.mpf(exact)
+            if n < 5:
+                # the pinned sums are those of the reference
+                pdf, kinks = _mp_pdf(d)
+                cells = zip(q.boundaries[:-1].tolist(), q.boundaries[1:].tolist(),
+                            q.codepoints.tolist())
+                total = mpmath.fsum(_mp_moment(pdf, kinks, *map(mpmath.mpf, (s, t, c, 1.5)))
+                                    for s, t, c in cells)
+                assert abs(total / exact - 1) < 1e-25
+            assert abs(distortion(q, d, 1.5) - exact) <= abs(before - exact)
+
+
+def test_codepoint_pieces_take_few_integrand_points(monkeypatch):
+    # the Laplace source of the smooth benchmark sweep at seed 3, at its
+    # largest level count; the bounds lie well below the counts before the
+    # change of variables, and integer powers keep their counts exactly
+    f = truncated_laplace(0.482382, 0.382403, 0.0, 1.0)
+    q = Compander(optimal_point_density(f, -2.0, 1.5)).build(1024)
+    # from here on, count the integrand points of every smooth moment and cdf
+    count = [0]
+    real = densities.integrate_many
+
+    def counted(values, a, b, *args):
+        def counted_values(x, k):
+            count[0] += len(x)
+            return values(x, k)
+
+        return real(counted_values, a, b, *args)
+
+    monkeypatch.setattr(densities, "integrate_many", counted)
+    distortion(q, f, 1.5)
+    assert count[0] <= 250_000  # 734,521 before
+    d = truncated_gauss(0.45, 0.3, 0.0, 1.0)
+    for r, most in ((1.1, 60_000), (1.5, 40_000)):  # 236,850 and 94,262 before
+        count[0] = 0
+        optimal_codepoint(Interval(0.2, 0.3), d, r)
+        assert count[0] <= most
+    for r, exactly in ((2.0, 5698), (3.0, 10262)):
+        count[0] = 0
+        optimal_codepoint(Interval(0.2, 0.3), d, r)
+        assert count[0] == exactly
