@@ -9,8 +9,9 @@ Simpson sums differ from its own by more than 15 * eps splits into halves,
 each with eps / 2, until ``max_depth``; a leaf returns its halves plus the
 Richardson correction, and a split interval returns left + right.  One
 kernel, ``integrate_many``, runs that recursion on many intervals at once,
-level by level, with the same midpoints, sums, stop rule, depth cap and
-order of additions, so each result equals the recursive one bit for bit
+a level of nodes at a time in chunks of at most ``LEVEL_NODES``, with the
+same midpoints, sums, stop rule, depth cap and additions; no node's sums
+read another node, so each result equals the recursive one bit for bit
 (``tests/reference_quadrature.py`` keeps the recursion as the reference).
 The integrands take arrays: the smooth families give their pdfs an array
 form that equals the scalar pdf bit for bit, and ``call_each`` maps any
@@ -44,12 +45,12 @@ __all__ = [
 _TINY = float(np.finfo(float).tiny)
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 40
-# Intervals refined together by integrate_many.  A block keeps the value of
-# every node of its refinement trees until it adds them up, and its widest
-# level sets the size of every temporary array, so this bounds the memory
-# one call holds; a larger block saves numpy overhead per level (at 96 a
-# smooth sweep's peak resident set is about 2% above that at 48, at 128 3%).
-BLOCK_INTERVALS = 96
+# Most nodes integrate_many refines in one step.  A wider level is cut into
+# near-equal chunks, each refined depth first, so an integrand call gets at
+# most 3 * LEVEL_NODES points (3 per root, 2 per node below) and a call holds
+# a few levels of this width however large its trees.  Wider saves numpy
+# overhead per level (at 2048 a smooth sweep's peak resident set is 1% more).
+LEVEL_NODES = 1024
 
 
 def _log_sum_exp(t: np.ndarray) -> np.ndarray:
@@ -106,70 +107,69 @@ def integrate_many(values, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_
 
     ``values(x, k)`` returns the integrand at the points ``x``, where x[j]
     lies in interval k[j], so each interval may have its own integrand.
-    An empty interval (a[i] == b[i]) gives exactly 0.0.  The intervals go
-    through in blocks of ``BLOCK_INTERVALS``.
+    ``a`` and ``b`` are 1-D of one length with a[i] <= b[i]; an empty
+    interval (a[i] == b[i]) gives exactly 0.0.  Each refinement level takes
+    a stack frame, so ``max_depth`` must stay below the recursion limit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    rel_tol, max_depth = float(rel_tol), int(max_depth)
-    out = np.empty(len(a))
-    for start in range(0, len(a), BLOCK_INTERVALS):
-        block = slice(start, start + BLOCK_INTERVALS)
-        k = np.arange(start, start + len(a[block]))
-        out[block] = _refine(values, a[block], b[block], k, rel_tol, max_depth)
-    return out
-
-
-def _refine(values, a, b, k, rel_tol, max_depth):
-    """integrate_many for one block: every tree refined a level at a time.
-
-    A level holds the nodes at one recursion depth.  Each node ends as a
-    leaf, whose value is its Richardson-corrected sum, or splits into two
-    halves; the next level lists all left halves, then all right halves, in
-    the order of the nodes that split.  Adding up runs from the deepest
-    level back to the roots, each split node taking left + right.
-    """
-    n = len(a)
+    if a.ndim != 1 or a.shape != b.shape or not (a <= b).all():
+        raise ValueError("integrate_many needs 1-D interval ends of one length with a <= b")
+    k = np.arange(len(a))
     m = 0.5 * (a + b)
-    f = values(np.concatenate((a, m, b)), np.concatenate((k, k, k)))
+    f = np.empty((3, len(a)))
+    for part in _chunks(len(a)):
+        ends = np.concatenate((a[part], m[part], b[part]))
+        f[:, part] = values(ends, np.concatenate((k[part],) * 3)).reshape(3, -1)
     if not np.isfinite(f).all():
-        i = int(np.isfinite(f.reshape(3, n)).all(axis=0).argmin())
+        i = int(np.isfinite(f).all(axis=0).argmin())
         raise ValueError(f"integrand is not finite on [{a[i]}, {b[i]}]")
-    fa, fm, fb = f[:n], f[n : 2 * n], f[2 * n :]
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    eps = rel_tol * np.maximum(np.abs(whole), 1e-12)
-    sums, splits = [], []
-    for depth in range(max(max_depth, 0) + 1):
-        m = 0.5 * (a + b)
-        f = values(np.concatenate((0.5 * (a + m), 0.5 * (m + b))), np.concatenate((k, k)))
-        flm, frm = f[:n], f[n:]
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        both = left + right
-        delta = both - whole
-        # Richardson correction: one extrapolation order for free
-        sums.append(both + delta / 15.0)
-        # a NaN delta splits, as in the recursion
-        done = np.abs(delta) <= 15.0 * eps
-        if depth >= max_depth or done.all():
-            break
-        split = np.nonzero(~done)[0]
-        splits.append(split)
-        # the left halves [a, m] of the split nodes, then their right halves [m, b]
-        ms, fms = m[split], fm[split]
-        a, b = np.concatenate((a[split], ms)), np.concatenate((ms, b[split]))
-        fa, fb = np.concatenate((fa[split], fms)), np.concatenate((fms, fb[split]))
-        fm = np.concatenate((flm[split], frm[split]))
-        whole = np.concatenate((left[split], right[split]))
-        eps = np.tile(0.5 * eps[split], 2)
-        k = np.tile(k[split], 2)
-        n = len(a)
-    total = sums.pop()
-    while sums:
-        level, split = sums.pop(), splits.pop()
-        half = len(split)
-        level[split] = total[:half] + total[half:]
-        total = level
+    whole = (b - a) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
+    level = [a, b, *f, whole, float(rel_tol) * np.maximum(np.abs(whole), 1e-12), k]
+    del a, b, k, m, f, whole
+    return _refine(values, level, 0, int(max_depth))
+
+
+def _chunks(n):
+    """Near-equal slices covering range(n), none longer than LEVEL_NODES."""
+    parts = -(-n // LEVEL_NODES)
+    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
+def _refine(values, level, depth, max_depth):
+    """The sums of one level's nodes at ``depth``, each tree refined below it.
+
+    ``level`` lists the nodes' [a, b, fa, fm, fb, whole, eps, k] and is
+    emptied, so its arrays go before the next level is refined; a level
+    wider than ``LEVEL_NODES`` goes in chunks, views that hold it to the
+    last.  A leaf takes its Richardson sum; the nodes that split make the
+    next level, left halves then right halves, and take left + right.
+    """
+    if len(level[0]) > LEVEL_NODES:
+        parts = [[x[part] for x in level] for part in _chunks(len(level[0]))]
+        level.clear()
+        return np.concatenate([_refine(values, nodes, depth, max_depth) for nodes in parts])
+    a, b, fa, fm, fb, whole, eps, k = level
+    level.clear()
+    m = 0.5 * (a + b)
+    f = values(np.concatenate((0.5 * (a + m), 0.5 * (m + b))), np.concatenate((k, k)))
+    flm, frm = f.reshape(2, -1)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    both = left + right
+    delta = both - whole
+    # Richardson correction: one extrapolation order for free
+    total = both + delta / 15.0
+    # a NaN delta splits, as in the recursion
+    split = np.flatnonzero(~(np.abs(delta) <= 15.0 * eps))
+    if depth >= max_depth or len(split) == 0:
+        return total
+    # the left halves [a, m] of the split nodes, then their right halves [m, b]
+    halves = [np.concatenate((x[split], y[split])) for x, y in ((a, m), (m, b), (fa, fm),
+              (flm, frm), (fm, fb), (left, right), (0.5 * eps, 0.5 * eps), (k, k))]
+    del a, b, fa, fm, fb, whole, eps, k, m, f, flm, frm, left, right, both, delta
+    sums = _refine(values, halves, depth + 1, max_depth)
+    total[split] = sums[: len(split)] + sums[len(split) :]
     return total
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import reference_quadrature as reference
 import renyiquant._quadrature as quadrature
 from renyiquant import truncated_gauss, truncated_laplace
-from renyiquant._quadrature import (BLOCK_INTERVALS, bisect_increasing, bisect_many, call_each,
+from renyiquant._quadrature import (LEVEL_NODES, bisect_increasing, bisect_many, call_each,
                                    integrate, integrate_many)
 from renyiquant.design import optimal_point_density
 
@@ -17,8 +18,6 @@ LAPLACE = truncated_laplace(0.45, 0.3, 0.0, 1.0)
 # the optimal point density of the Laplace source: a pdf that calls a pdf
 POWER = optimal_point_density(LAPLACE, -2.0, 1.5)
 PDFS = {"gauss": GAUSS.pdf, "laplace": LAPLACE.pdf, "power": POWER.pdf}
-ARRAY_PDFS = {"gauss": GAUSS._pdf_values, "laplace": LAPLACE._pdf_values,
-              "power": POWER._pdf_values}
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -44,11 +43,10 @@ def test_integrate_equals_the_recursion(pdf, ends, cuts, rel_tol):
 
 @settings(max_examples=3, deadline=None)
 @given(pdf=st.sampled_from(sorted(PDFS)),
-       intervals=st.lists(_interval(), min_size=BLOCK_INTERVALS + 1,
-                          max_size=2 * BLOCK_INTERVALS + 3),
+       intervals=st.lists(_interval(), min_size=49, max_size=99),
        scale=st.floats(min_value=0.5, max_value=2.0))
 def test_integrate_many_equals_the_recursion_interval_by_interval(pdf, intervals, scale):
-    # each interval has its own integrand, and the list spans several blocks
+    # each interval has its own integrand, and the list spans several chunks
     f = PDFS[pdf]
     a, b = (np.array(col) for col in zip(*intervals))
     weight = scale * (1.0 + np.arange(len(a)))
@@ -58,7 +56,8 @@ def test_integrate_many_equals_the_recursion_interval_by_interval(pdf, intervals
 
     expected = [reference.integrate(lambda x, w=float(w): w * f(x), lo, hi)
                 for lo, hi, w in zip(a.tolist(), b.tolist(), weight)]
-    assert integrate_many(values, a, b).tolist() == expected
+    with _block_size(48):
+        assert integrate_many(values, a, b).tolist() == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,28 +110,71 @@ def test_integrate_many_gives_zero_on_an_empty_interval():
 
 @contextlib.contextmanager
 def _block_size(n):
-    saved = quadrature.BLOCK_INTERVALS
-    quadrature.BLOCK_INTERVALS = n
+    saved = quadrature.LEVEL_NODES
+    quadrature.LEVEL_NODES = n
     try:
         yield
     finally:
-        quadrature.BLOCK_INTERVALS = saved
+        quadrature.LEVEL_NODES = saved
 
 
-@settings(max_examples=10, deadline=None)
-@given(pdf=st.sampled_from(sorted(ARRAY_PDFS)),
-       intervals=st.lists(_interval(), min_size=1, max_size=2 * BLOCK_INTERVALS + 3),
-       scale=st.floats(min_value=0.5, max_value=2.0))
-def test_integrate_many_does_not_depend_on_the_block_size(pdf, intervals, scale):
-    # each interval refines on its own: its block only sets what runs together
-    f = ARRAY_PDFS[pdf]
-    a, b = (np.array(col) for col in zip(*intervals))
-    weight = scale * (1.0 + np.arange(len(a)))
+def _quartic(x, k):
+    # 0 at every root sample of [0, 1], so every node of its trees splits
+    return (1.0 + k) * x * (1.0 - x) * (x - 0.5) ** 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(intervals=st.lists(st.tuples(_interval(), unit), min_size=1, max_size=12),
+       max_depth=st.integers(min_value=0, max_value=8))
+def test_integrate_many_does_not_depend_on_the_node_budget(intervals, max_depth):
+    # each tree refines on its own: the budget only sets which nodes run together
+    ends, roots = zip(*intervals)
+    a, b = (np.array(col) for col in zip(*ends))
+    x0 = a + np.array(roots) * (b - a)
+
+    def root(x, k):
+        return np.sqrt(np.abs(x - x0[k]))
+
+    expected = [reference.integrate(lambda x, c=c: math.sqrt(abs(x - c)), lo, hi, 1e-14, max_depth)
+                for lo, hi, c in zip(a.tolist(), b.tolist(), x0.tolist())]
     results = []
-    for n in sorted({1, 48, BLOCK_INTERVALS}):
+    for n in (1, 2, 3, 48, LEVEL_NODES):
         with _block_size(n):
-            results.append(integrate_many(lambda x, k: weight[k] * f(x), a, b).tolist())
+            results.append((integrate_many(root, a, b, 1e-14, max_depth).tolist(),
+                            integrate_many(_quartic, np.zeros(2), np.ones(2), 1e-10, max_depth).tolist()))
     assert all(r == results[0] for r in results)
+    assert results[0][0] == expected
+
+
+def test_integrate_many_holds_a_level_of_nodes_at_a_time():
+    # 16 trees that split fully to depth 12: 2**13 - 1 nodes each
+    asked = []
+
+    def values(x, k):
+        asked.append(len(x))
+        return _quartic(x, k)
+
+    tracemalloc.start()
+    try:
+        integrate_many(values, np.zeros(16), np.ones(16), max_depth=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(asked) == 16 * (3 + 2 * (2**13 - 1))
+    assert max(asked) <= 3 * LEVEL_NODES
+    assert peak < 2_000_000  # 12.1 MB when every level was held until the sums
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0.0, 1.0], [1.0]),  # one end short
+    ([1.0], [0.0]),  # reversed
+    ([0.0, math.nan], [1.0, 1.0]),
+    ([[0.0]], [[1.0]]),  # not 1-D
+    (0.0, 1.0),
+])
+def test_integrate_many_refuses_intervals_that_are_not_ordered_pairs(a, b):
+    with pytest.raises(ValueError, match="a <= b"):
+        integrate_many(lambda x, k: x * x, a, b)
 
 
 @st.composite
