@@ -17,11 +17,10 @@ The integrands take arrays: the smooth families give their pdfs an array
 form that equals the scalar pdf bit for bit, and ``call_each`` maps any
 other scalar callable over an array, a Python float at a time.  Bisection
 works the same way: ``bisect_many`` runs one ``bisect_increasing`` per
-bracket, all brackets a step at a time, for every smooth quantile inversion
-and every codepoint solve.  A power sum that leaves the float range is
-summed in logs: ``_log_of_sum`` does it for one sum, with ``math.log`` where
-the sum is a normal float, and ``oracle._entropies`` row by row with
-``np.log``, whose last bit may differ.
+bracket, all brackets a step at a time, for every codepoint solve.  A power
+sum that leaves the float range is summed in logs: ``_log_of_sum`` does it
+for one sum, with ``math.log`` where the sum is a normal float, and
+``oracle._entropies`` row by row with ``np.log``, whose last bit may differ.
 """
 
 from __future__ import annotations
@@ -45,6 +44,8 @@ __all__ = [
 _TINY = float(np.finfo(float).tiny)
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 40
+# deepest refinement allowed: at most 3 stack frames a level, well inside 1000
+_DEPTH_LIMIT = 200
 # Most nodes integrate_many refines in one step.  A wider level is cut into
 # near-equal chunks, each refined depth first, so an integrand call gets at
 # most 3 * LEVEL_NODES points (3 per root, 2 per node below) and a call holds
@@ -109,12 +110,14 @@ def integrate_many(values, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_
     lies in interval k[j], so each interval may have its own integrand.
     ``a`` and ``b`` are 1-D of one length with a[i] <= b[i]; an empty
     interval (a[i] == b[i]) gives exactly 0.0.  Each refinement level takes
-    a stack frame, so ``max_depth`` must stay below the recursion limit.
+    a stack frame, so ``max_depth`` above ``_DEPTH_LIMIT`` raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or not (a <= b).all():
         raise ValueError("integrate_many needs 1-D interval ends of one length with a <= b")
+    if int(max_depth) > _DEPTH_LIMIT:
+        raise ValueError(f"max_depth must be at most {_DEPTH_LIMIT}, got {max_depth!r}")
     k = np.arange(len(a))
     m = 0.5 * (a + b)
     f = np.empty((3, len(a)))

@@ -31,7 +31,8 @@ class Compander:
     """Point-density view of a companding quantizer family.
 
     The point density must be bounded away from zero on its support;
-    construction verifies that the expander inverts the compressor on a grid.
+    construction verifies that the expander inverts the compressor at the
+    centres of equal cells, which miss an even cdf table's edges but the middle one.
     ``build`` keeps the expander values of its latest grid, so a sweep over
     nested level counts asks the point density for each argument only once.
     """
@@ -41,7 +42,7 @@ class Compander:
             raise ValueError("point density must be bounded away from zero on its support")
         self.point_density = point_density
         supp = point_density.support
-        xs = np.linspace(supp.lo, supp.hi, INVERSE_CHECK_POINTS)
+        xs = np.linspace(supp.lo, supp.hi, 2 * INVERSE_CHECK_POINTS + 1)[1::2]
         us = self.compress(xs)
         worst = float(np.max(np.abs(self.expand(us) - xs)))
         if worst > INVERSE_TOL * supp.width:

@@ -8,8 +8,8 @@ log-moment integrals, essential bounds, and similarity transforms.  ``cdf``
 and ``quantile`` take a scalar or a whole array of arguments and treat the
 array in one pass: a piecewise density in closed form, a smooth one with
 one batched quadrature call (``_quadrature.integrate_many``) per cdf, and
-per step of one bisection (``_quadrature.bisect_many``) that moves every
-quantile argument together.  A sweep over level counts designs its point
+per step of one safeguarded Newton iteration that moves every quantile
+argument together.  A sweep over level counts designs its point
 density once and, when the level counts are nested, asks it for each
 expander value once (see ``compander.Compander``).
 
@@ -32,8 +32,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import (_log_sum_exp, _normal_sums, bisect_many, integrate, integrate_many,
-                          over_arrays, scan_extremum, with_array_form)
+from ._quadrature import (_log_sum_exp, _normal_sums, integrate, integrate_many, over_arrays,
+                          scan_extremum, with_array_form)
 
 __all__ = [
     "Interval",
@@ -448,10 +448,10 @@ class SmoothDensity:
         return np.minimum(self._cum[j] + part / self._total, 1.0)
 
     def quantile(self, u):
-        """Generalized inverse of the cdf by bisection inside one table cell.
+        """Generalized inverse of the cdf by safeguarded Newton inside one table cell.
 
         ``u`` may be a scalar, giving a float, or an array, giving an array
-        of the same shape.  All arguments bisect together, one batched cdf
+        of the same shape.  All arguments step together, one batched cdf
         call per step.
         """
         us = _unit_arguments(u)
@@ -461,16 +461,41 @@ class SmoothDensity:
     def _invert(self, us: np.ndarray) -> np.ndarray:
         """quantile at each entry of the 1-D array us.
 
-        Every argument inside (0, 1) bisects the cdf over its table cell, all
-        in one ``_quadrature.bisect_many`` call, with tolerance 1e-13 times
-        the support width.
+        Each argument inside (0, 1) starts at the table's linear interpolant
+        in its cell, which is its bracket.  A step makes one batched cdf call
+        F at the open iterates x, moves the bracket's left end to x where
+        F(x) < u and its right end otherwise, and takes the Newton step
+        (u - F) * total / pdf; it bisects instead where that step is not
+        finite, leaves the bracket or does not halve the previous step.  An
+        argument ends at its new iterate once the step or the bracket is at
+        most 1e-13 of the support width, or raises ValueError after 200
+        steps.  All is elementwise, so an array gives its scalar calls' bits.
         """
         out = np.where(us <= 0.0, self._support.lo, self._support.hi)
-        inside = np.flatnonzero((us > 0.0) & (us < 1.0))
-        u = us[inside]
+        live = np.flatnonzero((us > 0.0) & (us < 1.0))
+        u = us[live]
         j = np.minimum(np.searchsorted(self._cum, u, side="right") - 1, len(self._edges) - 2)
-        out[inside] = bisect_many(lambda m, k: self._cdf_inside(m) < u[k], self._edges[j],
-                                  self._edges[j + 1], 1e-13 * self._support.width)
+        a, b, c = self._edges[j], self._edges[j + 1], self._cum[j]
+        x = a + (u - c) / (self._cum[j + 1] - c) * (b - a)
+        step, tol = b - a, 1e-13 * self._support.width
+        for _ in range(200):
+            if len(live) == 0:
+                return out
+            f = self._cdf_inside(x)
+            a, b = np.where(f < u, x, a), np.where(f < u, b, x)
+            g = self._pdf_many(x)
+            with np.errstate(all="ignore"):
+                dx = (u - f) * self._total / g
+                y = x + dx
+            # every comparison is False at a NaN step
+            newton = (np.abs(dx) <= 0.5 * step) & (a <= y) & (y <= b)
+            x = np.where(newton, y, 0.5 * (a + b))
+            step = np.where(newton, np.abs(dx), 0.5 * (b - a))
+            done = (step <= tol) | (b - a <= tol)
+            out[live[done]] = x[done]
+            live, u, a, b, x, step = (v[~done] for v in (live, u, a, b, x, step))
+        if len(live):
+            raise ValueError(f"quantile of {float(u[0])!r} does not converge in 200 steps")
         return out
 
     def power_integral(self, p: float) -> float:

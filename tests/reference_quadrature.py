@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from renyiquant._quadrature import bisect_increasing
-
 
 def _simpson(fa, fm, fb, a, b):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -76,14 +74,35 @@ def cdf(d, x: float) -> float:
 
 
 def quantile(d, u: float) -> float:
-    """SmoothDensity.quantile at one argument: bisection of ``cdf`` in its cell."""
+    """SmoothDensity.quantile at one argument: safeguarded Newton on ``cdf`` in its cell.
+
+    It starts at the table's linear interpolant and keeps the cell as its
+    bracket; a Newton step that is not finite, leaves the bracket or does
+    not halve the previous step gives way to bisection.
+    """
     if u <= 0.0:
         return d.support.lo
     if u >= 1.0:
         return d.support.hi
     j = min(int(np.searchsorted(d._cum, u, side="right")) - 1, len(d._edges) - 2)
-    lo, hi = float(d._edges[j]), float(d._edges[j + 1])
-    return bisect_increasing(lambda x: cdf(d, x), lo, hi, target=u, tol=1e-13 * d.support.width)
+    a, b, c = float(d._edges[j]), float(d._edges[j + 1]), float(d._cum[j])
+    x = a + (u - c) / (float(d._cum[j + 1]) - c) * (b - a)
+    step, tol = b - a, 1e-13 * d.support.width
+    for _ in range(200):
+        f = cdf(d, x)
+        if f < u:
+            a = x
+        else:
+            b = x
+        g = d.pdf(x)
+        dx = (u - f) * d._total / g if g != 0.0 else math.inf
+        if abs(dx) <= 0.5 * step and a <= x + dx <= b:
+            x, step = x + dx, abs(dx)
+        else:
+            x, step = 0.5 * (a + b), 0.5 * (b - a)
+        if step <= tol or b - a <= tol:
+            return x
+    raise ValueError(f"quantile of {u!r} does not converge in 200 steps")
 
 
 def moment(d, s: float, t: float, c: float, p: float) -> float:

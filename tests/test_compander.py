@@ -45,6 +45,20 @@ def test_compander_requires_positive_floor():
         Compander(ramp)
 
 
+def test_the_inverse_check_looks_inside_table_cells(monkeypatch):
+    # an expander that ignores where u falls inside its table cell inverts
+    # the compressor exactly on the table edges, and the check must refuse it
+    def cell_left_edges(self, us):
+        j = np.minimum(np.searchsorted(self._cum, us, side="right") - 1, len(self._edges) - 2)
+        return np.where(us >= 1.0, self.support.hi, self._edges[j])
+
+    g = truncated_gauss(0.45, 0.3, 0.0, 1.0)
+    Compander(g)
+    monkeypatch.setattr(SmoothDensity, "_invert", cell_left_edges)
+    with pytest.raises(ValueError, match="fails to invert"):
+        Compander(g)
+
+
 def test_midpoint_variant_uses_cell_midpoints(two_mass):
     comp = Compander(two_mass)
     q = comp.midpoint_variant(8)

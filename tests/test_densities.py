@@ -19,6 +19,7 @@ from renyiquant import (
     truncated_laplace,
     uniform,
 )
+from renyiquant.core import exponents
 from renyiquant.densities import _common_pieces, _pair_integral, require_nested_supports
 from renyiquant.design import optimal_point_density
 
@@ -418,6 +419,68 @@ def _laplace_mass(center, scale, a, b):
     if b <= center:
         return (eb - ea) / 2
     return 1 - (ea + eb) / 2
+
+
+# SMOOTH's densities in mpmath, as (the pdf before truncation, its mass on
+# [a, b]); the power density is proportional to the Laplace pdf to the power
+# p, itself a Laplace density with scale 0.3 / p
+_POWER = 1.0 / exponents(-2.0, 1.5).second
+MP_SMOOTH = {
+    "gauss": (lambda x: mpmath.npdf(x, 0.4, 0.3), lambda a, b: _gauss_mass(0.4, 0.3, a, b)),
+    "laplace": (lambda x: mpmath.exp(-abs(x - mpmath.mpf(0.45)) / 0.3) / 0.6,
+                lambda a, b: _laplace_mass(0.45, mpmath.mpf(0.3), a, b)),
+    "power": (lambda x: mpmath.exp(-abs(x - mpmath.mpf(0.45)) * _POWER / 0.3) * _POWER / 0.6,
+              lambda a, b: _laplace_mass(0.45, mpmath.mpf(0.3) / _POWER, a, b)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH))
+def test_smooth_quantile_matches_a_50_digit_reference(name):
+    # u = k/48 and every 32nd table entry.  The bisection expander's worst
+    # error here was 2.85e-14 to 2.99e-14 on the three densities, and
+    # returning bracket midpoints instead of Newton iterates gives 8.5e-14
+    d = SMOOTH[name]
+    pdf, mass = MP_SMOOTH[name]
+    us = [k / 48 for k in range(1, 48)] + d._cum[1:-1:32].tolist()
+    xs = d.quantile(np.array(us)).tolist()
+    with mpmath.workdps(50):
+        total = mass(0.0, 1.0)
+        for u, x in zip(us, xs):
+            # two Newton steps from x at 50 digits give the exact quantile
+            exact = mpmath.mpf(x)
+            for _ in range(2):
+                exact -= (mass(0.0, exact) / total - u) / (pdf(exact) / total)
+            assert abs(x - exact) <= 2.8e-14
+
+
+def test_a_quantile_bisects_where_the_pdf_underflows_to_zero():
+    # the pdf falls from its plateau at c to an exact 0 within the table cell
+    # right of c and rises again at 1 - c, so from most starts in that cell
+    # the Newton step is infinite, NaN or leaves the bracket
+    c, k = 0.3001, 1e6
+    h = 1.0 / (2.0 * c + 2.0 / k)
+    pdf = lambda x: h * math.exp(-k * min(x - c, 1.0 - c - x)) if c < x < 1.0 - c else h
+    d = SmoothDensity(pdf, 0.0, 1.0, breakpoints=[c, 1.0 - c], ess_inf=0.0, ess_sup=h)
+    j = int(np.searchsorted(d._edges, c))
+    assert d._edges[j] == c and d.pdf(d._edges[j + 1]) == 0.0
+    t = 1e-13
+    for f in (0.1, 0.5, 0.9, 0.99):
+        u = d._cum[j] + f * (d._cum[j + 1] - d._cum[j])
+        q = d.quantile(u)
+        # the generalized inverse: the cdf crosses u within the tolerance of q
+        assert c < q < d._edges[j + 1] and d.cdf(q - t) < u <= d.cdf(q + t)
+        assert q == reference.quantile(d, u)
+
+
+def test_a_quantile_that_does_not_converge_raises():
+    # at 1e6 the floats lie 1.2e-10 apart, far above 1e-13 of this support's
+    # width, so neither the step nor the bracket can get that small
+    lo = 1e6
+    w = (lo + 1e-6) - lo
+    d = SmoothDensity(lambda x: (1.0 + (x - lo) / w) / (1.5 * w), lo, lo + w,
+                      ess_inf=1.0 / (1.5 * w), ess_sup=2.0 / (1.5 * w))
+    with pytest.raises(ValueError, match="does not converge in 200 steps"):
+        d.quantile(0.3)
 
 
 def _check_against_reference(d, pdf, mass, lo, hi):

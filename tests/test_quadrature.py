@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_quadrature as reference
 import renyiquant._quadrature as quadrature
-from renyiquant import truncated_gauss, truncated_laplace
-from renyiquant._quadrature import (LEVEL_NODES, bisect_increasing, bisect_many, call_each,
-                                   integrate, integrate_many)
+from renyiquant import SmoothDensity, truncated_gauss, truncated_laplace
+from renyiquant._quadrature import (_DEPTH_LIMIT, LEVEL_NODES, bisect_increasing, bisect_many,
+                                   call_each, integrate, integrate_many)
 from renyiquant.design import optimal_point_density
 
 GAUSS = truncated_gauss(0.4, 0.3, 0.0, 1.0)
@@ -74,6 +74,19 @@ def test_the_depth_cap_binds_on_a_square_root():
     capped = integrate(f, 0.0, 1.0, 1e-14, 4)
     assert capped == reference.integrate(f, 0.0, 1.0, 1e-14, 4)
     assert capped != integrate(f, 0.0, 1.0, 1e-14, 40)
+
+
+def test_max_depth_is_bounded_below_the_recursion_limit():
+    # a step at 0 splits the leftmost node at every level, so the deepest
+    # allowed depth is reached; one more is refused, not a RecursionError
+    f = lambda x: 1.0 if x > 0.0 else 0.0
+    assert _DEPTH_LIMIT == 200
+    assert integrate(f, 0.0, 1.0, 1e-10, _DEPTH_LIMIT) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ValueError, match="max_depth must be at most 200"):
+        integrate(f, 0.0, 1.0, 1e-10, _DEPTH_LIMIT + 1)
+    SmoothDensity(GAUSS._pdf, 0.0, 1.0, max_depth=_DEPTH_LIMIT)
+    with pytest.raises(ValueError, match="max_depth must be at most 200"):
+        SmoothDensity(GAUSS._pdf, 0.0, 1.0, max_depth=_DEPTH_LIMIT + 1)
 
 
 @pytest.mark.parametrize("f, a, b, breaks", [
