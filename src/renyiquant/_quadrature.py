@@ -1,30 +1,29 @@
-"""Adaptive Simpson quadrature, bisection, scalar search and log-sum-exp helpers.
+"""Quadrature, bisection, scalar search and log-sum-exp helpers.
 
 All integrands in this package are piecewise smooth on a compact interval,
-with the kink locations known in advance, so a Simpson rule with interval
-bisection and a Richardson correction is both simple and accurate.
-
-The rule is the classic recursion: an interval whose two half-interval
-Simpson sums differ from its own by more than 15 * eps splits into halves,
-each with eps / 2, until ``max_depth``; a leaf returns its halves plus the
-Richardson correction, and a split interval returns left + right.  One
-kernel, ``integrate_many``, runs that recursion on many intervals at once,
-a level of nodes at a time in chunks of at most ``LEVEL_NODES``, with the
-same midpoints, sums, stop rule, depth cap and additions; no node's sums
-read another node, so each result equals the recursive one bit for bit
-(``tests/reference_quadrature.py`` keeps the recursion as the reference).
-The integrands take arrays: the smooth families give their pdfs an array
-form that equals the scalar pdf bit for bit, and ``call_each`` maps any
-other scalar callable over an array, a Python float at a time.  Bisection
-works the same way: ``bisect_many`` runs one ``bisect_increasing`` per
-bracket, all brackets a step at a time, for every codepoint solve.  A power
-sum that leaves the float range is summed in logs: ``_log_of_sum`` does it
-for one sum, with ``math.log`` where the sum is a normal float, and
+with the kink locations known in advance.  Masses, cdfs and power integrals
+use adaptive Simpson: an interval whose two half-interval sums differ from
+its own by more than 15 * eps splits into halves, each with eps / 2, until
+``max_depth``; a leaf returns its halves plus the Richardson correction.
+``integrate_many`` runs that recursion on many intervals at once, a level of
+nodes at a time in chunks of at most ``LEVEL_NODES``, with the recursion's
+sums and additions, so each result equals it bit for bit
+(``tests/reference_quadrature.py`` keeps the references).  Cell moments
+take |x - c|**p as the weight of Gauss rules (``gauss_jacobi``) on the
+pieces at the codepoint c, where it is singular, and ``moments_many`` halves
+a piece until its n- and 2n-point rules agree.  The integrands take arrays:
+the smooth families give their pdfs an array form that equals the scalar
+pdf bit for bit, and ``call_each`` maps any other scalar callable over an
+array.  ``bisect_many`` runs one ``bisect_increasing`` per bracket, all
+brackets a step at a time, for every codepoint solve.  A power sum that
+leaves the float range is summed in logs: ``_log_of_sum`` does it for one
+sum, with ``math.log`` where the sum is a normal float, and
 ``oracle._entropies`` row by row with ``np.log``, whose last bit may differ.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +31,8 @@ import numpy as np
 __all__ = [
     "integrate",
     "integrate_many",
+    "gauss_jacobi",
+    "moments_many",
     "call_each",
     "with_array_form",
     "over_arrays",
@@ -52,6 +53,7 @@ _DEPTH_LIMIT = 200
 # a few levels of this width however large its trees.  Wider saves numpy
 # overhead per level (at 2048 a smooth sweep's peak resident set is 1% more).
 LEVEL_NODES = 1024
+GAUSS_POINTS = 4  # the n of moments_many: n- and 2n-point rules, 3n pdf values a piece
 
 
 def _log_sum_exp(t: np.ndarray) -> np.ndarray:
@@ -176,6 +178,94 @@ def _refine(values, level, depth, max_depth):
     return total
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_jacobi(beta: float, n: int):
+    """Nodes and weights, as tuples, of the n-point Gauss rule for t**beta on [0, 1].
+
+    It is exact on t**beta times a polynomial of degree below 2n.  The
+    orthonormal P_k follow the shifted Jacobi recurrence (Golub & Welsch,
+    Math. Comp. 1969) with c_k = 1 - d_k, so t - d_k stays accurate near 1.
+    Each root of P_k is bisected to adjacent floats between two roots of
+    P_(k-1), and weighs 1 / ((beta + 1) * sum of P_j(t)**2, j < n).  Only
+    + - * / and sqrt are used, all correctly rounded: the same bits anywhere.
+    """
+    c, e = [1.0 / (beta + 2.0)], [0.0]
+    for k in range(1, n + 1):
+        s = 2.0 * k + beta
+        c.append((2.0 * k * (k + beta + 1.0) + beta) / (s * (s + 2.0)))
+        e.append(math.sqrt((k * k) * ((k + beta) * (k + beta)) / ((s * s) * (s + 1.0) * (s - 1.0))))
+
+    def ortho(t, k):  # P_0(t), ..., P_k(t)
+        v = [0.0, 1.0]
+        for j in range(k):
+            v.append(((c[j] - (1.0 - t)) * v[-1] - e[j] * v[-2]) / e[j + 1])
+        return v[1:]
+
+    roots = []
+    for k in range(1, n + 1):
+        ends, roots = [0.0, *roots, 1.0], []
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            below = ortho(lo, k)[-1] < 0.0
+            while lo < 0.5 * (lo + hi) < hi:
+                m = 0.5 * (lo + hi)
+                lo, hi = (m, hi) if (ortho(m, k)[-1] < 0.0) == below else (lo, m)
+            roots.append(min((lo, hi), key=lambda t: abs(ortho(t, k)[-1])))
+    return tuple(roots), tuple(1.0 / ((beta + 1.0) * math.fsum(v * v for v in ortho(t, n - 1)))
+                              for t in roots)
+
+
+def moments_many(f, a, b, c, p):
+    """Integral of |x - c[k]|**p * f(x) over each piece [a[k], b[k]], p >= 0.
+
+    c[k] is an end of its piece or outside it.  A piece of width h with c at
+    an end is h**(p + 1) times the integral of t**p * f(c +- h * t) on
+    [0, 1], by the ``gauss_jacobi`` rules for t**p; any other is h times that
+    of |x - c|**p * f(a + h * t), by those for t**0.  A level makes one call
+    of the array function f for the n- and 2n-point rules of all its pieces.
+    A piece keeps its 2n-point sum Q where the two differ by at most
+    DEFAULT_REL_TOL * |Q|, else adds up its halves, or raises ValueError past
+    DEFAULT_MAX_DEPTH halvings.  Sums add left to right, elementwise, so a
+    piece gets the bits of a call on it alone, ``LEVEL_NODES`` at a time.
+    """
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    n, p = GAUSS_POINTS, float(p)
+    # rows: the n-point rule, then the 2n-point one; columns: for t**p, for t**0
+    rule = [np.column_stack([np.concatenate([gauss_jacobi(beta, k)[i] for k in (n, 2 * n)])
+                             for beta in (p, 0.0)]) for i in (0, 1)]
+    parts = [_gauss_pieces(f, a[s], b[s], c[s], p, rule, 0) for s in _chunks(len(a))]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _gauss_pieces(f, a, b, c, p, rule, depth):
+    """``moments_many`` on the pieces of one level, those that do not converge halved below it."""
+    (nodes, weights), n = rule, GAUSS_POINTS
+    on, at_b, h = (a == c) | (b == c), b == c, b - a
+    # a piece with c at b runs from b towards a
+    x = np.where(at_b, b, a) + np.where(at_b, -h, h) * np.where(on, nodes[:, :1], nodes[:, 1:])
+    x = np.clip(x, a, b)
+    g = f(x.ravel()).reshape(x.shape)
+    if not np.isfinite(g).all():
+        i = int(np.isfinite(g).all(axis=0).argmin())
+        raise ValueError(f"integrand is not finite on [{a[i]}, {b[i]}]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.where(on, g, np.float_power(np.abs(x - c), p) * g)
+        g *= np.where(on, weights[:, :1], weights[:, 1:])
+        scale = np.where(on, np.float_power(h, p + 1.0), h)
+        few, many = (functools.reduce(np.add, rows) * scale for rows in (g[:n], g[n:]))
+    if not np.isfinite([few, many]).all():
+        raise ValueError("a cell moment overflows; reduce r or the cell widths")
+    split = np.flatnonzero(~(np.abs(many - few) <= DEFAULT_REL_TOL * np.abs(many)))
+    if len(split) == 0:
+        return many
+    if depth == DEFAULT_MAX_DEPTH:
+        raise ValueError(f"a cell moment does not converge on [{a[split[0]]}, {b[split[0]]}]")
+    m = 0.5 * (a + b)
+    halves = [np.concatenate((u[split], v[split])) for u, v in ((a, m), (m, b), (c, c))]
+    sums = _gauss_pieces(f, *halves, p, rule, depth + 1)
+    many[split] = sums[: len(split)] + sums[len(split):]
+    return many
+
+
 def integrate(f, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH, breakpoints=()):
     """Integrate the scalar callable f over [a, b], splitting at the given
     interior breakpoints; the pieces are added left to right.  f is
@@ -249,7 +339,10 @@ def golden_extremum(f, lo, hi, maximize, tol=None):
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = sign * f(c), sign * f(d)
-    while b - a > tol:
+    width = math.inf
+    # a step that leaves the bracket as wide ends it: its ends are a few floats apart
+    while tol < b - a < width:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -32,8 +32,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import (_log_sum_exp, _normal_sums, integrate, integrate_many, over_arrays,
-                          scan_extremum, with_array_form)
+from ._quadrature import (_log_sum_exp, _normal_sums, integrate, integrate_many, moments_many,
+                          over_arrays, scan_extremum, with_array_form)
 
 __all__ = [
     "Interval",
@@ -539,21 +539,12 @@ class SmoothDensity:
         """Integral of |x - c[k]|**p dmu over each cell [s[k], t[k]], as one column.
 
         Each cell is clipped to the support and cut at the kinks and at c[k]
-        inside it.  All pieces of all cells go through one ``integrate_many``
-        call with the default tolerance and depth; each cell adds its pieces
-        left to right from 0.0, as a scalar ``integrate`` call with those
-        breakpoints does.  Powers go through ``np.float_power``.
-
-        At a non-integer p, |x - c|**p has a singular derivative at c, where
-        adaptive Simpson would refine level after level.  So a piece of width
-        h with c at one end integrates in s over [0, 1] instead, with
-        x = c +- h * s**k and k = 4 / (p + 1): its integral is
-        k * h**(p + 1) times that of s**3 * pdf(x).  Simpson is exact on s**3,
-        and the rest, about h * pdf'(c) * s**(3 + k), has four continuous
-        derivatives for p < 3.  At an integer p, |x - c|**p is a polynomial
-        on the piece, which Simpson handles as it stands, so those pieces,
-        like every piece away from c, keep the plain integrand and its bits.
-        The substituted pieces share the one ``integrate_many`` call.
+        inside it, so the pdf is analytic on each piece and c[k] lies at one
+        end of it or outside it.  All pieces of all cells go through one
+        ``_quadrature.moments_many`` call: Gauss rules for the weight
+        |x - c|**p on the pieces at c, and for the plain integrand elsewhere,
+        each piece halved until its two rules agree.  Each cell adds its
+        pieces left to right from 0.0.
         """
         supp = self._support
         s, t = (np.clip(np.asarray(v, dtype=float), supp.lo, supp.hi) for v in (s, t))
@@ -565,40 +556,9 @@ class SmoothDensity:
         cuts = np.column_stack((s, np.sort(np.where(strictly, inner, t[:, None]), axis=1), t))
         lo, hi = cuts[:, :-1], cuts[:, 1:]
         live = hi > lo
-        a, b = lo[live], hi[live]
-        centre = c[np.nonzero(live)[0]]
-        bent = (not float(p).is_integer()) & ((a == centre) | (b == centre))
-        reach = np.where(a == centre, b - a, a - b)  # from c to the far end of its piece
-        stretch = 4.0 / (p + 1.0)  # the k above
-        with np.errstate(over="ignore"):
-            scale = stretch * np.float_power(b[bent] - a[bent], p + 1.0)
-        if np.isinf(scale).any():
-            raise ValueError("a cell moment overflows; reduce r or the cell widths")
-
-        def plain(x, k):
-            with np.errstate(over="ignore"):
-                w = np.float_power(np.abs(x - centre[k]), p)
-            if np.isinf(w).any():
-                raise ValueError("a cell moment overflows; reduce r or the cell widths")
-            # every point lies in the clipped cells, so the support test is not needed
-            return w * self._pdf_many(x)
-
-        def values(x, k):
-            on = bent[k]
-            out = np.empty(len(x))
-            out[~on] = plain(x[~on], k[~on])
-            u, j = x[on], k[on]
-            # rounding can carry c + reach past the far end of the piece
-            y = np.minimum(np.maximum(centre[j] + reach[j] * np.float_power(u, stretch), a[j]),
-                           b[j])
-            out[on] = u * u * u * self._pdf_many(y)
-            return out
-
-        part = integrate_many(values if bent.any() else plain, np.where(bent, 0.0, a),
-                              np.where(bent, 1.0, b))
-        part[bent] *= scale
         pieces = np.zeros(lo.shape)
-        pieces[live] = part
+        pieces[live] = moments_many(self._pdf_many, lo[live], hi[live],
+                                    c[np.nonzero(live)[0]], p)
         return _cell_sums(pieces)[:, None]
 
     def _balances(self, lo, hi, a, r: float) -> np.ndarray:

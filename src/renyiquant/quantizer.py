@@ -5,18 +5,10 @@ cell.  Cell i covers (boundaries[i], boundaries[i+1]]; the first cell is
 closed on the left.  The formulas of each density family live in
 ``densities``: this module asks the density for its cell masses
 (``_cell_masses``), its moment terms (``_moment_terms``: a closed form per
-piece of each cell for a piecewise density, one batched adaptive-Simpson
-total per cell for a smooth one) and its codepoint balances
-(``_balances``), and never looks at the family.
-
-A smooth moment of non-integer power p (the balances take p = r - 1) has a
-singular derivative at its centre c, where adaptive Simpson would refine
-level after level.  So each piece of width h that ends at c is integrated
-in s over [0, 1], with x = c +- h * s**k and k = 4 / (p + 1): its moment is
-k * h**(p + 1) times the integral of s**3 * pdf(x), on which Simpson needs
-few levels.  At an integer p, |x - c|**p is a polynomial on the piece, so
-those pieces keep their plain integrand and every r = 2 and r = 3 result
-keeps its bits.
+piece of each cell for a piecewise density; for a smooth one, Gauss rules
+whose weight is |x - c|**p on the pieces that end at the codepoint c, where
+it is singular for non-integer p) and its codepoint balances
+(``_balances``, moments of power p = r - 1), and never looks at the family.
 
 A distortion adds all moment terms left to right across the span; a cell's
 own moment adds its row (``densities._cell_sums``).  Every codepoint solve,

@@ -2,9 +2,11 @@
 
 ``integrate`` is the recursive adaptive Simpson rule, one interval at a
 time; ``renyiquant._quadrature.integrate_many`` must follow it step for step
-and give the same floats.  The other helpers build the cdf, the quantile and
-the cell moments of a ``SmoothDensity`` from it, one argument or one cell at
-a time.
+and give the same floats.  ``cdf`` and ``quantile`` build those of a
+``SmoothDensity`` from it, one argument at a time.  ``moment`` and
+``balance`` give its cell moments one piece at a time, by the Gauss rules of
+``renyiquant._quadrature.gauss_jacobi`` and the halving of
+``moments_many``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from renyiquant._quadrature import DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, GAUSS_POINTS, gauss_jacobi
 
 
 def _simpson(fa, fm, fb, a, b):
@@ -105,33 +109,46 @@ def quantile(d, u: float) -> float:
     raise ValueError(f"quantile of {u!r} does not converge in 200 steps")
 
 
+def _gauss_piece(f, a, b, c, p, depth=0):
+    """Integral of |x - c|**p * f over the piece [a, b], c at one end or outside.
+
+    With c at one end it is (b - a)**(p + 1) times a Gauss rule for t**p on
+    f(c +- (b - a) * t); otherwise it is b - a times a Gauss-Legendre rule on
+    |x - c|**p * f(a + (b - a) * t), each point clamped into the piece.  The
+    2n-point sum stands where it agrees with the n-point sum to
+    DEFAULT_REL_TOL of itself; otherwise the piece is the sum of its halves.
+    """
+    on = c in (a, b)
+    start, reach = (b, a - b) if c == b else (a, b - a)
+    scale = (b - a) ** (p + 1.0) if on else b - a
+    sums = []
+    for n in (GAUSS_POINTS, 2 * GAUSS_POINTS):
+        nodes, weights = gauss_jacobi(p if on else 0.0, n)
+        total = 0.0
+        for t, w in zip(nodes, weights):
+            x = min(max(start + reach * t, a), b)
+            total += w * (f(x) if on else abs(x - c) ** p * f(x))
+        sums.append(total * scale)
+    few, many = sums
+    if abs(many - few) <= DEFAULT_REL_TOL * abs(many):
+        return many
+    if depth == DEFAULT_MAX_DEPTH:
+        raise ValueError(f"a cell moment does not converge on [{a}, {b}]")
+    m = 0.5 * (a + b)
+    return _gauss_piece(f, a, m, c, p, depth + 1) + _gauss_piece(f, m, b, c, p, depth + 1)
+
+
 def moment(d, s: float, t: float, c: float, p: float) -> float:
     """Integral of |x - c|**p against d over [s, t], clipped to the support of
-    d (where the pdf vanishes) and split at its kinks and at c.
-
-    At a non-integer p, a piece of width h with c at one end integrates
-    s**3 * pdf(c +- h * s**k) over s in [0, 1], with k = 4 / (p + 1), and
-    takes k * h**(p + 1) times that; every other piece integrates
-    |x - c|**p * pdf(x) over x.  The pieces add left to right from 0.0.
-    """
+    d (where the pdf vanishes) and split at its kinks and at c; the pieces
+    add left to right from 0.0."""
     s, t = (min(max(v, d.support.lo), d.support.hi) for v in (s, t))
     inner = [x for x in d.interior_breakpoints() if s < x < t] + ([c] if s < c < t else [])
     cuts = [s] + sorted(inner) + [t]
-    bend = not float(p).is_integer()
-    k = 4.0 / (p + 1.0)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if not hi > lo:
-            continue
-        if bend and c in (lo, hi):
-            reach = hi - lo if lo == c else lo - hi
-
-            def g(u, lo=lo, hi=hi, reach=reach):
-                return u * u * u * d.pdf(min(max(c + reach * u**k, lo), hi))
-
-            total += k * (hi - lo) ** (p + 1.0) * integrate(g, 0.0, 1.0)
-        else:
-            total += integrate(lambda x: abs(x - c) ** p * d.pdf(x), lo, hi)
+        if hi > lo:
+            total += _gauss_piece(d.pdf, lo, hi, c, p)
     return total
 
 

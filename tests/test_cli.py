@@ -335,8 +335,7 @@ GOLDEN_PIECEWISE = {
 }
 GOLDEN_GAUSS = {"kind": "truncated_gauss", "mean": 0.4, "sigma": 0.3, "lo": 0.0, "hi": 1.0}
 # the kink at the center is interior, and at r = 1.5 each cell's pieces at
-# its codepoint integrate after the change of variables that removes the
-# singular derivative of |x - c|**1.5 there
+# its codepoint take Gauss rules whose weight is |x - c|**1.5, singular there
 GOLDEN_LAPLACE = {"kind": "truncated_laplace", "center": 0.45, "scale": 0.3, "lo": 0.0, "hi": 1.0}
 
 

@@ -2,6 +2,7 @@ import contextlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 import reference_quadrature as reference
 import renyiquant._quadrature as quadrature
 from renyiquant import SmoothDensity, truncated_gauss, truncated_laplace
-from renyiquant._quadrature import (_DEPTH_LIMIT, LEVEL_NODES, bisect_increasing, bisect_many,
-                                   call_each, integrate, integrate_many)
+from renyiquant._quadrature import (_DEPTH_LIMIT, DEFAULT_MAX_DEPTH, GAUSS_POINTS, LEVEL_NODES,
+                                   bisect_increasing, bisect_many, call_each, gauss_jacobi,
+                                   golden_extremum, integrate, integrate_many, moments_many)
 from renyiquant.design import optimal_point_density
+from time_limit import time_limit
 
 GAUSS = truncated_gauss(0.4, 0.3, 0.0, 1.0)
 LAPLACE = truncated_laplace(0.45, 0.3, 0.0, 1.0)
@@ -227,3 +230,75 @@ def test_bisect_many_asks_only_for_the_open_brackets():
     # the zero-width bracket and the one already within its tolerance are never asked
     assert asked == [[0], [0], [0]]
     assert got.tolist() == [0.3125, 0.5, 0.5]
+
+
+GAUSS_BETAS = [0.0, 0.5, 1.5, 2.0, 3.9, 200.0]
+
+
+@pytest.mark.parametrize("beta", GAUSS_BETAS)
+@pytest.mark.parametrize("n", [GAUSS_POINTS, 2 * GAUSS_POINTS])
+def test_gauss_jacobi_matches_50_digit_jacobi_roots(beta, n):
+    # on [-1, 1] the nodes are the roots x of the Jacobi polynomial
+    # P_n^(0, beta), and the weights for (1 + x)**beta are
+    # 2**(beta + 1) / ((1 - x**2) * P_n'(x)**2); t = (1 + x) / 2 scales
+    # them by 2**-(beta + 1)
+    nodes, weights = gauss_jacobi(beta, n)
+    assert len(nodes) == len(weights) == n and sorted(set(nodes)) == list(nodes)
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        for t, w in zip(nodes, weights):
+            x = mpmath.findroot(lambda x: mpmath.jacobi(n, 0, b, x), 2 * mpmath.mpf(t) - 1)
+            slope = (n + b + 1) / 2 * mpmath.jacobi(n - 1, 1, b + 1, x)
+            assert abs((1 + x) / 2 - t) <= 1e-15
+            assert abs(1 / ((1 - x * x) * slope**2) - w) <= 1e-15
+
+
+@pytest.mark.parametrize("beta", GAUSS_BETAS)
+@pytest.mark.parametrize("n", [GAUSS_POINTS, 2 * GAUSS_POINTS])
+def test_gauss_jacobi_integrates_polynomials_of_degree_below_2n_exactly(beta, n):
+    nodes, weights = gauss_jacobi(beta, n)
+    with mpmath.workdps(50):
+        for j in range(2 * n):
+            total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(t) ** j
+                                for t, w in zip(nodes, weights))
+            assert abs(total - 1 / (mpmath.mpf(beta) + j + 1)) <= 1e-15
+
+
+def test_moments_many_raises_past_the_depth_cap():
+    # a jump the pieces do not cut at: the piece holding it never converges
+    levels = []
+
+    def step(x):
+        levels.append(len(x))
+        return np.where(x < 0.3, 1.0, 2.0)
+
+    with pytest.raises(ValueError, match="a cell moment does not converge on"):
+        moments_many(step, [0.0], [1.0], [0.0], 1.5)
+    assert len(levels) == DEFAULT_MAX_DEPTH + 1
+
+
+def test_moments_many_takes_a_zero_integrand_at_the_first_level():
+    points = []
+
+    def zero(x):
+        points.append(len(x))
+        return np.zeros(len(x))
+
+    assert moments_many(zero, [0.0, 0.5], [0.5, 2.0], [0.5, 0.5], 1.5).tolist() == [0.0, 0.0]
+    assert points == [2 * 3 * GAUSS_POINTS]
+    # a truncated Gaussian whose pdf underflows to 0 on the whole cell
+    d = truncated_gauss(0.0, 0.01, -1.0, 1.0)
+    with time_limit(10.0):
+        assert d._moment_terms([0.5], [0.9], [0.7], 2.0).tolist() == [[0.0]]
+
+
+def test_golden_extremum_ends_when_the_bracket_stops_shrinking():
+    # floats near 1e6 lie 1.2e-10 apart, far above the tolerance of 1e-12
+    lo = 1e6
+    w = (lo + 1e-6) - lo
+    with time_limit(10.0):
+        x, v = golden_extremum(lambda x: x, lo, math.nextafter(lo, math.inf), maximize=False)
+        # the essential bounds are scanned for, and refined by golden_extremum
+        d = SmoothDensity(lambda x: (1 + (x - lo) / w) / (1.5 * w), lo, lo + w)
+    assert x in (lo, math.nextafter(lo, math.inf)) and v == x
+    assert d.ess_bounds() == (d.pdf(lo), d.pdf(lo + w))
