@@ -2,23 +2,20 @@
 
 All integrands in this package are piecewise smooth on a compact interval,
 with the kink locations known in advance.  Masses, cdfs and power integrals
-use adaptive Simpson: an interval whose two half-interval sums differ from
-its own by more than 15 * eps splits into halves, each with eps / 2, until
-``max_depth``; a leaf returns its halves plus the Richardson correction.
-``integrate_many`` runs that recursion on many intervals at once, a level of
-nodes at a time in chunks of at most ``LEVEL_NODES``, with the recursion's
-sums and additions, so each result equals it bit for bit
-(``tests/reference_quadrature.py`` keeps the references).  Cell moments
-take |x - c|**p as the weight of Gauss rules (``gauss_jacobi``) on the
-pieces at the codepoint c, where it is singular, and ``moments_many`` halves
-a piece until its n- and 2n-point rules agree.  The integrands take arrays:
-the smooth families give their pdfs an array form that equals the scalar
-pdf bit for bit, and ``call_each`` maps any other scalar callable over an
-array.  ``bisect_many`` runs one ``bisect_increasing`` per bracket, all
-brackets a step at a time, for every codepoint solve.  A power sum that
-leaves the float range is summed in logs: ``_log_of_sum`` does it for one
-sum, with ``math.log`` where the sum is a normal float, and
-``oracle._entropies`` row by row with ``np.log``, whose last bit may differ.
+use adaptive Simpson with a Richardson correction: ``integrate_many`` runs
+the classic recursion on many intervals at once, a level of nodes at a time,
+with its sums and additions, so each result equals it bit for bit
+(``tests/reference_quadrature.py`` keeps the references).  Cell moments take
+|x - c|**p as the weight of Gauss rules (``gauss_jacobi``) on the pieces at
+the codepoint c, where it is singular; ``moments_many`` halves a piece until
+its n- and 2n-point rules agree.  The integrands take arrays: the smooth
+families give their pdfs an array form that equals the scalar pdf bit for
+bit, and ``call_each`` maps any other scalar callable over an array.
+``bisect_many`` runs one ``bisect_increasing`` per bracket, all brackets a
+step at a time.  A power sum that leaves the float range is summed in logs:
+``_log_of_sum`` does it for one sum, with ``math.log`` where the sum is a
+normal float, and ``oracle._entropies`` row by row with ``np.log``, whose
+last bit may differ.
 """
 
 from __future__ import annotations
@@ -220,24 +217,27 @@ def moments_many(f, a, b, c, p):
     c[k] is an end of its piece or outside it.  A piece of width h with c at
     an end is h**(p + 1) times the integral of t**p * f(c +- h * t) on
     [0, 1], by the ``gauss_jacobi`` rules for t**p; any other is h times that
-    of |x - c|**p * f(a + h * t), by those for t**0.  A level makes one call
-    of the array function f for the n- and 2n-point rules of all its pieces.
-    A piece keeps its 2n-point sum Q where the two differ by at most
-    DEFAULT_REL_TOL * |Q|, else adds up its halves, or raises ValueError past
-    DEFAULT_MAX_DEPTH halvings.  Sums add left to right, elementwise, so a
-    piece gets the bits of a call on it alone, ``LEVEL_NODES`` at a time.
+    of |x - c|**p * f(a + h * t), by those for t**0.  A piece keeps its
+    2n-point sum Q where the n-point one is within DEFAULT_REL_TOL of |Q| or
+    of the smallest normal float, and, as no node lies on an end, where Q is
+    a normal float or the pdf at both ends bounds the piece below one.  Else
+    it adds up its halves, or raises ValueError past DEFAULT_MAX_DEPTH
+    halvings.  A level calls the array function f once per ``LEVEL_NODES``
+    pieces and adds elementwise, so a piece gets the bits of a call on it.
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     n, p = GAUSS_POINTS, float(p)
     # rows: the n-point rule, then the 2n-point one; columns: for t**p, for t**0
     rule = [np.column_stack([np.concatenate([gauss_jacobi(beta, k)[i] for k in (n, 2 * n)])
                              for beta in (p, 0.0)]) for i in (0, 1)]
-    parts = [_gauss_pieces(f, a[s], b[s], c[s], p, rule, 0) for s in _chunks(len(a))]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return _gauss_pieces(f, a, b, c, p, rule, 0) if len(a) else np.zeros(0)
 
 
 def _gauss_pieces(f, a, b, c, p, rule, depth):
     """``moments_many`` on the pieces of one level, those that do not converge halved below it."""
+    if len(a) > LEVEL_NODES:
+        return np.concatenate([_gauss_pieces(f, a[s], b[s], c[s], p, rule, depth)
+                               for s in _chunks(len(a))])
     (nodes, weights), n = rule, GAUSS_POINTS
     on, at_b, h = (a == c) | (b == c), b == c, b - a
     # a piece with c at b runs from b towards a
@@ -254,7 +254,19 @@ def _gauss_pieces(f, a, b, c, p, rule, depth):
         few, many = (functools.reduce(np.add, rows) * scale for rows in (g[:n], g[n:]))
     if not np.isfinite([few, many]).all():
         raise ValueError("a cell moment overflows; reduce r or the cell widths")
-    split = np.flatnonzero(~(np.abs(many - few) <= DEFAULT_REL_TOL * np.abs(many)))
+    size = np.abs(many)
+    split = ~(np.abs(many - few) <= DEFAULT_REL_TOL * np.maximum(size, _TINY))
+    faint = np.flatnonzero(~split & (size < _TINY)) if size.min() < _TINY else []
+    if len(faint):
+        ends = f(np.concatenate((a[faint], b[faint]))).reshape(2, -1)
+        if not np.isfinite(ends).all():
+            i = faint[int(np.isfinite(ends).all(axis=0).argmin())]
+            raise ValueError(f"integrand is not finite on [{a[i]}, {b[i]}]")
+        reach = np.maximum(np.abs(a - c), np.abs(b - c))[faint]
+        with np.errstate(over="ignore"):
+            # the pdf at an end, times the largest |x - c|**p and the width
+            split[faint] = ~(h[faint] * np.float_power(reach, p) * ends.max(axis=0) <= _TINY)
+    split = np.flatnonzero(split)
     if len(split) == 0:
         return many
     if depth == DEFAULT_MAX_DEPTH:

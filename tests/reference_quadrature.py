@@ -12,6 +12,7 @@ and give the same floats.  ``cdf`` and ``quantile`` build those of a
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -116,7 +117,10 @@ def _gauss_piece(f, a, b, c, p, depth=0):
     f(c +- (b - a) * t); otherwise it is b - a times a Gauss-Legendre rule on
     |x - c|**p * f(a + (b - a) * t), each point clamped into the piece.  The
     2n-point sum stands where it agrees with the n-point sum to
-    DEFAULT_REL_TOL of itself; otherwise the piece is the sum of its halves.
+    DEFAULT_REL_TOL of itself or of the smallest normal float, whichever is
+    larger, and, if it is below that float, where the pdf at both ends
+    bounds the piece below it too; otherwise the piece is the sum of its
+    halves.
     """
     on = c in (a, b)
     start, reach = (b, a - b) if c == b else (a, b - a)
@@ -130,8 +134,14 @@ def _gauss_piece(f, a, b, c, p, depth=0):
             total += w * (f(x) if on else abs(x - c) ** p * f(x))
         sums.append(total * scale)
     few, many = sums
-    if abs(many - few) <= DEFAULT_REL_TOL * abs(many):
-        return many
+    if abs(many - few) <= DEFAULT_REL_TOL * max(abs(many), sys.float_info.min):
+        if abs(many) >= sys.float_info.min:
+            return many
+        ends = f(a), f(b)
+        if not all(map(math.isfinite, ends)):
+            raise ValueError(f"integrand is not finite on [{a}, {b}]")
+        if (b - a) * max(abs(a - c), abs(b - c)) ** p * max(ends) <= sys.float_info.min:
+            return many
     if depth == DEFAULT_MAX_DEPTH:
         raise ValueError(f"a cell moment does not converge on [{a}, {b}]")
     m = 0.5 * (a + b)

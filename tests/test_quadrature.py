@@ -285,11 +285,31 @@ def test_moments_many_takes_a_zero_integrand_at_the_first_level():
         return np.zeros(len(x))
 
     assert moments_many(zero, [0.0, 0.5], [0.5, 2.0], [0.5, 0.5], 1.5).tolist() == [0.0, 0.0]
-    assert points == [2 * 3 * GAUSS_POINTS]
+    # one level of nodes, then the pdf at both ends of each piece, as its sums are 0
+    assert points == [2 * 3 * GAUSS_POINTS, 2 * 2]
     # a truncated Gaussian whose pdf underflows to 0 on the whole cell
     d = truncated_gauss(0.0, 0.01, -1.0, 1.0)
     with time_limit(10.0):
         assert d._moment_terms([0.5], [0.9], [0.7], 2.0).tolist() == [[0.0]]
+
+
+def test_moments_many_holds_each_level_to_level_nodes_pieces():
+    # a kink at a quarter of each unit piece: every piece splits, and so do
+    # its halves, so the levels hold n, 2n, 4n, 2n and 2n pieces
+    sizes = []
+
+    def kinked(x):
+        sizes.append(len(x))
+        return np.abs(x - np.floor(x) - 0.25)
+
+    n = 3 * LEVEL_NODES // 2
+    a = np.arange(n, dtype=float)
+    got = moments_many(kinked, a, a + 1.0, a, 1.5)
+    assert sum(sizes) == 3 * GAUSS_POINTS * 11 * n
+    assert max(sizes) <= 3 * GAUSS_POINTS * LEVEL_NODES
+    # a piece gets the bits of a call on it alone
+    assert got.tolist() == [moments_many(kinked, [k], [k + 1.0], [k], 1.5)[0]
+                            for k in a.tolist()]
 
 
 def test_golden_extremum_ends_when_the_bracket_stops_shrinking():

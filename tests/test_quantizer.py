@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -27,7 +28,7 @@ from renyiquant import (
     uniform_quantizer,
 )
 from renyiquant import densities
-from renyiquant._quadrature import bisect_increasing
+from renyiquant._quadrature import DEFAULT_REL_TOL, bisect_increasing, moments_many
 from renyiquant.compander import Compander
 from renyiquant.design import optimal_point_density
 from renyiquant.densities import _cell_sums
@@ -416,9 +417,9 @@ def test_cells_past_either_end_of_the_support_keep_the_clipped_moments(name):
     assert got[-1] == 0.0
 
 
-def _mp_pdf(d):
+def _mp_pdf(d, cuts=()):
     """The pdf of the truncated Gaussian or Laplace density d in mpmath,
-    normalized by mpmath quadrature, and its kinks."""
+    normalized by mpmath quadrature split at ``cuts`` too, and its kinks."""
     spec = d.spec
     lo, hi = mpmath.mpf(spec["lo"]), mpmath.mpf(spec["hi"])
     if spec["kind"] == "truncated_gauss":
@@ -427,7 +428,7 @@ def _mp_pdf(d):
     else:
         m, s = mpmath.mpf(spec["center"]), mpmath.mpf(spec["scale"])
         raw, kinks = (lambda x: mpmath.exp(-abs(x - m) / s)), [m] if lo < m < hi else []
-    mass = mpmath.quad(raw, [lo, *kinks, hi])
+    mass = mpmath.quad(raw, sorted({lo, *kinks, *map(mpmath.mpf, cuts), hi}))
     return (lambda x: raw(x) / mass), kinks
 
 
@@ -505,6 +506,48 @@ def test_smooth_cell_moments_are_within_1e_13_of_50_digits(name):
                     got = cell_distortion(d, lo, hi, c, r)
                     exact = _mp_moment(pdf, kinks, *map(mpmath.mpf, (lo, hi, c, r)))
                     assert abs(got - exact) <= 1e-13 * exact, (lo, hi, c, r)
+
+
+# Peaks at the end the two cells share.  The outermost Gauss nodes stop
+# about 2% of a piece short of its ends, and the pdf underflows to 0 at every
+# node of the pieces [c, 0.5] and [0.5, c]: the pdf at their ends must split them.
+@pytest.mark.parametrize("d", [truncated_laplace(0.5, 1e-6, 0.0, 1.0),
+                               truncated_gauss(0.5, 1e-4, 0.0, 1.0)])
+def test_a_peak_between_the_nodes_at_a_cell_end_is_not_lost(d):
+    q = uniform_quantizer(Interval(0.0, 1.0), 2)
+    with time_limit(10.0):
+        got = distortion(q, d, 2.0)
+    cells = [(0.0, 0.5, 0.25), (0.5, 1.0, 0.75)]
+    assert _cell_sums(d._moment_terms(*zip(*cells), 2.0)).tolist() == [
+        reference.moment(d, lo, hi, c, 2.0) for lo, hi, c in cells]
+    with mpmath.workdps(50):
+        pdf, kinks = _mp_pdf(d, cuts=[0.5])
+        exact = mpmath.fsum(_mp_moment(pdf, kinks, *map(mpmath.mpf, (lo, hi, c, 2.0)))
+                            for lo, hi, c in cells)
+        assert abs(got - exact) <= MP_REL_TOL * exact
+
+
+def test_a_moment_below_the_normal_range_stops_at_an_absolute_floor():
+    # the pdf falls from 1.6e-304 at c = 0.375 by a factor e per 2.7e-4, so
+    # the piece [c, 0.5] holds about 6.5e-315: its two rules can agree only
+    # to DEFAULT_REL_TOL of the smallest normal float, not of themselves
+    d = truncated_gauss(0.0, 0.01, -1.0, 1.0)
+    with time_limit(10.0):
+        got = d._moment_terms([0.25], [0.5], [0.375], 2.0)[0, 0]
+        (piece,) = moments_many(d._pdf_many, [0.375], [0.5], [0.375], 2.0).tolist()
+    assert got == reference.moment(d, 0.25, 0.5, 0.375, 2.0)
+    assert piece == reference.moment(d, 0.375, 0.5, 0.375, 2.0)
+    with mpmath.workdps(50):
+        pdf, kinks = _mp_pdf(d, cuts=[0.0])
+        # mpmath.quad stops at an absolute error of 1e-50, so the pdf is
+        # scaled up by 1e320 to make it a relative one
+        big = mpmath.mpf(10) ** 320
+        exact = _mp_moment(lambda x: pdf(x) * big, kinks,
+                           *map(mpmath.mpf, (0.25, 0.5, 0.375, 2.0))) / big
+        assert abs(got - exact) <= 1e-13 * exact
+        exact = _mp_moment(lambda x: pdf(x) * big, kinks,
+                           *map(mpmath.mpf, (0.375, 0.5, 0.375, 2.0))) / big
+        assert 0.0 < piece and abs(piece - exact) <= 100 * DEFAULT_REL_TOL * sys.float_info.min
 
 
 # The r = 1.5 distortions of the golden sweeps' quantizers (tests/test_cli.py):
