@@ -51,6 +51,8 @@ _DEPTH_LIMIT = 200
 # overhead per level (at 2048 a smooth sweep's peak resident set is 1% more).
 LEVEL_NODES = 1024
 GAUSS_POINTS = 4  # the n of moments_many: n- and 2n-point rules, 3n pdf values a piece
+# a codepoint this close past a piece, in its widths, takes the piece out to it
+SLIVER = 2.0**-20
 
 
 def _log_sum_exp(t: np.ndarray) -> np.ndarray:
@@ -224,8 +226,20 @@ def moments_many(f, a, b, c, p):
     it adds up its halves, or raises ValueError past DEFAULT_MAX_DEPTH
     halvings.  A level calls the array function f once per ``LEVEL_NODES``
     pieces and adds elementwise, so a piece gets the bits of a call on it.
+    Where c[k] lies past an end by less than SLIVER widths, the plain rules
+    would halve towards it about log2(width / gap) times: the piece is taken
+    out to c[k] instead, less the sliver between that end and c[k].
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    gap = np.maximum(a - c, c - b)
+    near = (gap > 0.0) & (gap < SLIVER * (b - a))
+    if near.any():
+        # out to c, then the sliver between the end and c taken off
+        out = moments_many(f, np.where(near, np.minimum(a, c), a),
+                           np.where(near, np.maximum(b, c), b), c, p)
+        out[near] -= moments_many(f, np.where(c < a, c, b)[near], np.where(c < a, a, c)[near],
+                                  c[near], p)
+        return out
     n, p = GAUSS_POINTS, float(p)
     # rows: the n-point rule, then the 2n-point one; columns: for t**p, for t**0
     rule = [np.column_stack([np.concatenate([gauss_jacobi(beta, k)[i] for k in (n, 2 * n)])

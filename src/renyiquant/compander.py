@@ -9,6 +9,8 @@ boundaries but uses cell midpoints.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import distortion_constant, validate_exponent
@@ -35,6 +37,9 @@ class Compander:
     centres of equal cells, which miss an even cdf table's edges but the middle one.
     ``build`` keeps the expander values of its latest grid, so a sweep over
     nested level counts asks the point density for each argument only once.
+    It finds them by stride: k/(2n) and j/(2m) round to one float exactly when
+    k*m == j*n, so with g = gcd(n, m) every (n/g)-th argument of the n-level
+    grid is every (m/g)-th of the m-level one.
     """
 
     def __init__(self, point_density: Density):
@@ -47,8 +52,8 @@ class Compander:
         worst = float(np.max(np.abs(self.expand(us) - xs)))
         if worst > INVERSE_TOL * supp.width:
             raise ValueError(f"expander fails to invert the compressor (err {worst!r})")
-        # the latest grid build expanded: sorted arguments and their images
-        self._last_grid = (np.empty(0), np.empty(0))
+        # the latest grid build expanded: its level count and its 2m+1 images
+        self._last_grid = (0, np.empty(0))
 
     @property
     def support(self):
@@ -62,33 +67,22 @@ class Compander:
         """Expander at u, a scalar or an array."""
         return self.point_density.quantile(u)
 
-    def _expand_grid(self, us: np.ndarray) -> np.ndarray:
-        """Expander at the sorted distinct arguments us.
-
-        Arguments shared with the previous call reuse its values; the rest
-        come from one expander call.  Only this call's grid is kept, so the
-        memory held stays at one grid whatever sequence of grids is asked.
-        """
-        last_u, last_x = self._last_grid
-        pos = np.searchsorted(last_u, us)
-        seen = pos < len(last_u)
-        seen[seen] = last_u[pos[seen]] == us[seen]
-        xs = np.empty(len(us))
-        xs[seen] = last_x[pos[seen]]
-        new = ~seen
-        if new.any():
-            xs[new] = self.expand(us[new])
-        self._last_grid = (us, xs)
-        return xs
-
     def build(self, n: int) -> IntervalQuantizer:
         """N-level companding quantizer with expanded-midpoint codepoints."""
         n = int(n)
         if n < 1:
             raise ValueError(f"need at least one level, got {n}")
-        # even entries are the boundaries i/n, odd ones the codepoints (2i-1)/(2n):
-        # a correctly rounded quotient does not depend on how the fraction is written
-        xs = self._expand_grid(np.arange(2 * n + 1) / (2 * n))
+        # even entries are the boundaries i/n, odd ones the codepoints (2i-1)/(2n);
+        # only the previous grid is kept, so the memory held stays at one grid
+        us, (m, last_x) = np.arange(2 * n + 1) / (2 * n), self._last_grid
+        xs, new = np.empty(len(us)), np.ones(len(us), dtype=bool)
+        if m:
+            g = math.gcd(n, m)
+            xs[::n // g] = last_x[::m // g]
+            new[::n // g] = False
+        if new.any():
+            xs[new] = self.expand(us[new])
+        self._last_grid = (n, xs)
         bounds = xs[0::2]
         if np.any(np.diff(bounds) <= 0):
             raise ValueError(f"companding boundaries collapse at {n} levels")

@@ -50,6 +50,7 @@ __all__ = [
 
 MASS_TOL = 1e-12
 ESS_SCAN_POINTS = 4096
+SPLIT_EDGES = 1024  # a second ``pieces`` call in ``_piece_terms`` costs about this many edges
 
 
 @dataclass(frozen=True, order=True)
@@ -144,27 +145,18 @@ class PiecewiseConstantDensity:
     def interior_breakpoints(self):
         return [float(x) for x in self.breakpoints[1:-1]]
 
-    def _segment_index(self, x: float) -> int:
-        # segment i owns (b[i], b[i+1]]; x == b[0] belongs to segment 0
-        idx = int(np.searchsorted(self.breakpoints, x, side="left")) - 1
-        return min(max(idx, 0), len(self.heights) - 1)
-
     def pdf(self, x: float) -> float:
-        x = float(x)
-        if x < self.breakpoints[0] or x > self.breakpoints[-1]:
+        # segment i owns (b[i], b[i+1]]; x == b[0] belongs to segment 0
+        x, b = float(x), self.breakpoints
+        if x < b[0] or x > b[-1]:
             return 0.0
-        return float(self.heights[self._segment_index(x)])
+        return float(self.heights[min(max(int(b.searchsorted(x)) - 1, 0), len(self.heights) - 1)])
 
     def _pdf_values(self, xs: np.ndarray) -> np.ndarray:
         """``pdf`` at each entry of the array xs."""
         # segment k owns (b[k], b[k+1]], segment 0 also b[0]
         b = self.breakpoints
         return np.where((xs < b[0]) | (xs > b[-1]), 0.0, self.heights[b[1:-1].searchsorted(xs)])
-
-    def _heights_right_of(self, xs: np.ndarray) -> np.ndarray:
-        """Height just right of each entry of xs, 0 outside [b[0], b[-1]): the
-        height of a piece starting there, even one float wide."""
-        return self._padded[self.breakpoints.searchsorted(xs, side="right")]
 
     def cdf(self, x):
         """Mass at or left of x, exact.
@@ -210,40 +202,51 @@ class PiecewiseConstantDensity:
     def _piece_terms(self, lo, hi, pieces) -> np.ndarray:
         """Closed-form integrals over the pieces of many cells [lo[k], hi[k]].
 
-        Each cell is cut at the breakpoints strictly inside it: row k of
-        ``edges`` holds lo[k], those breakpoints and then hi[k], repeated out
-        to the longest row, so short rows end in empty pieces.
-        ``pieces(edges, h)`` gets those rows and the height of each piece
-        (``_heights_right_of`` its left end, 0 outside the support) and
-        returns the integral over each piece.  A piece counts only where its
-        height is positive and the padding adds 0, so elsewhere the term is
-        an exact 0.0.  Powers must go through ``np.float_power``: it calls
-        the C library ``pow`` as Python's ``**`` does, while ``np.power`` may
-        take a SIMD path that differs in the last bit.
+        Cell k's edges are lo[k], the breakpoints strictly inside it, then
+        hi[k] repeated; piece j takes the height ``_padded[first + j]`` (0
+        outside the support).  Row k holds its pieces left to right, with an
+        exact 0.0 for an empty piece or one of height 0.  ``pieces(edges, h,
+        rows)`` gets the edges of the cells ``rows``, a row each, and the
+        piece heights, and returns each piece's integral.  Where few cells
+        hold a breakpoint, every cell passes edges 0 and 1 and only those few
+        the rest, so a cell with none is one piece.  Powers must go through
+        ``np.float_power``: it calls the C ``pow`` as Python's ``**`` does,
+        while ``np.power`` may take a SIMD path that differs in the last bit.
         """
         x = self.breakpoints
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         first = x.searchsorted(lo, side="right")
         count = np.maximum(x.searchsorted(hi) - first, 0)
-        inner = np.arange(count.max())
-        # column-major: the rows are short, so whole columns make the long loops
-        edges = np.empty((len(lo), len(inner) + 2), order="F")
-        edges[:, 0] = lo
-        # padding slots read a clipped index, then take hi[k]
-        inside = x.take(first[:, None] + inner, mode="clip")
-        edges[:, 1:-1] = np.where(inner < count[:, None], inside, hi[:, None])
-        edges[:, -1] = hi
-        h = self._heights_right_of(edges[:, :-1])
+
+        def window(rows, i):
+            # edges i[0] .. i[-1] of the cells rows (edge 0 is lo), built as
+            # rows of the transpose so the long loops run down its columns;
+            # padding slots read a clipped index, then take hi
+            f, j = first[rows], i[:, None]
+            edges = np.where(j <= count[rows], x.take(f + (j - 1), mode="clip"), hi[rows])
+            if i[0] == 0:
+                edges[0] = lo[rows]
+            h = self._padded.take(f + j[:-1], mode="clip").T
+            return np.where(h > 0.0, pieces(edges.T, h, rows), 0.0)
+
+        w = count.max() + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(h > 0.0, pieces(edges, h), 0.0)
+            # padding every row passes n * (w + 1) edges, the split 2 * n + k * w
+            if (w - 1) * len(lo) <= np.count_nonzero(count) * w + SPLIT_EDGES:
+                return window(slice(None), np.arange(w + 1))
+            terms = np.zeros((len(lo), w), order="F")
+            terms[:, :1] = window(slice(None), np.arange(2))
+            rows = np.flatnonzero(count)
+            terms[rows, 1:] = window(rows, np.arange(1, w + 1))
+        return terms
 
     def _cell_masses(self, bounds: np.ndarray) -> np.ndarray:
         """Mass of each cell between consecutive entries of ``bounds``."""
         # add each cell up from its pieces: no cancellation, so even tiny
         # masses keep full relative accuracy
         return _cell_sums(self._piece_terms(bounds[:-1], bounds[1:],
-                                            lambda edges, h: h * (edges[:, 1:] - edges[:, :-1])))
+                                            lambda e, h, _: h * (e[:, 1:] - e[:, :-1])))
 
     def _moment_terms(self, lo, hi, c, p: float) -> np.ndarray:
         """Integral of |x - c[k]|**p dmu over each piece of each cell [lo[k], hi[k]].
@@ -252,11 +255,11 @@ class PiecewiseConstantDensity:
         them up.
         """
         rp1 = p + 1.0
-        c = np.asarray(c, dtype=float)[:, None]
+        c = np.asarray(c, dtype=float)
 
-        def pieces(edges, h):
+        def pieces(edges, h, rows):
             # antiderivative of |x|**p at each cut, relative to the codepoint
-            y = edges - c
+            y = edges - c[rows, None]
             psi = np.copysign(np.float_power(np.abs(y), rp1), y) / rp1
             return h * (psi[:, 1:] - psi[:, :-1])
 
@@ -272,12 +275,12 @@ class PiecewiseConstantDensity:
         """
         a = np.asarray(a, dtype=float)
         n = len(a)
-        ac = np.concatenate((a, a))[:, None]
-        left = (np.arange(2 * n) < n)[:, None]
+        ac = np.concatenate((a, a))
+        left = np.arange(2 * n) < n
 
-        def pieces(edges, h):
-            g = np.float_power(np.abs(edges - ac), r)
-            return h * np.where(left, g[:, :-1] - g[:, 1:], g[:, 1:] - g[:, :-1]) / r
+        def pieces(edges, h, rows):
+            g = np.float_power(np.abs(edges - ac[rows, None]), r)
+            return h * np.where(left[rows, None], g[:, :-1] - g[:, 1:], g[:, 1:] - g[:, :-1]) / r
 
         sides = _cell_sums(self._piece_terms(np.concatenate((lo, a)), np.concatenate((a, hi)),
                                              pieces))
@@ -739,8 +742,10 @@ def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
     lo, hi = f.breakpoints[0], f.breakpoints[-1]
     cuts = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
     edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
+    # the height just right of each left end, 0 outside the support
     left = edges[:-1]
-    return edges[1:] - left, f._heights_right_of(left), g._heights_right_of(left)
+    return edges[1:] - left, *(d._padded[d.breakpoints.searchsorted(left, side="right")]
+                               for d in (f, g))
 
 
 def _shared_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):

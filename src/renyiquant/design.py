@@ -169,23 +169,10 @@ def uniform_optimal(interval: Interval, alpha, rate: float, r: float) -> Interva
         masses[-1] = short / width
         return renyi_entropy(masses, a)
 
-    lo_s, hi_s = 1e-15 * width, width / (n_equal + 1)
-    grid = np.linspace(lo_s, hi_s, 33)
-    vals = [entropy_at(float(s)) for s in grid]
-    if all(b >= a_ for a_, b in zip(vals, vals[1:])):
-        short = bisect_increasing(entropy_at, lo_s, hi_s, target=rate, tol=1e-14 * width)
-    else:
-        # fall back to a dense scan from the right for the largest root
-        xs = np.linspace(hi_s, lo_s, 4097)
-        short = None
-        prev = float(xs[0])
-        for x in xs[1:]:
-            if entropy_at(float(x)) <= rate:
-                short = bisect_increasing(entropy_at, float(x), prev, target=rate, tol=1e-14 * width)
-                break
-            prev = float(x)
-        if short is None:
-            raise ValueError("could not match the entropy constraint")
+    # nondecreasing in short: raising it towards the others' width moves the
+    # masses towards uniform, and for alpha > 0 the entropy is Schur-concave
+    short = bisect_increasing(entropy_at, 1e-15 * width, width / (n_equal + 1), target=rate,
+                              tol=1e-14 * width)
 
     h = (width - short) / n_equal
     bounds = np.concatenate((interval.lo + h * np.arange(n_equal + 1), [interval.hi]))

@@ -5,15 +5,15 @@ cell.  Cell i covers (boundaries[i], boundaries[i+1]]; the first cell is
 closed on the left.  The formulas of each density family live in
 ``densities``: this module asks the density for its cell masses
 (``_cell_masses``), its moment terms (``_moment_terms``: a closed form per
-piece of each cell for a piecewise density; for a smooth one, Gauss rules
-whose weight is |x - c|**p on the pieces that end at the codepoint c, where
-it is singular for non-integer p) and its codepoint balances
-(``_balances``, moments of power p = r - 1), and never looks at the family.
+piece for a piecewise density, where a cell with no breakpoint is one piece;
+for a smooth one, Gauss rules weighted by |x - c|**p on the pieces that end
+at the codepoint c) and its codepoint balances (``_balances``, moments of
+power p = r - 1), and never looks at the family.
 
-A distortion adds all moment terms left to right across the span; a cell's
-own moment adds its row (``densities._cell_sums``).  Every codepoint solve,
-for one cell or many, is one ``_quadrature.bisect_many`` call on the
-balances.
+A distortion adds all moment terms left to right across the span, a row of
+pieces per cell; a cell's own moment adds its row (``densities._cell_sums``).
+Every codepoint solve, for one cell or many, is one
+``_quadrature.bisect_many`` call on the balances.
 """
 
 from __future__ import annotations

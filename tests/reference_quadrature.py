@@ -6,7 +6,7 @@ and give the same floats.  ``cdf`` and ``quantile`` build those of a
 ``SmoothDensity`` from it, one argument at a time.  ``moment`` and
 ``balance`` give its cell moments one piece at a time, by the Gauss rules of
 ``renyiquant._quadrature.gauss_jacobi`` and the halving of
-``moments_many``.
+``moments_many``, and its sliver rule for a codepoint just past a piece.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from renyiquant._quadrature import DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, GAUSS_POINTS, gauss_jacobi
+from renyiquant._quadrature import (DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, GAUSS_POINTS, SLIVER,
+                                    gauss_jacobi)
 
 
 def _simpson(fa, fm, fb, a, b):
@@ -148,6 +149,16 @@ def _gauss_piece(f, a, b, c, p, depth=0):
     return _gauss_piece(f, a, m, c, p, depth + 1) + _gauss_piece(f, m, b, c, p, depth + 1)
 
 
+def _moment_piece(f, a, b, c, p):
+    """``_gauss_piece``, except that c less than SLIVER widths past an end
+    takes the piece out to c less the sliver between that end and c."""
+    gap = max(a - c, c - b)
+    if 0.0 < gap < SLIVER * (b - a):
+        sliver = (c, a) if c < a else (b, c)
+        return _gauss_piece(f, min(a, c), max(b, c), c, p) - _gauss_piece(f, *sliver, c, p)
+    return _gauss_piece(f, a, b, c, p)
+
+
 def moment(d, s: float, t: float, c: float, p: float) -> float:
     """Integral of |x - c|**p against d over [s, t], clipped to the support of
     d (where the pdf vanishes) and split at its kinks and at c; the pieces
@@ -158,7 +169,7 @@ def moment(d, s: float, t: float, c: float, p: float) -> float:
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi > lo:
-            total += _gauss_piece(d.pdf, lo, hi, c, p)
+            total += _moment_piece(d.pdf, lo, hi, c, p)
     return total
 
 

@@ -145,6 +145,15 @@ def _per_point_build(point_density, n):
     return IntervalQuantizer(np.array(bounds), np.array(points))
 
 
+def _per_fraction_build(point_density, n):
+    # _per_point_build with one array expander call for the boundaries i/n
+    # and one for the codepoints (2i-1)/(2n): a scalar call per point takes
+    # minutes at 65536 smooth levels
+    i = np.arange(n + 1)
+    return IntervalQuantizer(point_density.quantile(i / n),
+                             point_density.quantile((2 * i[1:] - 1) / (2 * n)))
+
+
 @pytest.mark.parametrize("point_density", [
     PiecewiseConstantDensity([0.0, 0.1, 0.35, 0.5, 1.0], [0.5, 1.6, 0.8, 0.86]),
     truncated_gauss(0.4, 0.3, 0.0, 1.0),
@@ -172,3 +181,23 @@ def test_build_equals_the_per_point_loop(point_density, monkeypatch):
     # 64 again shares only 0, 1/2 and 1 with 1
     assert [len(a) for a in asked] == [129, 0, 32, 0, 126]
     assert all(len(a) == len(set(a)) for a in asked)
+
+    # the benchmark sweep's levels (1024 shares 64's grid), then counts that are
+    # not nested in the previous one: gcd(3000, 65536) = 8, gcd(1536, 3000) = 24,
+    # and 65536 after 1
+    last = 64
+    for n in (1024, 2048, 4096, 8192, 16384, 32768, 65536, 3000, 1536, 1, 65536):
+        asked.append([])
+        monkeypatch.setattr(type(point_density), "quantile", counted)
+        q = comp.build(n)
+        monkeypatch.undo()
+        expected = _per_fraction_build(point_density, n)
+        assert q.boundaries.tolist() == expected.boundaries.tolist()
+        assert q.codepoints.tolist() == expected.codepoints.tolist()
+        # exactly the arguments of this grid that the previous one lacks
+        lacks = set((np.arange(2 * n + 1) / (2 * n)).tolist()).difference(
+            (np.arange(2 * last + 1) / (2 * last)).tolist())
+        assert sorted(asked[-1]) == sorted(lacks)
+        last = n
+    assert [len(a) for a in asked[5:]] == [1920, 2048, 4096, 8192, 16384, 32768, 65536,
+                                           5984, 3024, 0, 131070]

@@ -19,6 +19,7 @@ from renyiquant import (
     predicted_limit,
     predicted_limit_high_alpha,
     quantizer_entropy,
+    renyi_entropy,
     truncated_gauss,
     truncated_laplace,
     uniform,
@@ -233,6 +234,23 @@ def test_uniform_optimal_positive_order_hits_the_rate():
     assert got == pytest.approx(rate, abs=1e-12)
     d = distortion(q, uniform(0.0, 1.0), 2.0)
     assert 1.0 / 108.0 < d < 1.0 / 48.0
+
+
+def test_uniform_optimal_entropy_is_monotone_in_the_short_cell():
+    # uniform_optimal bisects the entropy of n equal cells and one short
+    # one over the short width: for alpha > 0 it never falls as that width
+    # grows (Schur concavity).  This is the 33-point grid the design checked
+    # before it bisected, with a fallback scan that never ran.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        r = float(rng.uniform(1.05, 4.0))
+        alpha = RenyiOrder(float(rng.uniform(1e-3, 1.0 + r - 1e-3)))
+        n = int(math.exp(rng.uniform(0.0, math.log(5000.0))))
+        shorts = np.linspace(1e-15, 1.0 / (n + 1), 33)
+        vals = [renyi_entropy(np.append(np.full(n, (1.0 - s) / n), s), alpha) for s in shorts]
+        assert all(b >= a for a, b in zip(vals, vals[1:])), (alpha, n)
+        q = uniform_optimal(Interval(0.0, 1.0), alpha, math.log(n + 0.5), r)
+        assert q.levels == n + 1 and 0.0 < q.boundaries[-1] - q.boundaries[-2] < 1.0 / n
 
 
 def test_uniform_optimal_exact_rate_is_equal_cells():

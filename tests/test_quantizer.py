@@ -325,6 +325,90 @@ def test_piecewise_distortion_matches_the_per_edge_loop(segments, cuts, on_break
     assert distortion(q, d, r) == _reference_distortion(q, d, r)
 
 
+def _scalar_cell(d, lo, hi, term):
+    """``term(a, b, h)`` added up from 0.0 over the pieces (a, b] of [lo, hi] cut
+    at the breakpoints, where h > 0; a piece lies in one segment, which owns b."""
+    x = d.breakpoints.tolist()
+    edges = [lo] + [v for v in x if lo < v < hi] + [hi]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        h = d.pdf(b) if b > x[0] else 0.0
+        if h > 0.0:
+            total += term(a, b, h)
+    return total
+
+
+TINY_SEGMENT = 0.5 + 2.0**-53  # the float after 0.5
+PIECEWISE_LAYOUTS = {
+    # breakpoints, heights, boundaries
+    "no cell holds a breakpoint": ([0.0, 0.5, 1.0], [0.6, 1.4], np.linspace(0.0, 1.0, 9)),
+    "only the first cell holds one": ([0.0, 0.05, 1.0], [2.0, 18.0 / 19.0],
+                                      np.linspace(0.0, 1.0, 9)),
+    "only the last cell holds one": ([0.0, 0.95, 1.0], [18.0 / 19.0, 2.0],
+                                     np.linspace(0.0, 1.0, 9)),
+    "a cell holds several": ([0.0, 0.3, 0.41, 0.53, 0.66, 1.0], [1.1, 0.7, 1.3, 0.9, 16.0 / 17.0],
+                             np.array([0.0, 0.2, 0.7, 0.85, 1.0])),
+    "boundaries on breakpoints": ([0.0, 0.25, 0.5, 0.625, 1.0], [0.4, 1.2, 2.0, 14.0 / 15.0],
+                                  np.array([0.0, 0.25, 0.3, 0.5, 0.7, 1.0])),
+    "cells past the support": ([0.0, 0.3, 1.0], [0.5, 8.5 / 7.0], np.linspace(-1.0, 2.0, 13)),
+    "a segment one float wide": ([0.0, 0.5, TINY_SEGMENT, 1.0], [0.8, 1.5, 1.2],
+                                 np.array([0.0, 0.25, 0.4, 0.6, 1.0])),
+    "a cell one float wide": ([0.0, 0.5, TINY_SEGMENT, 1.0], [0.8, 1.5, 1.2],
+                              np.array([0.0, 0.25, 0.5, TINY_SEGMENT, 0.75, 1.0])),
+}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["padded", "split"])
+@pytest.mark.parametrize("layout", sorted(PIECEWISE_LAYOUTS))
+def test_piecewise_layouts_match_the_scalar_loops(layout, split, monkeypatch):
+    # the kernel pads every row, or takes the first piece of every cell and
+    # then the rest of the cells that hold a breakpoint; both give the bits
+    # of a scalar loop, and a cell with no breakpoint is one column
+    breaks, heights, bounds = PIECEWISE_LAYOUTS[layout]
+    d = PiecewiseConstantDensity(breaks, heights)
+    monkeypatch.setattr(densities, "SPLIT_EDGES", -math.inf if split else math.inf)
+    q = IntervalQuantizer(bounds, 0.5 * (bounds[:-1] + bounds[1:]))
+    lo, hi = q.boundaries[:-1].tolist(), q.boundaries[1:].tolist()
+    assert d._cell_masses(q.boundaries).tolist() == [
+        _scalar_cell(d, s, t, lambda a, b, h: h * (b - a)) for s, t in zip(lo, hi)]
+    for r in (1.0, 2.0, 3.5):
+        assert distortion(q, d, r) == _reference_distortion(q, d, r)
+        # cells without mass keep their points; optimal_codepoint refuses them
+        better = improve_codepoints(q, d, r)
+        assert [optimal_codepoint(Interval(s, t), d, r)
+                for s, t in zip(lo, hi) if d.cdf(t) > d.cdf(s)] == [
+            c for s, t, c in zip(lo, hi, better.codepoints.tolist()) if d.cdf(t) > d.cdf(s)]
+    width = d._piece_terms(lo, hi, lambda edges, h, rows: h * np.diff(edges)).shape[1]
+    assert width == 1 + max(sum(s < v < t for v in breaks) for s, t in zip(lo, hi))
+    if layout == "no cell holds a breakpoint":
+        assert width == 1
+
+
+def test_cells_without_a_breakpoint_pass_two_edges():
+    # the density of the piecewise benchmark sweep, at its largest level count:
+    # each kernel call takes 2 edges for each cell with no breakpoint inside,
+    # where padding every row to the longest took 3
+    rng = np.random.default_rng(7)
+    widths = rng.uniform(0.5, 1.5, 48)
+    breaks = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+    breaks[-1] = 1.0
+    heights = rng.uniform(0.25, 4.0, 48)
+    d = PiecewiseConstantDensity(breaks, heights / float(np.dot(heights, np.diff(breaks))))
+    q = Compander(optimal_point_density(d, 0.5, 2.0)).build(65536)
+    lo, hi = q.boundaries[:-1], q.boundaries[1:]
+    inner = (lo[:, None] < breaks) & (breaks < hi[:, None])
+    held = int(inner.any(axis=1).sum())
+    assert 0 < held <= 47 and inner.sum(axis=1).max() == 1
+    calls = []
+
+    def pieces(edges, h, rows):
+        calls.append(edges.shape)
+        return h * np.diff(edges)
+
+    d._piece_terms(lo, hi, pieces)
+    assert calls == [(65536, 2), (held, 2)]
+
+
 def test_distortion_overflow_raises_like_cell_distortion():
     d = PiecewiseConstantDensity([0.0, 1e3], [1e-3])
     with pytest.raises(ValueError, match="overflows") as whole:
@@ -433,9 +517,19 @@ def _mp_pdf(d, cuts=()):
 
 
 def _mp_moment(pdf, kinks, lo, hi, c, p):
-    """Integral of |x - c|**p * pdf over [lo, hi], split at the kinks and at c."""
+    """Integral of |x - c|**p * pdf over [lo, hi], split at the kinks and at c.
+
+    ``mpmath.quad`` stops at an absolute error near 10**-dps, so each piece
+    is scaled by the largest integrand value at 9 points spread over it: the
+    stop is then relative, and a moment far below 1 keeps its digits.
+    """
     cuts = sorted({lo, hi, *(x for x in (*kinks, c) if lo < x < hi)})
-    return mpmath.quad(lambda x: abs(x - c) ** p * pdf(x), cuts)
+
+    def piece(a, b):
+        top = max(abs(x - c) ** p * pdf(x) for x in mpmath.linspace(a, b, 9)) or 1
+        return mpmath.quad(lambda x: abs(x - c) ** p * pdf(x) / top, [a, b]) * top
+
+    return mpmath.fsum(piece(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 MP_REL_TOL = 1e-11
@@ -454,6 +548,9 @@ MP_REL_TOL = 1e-11
 @example(name="laplace", width=1e-3, start=0.9, place="inside", inside=0.5, r=3.9)
 # adaptive Simpson after a change of variables stopped early here, 1.39e-11 off
 @example(name="gauss", width=0.07421875, start=0.35546875, place="lo", inside=0.0, r=2.03125)
+# the cell ends one float short of its codepoint 0.45: the plain rules halved
+# towards it until they ran out of depth
+@example(name="gauss", width=0.1, start=1.0, place="kink", inside=0.0, r=1.5)
 def test_smooth_cells_match_a_50_digit_reference(name, width, start, place, inside, r):
     # cells as wide as those of quantizers with 10 to 1000 levels on [0, 1];
     # a "kink" cell holds 0.45, the Laplace kink, and takes it as its codepoint
@@ -527,6 +624,50 @@ def test_a_peak_between_the_nodes_at_a_cell_end_is_not_lost(d):
         assert abs(got - exact) <= MP_REL_TOL * exact
 
 
+@pytest.mark.parametrize("cell", [(0.35, 0.44999999999999996, 0.45),
+                                  (math.nextafter(0.45, 1.0), 0.55, 0.45)],
+                         ids=["past hi", "before lo"])
+def test_a_codepoint_a_sliver_past_the_cell_converges(cell):
+    # a piece whose codepoint lies one float past an end is taken out to it,
+    # with the codepoint at its end, less the sliver: the plain rules would
+    # halve towards the codepoint more than DEFAULT_MAX_DEPTH times
+    d = SMOOTH["gauss"]
+    with time_limit(10.0):
+        got = cell_distortion(d, *cell, 1.5)
+    assert got == reference.moment(d, *cell, 1.5)
+    with mpmath.workdps(50):
+        pdf, kinks = _mp_pdf(d)
+        exact = _mp_moment(pdf, kinks, *map(mpmath.mpf, (*cell, 1.5)))
+        assert abs(got - exact) <= 1e-13 * exact
+
+
+def _mp_gauss_moment_2(mean, sigma, lo, hi, a, b, c):
+    """Second moment about c of the Gaussian truncated to [lo, hi], over [a, b]
+    with a, b >= mean, in closed form: erfc keeps the far tail's digits."""
+    s, root = mpmath.mpf(sigma), mpmath.sqrt(2)
+
+    def raw(x):  # an antiderivative of (x - c)**2 exp(-(x - mean)**2 / (2 s**2))
+        y = x - mean
+        tail = -s * mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(y / (s * root))
+        return -s**2 * mpmath.exp(-y**2 / (2 * s**2)) * (y - 2 * (c - mean)) + (
+            s**2 + (c - mean) ** 2) * tail
+
+    mass = s * mpmath.sqrt(mpmath.pi / 2) * (mpmath.erf((hi - mean) / (s * root))
+                                            - mpmath.erf((lo - mean) / (s * root)))
+    return (raw(b) - raw(a)) / mass
+
+
+def test_the_mpmath_reference_keeps_tiny_moments_relative():
+    # a single mpmath.quad over [0.25, 0.375, 0.5] read 4.7602e-140 here
+    d = truncated_gauss(0.0, 0.01, -1.0, 1.0)
+    with mpmath.workdps(50):
+        args = [mpmath.mpf(v) for v in (0.25, 0.5, 0.375)]
+        exact = _mp_gauss_moment_2(0, 0.01, -1, 1, *args)
+        assert mpmath.nstr(exact, 5) == "4.7457e-140"
+        pdf, kinks = _mp_pdf(d, cuts=[0.0])
+        assert abs(_mp_moment(pdf, kinks, *args, 2) - exact) <= 1e-30 * exact
+
+
 def test_a_moment_below_the_normal_range_stops_at_an_absolute_floor():
     # the pdf falls from 1.6e-304 at c = 0.375 by a factor e per 2.7e-4, so
     # the piece [c, 0.5] holds about 6.5e-315: its two rules can agree only
@@ -539,14 +680,9 @@ def test_a_moment_below_the_normal_range_stops_at_an_absolute_floor():
     assert piece == reference.moment(d, 0.375, 0.5, 0.375, 2.0)
     with mpmath.workdps(50):
         pdf, kinks = _mp_pdf(d, cuts=[0.0])
-        # mpmath.quad stops at an absolute error of 1e-50, so the pdf is
-        # scaled up by 1e320 to make it a relative one
-        big = mpmath.mpf(10) ** 320
-        exact = _mp_moment(lambda x: pdf(x) * big, kinks,
-                           *map(mpmath.mpf, (0.25, 0.5, 0.375, 2.0))) / big
+        exact = _mp_moment(pdf, kinks, *map(mpmath.mpf, (0.25, 0.5, 0.375, 2.0)))
         assert abs(got - exact) <= 1e-13 * exact
-        exact = _mp_moment(lambda x: pdf(x) * big, kinks,
-                           *map(mpmath.mpf, (0.375, 0.5, 0.375, 2.0))) / big
+        exact = _mp_moment(pdf, kinks, *map(mpmath.mpf, (0.375, 0.5, 0.375, 2.0)))
         assert 0.0 < piece and abs(piece - exact) <= 100 * DEFAULT_REL_TOL * sys.float_info.min
 
 
