@@ -8,9 +8,10 @@ with its sums and additions, so each result equals it bit for bit
 (``tests/reference_quadrature.py`` keeps the references).  Cell moments take
 |x - c|**p as the weight of Gauss rules (``gauss_jacobi``) on the pieces at
 the codepoint c, where it is singular; ``moments_many`` halves a piece until
-its n- and 2n-point rules agree.  The integrands take arrays: the smooth
-families give their pdfs an array form that equals the scalar pdf bit for
-bit, and ``call_each`` maps any other scalar callable over an array.
+its n- and 2n-point rules agree.  Every integrand is a function of a 1-D
+array of points: the smooth families give their pdfs an array form that
+equals the scalar pdf bit for bit, and ``over_arrays`` maps any other scalar
+pdf over an array with ``call_each``.
 ``bisect_many`` runs one ``bisect_increasing`` per bracket, all brackets a
 step at a time.  A power sum that leaves the float range is summed in logs:
 ``_log_of_sum`` does it for one sum, with ``math.log`` where the sum is a
@@ -104,11 +105,10 @@ def over_arrays(f):
     return many if many is not None else lambda xs: call_each(f, xs)
 
 
-def integrate_many(values, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH):
-    """Adaptive Simpson integral over each interval [a[i], b[i]].
+def integrate_many(f, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH):
+    """Adaptive Simpson integral of f over each interval [a[i], b[i]].
 
-    ``values(x, k)`` returns the integrand at the points ``x``, where x[j]
-    lies in interval k[j], so each interval may have its own integrand.
+    ``f(x)`` returns the integrand at each entry of the 1-D array x.
     ``a`` and ``b`` are 1-D of one length with a[i] <= b[i]; an empty
     interval (a[i] == b[i]) gives exactly 0.0.  Each refinement level takes
     a stack frame, so ``max_depth`` above ``_DEPTH_LIMIT`` raises ValueError.
@@ -119,19 +119,17 @@ def integrate_many(values, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_
         raise ValueError("integrate_many needs 1-D interval ends of one length with a <= b")
     if int(max_depth) > _DEPTH_LIMIT:
         raise ValueError(f"max_depth must be at most {_DEPTH_LIMIT}, got {max_depth!r}")
-    k = np.arange(len(a))
     m = 0.5 * (a + b)
-    f = np.empty((3, len(a)))
+    v = np.empty((3, len(a)))
     for part in _chunks(len(a)):
-        ends = np.concatenate((a[part], m[part], b[part]))
-        f[:, part] = values(ends, np.concatenate((k[part],) * 3)).reshape(3, -1)
-    if not np.isfinite(f).all():
-        i = int(np.isfinite(f).all(axis=0).argmin())
+        v[:, part] = f(np.concatenate((a[part], m[part], b[part]))).reshape(3, -1)
+    if not np.isfinite(v).all():
+        i = int(np.isfinite(v).all(axis=0).argmin())
         raise ValueError(f"integrand is not finite on [{a[i]}, {b[i]}]")
-    whole = (b - a) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
-    level = [a, b, *f, whole, float(rel_tol) * np.maximum(np.abs(whole), 1e-12), k]
-    del a, b, k, m, f, whole
-    return _refine(values, level, 0, int(max_depth))
+    whole = (b - a) / 6.0 * (v[0] + 4.0 * v[1] + v[2])
+    level = [a, b, *v, whole, float(rel_tol) * np.maximum(np.abs(whole), 1e-12)]
+    del a, b, m, v, whole
+    return _refine(f, level, 0, int(max_depth))
 
 
 def _chunks(n):
@@ -140,10 +138,10 @@ def _chunks(n):
     return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
-def _refine(values, level, depth, max_depth):
+def _refine(f, level, depth, max_depth):
     """The sums of one level's nodes at ``depth``, each tree refined below it.
 
-    ``level`` lists the nodes' [a, b, fa, fm, fb, whole, eps, k] and is
+    ``level`` lists the nodes' [a, b, fa, fm, fb, whole, eps] and is
     emptied, so its arrays go before the next level is refined; a level
     wider than ``LEVEL_NODES`` goes in chunks, views that hold it to the
     last.  A leaf takes its Richardson sum; the nodes that split make the
@@ -152,12 +150,11 @@ def _refine(values, level, depth, max_depth):
     if len(level[0]) > LEVEL_NODES:
         parts = [[x[part] for x in level] for part in _chunks(len(level[0]))]
         level.clear()
-        return np.concatenate([_refine(values, nodes, depth, max_depth) for nodes in parts])
-    a, b, fa, fm, fb, whole, eps, k = level
+        return np.concatenate([_refine(f, nodes, depth, max_depth) for nodes in parts])
+    a, b, fa, fm, fb, whole, eps = level
     level.clear()
     m = 0.5 * (a + b)
-    f = values(np.concatenate((0.5 * (a + m), 0.5 * (m + b))), np.concatenate((k, k)))
-    flm, frm = f.reshape(2, -1)
+    flm, frm = f(np.concatenate((0.5 * (a + m), 0.5 * (m + b)))).reshape(2, -1)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     both = left + right
@@ -170,9 +167,9 @@ def _refine(values, level, depth, max_depth):
         return total
     # the left halves [a, m] of the split nodes, then their right halves [m, b]
     halves = [np.concatenate((x[split], y[split])) for x, y in ((a, m), (m, b), (fa, fm),
-              (flm, frm), (fm, fb), (left, right), (0.5 * eps, 0.5 * eps), (k, k))]
-    del a, b, fa, fm, fb, whole, eps, k, m, f, flm, frm, left, right, both, delta
-    sums = _refine(values, halves, depth + 1, max_depth)
+              (flm, frm), (fm, fb), (left, right), (0.5 * eps, 0.5 * eps))]
+    del a, b, fa, fm, fb, whole, eps, m, flm, frm, left, right, both, delta
+    sums = _refine(f, halves, depth + 1, max_depth)
     total[split] = sums[: len(split)] + sums[len(split) :]
     return total
 
@@ -293,18 +290,15 @@ def _gauss_pieces(f, a, b, c, p, rule, depth):
 
 
 def integrate(f, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH, breakpoints=()):
-    """Integrate the scalar callable f over [a, b], splitting at the given
-    interior breakpoints; the pieces are added left to right.  f is
-    evaluated through ``over_arrays``."""
+    """Integrate f, a function of a 1-D array of points, over [a, b],
+    splitting at the given interior breakpoints; the pieces are added left
+    to right."""
     if b < a:
         raise ValueError(f"empty integration range [{a}, {b}]")
     if b == a:
         return 0.0
-    cuts = np.array([a] + sorted(x for x in breakpoints if a < x < b) + [b], dtype=float)
-    lo, hi = cuts[:-1], cuts[1:]
-    keep = hi > lo
-    values = over_arrays(f)
-    pieces = integrate_many(lambda x, k: values(x), lo[keep], hi[keep], rel_tol, max_depth)
+    cuts = np.unique([a, b, *(x for x in breakpoints if a < x < b)])
+    pieces = integrate_many(f, cuts[:-1], cuts[1:], rel_tol, max_depth)
     total = 0.0
     for piece in pieces.tolist():
         total += piece

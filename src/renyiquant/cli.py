@@ -12,6 +12,7 @@ output.  Numbers print with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -313,7 +314,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="renyiquant",
         description="Scalar quantizer design and verification under "

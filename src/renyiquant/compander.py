@@ -16,7 +16,7 @@ import numpy as np
 from .core import distortion_constant, validate_exponent
 from .densities import Density, _compressed, _pair_integral, _require_covered
 from .entropy import relative_entropy
-from .quantizer import IntervalQuantizer
+from .quantizer import IntervalQuantizer, _level_count
 
 __all__ = [
     "Compander",
@@ -69,9 +69,7 @@ class Compander:
 
     def build(self, n: int) -> IntervalQuantizer:
         """N-level companding quantizer with expanded-midpoint codepoints."""
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"need at least one level, got {n}")
+        n = _level_count(n)
         # even entries are the boundaries i/n, odd ones the codepoints (2i-1)/(2n);
         # only the previous grid is kept, so the memory held stays at one grid
         us, (m, last_x) = np.arange(2 * n + 1) / (2 * n), self._last_grid

@@ -14,10 +14,11 @@ density once and, when the level counts are nested, asks it for each
 expander value once (see ``compander.Compander``).
 
 Every formula that differs between the families lives here: each class
-has the private methods ``_cell_masses``, ``_moment_terms``, ``_balances``,
+has the four private methods ``_cell_masses``, ``_moment_terms``,
 ``_power_density`` and ``_integral_power``, and the functions of two
-densities pick the closed form when both are piecewise.  No other module
-tests the family.
+densities pick the closed form when both are piecewise.  Codepoint balances
+are moments of power r - 1, so ``quantizer`` takes them from
+``_moment_terms``.  No other module tests the family.
 
 Densities are immutable; all caches, ``support`` among them, are built
 eagerly in ``__init__`` so instances can be shared across threads.
@@ -146,11 +147,7 @@ class PiecewiseConstantDensity:
         return [float(x) for x in self.breakpoints[1:-1]]
 
     def pdf(self, x: float) -> float:
-        # segment i owns (b[i], b[i+1]]; x == b[0] belongs to segment 0
-        x, b = float(x), self.breakpoints
-        if x < b[0] or x > b[-1]:
-            return 0.0
-        return float(self.heights[min(max(int(b.searchsorted(x)) - 1, 0), len(self.heights) - 1)])
+        return float(self._pdf_values(np.float64(x)))
 
     def _pdf_values(self, xs: np.ndarray) -> np.ndarray:
         """``pdf`` at each entry of the array xs."""
@@ -265,27 +262,6 @@ class PiecewiseConstantDensity:
 
         return self._piece_terms(lo, hi, pieces)
 
-    def _balances(self, lo, hi, a, r: float) -> np.ndarray:
-        """One-sided (r-1)-moments of each cell [lo[k], hi[k]] about a[k], left minus right.
-
-        Both sides go through one kernel call, rows [lo, a] first and rows
-        [a, hi] after.  On either side |x - a|**r / r integrates |x - a|**(r-1),
-        falling towards a on the left.  Since a - x and x - a differ only in
-        sign, |x - a| gives both sides' bases exactly.
-        """
-        a = np.asarray(a, dtype=float)
-        n = len(a)
-        ac = np.concatenate((a, a))
-        left = np.arange(2 * n) < n
-
-        def pieces(edges, h, rows):
-            g = np.float_power(np.abs(edges - ac[rows, None]), r)
-            return h * np.where(left[rows, None], g[:, :-1] - g[:, 1:], g[:, 1:] - g[:, :-1]) / r
-
-        sides = _cell_sums(self._piece_terms(np.concatenate((lo, a)), np.concatenate((a, hi)),
-                                             pieces))
-        return sides[:n] - sides[n:]
-
     def _power_density(self, p: float, order: float) -> "PiecewiseConstantDensity":
         """The density proportional to pdf**p; ``order`` is the order it serves.
 
@@ -377,7 +353,7 @@ class SmoothDensity:
             edges.extend(np.linspace(a, b, n + 1)[:-1])
         edges.append(support.hi)
         edges = np.asarray(edges, dtype=float)
-        masses = integrate_many(self._pdf_pieces, edges[:-1], edges[1:], self._rel_tol,
+        masses = integrate_many(self._pdf_many, edges[:-1], edges[1:], self._rel_tol,
                                 self._max_depth)
         total = float(masses.sum())
         if abs(total - 1.0) > 1e-8:
@@ -421,10 +397,6 @@ class SmoothDensity:
         out[inside] = self._pdf_many(xs[inside])
         return out
 
-    def _pdf_pieces(self, xs, k):
-        # the pdf as an integrate_many integrand: the same on every piece
-        return self._pdf_many(xs)
-
     def cdf(self, x):
         """Mass at or left of x: the table entry of x's cell plus one
         quadrature within the cell.
@@ -447,7 +419,7 @@ class SmoothDensity:
         gives exactly 0.0, so it takes its table entry unchanged.
         """
         j = np.searchsorted(self._edges, x, side="right") - 1
-        part = integrate_many(self._pdf_pieces, self._edges[j], x, self._rel_tol, self._max_depth)
+        part = integrate_many(self._pdf_many, self._edges[j], x, self._rel_tol, self._max_depth)
         return np.minimum(self._cum[j] + part / self._total, 1.0)
 
     def quantile(self, u):
@@ -514,20 +486,19 @@ class SmoothDensity:
             return v
 
         try:
-            return integrate(with_array_form(lambda x: self._pdf(x) ** p, power_many),
-                             self._support.lo, self._support.hi, self._rel_tol,
+            return integrate(power_many, self._support.lo, self._support.hi, self._rel_tol,
                              self._max_depth, breakpoints=self._breaks)
         except OverflowError:
             raise ValueError(f"power integral of order {p} overflows") from None
 
     def log_integral(self) -> float:
         def f(x):
-            v = self._pdf(x)
-            return v * math.log(v) if v > 0.0 else 0.0
+            v = self._pdf_many(x)
+            positive = v > 0.0
+            return np.where(positive, v * _libm_each(math.log, np.where(positive, v, 1.0)), 0.0)
 
-        return integrate(
-            f, self._support.lo, self._support.hi, self._rel_tol, self._max_depth, breakpoints=self._breaks
-        )
+        return integrate(f, self._support.lo, self._support.hi, self._rel_tol, self._max_depth,
+                         breakpoints=self._breaks)
 
     def ess_bounds(self):
         return self._ess
@@ -563,13 +534,6 @@ class SmoothDensity:
         pieces[live] = moments_many(self._pdf_many, lo[live], hi[live],
                                     c[np.nonzero(live)[0]], p)
         return _cell_sums(pieces)[:, None]
-
-    def _balances(self, lo, hi, a, r: float) -> np.ndarray:
-        """One-sided (r-1)-moments of each cell [lo[k], hi[k]] about a[k], left minus right."""
-        n = len(a)
-        sides = self._moment_terms(np.concatenate((lo, a)), np.concatenate((a, hi)),
-                                   np.concatenate((a, a)), r - 1.0)[:, 0]
-        return sides[:n] - sides[n:]
 
     def _power_density(self, p: float, order: float) -> "SmoothDensity":
         """The density proportional to pdf**p; ``order`` is the order it serves."""
@@ -633,10 +597,10 @@ def uniform(lo: float, hi: float) -> PiecewiseConstantDensity:
     return PiecewiseConstantDensity([lo, hi], [1.0 / width])
 
 
-def _exp_each(z: np.ndarray) -> np.ndarray:
-    # libm's exp, as math.exp calls it: np.exp may take a SIMD path that
-    # differs in the last bit
-    return np.fromiter(map(math.exp, z.tolist()), float, count=len(z))
+def _libm_each(fn, z: np.ndarray) -> np.ndarray:
+    # libm's exp or log (fn is math.exp or math.log) at each entry of z:
+    # numpy's may take a SIMD path that differs in the last bit
+    return np.fromiter(map(fn, z.tolist()), float, count=len(z))
 
 
 def _require_mass(mass: float):
@@ -665,7 +629,7 @@ def truncated_gauss(mean: float, sigma: float, lo: float, hi: float) -> SmoothDe
         return _n * math.exp(-0.5 * ((x - _m) / _s) ** 2)
 
     def many(x, _m=mean, _s=sigma, _n=norm):
-        return _n * _exp_each(-0.5 * np.float_power((x - _m) / _s, 2.0))
+        return _n * _libm_each(math.exp, -0.5 * np.float_power((x - _m) / _s, 2.0))
 
     d = SmoothDensity(with_array_form(pdf, many), lo, hi)
     d.spec = {"kind": "truncated_gauss", "mean": float(mean),
@@ -694,7 +658,7 @@ def truncated_laplace(center: float, scale: float, lo: float, hi: float) -> Smoo
         return _n * math.exp(-abs(x - _c) / _s)
 
     def many(x, _c=center, _s=scale, _n=norm):
-        return _n * _exp_each(-np.abs(x - _c) / _s)
+        return _n * _libm_each(math.exp, -np.abs(x - _c) / _s)
 
     # the kink at the center matters for quadrature when it is interior
     breaks = [center] if lo < center < hi else []
@@ -767,7 +731,8 @@ def _require_covered(f: Density, g: Density):
     require_nested_supports(f, g)
     (lo, hi), s = _shared_support(f, g), f.support
     slivers = [(a, b) for a, b in ((s.lo, lo), (hi, s.hi)) if a < b]
-    mass = sum(integrate(f.pdf, a, b, breakpoints=f.interior_breakpoints()) for a, b in slivers)
+    mass = sum(integrate(f._pdf_values, a, b, breakpoints=f.interior_breakpoints())
+               for a, b in slivers)
     if mass > MASS_TOL:
         raise ValueError(f"the first density has mass {mass!r} where the second vanishes")
 
@@ -798,15 +763,15 @@ def _pair_integral(f: Density, g: Density, phi) -> float:
     densities take the values hf and hg.  For two piecewise densities it is
     summed left to right over the pieces of their common refinement;
     otherwise phi(1.0, f(x), g(x)) is integrated by quadrature wherever
-    f(x) > 0.
+    f(x) > 0, the pdfs taken over arrays and phi at each point.
     """
     if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
         pieces = _shared_pieces(f, g)
         return float(sum(map(phi, *(col.tolist() for col in pieces))))
 
-    def integrand(x):
-        vf = f.pdf(x)
-        return phi(1.0, vf, g.pdf(x)) if vf > 0.0 else 0.0
+    def integrand(xs):
+        pairs = zip(f._pdf_values(xs).tolist(), g._pdf_values(xs).tolist())
+        return np.array([phi(1.0, vf, vg) if vf > 0.0 else 0.0 for vf, vg in pairs])
 
     breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
     return float(integrate(integrand, *_shared_support(f, g), breakpoints=breaks))

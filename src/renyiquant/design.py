@@ -21,7 +21,7 @@ from .compander import Compander, bennett_functional
 from .core import as_order, branch_of, distortion_constant, exponents, validate_exponent
 from .densities import Density, Interval, uniform
 from .entropy import relative_entropy, renyi_entropy
-from .quantizer import IntervalQuantizer, uniform_quantizer
+from .quantizer import MAX_UNIFORM_LEVELS, IntervalQuantizer, uniform_quantizer
 
 __all__ = [
     "PredictedLimit",
@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 INTEGER_SNAP = 1e-9
-# Largest level count uniform_optimal builds.  A design at rate R has up to
-# floor(e**R) + 1 levels, so rates above log(MAX_UNIFORM_LEVELS - 1), about
-# 13.9, raise ValueError before any array is allocated.
-MAX_UNIFORM_LEVELS = 2**20
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,8 @@ def uniform_optimal(interval: Interval, alpha, rate: float, r: float) -> Interva
     Orders alpha <= 0 (including -inf): floor(e**rate) equal cells.  Orders
     in (0, 1 + r): n equal cells plus one shorter cell at the right end,
     with the short length tuned so the output entropy equals the rate.
-    Requires r > 1 and at most MAX_UNIFORM_LEVELS levels.
+    Requires r > 1 and at most MAX_UNIFORM_LEVELS levels, floor(e**rate) + 1,
+    so rates above log(MAX_UNIFORM_LEVELS - 1), about 13.9, raise ValueError.
     """
     r = validate_exponent(r)
     if r <= 1.0:

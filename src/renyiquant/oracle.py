@@ -202,8 +202,6 @@ def _entropies(mass: np.ndarray, cells: np.ndarray, alpha: RenyiOrder) -> np.nda
         safe = np.where(mass > 0.0, mass, 1.0)
         return -_partition_sums(safe * np.log(safe), cells)
     v = alpha.value
-    if v == 0.0:
-        return np.log(_partition_sums((mass > 0.0).astype(float), cells))
     powered = np.zeros_like(mass)
     with np.errstate(over="ignore"):
         np.power(mass, v, out=powered, where=mass > 0.0)

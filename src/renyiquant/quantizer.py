@@ -4,16 +4,16 @@ A quantizer is a strictly increasing boundary vector plus one codepoint per
 cell.  Cell i covers (boundaries[i], boundaries[i+1]]; the first cell is
 closed on the left.  The formulas of each density family live in
 ``densities``: this module asks the density for its cell masses
-(``_cell_masses``), its moment terms (``_moment_terms``: a closed form per
+(``_cell_masses``) and its moment terms (``_moment_terms``: a closed form per
 piece for a piecewise density, where a cell with no breakpoint is one piece;
 for a smooth one, Gauss rules weighted by |x - c|**p on the pieces that end
-at the codepoint c) and its codepoint balances (``_balances``, moments of
-power p = r - 1), and never looks at the family.
+at the codepoint c), and never looks at the family.
 
 A distortion adds all moment terms left to right across the span, a row of
 pieces per cell; a cell's own moment adds its row (``densities._cell_sums``).
-Every codepoint solve, for one cell or many, is one
-``_quadrature.bisect_many`` call on the balances.
+Every codepoint solve, for one cell or many, is one ``_quadrature.bisect_many``
+call on ``_balances``: a cell's r-th moment's derivative in its codepoint,
+over r, which is the (r-1)-moment left of the codepoint minus the one right.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 CODEPOINT_TOL = 1e-9
+# Most levels ``uniform_quantizer``, ``Compander.build`` and ``uniform_optimal``
+# build: a larger count raises ValueError before any array is allocated.
+MAX_UNIFORM_LEVELS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,13 +162,21 @@ def optimal_codepoint(cell: Interval, d: Density, r: float) -> float:
     return float(_optimal_codepoints(d, np.array([lo]), np.array([hi]), r)[0])
 
 
+def _balances(d: Density, lo, hi, a, r: float) -> np.ndarray:
+    """One-sided (r-1)-moments of each cell [lo[k], hi[k]] about a[k], left minus right."""
+    n = len(a)
+    sides = _cell_sums(d._moment_terms(np.concatenate((lo, a)), np.concatenate((a, hi)),
+                                       np.concatenate((a, a)), r - 1.0))
+    return sides[:n] - sides[n:]
+
+
 def _optimal_codepoints(d: Density, lo: np.ndarray, hi: np.ndarray, r: float) -> np.ndarray:
     """Optimal codepoint of every cell [lo[k], hi[k]], in one ``bisect_many`` call.
 
     Each cell gets what a scalar ``bisect_increasing`` call on its balance
     alone gives, with tolerance 1e-13 times the cell width.
     """
-    return bisect_many(lambda m, k: d._balances(lo[k], hi[k], m, r) < 0.0, lo, hi,
+    return bisect_many(lambda m, k: _balances(d, lo[k], hi[k], m, r) < 0.0, lo, hi,
                        1e-13 * (hi - lo))
 
 
@@ -179,11 +190,19 @@ def improve_codepoints(q: IntervalQuantizer, d: Density, r: float) -> IntervalQu
     return IntervalQuantizer(b, points)
 
 
-def uniform_quantizer(interval: Interval, n: int) -> IntervalQuantizer:
-    """n equal cells with midpoint codepoints."""
+def _level_count(n) -> int:
+    """n as an int, if 1 <= n <= MAX_UNIFORM_LEVELS; ValueError otherwise."""
     n = int(n)
     if n < 1:
-        raise ValueError(f"need at least one cell, got {n}")
+        raise ValueError(f"need at least one level, got {n}")
+    if n > MAX_UNIFORM_LEVELS:
+        raise ValueError(f"{n} levels is more than MAX_UNIFORM_LEVELS = {MAX_UNIFORM_LEVELS}")
+    return n
+
+
+def uniform_quantizer(interval: Interval, n: int) -> IntervalQuantizer:
+    """n equal cells with midpoint codepoints."""
+    n = _level_count(n)
     b = interval.lo + (interval.width / n) * np.arange(n + 1)
     b[-1] = interval.hi
     mids = 0.5 * (b[:-1] + b[1:])

@@ -428,17 +428,46 @@ def test_smooth_design_stdout_matches_the_golden_file(capsys, tmp_path):
     (GOLDEN_LAPLACE, ("--alpha", "-2", "--r", "1.5", "--levels", "3,16,64,256", "--format", "csv"),
      "sweep_laplace_stdout.csv"),
 ], ids=["gauss", "laplace"])
-def test_smooth_sweeps_call_no_scalar_pdf_per_point(capsys, tmp_path, monkeypatch, spec, args,
+def test_smooth_sweeps_call_no_scalar_pdf_per_point(capsys, tmp_path, no_scalar_pdf, spec, args,
                                                     golden):
     # every integrand of a smooth sweep runs on the array form of its pdf
-    import renyiquant._quadrature
-
-    def refuse(f, xs):
-        raise AssertionError("a scalar pdf was mapped over an array")
-
-    monkeypatch.setattr(renyiquant._quadrature, "call_each", refuse)
     path = tmp_path / "density.json"
     path.write_text(json.dumps(spec))
     rc, out = run_cli(capsys, "sweep", "--density", str(path), *args)
     assert rc == 0
     assert out == (Path(__file__).parent / "data" / golden).read_text()
+
+
+def test_predict_at_order_one_calls_no_scalar_pdf(capsys, tmp_path, request):
+    # the log integral of a smooth density takes its pdf over arrays
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(GOLDEN_GAUSS))
+    args = ("predict", "--density", str(path), "--alpha", "1", "--r", "2")
+    expected = run_cli(capsys, *args)
+    request.getfixturevalue("no_scalar_pdf")
+    assert run_cli(capsys, *args) == expected
+    assert expected[0] == 0
+
+
+def test_the_parser_is_built_once_per_process(capsys, density_file):
+    cli.build_parser.cache_clear()
+    args = ("predict", "--density", density_file, "--alpha", "0.5", "--r", "2")
+    first, second = run_cli(capsys, *args), run_cli(capsys, *args)
+    assert cli.build_parser.cache_info().misses == 1
+    assert first == second and first[0] == 0
+
+
+def test_a_huge_level_count_is_refused_before_allocating(capsys, density_file):
+    # 10**12 levels would need terabytes: a one-line error and exit code 2
+    rc = main(["design", "--density", density_file, "--alpha", "0.5", "--r", "2",
+               "--levels", "1000000000000"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: 1000000000000 levels is more than "
+                            "MAX_UNIFORM_LEVELS = 1048576\n")
+    sweep = ("sweep", "--density", density_file, "--alpha", "0.5", "--r", "2", "--levels")
+    rc, out = run_cli(capsys, *sweep, "16,1000000000000")
+    assert rc == 2
+    # the row that can be built is the one a sweep of it alone prints
+    rows = run_cli(capsys, *sweep, "16")[1].splitlines()
+    assert out.splitlines() == [*rows[:2], "1000000000000,error,error,error", rows[2]]

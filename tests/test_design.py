@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,7 +25,10 @@ from renyiquant import (
     truncated_laplace,
     uniform,
     uniform_optimal,
+    uniform_quantizer,
 )
+from renyiquant.compander import Compander
+from renyiquant.quantizer import MAX_UNIFORM_LEVELS
 
 
 def test_optimal_point_density_finite_order(two_mass):
@@ -308,3 +312,22 @@ def test_uniform_optimal_caps_the_level_count(alpha):
     # e**30 levels would need tens of terabytes; refuse before allocating
     with pytest.raises(ValueError, match="MAX_UNIFORM_LEVELS"):
         uniform_optimal(Interval(0.0, 1.0), alpha, 30.0, 2.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: uniform_quantizer(Interval(0.0, 1.0), n),
+    lambda n: Compander(uniform(0.0, 1.0)).build(n),
+], ids=["uniform_quantizer", "compander"])
+def test_quantizer_builders_cap_the_level_count(build):
+    # the cap of uniform_optimal, checked before any array is allocated
+    assert MAX_UNIFORM_LEVELS == 2**20
+    assert build(MAX_UNIFORM_LEVELS).levels == MAX_UNIFORM_LEVELS
+    tracemalloc.start()
+    try:
+        for n in (MAX_UNIFORM_LEVELS + 1, 10**12):
+            with pytest.raises(ValueError, match="MAX_UNIFORM_LEVELS"):
+                build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

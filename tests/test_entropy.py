@@ -310,3 +310,16 @@ def test_the_orders_of_one_call_equal_the_single_order_calls(raw, orders, as_tup
     got = renyi_entropy(p, tuple(orders) if as_tuple else orders)
     assert isinstance(got, list) and all(type(h) is float for h in got)
     assert [h.hex() for h in got] == [renyi_entropy(p, a).hex() for a in orders]
+
+
+@pytest.mark.parametrize("what", ["relative_entropy 0.5", "relative_entropy 2", "bennett"])
+def test_pair_integrals_call_no_scalar_pdf(what, request):
+    # f reaches 1e-13 past g, so from order 1 up the sliver's mass is integrated too
+    f, g = truncated_gauss(0.4, 0.3, 0.0, 1.0), truncated_laplace(0.45, 0.3, 0.0, 1.0 - 1e-13)
+    if what == "bennett":
+        compute = lambda: bennett_functional(f, g, 2.0)
+    else:
+        compute = lambda: relative_entropy(f, g, float(what.split()[1]))
+    expected = compute()
+    request.getfixturevalue("no_scalar_pdf")
+    assert compute() == expected
