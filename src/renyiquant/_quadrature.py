@@ -56,12 +56,14 @@ GAUSS_POINTS = 4  # the n of moments_many: n- and 2n-point rules, 3n pdf values 
 SLIVER = 2.0**-20
 
 
-def _log_sum_exp(t: np.ndarray) -> np.ndarray:
+def _log_sum_exp(t: np.ndarray, top=None) -> np.ndarray:
     """log(sum of exp(t)) along the last axis; -inf entries add nothing.
 
-    Each row needs a finite entry.
+    Each row needs a finite entry.  ``top``, the maximum of each row, may
+    be passed in when the caller has it already.
     """
-    top = t.max(axis=-1)
+    if top is None:
+        top = t.max(axis=-1)
     return top + np.log(np.exp(t - top[..., None]).sum(axis=-1))
 
 

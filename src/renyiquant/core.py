@@ -121,6 +121,16 @@ def validate_exponent(r: float) -> float:
     return r
 
 
+def _as_count(n, what: str) -> int:
+    """n as an int if it is a whole number (7 or 7.0, not 2.7); ValueError otherwise."""
+    try:
+        if int(n) == n:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be a whole number, got {n!r}")
+
+
 def distortion_constant(r: float) -> float:
     """Moment constant of a centred unit cell: 1 / ((1+r) * 2**r)."""
     r = validate_exponent(r)

@@ -4,10 +4,13 @@ The search space is every partition of a fixed candidate boundary grid into
 at most ``max_cells`` contiguous cells, each cell carrying its exactly
 optimal codepoint.  Instances are deliberately tiny (grid of at most 32
 points, at most 8 cells) so the enumeration stays exact and fast.  An n-point
-grid has only n(n - 1)/2 cells, so per-partition work reduces one n * n
-per-cell table (masses, powers, distortions) through a flat cell index.
-``_entropies`` holds the row form of the range rule of ``_quadrature._log_of_sum``:
-``np.log`` of each normal power sum, the log-sum-exp of its row's logs for the rest.
+grid has only n(n - 1)/2 cells, so every per-partition figure reduces one
+n * n per-cell table (masses, powers, distortions) along the tree that
+``partitions()`` enumerates: a k-cell row is its (k - 1)-cell prefix and one
+more cut, so each row costs its parent's value and two table reads
+(``_PartitionTree``).  ``_entropies`` holds the row form of the range rule of
+``_quadrature._log_of_sum``: ``np.log`` of each normal power sum, the
+log-sum-exp of its row's logs for the rest.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._quadrature import _log_sum_exp, _normal_sums
-from .core import RenyiOrder, as_order, branch_of, validate_exponent
+from .core import RenyiOrder, _as_count, as_order, branch_of, validate_exponent
 from .densities import PiecewiseConstantDensity, _cell_sums, density_from_spec, density_to_spec
 from .quantizer import IntervalQuantizer, _optimal_codepoints
 
@@ -66,7 +69,9 @@ class GridInstance:
 
     The grid must span the support exactly and contain every density
     breakpoint, so each grid segment has constant height and all cell masses
-    are exact.
+    are exact.  Cell (i, j) of an n-point grid sits at i * n + j of the flat
+    per-cell tables; the search reduces them over every partition along one
+    ``_PartitionTree``, built on first use and kept with its buffers.
     """
 
     def __init__(self, density: PiecewiseConstantDensity, grid: Sequence[float], max_cells: int):
@@ -86,7 +91,7 @@ class GridInstance:
         for x in density.interior_breakpoints():
             if np.abs(g - x).min() > tol:
                 raise ValueError(f"density breakpoint {x!r} is missing from the grid")
-        max_cells = int(max_cells)
+        max_cells = _as_count(max_cells, "max_cells")
         if not 1 <= max_cells <= MAX_CELLS:
             raise ValueError(f"max_cells must lie in [1, {MAX_CELLS}], got {max_cells}")
         if max_cells > len(g) - 1:
@@ -98,7 +103,7 @@ class GridInstance:
         pref = density.cdf(g)
         self._cell_mass = (pref[None, :] - pref[:, None]).ravel()  # cell (i, j) at i * n + j
         self._partitions = None
-        self._cells = None
+        self._partition_tree = None
         self._mass_matrix = None
         self._per_r = {}
 
@@ -110,43 +115,30 @@ class GridInstance:
         repeated, so a k-cell row ends in max_cells - k + 1 copies of it.
         """
         if self._partitions is None:
-            last = len(self.grid) - 1
-            counts = [math.comb(last - 1, k - 1) for k in range(1, self.max_cells + 1)]
-            idx = np.full((sum(counts), self.max_cells + 1), last, dtype=_GRID_INDEX)
+            n, tree = len(self.grid), self._tree()
+            idx = np.full((tree.rows, self.max_cells + 1), n - 1, dtype=_GRID_INDEX)
             idx[:, 0] = 0
-            start, stop = 0, 1
-            for k in range(1, self.max_cells):
-                # each (k - 1)-cut row, in order, followed by every later cut
-                prev = idx[start:stop, :k]
-                more = last - 1 - prev[:, -1].astype(np.intp)
-                new = idx[stop : stop + counts[k]]
-                new[:, :k] = np.repeat(prev, more, axis=0)
-                new[:, k] = new[:, k - 1] + np.arange(1, counts[k] + 1) - np.repeat(
-                    np.cumsum(more) - more, more)
-                start, stop = stop, stop + counts[k]
+            b = tree.bounds
+            for k, (parent, step) in enumerate(zip(tree.parents, tree.steps), start=1):
+                # a row of k cuts: its parent's cuts, then its own last cut
+                new = idx[b[k] : b[k + 1]]
+                new[:, :k] = idx[b[k - 1] : b[k], :k][parent]
+                new[:, k] = step % n
             idx.flags.writeable = False
             self._partitions = idx
         return self._partitions
 
-    def _cell_index(self) -> np.ndarray:
-        """Row j: flat cell i * n + k of slot j of every partitions() row.
-
-        Padding cells are (last, last), whose mass and distortion are 0.
-        """
-        if self._cells is None:
-            idx = self.partitions()
-            cells = np.empty((self.max_cells, len(idx)), dtype=np.intp)
-            for j, row in enumerate(cells):
-                np.multiply(idx[:, j], len(self.grid), out=row, dtype=np.intp)
-                row += idx[:, j + 1]
-            cells.flags.writeable = False
-            self._cells = cells
-        return self._cells
+    def _tree(self) -> "_PartitionTree":
+        """The partitions() rows as a tree, built once per instance."""
+        if self._partition_tree is None:
+            self._partition_tree = _PartitionTree(len(self.grid), self.max_cells)
+        return self._partition_tree
 
     def mass_matrix(self) -> np.ndarray:
         """Cell masses per partition; padding cells carry an exact zero."""
         if self._mass_matrix is None:
-            self._mass_matrix = self._cell_mass[self._cell_index().T]
+            tree = self._tree()
+            self._mass_matrix = self._cell_mass[tree.cells(np.arange(tree.rows))]
             self._mass_matrix.flags.writeable = False
         return self._mass_matrix
 
@@ -166,54 +158,163 @@ class GridInstance:
             points = np.full((n, n), np.nan)
             points[lo_i, hi_i] = c
             dists = np.zeros((n, n))
-            # the last grid index pairs with itself in padding cells: 0.0
             dists[lo_i, hi_i] = _cell_sums(self.density._moment_terms(lo, hi, c, r))
-            vec = _partition_reduce(dists.ravel(), self._cell_index(), np.add)
+            tree = self._tree()
+            vec = tree.reduce(dists.ravel(), np.add, np.empty(tree.rows))
             for arr in (points, dists, vec):
                 arr.flags.writeable = False
             self._per_r[r] = CellTable(points, dists, vec)
         return self._per_r[r]
 
 
-def _partition_reduce(table: np.ndarray, cells: np.ndarray, op) -> np.ndarray:
-    """Reduce a flat per-cell table over each partition's cells, left to right."""
-    out = table[cells[0]]
-    for slot in cells[1:]:
-        op(out, table[slot], out=out)
-    return out
+class _PartitionTree:
+    """The partitions() rows as the tree they are enumerated along.
+
+    The k-cell rows extend the (k - 1)-cell rows in order, each by every
+    later cut, so the (k + 1)-cell rows are one per prefix of k cuts, and
+    the prefixes of k cuts are their parents' children.  For each depth
+    k = 1 .. max_cells - 1, ``parents[k - 1]`` maps a prefix of k cuts to its
+    prefix of k - 1 cuts and ``steps[k - 1]`` holds its last cell (x[k - 1],
+    x[k]) at x[k - 1] * n + x[k]; the empty prefix is cut 0.  The partitions
+    of each cell count take the slice ``bounds[k - 1]:bounds[k]`` of a row
+    vector.  ``out`` and ``scratch`` are buffers of a row vector and of the
+    largest level, kept so that repeated reductions allocate nothing.
+    """
+
+    def __init__(self, n: int, max_cells: int):
+        self.n = n
+        self.parents, self.steps = [], []
+        cut = np.zeros(1, dtype=np.intp)  # last cut of each prefix
+        for _ in range(1, max_cells):
+            more = n - 2 - cut  # each later cut makes one child
+            parent = np.repeat(np.arange(len(cut)), more)
+            # the child at place c of a prefix whose first child is at place
+            # s cuts at cut + 1 + c - s, that is at c - shift
+            shift = np.cumsum(more) - more - cut - 1
+            rank = np.arange(len(parent))
+            step = np.take(cut * n - shift, parent)
+            step += rank
+            cut = np.subtract(rank, np.take(shift, parent), out=rank)
+            self.parents.append(parent)
+            self.steps.append(step)
+        self.bounds = np.cumsum([0, 1, *map(len, self.steps)])
+        self.rows = int(self.bounds[-1])
+        self.out = np.empty(self.rows)
+        self.scratch = np.empty(int(np.diff(self.bounds).max()))
+
+    def reduce(self, table: np.ndarray, op, out: np.ndarray, by_pairs: bool = False):
+        """Reduce a flat n * n per-cell table over each row's cells into out.
+
+        Cells fold left to right.  With ``by_pairs`` they add as np.sum adds
+        a row of 8, padding zeros included: ((c0 + c1) + (c2 + c3)) +
+        ((c4 + c5) + (c6 + c7)).  A prefix then carries a stack of finished
+        pair sums, and a row adds its last cell into the stack from the right.
+        """
+        n, scratch = self.n, self.scratch
+        # the closing cell (x, n - 1) of a row whose last cell is (w, x)
+        closes = np.ascontiguousarray(np.broadcast_to(table[n - 1 :: n], (n, n))).ravel()
+        levels = [out[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]
+        levels[0][0] = table[n - 1]
+        # each prefix's stack of [partial values, cells in them], one array per
+        # entry for all prefixes of one depth; the bottom entry is written in
+        # place in the level of out whose rows close those prefixes
+        stack = []
+        for depth, (parent, step) in enumerate(zip(self.parents, self.steps), start=1):
+            here = levels[depth]
+            if not stack:
+                np.take(table, step, out=here, mode="clip")
+                children = [[here, 1]]
+            else:
+                # the parents' stacks, then the new cell on top
+                np.take(stack[0][0], parent, out=here, mode="clip")
+                children = [[here, stack[0][1]]] + [[np.take(a, parent), k] for a, k in stack[1:]]
+                if by_pairs and children[-1][1] > 1:
+                    children.append([np.take(table, step), 1])
+                else:
+                    leaf = np.take(table, step, out=scratch[: len(step)], mode="clip")
+                    op(children[-1][0], leaf, out=children[-1][0])
+                    children[-1][1] += 1
+                # a pair of pairs is complete when two entries hold as many cells
+                while len(children) > 1 and (not by_pairs or children[-1][1] == children[-2][1]):
+                    a, k = children.pop()
+                    op(children[-1][0], a, out=children[-1][0])
+                    children[-1][1] += k
+            if stack:
+                self._close(stack, closes, self.steps[depth - 2], op)
+            stack = children
+        if stack:
+            self._close(stack, closes, self.steps[-1], op)
+        return out
+
+    def _close(self, stack, closes, step, op):
+        """Add each prefix's closing cell into its stack, from the right."""
+        v = np.take(closes, step, out=self.scratch[: len(step)], mode="clip")
+        for a, _ in reversed(stack[1:]):
+            op(a, v, out=v)
+        op(stack[0][0], v, out=stack[0][0])
+
+    def cells(self, rows: np.ndarray) -> np.ndarray:
+        """Flat cells of the partitions() rows ``rows``, given in order, one row each.
+
+        Padding cells are (n - 1, n - 1), whose mass and distortion are 0.
+        """
+        n = self.n
+        cells = np.full((len(rows), len(self.steps) + 1), n * n - 1)
+        ends = np.searchsorted(rows, self.bounds)
+        for k in range(1, len(ends)):  # the rows of k cells, walked up to the root
+            block = cells[ends[k - 1] : ends[k]]
+            j = rows[ends[k - 1] : ends[k]] - self.bounds[k - 1]
+            block[:, k - 1] = (self.steps[k - 2][j] % n if k > 1 else 0) * n + n - 1
+            for depth in range(k - 1, 0, -1):
+                block[:, depth - 1] = self.steps[depth - 1][j]
+                j = self.parents[depth - 1][j]
+        return cells
+
+    def row(self, i: int) -> np.ndarray:
+        """Grid indices of partitions() row i without its padding: 0, the cuts, n - 1."""
+        cells = self.cells(np.array([i]))[0]
+        return np.append(cells[cells < self.n * self.n - 1] // self.n, self.n - 1)
 
 
-def _partition_sums(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _partition_sums(table: np.ndarray, inst: GridInstance) -> np.ndarray:
     """Sum over each partition as np.sum adds a row: by pairs of pairs at 8 cells."""
-    if len(cells) < 8:
-        return _partition_reduce(table, cells, np.add)
-    pairs = [table[a] + table[b] for a, b in zip(cells[::2], cells[1::2])]
-    return (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    tree = inst._tree()
+    return tree.reduce(table, np.add, tree.out, by_pairs=inst.max_cells == 8)
 
 
-def _entropies(mass: np.ndarray, cells: np.ndarray, alpha: RenyiOrder) -> np.ndarray:
-    """Entropy of order alpha of every partition, from the flat cell masses."""
+def _entropies(inst: GridInstance, alpha: RenyiOrder) -> np.ndarray:
+    """Entropy of order alpha of every partition, from the flat cell masses.
+
+    The result is the tree's output buffer, overwritten by the next call.
+    """
+    mass, tree = inst._cell_mass, inst._tree()
     branch = branch_of(alpha)
-    if branch == "pos_inf":
-        return -np.log(_partition_reduce(mass, cells, np.maximum))
-    if branch == "neg_inf":
-        return -np.log(_partition_reduce(np.where(mass > 0.0, mass, np.inf), cells, np.minimum))
+    if branch in ("pos_inf", "neg_inf"):
+        if branch == "pos_inf":
+            out = tree.reduce(mass, np.maximum, tree.out)
+        else:
+            out = tree.reduce(np.where(mass > 0.0, mass, np.inf), np.minimum, tree.out)
+        return np.negative(np.log(out, out=out), out=out)
     if branch == "shannon":
         safe = np.where(mass > 0.0, mass, 1.0)
-        return -_partition_sums(safe * np.log(safe), cells)
+        out = _partition_sums(safe * np.log(safe), inst)
+        return np.negative(out, out=out)
     v = alpha.value
     powered = np.zeros_like(mass)
     with np.errstate(over="ignore"):
         np.power(mass, v, out=powered, where=mass > 0.0)
-    sums = _partition_sums(powered, cells)
+    sums = _partition_sums(powered, inst)
+    # the two extremes tell whether any row leaves the normal range
+    bad = None if _normal_sums(sums.min()) and _normal_sums(sums.max()) else ~_normal_sums(sums)
     with np.errstate(divide="ignore"):
-        logs = np.log(sums)
-    bad = ~_normal_sums(sums)
-    if bad.any():
-        rows = np.ascontiguousarray(mass[cells[:, bad]].T)
-        pos = rows > 0.0
-        logs[bad] = _log_sum_exp(np.where(pos, v * np.log(np.where(pos, rows, 1.0)), -np.inf))
-    return logs / (1.0 - v)
+        logs = np.log(sums, out=sums)
+    if bad is not None:
+        pos = mass > 0.0
+        cell_logs = np.where(pos, v * np.log(np.where(pos, mass, 1.0)), -np.inf)
+        # each row's largest term along the tree: max is exact, so any order gives its bits
+        top = tree.reduce(cell_logs, np.maximum, np.empty(tree.rows))[bad]
+        logs[bad] = _log_sum_exp(cell_logs[tree.cells(np.flatnonzero(bad))], top)
+    return np.divide(logs, 1.0 - v, out=logs)
 
 
 def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> OracleResult:
@@ -229,16 +330,14 @@ def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> Ora
         raise ValueError(f"the rate must be a number, got {rate!r}")
     if rate < 0.0:
         raise ValueError(f"the feasible set is empty for negative rate {rate!r}")
-    ent = _entropies(inst._cell_mass, inst._cell_index(), a)
-    feasible = ent <= rate + FEASIBILITY_SLACK
-    count = int(feasible.sum())
+    feasible = _entropies(inst, a) <= rate + FEASIBILITY_SLACK
+    count = int(np.count_nonzero(feasible))
     if count == 0:
         raise ValueError("no partition satisfies the entropy budget")
     table = inst.cell_table(r)
     dist = table.partition_distortion
-    best_value = float(dist[feasible].min())
-    row = inst.partitions()[int(np.flatnonzero(feasible & (dist == best_value))[0])]
-    part = row[: int(np.argmax(row == row[-1])) + 1]  # drop the padding
+    best_value = float(np.min(dist, where=feasible, initial=np.inf))
+    part = inst._tree().row(int(np.argmax(feasible & (dist == best_value))))
     bounds = inst.grid[part]
     points = table.points[part[:-1], part[1:]]
     return OracleResult(best_value, IntervalQuantizer(bounds, points), count)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import bisect_many
-from .core import validate_exponent
+from .core import _as_count, validate_exponent
 from .densities import Density, Interval, _cell_sums, _checked, _not_nan
 from .entropy import renyi_entropy
 
@@ -191,8 +191,8 @@ def improve_codepoints(q: IntervalQuantizer, d: Density, r: float) -> IntervalQu
 
 
 def _level_count(n) -> int:
-    """n as an int, if 1 <= n <= MAX_UNIFORM_LEVELS; ValueError otherwise."""
-    n = int(n)
+    """n as an int, if a whole number in [1, MAX_UNIFORM_LEVELS]; ValueError otherwise."""
+    n = _as_count(n, "the level count")
     if n < 1:
         raise ValueError(f"need at least one level, got {n}")
     if n > MAX_UNIFORM_LEVELS:

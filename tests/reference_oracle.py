@@ -3,8 +3,8 @@
 ``partitions`` builds the partition table from ``itertools.combinations``
 and ``entropies`` reduces a whole P x max_cells mass matrix, padding zeros
 included, one order at a time.  ``renyiquant.oracle`` does the same work
-through per-cell tables and a flat cell index, and must give the same
-arrays bit for bit.
+by reducing per-cell tables along the partition tree, and must give the
+same arrays bit for bit.
 """
 
 from __future__ import annotations

@@ -314,6 +314,13 @@ def test_uniform_optimal_caps_the_level_count(alpha):
         uniform_optimal(Interval(0.0, 1.0), alpha, 30.0, 2.0)
 
 
+def test_uniform_quantizer_needs_a_whole_level_count():
+    assert uniform_quantizer(Interval(0.0, 1.0), 7.0).levels == 7
+    for n in (2.7, math.nan, math.inf):
+        with pytest.raises(ValueError, match="whole number"):
+            uniform_quantizer(Interval(0.0, 1.0), n)
+
+
 @pytest.mark.parametrize("build", [
     lambda n: uniform_quantizer(Interval(0.0, 1.0), n),
     lambda n: Compander(uniform(0.0, 1.0)).build(n),

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_oracle as ref
+import renyiquant
 from renyiquant import (
     GridInstance,
     Interval,
@@ -97,6 +102,16 @@ def test_zero_rate_gives_one_cell():
     res = brute_force_optimal(inst, RenyiOrder(0.5), 0.0, 2.0)
     assert len(res.argmin.codepoints) == 1
     assert res.value == pytest.approx(1.0 / 12.0, rel=1e-14)
+
+
+def test_ties_go_to_the_first_row_in_enumeration_order():
+    # [0, 0.25, 1] and its mirror [0, 0.75, 1] have the same distortion and
+    # entropy, bit for bit; the first of them in partitions() order wins
+    inst = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, 5), 3)
+    res = brute_force_optimal(inst, RenyiOrder(0.5), 0.65, 2.0)
+    assert res.value == 0.036458333333333336
+    assert res.argmin.boundaries.tolist() == [0.0, 0.25, 1.0]
+    assert res.feasible_count == 3
 
 
 def test_negative_rate_is_rejected():
@@ -271,13 +286,14 @@ REFERENCE_ORDERS = (NEG_INF, RenyiOrder(-500.0), RenyiOrder(-2.0), RenyiOrder(-1
 # benchmark's 28-point, 7-cell shape (313,912 partitions)
 @pytest.mark.parametrize("seed, n, max_cells, segments", [
     (11, 9, 8, 2), (12, 12, 5, 3), (13, 17, 4, 5), (14, 20, 6, 4), (15, 28, 7, 6),
+    (16, 2, 1, 1), (17, 6, 2, 2), (18, 10, 3, 3), (19, 12, 8, 3),
 ])
 def test_per_cell_search_matches_the_mass_matrix_reference(seed, n, max_cells, segments):
     inst = _seeded_instance(seed, n, max_cells, segments)
     idx = ref.partitions(n, max_cells)
     masses = ref.mass_matrix(inst.density.cdf(inst.grid), idx)
     for alpha in REFERENCE_ORDERS:
-        got = _entropies(inst._cell_mass, inst._cell_index(), alpha)
+        got = _entropies(inst, alpha)
         assert np.array_equal(got, ref.entropies(masses, alpha)), alpha
     table = inst.cell_table(2.0)
     assert np.array_equal(table.partition_distortion,
@@ -304,6 +320,45 @@ def test_partition_table_matches_itertools(n, max_cells):
     expected = ref.partitions(n, max_cells)
     assert parts.dtype == expected.dtype
     assert np.array_equal(parts, expected)
+
+
+@pytest.mark.parametrize("n, max_cells", [(2, 1), (9, 4), (12, 8)])
+def test_tree_rows_are_the_partition_rows(n, max_cells):
+    inst = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, n), max_cells)
+    parts, tree = inst.partitions(), inst._tree()
+    cells = parts[:, :-1].astype(np.intp) * n + parts[:, 1:]
+    assert np.array_equal(tree.cells(np.arange(len(parts))), cells)
+    assert np.array_equal(tree.cells(np.arange(1, len(parts), 3)), cells[1::3])
+    for i, row in enumerate(parts):
+        got = tree.row(i)
+        assert np.array_equal(got, row[: len(got)])
+        assert np.all(row[len(got):] == n - 1)
+
+
+def test_the_largest_instance_stays_small():
+    # a fresh interpreter, so the peak is this one search's over 2,804,012
+    # partitions; one intp per partition and cell would be 179 MB alone
+    code = (
+        "import resource, numpy as np\n"
+        "from renyiquant import GridInstance, RenyiOrder, brute_force_optimal, uniform\n"
+        "inst = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, 32), 8)\n"
+        "res = brute_force_optimal(inst, RenyiOrder(0.5), 2.0, 2.0)\n"
+        "assert res.feasible_count == 2492188, res.feasible_count\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(renyiquant.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) / 1024 < 300.0
+
+
+def test_max_cells_must_be_a_whole_number(two_mass):
+    spec = instance_to_spec(GridInstance(two_mass, np.linspace(0.0, 1.0, 9), 7))
+    assert instance_from_spec(dict(spec, max_cells=7.0)).max_cells == 7
+    with pytest.raises(ValueError, match="whole number"):
+        instance_from_spec(dict(spec, max_cells=2.7))
 
 
 def test_profile_never_builds_the_mass_matrix(two_mass):
