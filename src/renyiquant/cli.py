@@ -186,8 +186,19 @@ def _sweep_row(compander, f, alpha, r, n, normalization):
     q = compander.build(n)
     h = renyi_entropy(cell_masses(q, f), alpha)
     d = distortion(q, f, r)
-    scale = math.exp(r * h) if normalization == "entropy" else float(n) ** r
-    return h, d, scale * d
+    try:
+        scale = math.exp(r * h) if normalization == "entropy" else float(n) ** r
+        normalized = scale * d
+    except OverflowError:
+        # the scale leaves the float range; the product may not: e**(rH + log D)
+        log_scale = r * h if normalization == "entropy" else r * math.log(n)
+        try:
+            normalized = math.exp(log_scale + math.log(d)) if d > 0.0 else math.inf
+        except OverflowError:
+            normalized = math.inf
+    if not math.isfinite(normalized):
+        raise ValueError(f"the normalized distortion at N = {n} leaves the float range")
+    return h, d, normalized
 
 
 def run_sweep(req: SweepRequest, f):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import distortion_constant, validate_exponent
-from .densities import Density, _compressed, _pair_integral, _require_covered
+from .densities import Density, _compressed, _pair_integrals, _powers, _require_covered
 from .entropy import relative_entropy
 from .quantizer import IntervalQuantizer, _level_count
 
@@ -84,13 +84,13 @@ class Compander:
         bounds = xs[0::2]
         if np.any(np.diff(bounds) <= 0):
             raise ValueError(f"companding boundaries collapse at {n} levels")
-        return IntervalQuantizer(bounds, xs[1::2])
+        # an expanded codepoint may land a float past its cell: it is snapped back
+        return IntervalQuantizer._derived(bounds, xs[1::2], in_cells=False)
 
     def midpoint_variant(self, n: int) -> IntervalQuantizer:
         """Same boundaries as build(n) but with cell-midpoint codepoints."""
-        q = self.build(n)
-        mids = 0.5 * (q.boundaries[:-1] + q.boundaries[1:])
-        return IntervalQuantizer(q.boundaries, mids)
+        b = self.build(n).boundaries
+        return IntervalQuantizer._derived(b, 0.5 * (b[:-1] + b[1:]), in_cells=True)
 
     def __repr__(self):
         return f"Compander({self.point_density!r})"
@@ -101,13 +101,28 @@ def bennett_functional(f: Density, g: Density, r: float) -> float:
 
     Integration runs over the support of f, which must sit inside the
     support of g with no mass past it; g must be bounded away from zero there.
+    An integral that leaves the float range raises ValueError.
     """
+    return _bennett_functionals(f, [g], r)[0]
+
+
+def _bennett_functionals(f: Density, gs, r: float) -> list[float]:
+    """``bennett_functional`` of f on each of the densities gs, which share one
+    support and, if piecewise, one breakpoint grid: the checks run once, and
+    the integral is one ``densities._pair_integrals`` call for all of them."""
     r = validate_exponent(r)
-    _require_covered(f, g)
-    if g.ess_bounds()[0] <= 0.0:
+    _require_covered(f, gs[0])
+    if min(g.ess_bounds()[0] for g in gs) <= 0.0:
         raise ValueError("point density must be bounded away from zero")
-    integral = _pair_integral(f, g, lambda w, hf, hg: w * hf / hg**r)
-    return distortion_constant(r) * integral
+    try:
+        with np.errstate(divide="ignore", over="ignore"):
+            integrals = _pair_integrals(f, gs, lambda w, hf, hg: w * hf / _powers(hg, r))
+        finite = np.isfinite(integrals).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"the Bennett integral at r = {r} leaves the float range")
+    return (distortion_constant(r) * integrals).tolist()
 
 
 def entropy_offset(f: Density, g: Density, alpha) -> float:

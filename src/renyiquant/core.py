@@ -32,7 +32,11 @@ SHANNON_WINDOW = 1e-9
 
 @dataclass(frozen=True, order=True)
 class RenyiOrder:
-    """Entropy order in [-inf, +inf]; ``value`` may be ``math.inf`` of either sign."""
+    """Entropy order in [-inf, +inf]; ``value`` may be ``math.inf`` of either sign.
+
+    Its ``branch_of`` tag is found once, here; an order inside the exclusion
+    window around 1 is tagged None, and ``branch_of`` rejects it.
+    """
 
     value: float
 
@@ -41,6 +45,15 @@ class RenyiOrder:
         if math.isnan(v):
             raise ValueError("entropy order must not be NaN")
         object.__setattr__(self, "value", v)
+        if v == -math.inf:
+            branch = "neg_inf"
+        elif v == math.inf:
+            branch = "pos_inf"
+        elif v == 1.0:
+            branch = "shannon"
+        else:
+            branch = None if abs(v - 1.0) < SHANNON_WINDOW else "finite"
+        object.__setattr__(self, "_branch", branch)
 
     @property
     def is_neg_inf(self) -> bool:
@@ -99,18 +112,12 @@ def branch_of(alpha) -> str:
     must use the Shannon branch explicitly.
     """
     a = as_order(alpha)
-    if a.is_neg_inf:
-        return "neg_inf"
-    if a.is_pos_inf:
-        return "pos_inf"
-    if a.is_shannon:
-        return "shannon"
-    if abs(a.value - 1.0) < SHANNON_WINDOW:
+    if a._branch is None:
         raise ValueError(
             f"order {a.value!r} is inside the exclusion window around 1; "
             "pass exactly 1 for the Shannon branch"
         )
-    return "finite"
+    return a._branch
 
 
 def validate_exponent(r: float) -> float:

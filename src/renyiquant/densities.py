@@ -117,15 +117,31 @@ class PiecewiseConstantDensity:
         h = np.ascontiguousarray(heights, dtype=float)
         if b.ndim != 1 or h.ndim != 1 or len(b) != len(h) + 1 or len(h) < 1:
             raise ValueError("need m+1 breakpoints for m >= 1 heights")
-        if not (np.isfinite(b).all() and np.isfinite(h).all()):
-            raise ValueError("breakpoints and heights must be finite")
-        lens = b[1:] - b[:-1]
-        if (lens <= 0.0).any():
-            raise ValueError("breakpoints must be strictly increasing")
-        if (h <= 0.0).any():
-            raise ValueError("heights must be strictly positive")
-        total = float(np.dot(h, lens))
-        if abs(total - 1.0) > MASS_TOL:
+        self._settle(b, h)
+
+    @classmethod
+    def _derived(cls, breakpoints: np.ndarray, heights: np.ndarray) -> "PiecewiseConstantDensity":
+        """``__init__`` without its shape checks, for arrays derived from a checked
+        density; the value checks stay, as a scale or a power can overflow."""
+        d = cls.__new__(cls)
+        d._settle(np.ascontiguousarray(breakpoints), np.ascontiguousarray(heights))
+        return d
+
+    def _settle(self, b: np.ndarray, h: np.ndarray):
+        """Check the values of b and h, freeze them and build the caches."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            lens = b[1:] - b[:-1]
+            total = float(np.dot(h, lens))
+        # positive widths and heights with a finite mass leave no entry
+        # infinite or NaN, so a valid density passes on these three reductions;
+        # a failing one runs the checks one by one, for the first message that applies
+        if not (lens.min() > 0.0 and h.min() > 0.0 and abs(total - 1.0) <= MASS_TOL):
+            if not (np.isfinite(b).all() and np.isfinite(h).all()):
+                raise ValueError("breakpoints and heights must be finite")
+            if (lens <= 0.0).any():
+                raise ValueError("breakpoints must be strictly increasing")
+            if (h <= 0.0).any():
+                raise ValueError("heights must be strictly positive")
             raise ValueError(f"total mass must be 1 within {MASS_TOL}, got {total!r}")
         b.flags.writeable = False
         h.flags.writeable = False
@@ -134,10 +150,11 @@ class PiecewiseConstantDensity:
         self._lens = lens
         self._support = Interval(float(b[0]), float(b[-1]))
         # heights with a 0 on either side: entry j + 1 for segment j
-        self._padded = np.concatenate(([0.0], h, [0.0]))
-        cum = np.concatenate(([0.0], np.cumsum(h * lens)))
-        cum[-1] = 1.0
-        self._cum = cum
+        self._padded = np.zeros(len(h) + 2)
+        self._padded[1:-1] = h
+        self._cum = np.zeros(len(b))
+        np.cumsum(h * lens, out=self._cum[1:])
+        self._cum[-1] = 1.0
 
     @property
     def support(self) -> Interval:
@@ -281,7 +298,7 @@ class PiecewiseConstantDensity:
         if not (heights > 0.0).all():
             raise ValueError(
                 f"the point density at order {order!r} underflows to 0 on part of the support")
-        return PiecewiseConstantDensity(self.breakpoints, heights)
+        return PiecewiseConstantDensity._derived(self.breakpoints, heights)
 
     def _integral_power(self, p: float, q: float) -> float:
         """(integral of pdf**p) ** q; summed in logs where the integral
@@ -289,9 +306,9 @@ class PiecewiseConstantDensity:
         with np.errstate(over="ignore"):
             integral = self.power_integral(p)
         if _normal_sums(integral):
-            return integral**q
+            return _power_of(integral, p, q)
         t = p * np.log(self.heights) + np.log(self._lens)
-        return math.exp(q * float(_log_sum_exp(t)))
+        return _exp_of(q * float(_log_sum_exp(t)), p, q)
 
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
         """Density of c*X + t (or c*(-X) + t when reflect is set)."""
@@ -300,8 +317,8 @@ class PiecewiseConstantDensity:
             raise ValueError(f"scale must be positive, got {c!r}")
         # negation is exact, so t + (-c) * x is t - c * x; reflecting reverses the order
         step = -1 if reflect else 1
-        return PiecewiseConstantDensity((t + step * c * self.breakpoints)[::step],
-                                        (self.heights / c)[::step])
+        return PiecewiseConstantDensity._derived((t + step * c * self.breakpoints)[::step],
+                                                 (self.heights / c)[::step])
 
     def __repr__(self):
         return (
@@ -478,16 +495,10 @@ class SmoothDensity:
         if p < 0 and self.ess_bounds()[0] <= 0.0:
             raise ValueError("negative power integral requires a density bounded away from zero")
 
-        def power_many(x):
-            with np.errstate(over="ignore"):
-                v = np.float_power(self._pdf_many(x), p)
-            if np.isinf(v).any():
-                raise OverflowError  # as Python's ** does
-            return v
-
         try:
-            return integrate(power_many, self._support.lo, self._support.hi, self._rel_tol,
-                             self._max_depth, breakpoints=self._breaks)
+            return integrate(lambda x: _powers(self._pdf_many(x), p), self._support.lo,
+                             self._support.hi, self._rel_tol, self._max_depth,
+                             breakpoints=self._breaks)
         except OverflowError:
             raise ValueError(f"power integral of order {p} overflows") from None
 
@@ -553,12 +564,13 @@ class SmoothDensity:
                              breakpoints=self._breaks, ess_inf=bounds[0], ess_sup=bounds[1])
 
     def _integral_power(self, p: float, q: float) -> float:
-        """(integral of pdf**p) ** q; ValueError unless the integral is positive and finite."""
+        """(integral of pdf**p) ** q; ValueError unless the integral is positive
+        and finite, or where the power overflows (``_power_of``)."""
         with np.errstate(over="ignore"):
             integral = self.power_integral(p)
         if not (math.isfinite(integral) and integral > 0.0):
             raise ValueError(f"power integral of order {p} is not positive and finite")
-        return integral**q
+        return _power_of(integral, p, q)
 
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
         c = float(c)
@@ -598,9 +610,38 @@ def uniform(lo: float, hi: float) -> PiecewiseConstantDensity:
 
 
 def _libm_each(fn, z: np.ndarray) -> np.ndarray:
-    # libm's exp or log (fn is math.exp or math.log) at each entry of z:
-    # numpy's may take a SIMD path that differs in the last bit
+    # libm's exp or log (fn is math.exp or math.log) at each entry of the 1-D
+    # array z: numpy's may take a SIMD path that differs in the last bit
     return np.fromiter(map(fn, z.tolist()), float, count=len(z))
+
+
+def _power_of(integral: float, p: float, q: float) -> float:
+    """integral ** q, for the positive normal integral of pdf**p; where the
+    plain power overflows it is taken in logs, as ``_integral_power`` sums
+    an integral that leaves the float range."""
+    try:
+        return integral**q
+    except OverflowError:
+        return _exp_of(q * math.log(integral), p, q)
+
+
+def _exp_of(log_value: float, p: float, q: float) -> float:
+    """(integral of pdf**p) ** q from its log; ValueError where it overflows."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"(integral of pdf**{p!r})**{q!r} overflows") from None
+
+
+def _powers(x: np.ndarray, p: float) -> np.ndarray:
+    """x**p at each entry, with the bits of Python's ``**``: ``np.float_power``
+    calls the C ``pow`` as it does.  An infinite power raises OverflowError,
+    as ``**`` does where it overflows."""
+    with np.errstate(over="ignore", divide="ignore"):
+        v = np.float_power(x, p)
+    if np.isinf(v).any():
+        raise OverflowError
+    return v
 
 
 def _require_mass(mass: float):
@@ -685,39 +726,47 @@ def _checked(total):
     return total
 
 
-def _cell_sums(terms: np.ndarray) -> np.ndarray:
-    """Each row of ``terms`` added left to right from 0.0.
-
-    So a piecewise cell gives bit for bit what a scalar loop over its sorted
-    cut points gives, and a one-column smooth row gives its entry.  An
-    overflowing sum raises ValueError.
-    """
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row of ``terms`` added left to right from 0.0, as Python's ``sum``
+    adds a list: so a piecewise cell gives bit for bit what a scalar loop over
+    its sorted cut points gives, and a one-column smooth row gives its entry."""
     total = np.zeros(len(terms))
     for col in terms.T:
         total += col
-    return _checked(total)
+    return total
 
 
-def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
+def _cell_sums(terms: np.ndarray) -> np.ndarray:
+    """``_row_sums`` of cell terms; an overflowing sum raises ValueError."""
+    return _checked(_row_sums(terms))
+
+
+def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity, *more):
     """The support of f cut at the breakpoints of both densities, left to right.
 
     Returns the piece widths and the heights of f and of g on each piece.
+    Densities in ``more`` share g's breakpoints; their heights on the
+    pieces follow g's, and all of them come as one array, a row per density.
     """
     lo, hi = f.breakpoints[0], f.breakpoints[-1]
     cuts = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
     edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
     # the height just right of each left end, 0 outside the support
     left = edges[:-1]
-    return edges[1:] - left, *(d._padded[d.breakpoints.searchsorted(left, side="right")]
-                               for d in (f, g))
+    jf, jg = (d.breakpoints.searchsorted(left, side="right") for d in (f, g))
+    hg = np.array([d._padded for d in (g, *more)])[:, jg] if more else g._padded[jg]
+    return edges[1:] - left, f._padded[jf], hg
 
 
-def _shared_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
-    """``_common_pieces`` where g is positive: ``require_nested_supports`` lets
-    f reach a sliver past g, and the pair functions skip it."""
-    widths, hf, hg = _common_pieces(f, g)
-    keep = hg > 0.0
-    return widths[keep], hf[keep], hg[keep]
+def _shared_pieces(f: PiecewiseConstantDensity, gs):
+    """``_common_pieces`` of f and the densities gs, which share one breakpoint
+    grid, where they are positive (``require_nested_supports`` lets f reach
+    a sliver past them, and the pair functions skip it); their heights come
+    a row per density."""
+    widths, hf, hg = _common_pieces(f, *gs)
+    hg = np.atleast_2d(hg)
+    keep = hg[0] > 0.0
+    return widths[keep], hf[keep], hg[:, keep]
 
 
 def _shared_support(f: Density, g: Density):
@@ -737,44 +786,60 @@ def _require_covered(f: Density, g: Density):
         raise ValueError(f"the first density has mass {mass!r} where the second vanishes")
 
 
-def _ratio_bounds(f: Density, g: Density, points: int):
-    """Essential infimum and supremum of f/g over ``_shared_support(f, g)``.
+def _ratio_bounds(f: Density, gs, points: int):
+    """Essential infimum and supremum of f/g over ``_shared_support(f, g)``, for
+    each g of gs, which share one support and, if piecewise, one breakpoint
+    grid: a list of infima and a list of suprema.
 
     Two piecewise densities give the extreme height ratios of their common
     refinement; otherwise the array ratio at ``points`` evenly spaced points
     is refined by ``_quadrature.scan_extremum`` with the scalar ratio.
     """
-    if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        _, hf, hg = _shared_pieces(f, g)
-        return float((hf / hg).min()), float((hf / hg).max())
-    xs = np.linspace(*_shared_support(f, g), points)
-    with np.errstate(all="ignore"):
-        vals = f._pdf_values(xs) / g._pdf_values(xs)
-    if not np.isfinite(vals).all():
-        raise ValueError("the density ratio is unbounded: the second density vanishes")
-    ratio = lambda x: f.pdf(x) / g.pdf(x)
-    return scan_extremum(ratio, xs, vals, False), scan_extremum(ratio, xs, vals, True)
+    if isinstance(f, PiecewiseConstantDensity) and isinstance(gs[0], PiecewiseConstantDensity):
+        _, hf, hg = _shared_pieces(f, gs)
+        ratios = hf / hg
+        return ratios.min(axis=1).tolist(), ratios.max(axis=1).tolist()
+    lows, highs = [], []
+    for g in gs:
+        xs = np.linspace(*_shared_support(f, g), points)
+        with np.errstate(all="ignore"):
+            vals = f._pdf_values(xs) / g._pdf_values(xs)
+        if not np.isfinite(vals).all():
+            raise ValueError("the density ratio is unbounded: the second density vanishes")
+        ratio = lambda x, g=g: f.pdf(x) / g.pdf(x)
+        lows.append(scan_extremum(ratio, xs, vals, False))
+        highs.append(scan_extremum(ratio, xs, vals, True))
+    return lows, highs
 
 
-def _pair_integral(f: Density, g: Density, phi) -> float:
-    """Integral over ``_shared_support(f, g)`` of phi(w, f, g).
+def _pair_integrals(f: Density, gs, phi) -> np.ndarray:
+    """Integral over ``_shared_support(f, g)`` of phi(w, f, g) for each g of gs,
+    which share one support and, if piecewise, one breakpoint grid.
 
-    ``phi(w, hf, hg)`` is the integral over a piece of width w on which the
-    densities take the values hf and hg.  For two piecewise densities it is
-    summed left to right over the pieces of their common refinement;
-    otherwise phi(1.0, f(x), g(x)) is integrated by quadrature wherever
-    f(x) > 0, the pdfs taken over arrays and phi at each point.
+    ``phi(w, hf, hg)`` takes arrays: the integrals over pieces of width w on
+    which the densities take the values hf and hg.  For two piecewise
+    densities it gets the pieces of their common refinement, hg a row per g,
+    and each row is added left to right; otherwise phi(1.0, f(x), g(x)) is
+    integrated by quadrature wherever f(x) > 0, the pdfs taken over arrays.
+    Powers in phi go through ``_powers`` and logs through ``_libm_each``, so
+    each piece or point gets the bits of Python's scalar arithmetic.
     """
-    if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        pieces = _shared_pieces(f, g)
-        return float(sum(map(phi, *(col.tolist() for col in pieces))))
+    if isinstance(f, PiecewiseConstantDensity) and isinstance(gs[0], PiecewiseConstantDensity):
+        widths, hf, hg = _shared_pieces(f, gs)
+        return _row_sums(np.broadcast_to(phi(widths, hf, hg), hg.shape))
 
-    def integrand(xs):
-        pairs = zip(f._pdf_values(xs).tolist(), g._pdf_values(xs).tolist())
-        return np.array([phi(1.0, vf, vg) if vf > 0.0 else 0.0 for vf, vg in pairs])
+    def integral(g):
+        def integrand(xs):
+            vf, vg = f._pdf_values(xs), g._pdf_values(xs)
+            out = np.zeros(len(xs))
+            live = vf > 0.0
+            out[live] = phi(1.0, vf[live], vg[live])
+            return out
 
-    breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
-    return float(integrate(integrand, *_shared_support(f, g), breakpoints=breaks))
+        breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
+        return integrate(integrand, *_shared_support(f, g), breakpoints=breaks)
+
+    return np.array([integral(g) for g in gs], dtype=float)
 
 
 def _compressed(f: Density, g: Density, table_cells: int) -> Density:
@@ -787,7 +852,7 @@ def _compressed(f: Density, g: Density, table_cells: int) -> Density:
     """
     lo, hi = _shared_support(f, g)
     if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        widths, hf, hg = _shared_pieces(f, g)
+        widths, hf, (hg,) = _shared_pieces(f, [g])
         edges = np.concatenate(([g.cdf(lo)], g.cdf(lo) + np.cumsum(widths * hg)))
         return PiecewiseConstantDensity(edges, hf / hg)
 
@@ -797,7 +862,7 @@ def _compressed(f: Density, g: Density, table_cells: int) -> Density:
     pdf = lambda y: ratio(g.quantile(y))
 
     # essential bounds of f/g are cheap to locate in x-space
-    ess_inf, ess_sup = _ratio_bounds(f, g, 2048)
+    (ess_inf,), (ess_sup,) = _ratio_bounds(f, [g], 2048)
     breaks = sorted(g.cdf(x) for x in set(f.interior_breakpoints()) | set(g.interior_breakpoints())
                     if lo < x < hi)
     return SmoothDensity(with_array_form(pdf, lambda ys: ratios(g.quantile(ys))), y_lo, y_hi,

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import bisect_increasing
-from .compander import Compander, bennett_functional
+from .compander import Compander, _bennett_functionals
 from .core import as_order, branch_of, distortion_constant, exponents, validate_exponent
 from .densities import Density, Interval, uniform
-from .entropy import relative_entropy, renyi_entropy
+from .entropy import _divergences, renyi_entropy
 from .quantizer import MAX_UNIFORM_LEVELS, IntervalQuantizer, uniform_quantizer
 
 __all__ = [
@@ -190,13 +190,30 @@ def pierce_upper_bound(f: Density, r: float, rate: float) -> float:
     return (2.0 / lo) ** r * math.exp(-r * rate)
 
 
-def compander_score(f: Density, g: Density, alpha, r: float) -> float:
+def compander_score(f: Density, g: Density, alpha, r: float) -> float | list[float]:
     """Asymptotic figure of merit of companding on g for source f.
 
     Equals exp(-r * divergence(f, g)) times the scaled-distortion functional
     of g; it is minimized over point densities by optimal_point_density and
     its minimum is the predicted limit.
+
+    ``g`` may also be a list or tuple of point densities: the result is then
+    a list of floats whose entry i equals ``compander_score(f, g[i], alpha,
+    r)`` bit for bit.  Point densities with one support and the same
+    breakpoints share each check and each integral call; for piecewise ones
+    that is one common refinement with f, a row of pieces per density.
     """
-    return math.exp(-validate_exponent(r) * relative_entropy(f, g, alpha)) * bennett_functional(
-        f, g, r
-    )
+    r = validate_exponent(r)
+    many = isinstance(g, (list, tuple))
+    gs = list(g) if many else [g]
+    groups = {}
+    for i, gi in enumerate(gs):
+        key = (type(gi), gi.support, tuple(gi.interior_breakpoints()))
+        groups.setdefault(key, []).append(i)
+    scores = [0.0] * len(gs)
+    for rows in groups.values():
+        share = [gs[i] for i in rows]
+        pairs = zip(_divergences(f, share, alpha), _bennett_functionals(f, share, r))
+        for i, (div, bennett) in zip(rows, pairs):
+            scores[i] = math.exp(-r * div) * bennett
+    return scores if many else scores[0]

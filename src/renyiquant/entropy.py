@@ -15,27 +15,39 @@ import numpy as np
 # _log_sum_exp and _normal_sums stay importable from here for the tests
 from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums  # noqa: F401
 from .core import as_order, branch_of
-from .densities import (Density, _pair_integral, _ratio_bounds, _require_covered,
-                        require_nested_supports)
+from .densities import (Density, _libm_each, _pair_integrals, _powers, _ratio_bounds,
+                        _require_covered, require_nested_supports)
 
 __all__ = ["renyi_entropy", "differential_entropy", "relative_entropy"]
 
 WEIGHT_TOL = 1e-9
 
 
-def _clean_weights(weights) -> np.ndarray:
-    """The positive entries of a checked probability vector; as it sums to 1, some exist."""
+def _checked_weights(weights):
+    """A checked probability vector as a float array, and its least entry.
+
+    On success two reductions do: a finite sum of entries at least
+    -WEIGHT_TOL means every entry is finite.  Only a failing vector runs
+    the checks one by one, for the message of the first that fails.
+    """
     w = np.ascontiguousarray(weights, dtype=float)
     if w.ndim != 1 or len(w) == 0:
         raise ValueError("weights must be a nonempty 1-d vector")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if (w < -WEIGHT_TOL).any():
-        raise ValueError("weights must be nonnegative")
-    total = float(w.sum())
+    total, least = float(w.sum()), float(w.min())
+    if not (math.isfinite(total) and least >= -WEIGHT_TOL):
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        if least < -WEIGHT_TOL:
+            raise ValueError("weights must be nonnegative")
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"weights must sum to 1, got {total!r}")
-    return w[w > 0.0]
+    return w, least
+
+
+def _clean_weights(weights) -> np.ndarray:
+    """The positive entries of a checked probability vector; as it sums to 1, some exist."""
+    w, least = _checked_weights(weights)
+    return w if least > 0.0 else w[w > 0.0]
 
 
 def renyi_entropy(weights, alpha) -> float | list[float]:
@@ -53,13 +65,15 @@ def renyi_entropy(weights, alpha) -> float | list[float]:
     ``renyi_entropy(weights, alpha[i])`` bit for bit.
     """
     pos = _clean_weights(weights)
-    if isinstance(alpha, (list, tuple)):
-        return [_entropy_of(pos, a) for a in alpha]
-    return _entropy_of(pos, alpha)
+    with np.errstate(over="ignore"):
+        if isinstance(alpha, (list, tuple)):
+            return [_entropy_of(pos, a) for a in alpha]
+        return _entropy_of(pos, alpha)
 
 
 def _entropy_of(pos: np.ndarray, alpha) -> float:
-    """``renyi_entropy`` at one order, of the positive masses ``pos``."""
+    """``renyi_entropy`` at one order, of the positive masses ``pos``; a power
+    sum may overflow, so the caller ignores numpy's overflow warning."""
     a = as_order(alpha)
     branch = branch_of(a)
     if branch == "pos_inf":
@@ -69,9 +83,7 @@ def _entropy_of(pos: np.ndarray, alpha) -> float:
     if branch == "shannon":
         return float(-(pos * np.log(pos)).sum())
     v = a.value
-    with np.errstate(over="ignore"):
-        total = (pos**v).sum()
-    return _log_of_sum(total, lambda: v * np.log(pos)) / (1.0 - v)
+    return _log_of_sum((pos**v).sum(), lambda: v * np.log(pos)) / (1.0 - v)
 
 
 def differential_entropy(d: Density, alpha) -> float:
@@ -109,24 +121,43 @@ def relative_entropy(f: Density, g: Density, alpha) -> float:
     Below order 0, f must be bounded away from zero: where its pdf vanishes or
     underflows, f**alpha is out of range.
     """
-    require_nested_supports(f, g)
+    return _divergences(f, [g], alpha)[0]
+
+
+def _divergences(f: Density, gs, alpha) -> list[float]:
+    """``relative_entropy`` of f from each of the densities gs, which share one
+    support and, if piecewise, one breakpoint grid: the checks run once, and
+    each integral is one ``densities._pair_integrals`` call for all of them."""
+    require_nested_supports(f, gs[0])
     a = as_order(alpha)
     branch = branch_of(a)
     if a.value >= 1.0:
-        _require_covered(f, g)
+        _require_covered(f, gs[0])
     if a.value < 0.0 and f.ess_bounds()[0] <= 0.0:
         raise ValueError(f"a divergence of negative order {a.value} requires a first density "
                          "bounded away from zero; its pdf vanishes or underflows")
     if branch in ("pos_inf", "neg_inf"):
-        low, high = _ratio_bounds(f, g, 4096)
-        return math.log(high if branch == "pos_inf" else low)
+        lows, highs = _ratio_bounds(f, gs, 4096)
+        return [math.log(x) for x in (highs if branch == "pos_inf" else lows)]
     if branch == "shannon":
-        return _pair_integral(f, g, lambda w, hf, hg: w * hf * math.log(hf / hg))
+        def phi(w, hf, hg):
+            with np.errstate(divide="ignore"):
+                ratio = hf / hg
+            return w * hf * _libm_each(math.log, ratio.ravel()).reshape(ratio.shape)
+
+        integrals = _pair_integrals(f, gs, phi).tolist()
+        if not all(map(math.isfinite, integrals)):
+            raise ValueError("divergence integral of order 1 diverges")
+        return integrals
     v = a.value
     try:
-        integral = _pair_integral(f, g, lambda w, hf, hg: w * hf**v * hg ** (1.0 - v))
+        integrals = _pair_integrals(f, gs,
+                                    lambda w, hf, hg: w * _powers(hf, v) * _powers(hg, 1.0 - v))
     except OverflowError:
         raise ValueError(f"divergence integral of order {v} overflows") from None
-    if not math.isfinite(integral) or integral <= 0.0:
-        raise ValueError(f"divergence integral of order {v} diverges or vanishes")
-    return math.log(integral) / (v - 1.0)
+    out = []
+    for integral in integrals.tolist():
+        if not math.isfinite(integral) or integral <= 0.0:
+            raise ValueError(f"divergence integral of order {v} diverges or vanishes")
+        out.append(math.log(integral) / (v - 1.0))
+    return out

@@ -17,7 +17,7 @@ import numpy as np
 from .core import as_order, branch_of, exponents, validate_exponent
 from .densities import Density, Interval, PiecewiseConstantDensity
 from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums
-from .entropy import _clean_weights as _entropy_weights
+from .entropy import _checked_weights
 from .quantizer import IntervalQuantizer
 
 __all__ = [
@@ -95,13 +95,13 @@ class MixtureSpec:
         b = np.asarray(breakpoints)
         h = np.asarray(heights)
         h = h / float(np.dot(h, np.diff(b)))
-        return PiecewiseConstantDensity(b, h)
+        return PiecewiseConstantDensity._derived(b, h)
 
 
 def _clean_weights(weights) -> np.ndarray:
-    """The weight vector, after ``entropy._clean_weights`` and with every weight positive."""
-    s = np.ascontiguousarray(weights, dtype=float)
-    if len(_entropy_weights(s)) < s.size:
+    """The weight vector, checked by ``entropy._checked_weights``, with every weight positive."""
+    s, least = _checked_weights(weights)
+    if not least > 0.0:
         raise ValueError("weights must be positive")
     return s
 
@@ -186,19 +186,33 @@ def check_rate_condition(weights, rates, rate: float, alpha) -> bool:
     return lhs >= rhs - 1e-12
 
 
-def composed_entropy(weights, entropies, alpha) -> float:
+def composed_entropy(weights, entropies, alpha) -> float | list[float]:
     """Entropy of the composed output from component entropies.
 
     Exact identity: for finite alpha != 1 the composed value is
     log(sum s_i**alpha e**((1-alpha) H_i)) / (1-alpha); order 1 adds the
     weight entropy; the infinite orders track the extreme scaled masses.
+
+    ``alpha`` may also be a list or tuple of orders, with ``entropies`` one
+    row of component entropies per order: the weights are then checked
+    once, and the result is a list of floats whose entry i equals
+    ``composed_entropy(weights, entropies[i], alpha[i])`` bit for bit.
     """
     s = _clean_weights(weights)
     hs = np.ascontiguousarray(entropies, dtype=float)
-    if hs.shape != s.shape:
-        raise ValueError("need one entropy per weight")
+    many = isinstance(alpha, (list, tuple))
+    rows = (len(alpha),) if many else ()
+    if hs.shape != rows + s.shape:
+        raise ValueError("need one entropy per weight" + (", a row per order" if many else ""))
     if not np.isfinite(hs).all():
         raise ValueError("entropies must be finite")
+    if many:
+        return [_composed(s, row, a) for row, a in zip(hs, alpha)]
+    return _composed(s, hs, alpha)
+
+
+def _composed(s: np.ndarray, hs: np.ndarray, alpha) -> float:
+    """``composed_entropy`` at one order, of checked weights and entropies."""
     a = as_order(alpha)
     branch = branch_of(a)
     if branch in ("pos_inf", "neg_inf"):
@@ -243,7 +257,9 @@ def compose(spec: MixtureSpec, parts: Sequence[IntervalQuantizer]) -> IntervalQu
     for q in parts[1:]:
         bounds.append(q.boundaries[1:])
         points.append(q.codepoints)
-    return IntervalQuantizer(np.concatenate(bounds), np.concatenate(points))
+    # parts may overlap within the tolerance, so a codepoint may need its snap
+    return IntervalQuantizer._derived(np.concatenate(bounds), np.concatenate(points),
+                                      in_cells=False)
 
 
 def f_functional(weights, values, r: float) -> float | np.ndarray:

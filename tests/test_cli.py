@@ -296,6 +296,57 @@ def test_verify_stdout_matches_the_golden_file(capsys):
     assert out == (Path(__file__).parent / "data" / "verify_stdout.json").read_text()
 
 
+def test_verify_text_stdout_matches_the_golden_file(capsys):
+    # the rounded text form, which is what the benchmark reads, recorded
+    # before the many-candidate scores and the list-form composed entropies
+    rc, out = run_cli(capsys, "verify")
+    assert rc == 0
+    assert out == (Path(__file__).parent / "data" / "verify_stdout.txt").read_text()
+
+
+def _spec_file(tmp_path, spec):
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+FAR_LAPLACE = {"kind": "truncated_laplace", "center": 0.5, "scale": 1e-3, "lo": 0.0, "hi": 1.0}
+FAR_GAUSS = {"kind": "truncated_gauss", "mean": 0.0, "sigma": 1.0, "lo": 30.0, "hi": 31.0}
+
+
+@pytest.mark.parametrize("spec, alpha, r", [(FAR_LAPLACE, "-2", "7.5"), (FAR_GAUSS, "-50", "40")])
+def test_predict_refuses_a_limit_past_the_float_range(capsys, tmp_path, spec, alpha, r):
+    # (integral of f**a1)**a2 overflows; it used to escape as OverflowError
+    rc = main(["predict", "--density", _spec_file(tmp_path, spec), "--alpha", alpha, "--r", r])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0]
+
+
+def test_sweep_takes_the_entropy_scale_in_logs_where_it_overflows(capsys, tmp_path):
+    # e**(40 H) overflows from N = 64 on, while e**(40 H) * D stays near 1e263
+    rc, out = run_cli(capsys, "sweep", "--density", _spec_file(tmp_path, FAR_GAUSS),
+                      "--alpha", "-2", "--r", "40", "--levels", "16,64,256,1024")
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    assert [row[0] for row in rows] == ["16", "64", "256", "1024"]
+    assert all(math.isfinite(float(x)) for row in rows for x in row[1:])
+    predicted = float(out.splitlines()[-1].split("=")[1])
+    assert float(rows[-1][3]) == pytest.approx(predicted, rel=0.05)
+
+
+def test_sweep_rows_whose_product_leaves_the_float_range_are_error_rows(monkeypatch):
+    f = cli.density_from_spec({"kind": "uniform", "lo": 0.0, "hi": 1.0})
+    req = SweepRequest({}, cli.RenyiOrder(0.5), 2.0, (2, 4), None, "csv")
+    # an entropy of 800 nats: e**(2H) * D is about 1e695, past the float range
+    monkeypatch.setattr(cli, "renyi_entropy", lambda masses, alpha: 800.0)
+    report, errors = cli.run_sweep(req, f)
+    assert report.rows == ()
+    assert errors == [(n, f"the normalized distortion at N = {n} leaves the float range")
+                      for n in (2, 4)]
+
+
 def test_verify_catches_a_perturbed_constant(capsys, monkeypatch):
     real = renyiquant.compander.distortion_constant
     monkeypatch.setattr(renyiquant.compander, "distortion_constant",

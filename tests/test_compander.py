@@ -201,3 +201,12 @@ def test_build_equals_the_per_point_loop(point_density, monkeypatch):
         last = n
     assert [len(a) for a in asked[5:]] == [1920, 2048, 4096, 8192, 16384, 32768, 65536,
                                            5984, 3024, 0, 131070]
+
+
+def test_a_bennett_integral_past_the_float_range_raises_value_error(two_mass):
+    # g's second height to the power 2 underflows to 0: f / g**2 is not finite
+    # there (this raised ZeroDivisionError)
+    g = PiecewiseConstantDensity([0.0, 0.5, 1.0], [2.0, 1e-200])
+    with pytest.raises(ValueError,
+                       match=r"^the Bennett integral at r = 2.0 leaves the float range$"):
+        bennett_functional(two_mass, g, 2.0)

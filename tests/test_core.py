@@ -122,3 +122,22 @@ def test_exponent_identities(alpha, r):
     assert (1.0 - pair.first) * pair.second == pytest.approx(r, rel=1e-9)
     assert pair.first * pair.second == pytest.approx(
         (1.0 - alpha + alpha * r) / (1.0 - alpha), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("value, branch", [
+    (-math.inf, "neg_inf"), (math.inf, "pos_inf"), (1.0, "shannon"), (-2.0, "finite"),
+    (1.0 + 2e-9, "finite"), (1.0 - 2e-9, "finite"),
+])
+def test_an_order_carries_its_branch_from_construction(value, branch):
+    a = RenyiOrder(value)
+    assert a._branch == branch and branch_of(a) == branch == branch_of(value)
+    # the tag is not a field: equality, hashing, ordering and repr see the value alone
+    assert a == RenyiOrder(value) and hash(a) == hash(RenyiOrder(value))
+    assert repr(a) in ("RenyiOrder(neg_inf)", "RenyiOrder(pos_inf)", f"RenyiOrder({value!r})")
+
+
+@pytest.mark.parametrize("value", [1.0 + 5e-10, 1.0 - 9e-10])
+def test_an_order_inside_the_window_is_built_but_has_no_branch(value):
+    a = RenyiOrder(value)
+    with pytest.raises(ValueError, match="inside the exclusion window around 1"):
+        branch_of(a)

@@ -20,7 +20,7 @@ from renyiquant import (
     uniform,
 )
 from renyiquant.core import exponents
-from renyiquant.densities import _common_pieces, _pair_integral, require_nested_supports
+from renyiquant.densities import _common_pieces, _pair_integrals, require_nested_supports
 from renyiquant.design import optimal_point_density
 
 import reference_pieces
@@ -232,8 +232,8 @@ def test_require_nested_supports(two_mass):
 
 def test_pair_integral_reconstructs_mass(two_mass):
     g = PiecewiseConstantDensity([0.0, 0.25, 1.0], [1.6, 0.8])
-    total_f = _pair_integral(two_mass, g, lambda w, hf, hg: hf * w)
-    total_g = _pair_integral(two_mass, g, lambda w, hf, hg: hg * w)
+    (total_f,) = _pair_integrals(two_mass, [g], lambda w, hf, hg: hf * w)
+    (total_g,) = _pair_integrals(two_mass, [g], lambda w, hf, hg: hg * w)
     assert total_f == pytest.approx(1.0, abs=1e-14)
     assert total_g == pytest.approx(1.0, abs=1e-14)
 

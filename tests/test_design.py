@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -28,6 +29,8 @@ from renyiquant import (
     uniform_quantizer,
 )
 from renyiquant.compander import Compander
+from renyiquant.core import as_order, branch_of, distortion_constant
+from renyiquant.densities import _common_pieces
 from renyiquant.quantizer import MAX_UNIFORM_LEVELS
 
 
@@ -338,3 +341,90 @@ def test_quantizer_builders_cap_the_level_count(build):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def _scalar_score(f, g, alpha, r):
+    """compander_score by the scalar closed forms: Python floats summed left to
+    right over the common refinement, as one pair at a time computed it."""
+    widths, hf, hg = _common_pieces(f, g)
+    pieces = [(w, a, b) for w, a, b in zip(widths.tolist(), hf.tolist(), hg.tolist()) if b > 0.0]
+    order = as_order(alpha)
+    branch = branch_of(order)
+    if branch in ("pos_inf", "neg_inf"):
+        ratios = [a / b for _, a, b in pieces]
+        div = math.log(max(ratios) if branch == "pos_inf" else min(ratios))
+    elif branch == "shannon":
+        div = sum(w * a * math.log(a / b) for w, a, b in pieces)
+    else:
+        v = order.value
+        div = math.log(sum(w * a**v * b ** (1.0 - v) for w, a, b in pieces)) / (v - 1.0)
+    bennett = distortion_constant(r) * sum(w * a / b**r for w, a, b in pieces)
+    return math.exp(-r * div) * bennett
+
+
+@st.composite
+def _piecewise_on_unit(draw, min_segments=1, max_segments=8):
+    inner = draw(st.lists(st.sampled_from([k / 64 for k in range(1, 64)]),
+                          min_size=min_segments - 1, max_size=max_segments - 1, unique=True))
+    b = np.array([0.0, *sorted(inner), 1.0])
+    return b, _heights_on(draw, b)
+
+
+def _heights_on(draw, b):
+    raw = np.asarray(draw(st.lists(st.floats(0.05, 4.0), min_size=len(b) - 1,
+                                   max_size=len(b) - 1)))
+    return raw / float(np.dot(raw, np.diff(b)))
+
+
+SCORE_ORDERS = st.sampled_from([-math.inf, math.inf, 1.0, -2.0, 0.5, 1.0 + 2e-9, 1.0 - 2e-9,
+                                1.0 + 5e-10, 2.0]) | st.floats(-20.0, 2.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alpha=SCORE_ORDERS, r=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       m=st.integers(min_value=1, max_value=6), as_tuple=st.booleans())
+def test_compander_scores_of_many_point_densities_equal_the_single_calls(data, alpha, r, m,
+                                                                         as_tuple):
+    f = PiecewiseConstantDensity(*data.draw(_piecewise_on_unit(max_segments=4)))
+    # two breakpoint grids, each shared by some of the candidates, in any order
+    grids = [data.draw(_piecewise_on_unit(min_segments=2))[0] for _ in range(2)]
+    gs = []
+    for _ in range(m):
+        b = grids[data.draw(st.integers(0, 1))]
+        gs.append(PiecewiseConstantDensity(b, _heights_on(data.draw, b)))
+    try:
+        expected = [_scalar_score(f, g, alpha, r) for g in gs]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            compander_score(f, tuple(gs) if as_tuple else gs, alpha, r)
+        return
+    got = compander_score(f, tuple(gs) if as_tuple else gs, alpha, r)
+    assert isinstance(got, list) and all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+    assert [compander_score(f, g, alpha, r).hex() for g in gs] == [x.hex() for x in expected]
+
+
+def test_compander_scores_of_smooth_point_densities_equal_the_single_calls(two_mass):
+    gs = [truncated_gauss(0.5, s, 0.0, 1.0) for s in (0.4, 0.8)] + [uniform(0.0, 1.0)]
+    for alpha in (RenyiOrder(0.5), RenyiOrder(1.0), POS_INF):
+        got = compander_score(two_mass, gs, alpha, 2.0)
+        assert got == [compander_score(two_mass, g, alpha, 2.0) for g in gs]
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 2.0), (-1.2, 3.5), (3.0, -0.25)])
+def test_a_smooth_integral_power_in_range_is_the_plain_power(p, q):
+    f = truncated_laplace(0.5, 0.2, 0.0, 1.0)
+    assert f._integral_power(p, q) == f.power_integral(p) ** q
+
+
+@pytest.mark.parametrize("f, alpha, r", [
+    (truncated_laplace(0.5, 1e-3, 0.0, 1.0), -2.0, 7.5),
+    (truncated_gauss(0.0, 1.0, 30.0, 31.0), -50.0, 40.0),
+    # the piecewise integral leaves the float range, and so does its power in logs
+    (PiecewiseConstantDensity([0.0, 0.5, 1.0], [1e-100, 2.0]), -50.0, 40.0),
+    # the piecewise integral is about 1e22, and its power 27.7 overflows
+    (PiecewiseConstantDensity([0.0, 0.5, 1.0], [1e-100, 2.0]), -0.5, 40.0),
+])
+def test_a_limit_whose_integral_power_overflows_raises_value_error(f, alpha, r):
+    with pytest.raises(ValueError, match=r"^\(integral of pdf\*\*.*\)\*\*.* overflows$"):
+        predicted_limit(f, alpha, r)

@@ -343,3 +343,47 @@ def test_f_functional_rows_equal_the_one_dimensional_calls(data, k, m, r):
     rows = f_functional(s, values, r)
     assert rows.shape == (m,)
     assert rows.tolist() == [f_functional(s, row, r) for row in values]
+
+
+# the infinite orders, order 1, and finite orders on both sides of the
+# exclusion window around 1 (|alpha - 1| < 1e-9), which both forms reject
+NEAR_ORDERS = st.sampled_from([-math.inf, math.inf, 1.0, -2.0, 0.5, 1.0 + 2e-9, 1.0 - 2e-9,
+                               1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 5e-10]) | st.floats(-60.0, 60.0)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(min_value=1, max_value=6),
+    orders=st.lists(NEAR_ORDERS, min_size=1, max_size=8),
+    as_tuple=st.booleans(),
+)
+def test_composed_entropy_of_a_list_of_orders_equals_the_single_calls(data, k, orders, as_tuple):
+    raw = np.asarray(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+    s = raw / raw.sum()
+    # entropies up to 800 nats, where s_i e**(-H_i) underflows at the infinite orders
+    rows = [data.draw(st.lists(st.floats(0.0, 800.0), min_size=k, max_size=k)) for _ in orders]
+    singles = [_outcome(lambda: composed_entropy(s, row, a)) for row, a in zip(rows, orders)]
+    errors = [x for x in singles if isinstance(x, str)]
+    got = _outcome(lambda: composed_entropy(s, rows, tuple(orders) if as_tuple else orders))
+    if errors:
+        assert got == errors[0]
+    else:
+        assert isinstance(got, list) and all(type(h) is float for h in got)
+        assert [h.hex() for h in got] == [h.hex() for h in singles]
+
+
+def test_composed_entropy_of_a_list_of_orders_checks_its_shape():
+    with pytest.raises(ValueError, match="^need one entropy per weight"):
+        composed_entropy([0.5, 0.5], [1.0, 2.0], [RenyiOrder(0.5)])
+    with pytest.raises(ValueError, match="^need one entropy per weight"):
+        composed_entropy([0.5, 0.5], [[1.0, 2.0]] * 3, [RenyiOrder(0.5), POS_INF])
+    with pytest.raises(ValueError, match="^entropies must be finite"):
+        composed_entropy([0.5, 0.5], [[1.0, 2.0], [1.0, math.inf]], [RenyiOrder(0.5), POS_INF])
