@@ -13,10 +13,11 @@ array of points: the smooth families give their pdfs an array form that
 equals the scalar pdf bit for bit, and ``over_arrays`` maps any other scalar
 pdf over an array with ``call_each``.
 ``bisect_many`` runs one ``bisect_increasing`` per bracket, all brackets a
-step at a time.  A power sum that leaves the float range is summed in logs:
-``_log_of_sum`` does it for one sum, with ``math.log`` where the sum is a
-normal float, and ``oracle._entropies`` row by row with ``np.log``, whose
-last bit may differ.
+step at a time; given a bracket known to hold each root, it asks only for
+the midpoints inside it, for all brackets in one call.  A power sum that
+leaves the float range is summed in logs: ``_log_of_sum`` does it for one
+sum, with ``math.log`` where the sum is a normal float, and
+``oracle._entropies`` row by row with ``np.log``, whose last bit may differ.
 """
 
 from __future__ import annotations
@@ -327,26 +328,52 @@ def bisect_increasing(f, lo, hi, target=0.0, tol=None, max_iter=200):
     return 0.5 * (a + b)
 
 
-def bisect_many(below, lo, hi, tol, max_iter=200):
+def bisect_many(below, lo, hi, tol, max_iter=200, known=None):
     """``bisect_increasing`` on every bracket [lo[k], hi[k]] at once, step for step.
 
     Bracket k gets the midpoints, comparisons, tolerance ``tol`` (a scalar
-    or one per bracket) and iteration cap of its own scalar call.
-    ``below(m, k)`` gets the midpoints m of the brackets k still open and
-    returns, for each, whether f_k(m) < target_k.
+    or one per bracket) and iteration cap of its own scalar call, except
+    that a bracket stops once a step leaves it as it was (its midpoint
+    rounds onto the end it replaces): every later step would repeat that
+    one.  ``below(m, k)`` gets the midpoints m of brackets k and returns, for
+    each, whether f_k(m) < target_k; without ``known`` it is asked for every
+    open bracket at every step.  ``known = (xa, xb)`` says that
+    f_k(xa[k]) < target_k <= f_k(xb[k]), so a midpoint at or left of xa[k]
+    is below and one at or right of xb[k] is not.  The brackets then step on
+    by these answers while they can, and ``below`` is asked only once every
+    open bracket waits on a midpoint strictly inside its (xa[k], xb[k]), for
+    all of them in one call.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    for _ in range(max_iter):
+    # the open brackets: their indices k, ends, tolerances and steps taken
+    k, al, bl = np.arange(len(a)), a, b
+    tl = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
+    xa, xb = known if known is not None else (al, bl)  # placeholders without known
+    steps = np.zeros(len(a), dtype=int)
+    while True:
         # the scalar loop stops where b - a <= tol, so a NaN width keeps going
-        live = np.flatnonzero(~(b - a <= tol))
-        if len(live) == 0:
-            break
-        al, bl = a[live], b[live]
+        go_on = ~(bl - al <= tl) & (steps < max_iter)
+        if not go_on.all():
+            a[k], b[k] = al, bl
+            k, al, bl, tl, xa, xb, steps = (v[go_on] for v in (k, al, bl, tl, xa, xb, steps))
+            if len(k) == 0:
+                return 0.5 * (a + b)
         m = 0.5 * (al + bl)
-        go = below(m, live)
-        a[live] = np.where(go, m, al)
-        b[live] = np.where(go, bl, m)
-    return 0.5 * (a + b)
+        move = True
+        if known is None:
+            go = below(m, k)
+        else:
+            go = m <= xa
+            wait = ~go & (m < xb)
+            if wait.all():
+                go = below(m, k)
+            else:
+                move = ~wait
+        # a step onto an end changes nothing, nor would any later one
+        same = move & np.where(go, m == al, m == bl)
+        al = np.where(move & go, m, al)
+        bl = np.where(move & ~go, m, bl)
+        steps = np.where(same, max_iter, steps + move)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

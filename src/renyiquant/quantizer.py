@@ -11,9 +11,12 @@ at the codepoint c), and never looks at the family.
 
 A distortion adds all moment terms left to right across the span, a row of
 pieces per cell; a cell's own moment adds its row (``densities._cell_sums``).
-Every codepoint solve, for one cell or many, is one ``_quadrature.bisect_many``
-call on ``_balances``: a cell's r-th moment's derivative in its codepoint,
-over r, which is the (r-1)-moment left of the codepoint minus the one right.
+Every codepoint solve, for one cell or many, is a bisection of ``_balances``:
+a cell's r-th moment's derivative in its codepoint, over r, which is the
+(r-1)-moment left of the codepoint minus the one right.  A secant search
+narrows each cell's bracket in a few batched calls, and one
+``_quadrature.bisect_many`` call replays the bisection from it, evaluating
+only the midpoints inside it, so each result keeps the plain bisection's bits.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import bisect_many
+from ._quadrature import _normal_sums, bisect_many
 from .core import _as_count, validate_exponent
 from .densities import Density, Interval, _cell_sums, _checked, _not_nan
 from .entropy import renyi_entropy
@@ -43,6 +46,10 @@ CODEPOINT_TOL = 1e-9
 # Most levels ``uniform_quantizer``, ``Compander.build`` and ``uniform_optimal``
 # build: a larger count raises ValueError before any array is allocated.
 MAX_UNIFORM_LEVELS = 2**20
+# A codepoint search step tests the balance this many cell widths either side
+# of its point; a cell's search stops after SECANT_STEPS steps.
+BALANCE_BAND = 1e-14
+SECANT_STEPS = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +174,12 @@ def cell_distortion(d: Density, lo: float, hi: float, c: float, r: float) -> flo
 def optimal_codepoint(cell: Interval, d: Density, r: float) -> float:
     """Codepoint balancing the one-sided (r-1)-moments of the cell.
 
-    The balance function is nondecreasing in the candidate point, so plain
+    The balance function is nondecreasing in the candidate point, so
     bisection brackets the stationary point; for r = 2 this is the
-    conditional mean, for r = 1 the conditional median.
+    conditional mean, for r = 1 the conditional median.  The result is the
+    plain bisection's, from a few balance evaluations
+    (``_optimal_codepoints``).  A cell whose balances underflow, one far out
+    in a tail, raises ValueError.
     """
     r = validate_exponent(r)
     lo, hi = cell.lo, cell.hi
@@ -187,13 +197,69 @@ def _balances(d: Density, lo, hi, a, r: float) -> np.ndarray:
 
 
 def _optimal_codepoints(d: Density, lo: np.ndarray, hi: np.ndarray, r: float) -> np.ndarray:
-    """Optimal codepoint of every cell [lo[k], hi[k]], in one ``bisect_many`` call.
+    """Optimal codepoint of every cell [lo[k], hi[k]], in a handful of ``_balances`` calls.
 
-    Each cell gets what a scalar ``bisect_increasing`` call on its balance
-    alone gives, with tolerance 1e-13 times the cell width.
+    Each cell gets what a scalar ``bisect_increasing`` call on its balance B
+    alone gives, with tolerance 1e-13 times the cell width: ``bisect_many``
+    replays that bisection from a bracket [a, b] on which B(a) < 0 <= B(b),
+    and evaluates B only at the midpoints strictly inside it.  A search
+    narrows the brackets first.  Its first call takes B at each cell's ends
+    and midpoint, the bisection's first step; B at the ends must be a normal
+    float (``_normal_sums``), else ValueError, as a subnormal balance has
+    too few bits to place its root.  Then a step takes the secant point x of
+    each bracket and evaluates B at x -+ BALANCE_BAND cell widths in one
+    call: the root lies right of the pair, left of it, or between, and the
+    bracket shrinks to match.  The secant's value at an end kept a second
+    time in a row is scaled by the Anderson-Bjorck factor (BIT 1973), the
+    Illinois method's cure for a bracket closing from one side.  A cell
+    stops once its pair straddles the root or no float lies inside its
+    bracket, and every cell after SECANT_STEPS steps.
     """
+    n, width = len(lo), hi - lo
+    if n == 0:
+        return np.zeros(0)
+    mid = 0.5 * (lo + hi)
+    f_lo, f_hi, f_mid = _balances(d, np.tile(lo, 3), np.tile(hi, 3),
+                                  np.concatenate((lo, hi, mid)), r).reshape(3, n)
+    bad = np.flatnonzero(~(_normal_sums(-f_lo) & _normal_sums(f_hi)))
+    if len(bad):
+        k = int(bad[0])
+        raise ValueError(f"the balance of cell [{lo[k]}, {hi[k]}] is not a normal float at "
+                         "its ends: too little mass to place its codepoint")
+    right = f_mid < 0.0
+    a, b = np.where(right, mid, lo), np.where(right, hi, mid)
+    fa, fb = np.where(right, f_mid, f_lo), np.where(right, f_hi, f_mid)
+    kept = np.zeros(n, dtype=np.int8)  # the end the last step kept: 1 for a, -1 for b
+    live = np.arange(n)
+    for _ in range(SECANT_STEPS):
+        c = 0.5 * (a[live] + b[live])
+        live = live[(a[live] < c) & (c < b[live])]
+        if len(live) == 0:
+            break
+        al, bl, ga, gb, kl = a[live], b[live], fa[live], fb[live], kept[live]
+        with np.errstate(all="ignore"):
+            x = al + ga / (ga - gb) * (bl - al)
+        x = np.where((al <= x) & (x <= bl), x, 0.5 * (al + bl))  # a NaN point bisects
+        # within the bracket, and at least a float apart
+        band = BALANCE_BAND * width[live]
+        xr = np.minimum(np.maximum(x + band, np.nextafter(x, np.inf)), bl)
+        xl = np.maximum(np.minimum(x - band, np.nextafter(xr, -np.inf)), al)
+        fl, fr = _balances(d, np.tile(lo[live], 2), np.tile(hi[live], 2),
+                           np.concatenate((xl, xr)), r).reshape(2, -1)
+        up = fr < 0.0  # the root lies right of the pair
+        down = ~up & ~(fl < 0.0)  # or left of it
+        with np.errstate(all="ignore"):
+            # Anderson-Bjorck: 1 - B(new end) / B(end it replaces) if positive, else 1/2
+            sa, sb = 1.0 - fl / gb, 1.0 - fr / ga
+        sa, sb = np.where(sa > 0.0, sa, 0.5), np.where(sb > 0.0, sb, 0.5)
+        a[live] = np.where(up, xr, np.where(down, al, xl))
+        b[live] = np.where(down, xl, np.where(up, bl, xr))
+        fa[live] = np.where(up, fr, np.where(down & (kl == 1), sa * ga, ga))
+        fb[live] = np.where(down, fl, np.where(up & (kl == -1), sb * gb, gb))
+        kept[live] = np.where(up, -1, np.where(down, 1, 0))
+        live = live[up | down]
     return bisect_many(lambda m, k: _balances(d, lo[k], hi[k], m, r) < 0.0, lo, hi,
-                       1e-13 * (hi - lo))
+                       1e-13 * width, known=(a, b))
 
 
 def improve_codepoints(q: IntervalQuantizer, d: Density, r: float) -> IntervalQuantizer:

@@ -277,6 +277,26 @@ def _seeded_instance(seed, n, max_cells, segments):
     return GridInstance(PiecewiseConstantDensity(breaks, heights), grid, max_cells)
 
 
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_a_benchmark_sized_cell_table_takes_few_kernel_calls(monkeypatch, seed):
+    # 28 points and 7 cells, as the benchmark's instances.  At r = 2 the
+    # balance is linear, so the codepoints take one call at the cells' ends
+    # and midpoints, a search step or two (a step's pair can miss the root by
+    # a rounding) and one batch of replayed midpoints, and the distortions
+    # one more call: 4 or 5 calls here, where bisection alone made 45.
+    inst = _seeded_instance(seed, 28, 7, 7)
+    calls = []
+    kernel = PiecewiseConstantDensity._moment_terms
+
+    def counted(self, *args):
+        calls.append(len(args[0]))
+        return kernel(self, *args)
+
+    monkeypatch.setattr(PiecewiseConstantDensity, "_moment_terms", counted)
+    inst.cell_table(2.0)
+    assert len(calls) <= 6
+
+
 REFERENCE_ORDERS = (NEG_INF, RenyiOrder(-500.0), RenyiOrder(-2.0), RenyiOrder(-1.0),
                     RenyiOrder(0.0), RenyiOrder(0.5), RenyiOrder(1.0), RenyiOrder(2.0),
                     RenyiOrder(500.0), POS_INF)

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from renyiquant import (
     Interval,
@@ -28,7 +28,7 @@ from renyiquant import (
     uniform_quantizer,
 )
 from renyiquant import densities, quantizer
-from renyiquant._quadrature import DEFAULT_REL_TOL, bisect_increasing, moments_many
+from renyiquant._quadrature import DEFAULT_REL_TOL, bisect_increasing, bisect_many, moments_many
 from renyiquant.compander import Compander
 from renyiquant.design import optimal_point_density
 from renyiquant.densities import _cell_sums
@@ -159,6 +159,12 @@ def test_improve_codepoints_keeps_empty_cells():
     better = improve_codepoints(q, uniform(0.0, 0.5), 2.0)
     assert better.codepoints[3] == q.codepoints[3]
     assert better.codepoints[0] == pytest.approx(0.125, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [uniform(0.0, 1.0), SMOOTH["gauss"]])
+def test_improve_codepoints_keeps_every_point_when_no_cell_has_mass(d):
+    q = uniform_quantizer(Interval(2.0, 3.0), 2)
+    assert improve_codepoints(q, d, 2.0).codepoints.tolist() == q.codepoints.tolist()
 
 
 @pytest.mark.parametrize("r", [0.5, float("nan")])
@@ -605,10 +611,11 @@ def test_smooth_cells_match_a_50_digit_reference(name, width, start, place, insi
             return (_mp_moment(pdf, kinks, lo, a, a, r - 1)
                     - _mp_moment(pdf, kinks, a, hi, a, r - 1))
 
-        # the balance changes sign within 1e-10 of the cell width of the
-        # codepoint: moments good to the quadrature's rel_tol of 1e-10 move
-        # the root by about that much, at integer r too
-        point, slack = mpmath.mpf(point), mpmath.mpf(1e-10) * (hi - lo)
+        # the balance changes sign within 1e-11 of the cell width of the
+        # codepoint: on 600 seeded cells of this shape, a quarter of them
+        # about the Laplace kink, the 50-digit root was at most 6.4e-14 of
+        # the width away, and the moments' worst error seen is 3.6e-12
+        point, slack = mpmath.mpf(point), mpmath.mpf(1e-11) * (hi - lo)
         assert balance(point - slack) < 0 < balance(point + slack)
 
 
@@ -783,8 +790,86 @@ def test_codepoint_pieces_take_few_integrand_points():
     assert count[0] == 24_636  # 2053 pieces; 161,005 before
     d = truncated_gauss(0.45, 0.3, 0.0, 1.0)
     counting(d)
-    # 10 for the mass check, then 44 bisection steps of 2 pieces
-    for r, before in ((1.1, 26_762), (1.5, 24_754), (2.0, 5698), (3.0, 10_262)):
+    # 10 for the mass check, then 12 a piece: 4 pieces for the balances at the
+    # cell's ends and midpoint, 4 for the pair of each search step, and 2 for
+    # each midpoint the bisection evaluates.  Bisection alone took 44 steps of
+    # 2 pieces, 1066 values (26,762, 24,754, 5698 and 10,262 before the Gauss
+    # rules).
+    for r, pieces in ((1.1, 20), (1.5, 20), (2.0, 8), (3.0, 26)):
         count[0] = 0
         optimal_codepoint(Interval(0.2, 0.3), d, r)
-        assert count[0] == 1066 < before
+        assert count[0] == 10 + 12 * pieces < 1066
+
+
+def _bisected_codepoints(d, lo, hi, r):
+    """The reference codepoint solve: plain bisection, one ``_balances`` call a step."""
+    return bisect_many(lambda m, k: quantizer._balances(d, lo[k], hi[k], m, r) < 0.0, lo, hi,
+                       1e-13 * (hi - lo))
+
+
+@st.composite
+def _codepoint_cells(draw):
+    """A density on [0, 1], a batch of cells that carry mass, and an order r in [1, 8]."""
+    kind = draw(st.sampled_from(["piecewise", "gauss", "laplace"]))
+    if kind == "piecewise":
+        widths = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5)))
+        heights = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=len(widths),
+                                         max_size=len(widths))))
+        bps = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+        bps[-1] = 1.0
+        d = PiecewiseConstantDensity(bps, heights / float(np.dot(heights, np.diff(bps))))
+        kinks = bps[1:-1].tolist()
+    else:
+        center, scale = draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 1.0))
+        d = (truncated_gauss if kind == "gauss" else truncated_laplace)(center, scale, 0.0, 1.0)
+        kinks = [center] if kind == "laplace" and 0.0 < center < 1.0 else []
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        place = draw(st.sampled_from(["straddle", "float", "outside", "inside"]))
+        width = draw(st.floats(1e-6, 0.5))
+        at = draw(st.floats(0.0, 1.0))
+        if place == "straddle":
+            # a breakpoint or the Laplace kink, or any point of a Gaussian, inside
+            point = draw(st.sampled_from(kinks)) if kinks else at
+            lo = point - draw(st.floats(0.01, 0.99)) * width
+            hi = lo + width
+        elif place == "float":
+            # a cell one float wide near 0 carries a subnormal mass, and raises
+            lo = max(at, 1e-3)
+            hi = float(np.nextafter(lo, np.inf))
+        elif place == "outside":
+            # past the support's left or right end by part of the width
+            lo = -draw(st.floats(0.01, 0.99)) * width if at < 0.5 else 1.0 - draw(
+                st.floats(0.01, 0.99)) * width
+            hi = lo + width
+        else:
+            lo = at * (1.0 - width)
+            hi = lo + width
+        if hi > lo and d.cdf(hi) - d.cdf(lo) > 0.0:
+            cells.append((lo, hi))
+    assume(cells)
+    return d, cells, draw(st.floats(1.0, 8.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_codepoint_cells())
+def test_the_codepoint_search_replays_plain_bisection_bit_for_bit(case):
+    # the search only narrows each bracket; the bisection it replays takes its
+    # midpoints, and so its result, from the balance alone
+    d, cells, r = case
+    lo, hi = (np.array(v) for v in zip(*cells))
+    assert quantizer._optimal_codepoints(d, lo, hi, r).tolist() == (
+        _bisected_codepoints(d, lo, hi, r).tolist())
+
+
+def test_a_cell_whose_balances_underflow_raises():
+    # N(0, 1) near -38 has a pdf of about 1e-314: the balances of the cell
+    # [-39, -38] are subnormal, and bisecting them gave -38.02611923046484
+    # where the 50-digit root is -38.02627946657587, 1.6e-4 of the width off
+    d = truncated_gauss(0.0, 1.0, -40.0, 40.0)
+    with pytest.raises(ValueError, match=r"cell \[-39.0, -38.0\] is not a normal float"):
+        optimal_codepoint(Interval(-39.0, -38.0), d, 2.0)
+    with pytest.raises(ValueError, match="not a normal float"):
+        improve_codepoints(uniform_quantizer(Interval(-40.0, 40.0), 80), d, 2.0)
+    # one cell in, the balances are normal: the conditional mean, by mpmath at 50 digits
+    assert abs(optimal_codepoint(Interval(-38.0, -37.0), d, 2.0) + 37.02698768612699) <= 1e-13
