@@ -1,17 +1,12 @@
 """Quadrature, bisection, scalar search and log-sum-exp helpers.
 
 All integrands in this package are piecewise smooth on a compact interval,
-with the kink locations known in advance.  Masses, cdfs and power integrals
-use adaptive Simpson with a Richardson correction: ``integrate_many`` runs
-the classic recursion on many intervals at once, a level of nodes at a time,
-with its sums and additions, so each result equals it bit for bit
-(``tests/reference_quadrature.py`` keeps the references).  Cell moments take
-|x - c|**p as the weight of Gauss rules (``gauss_jacobi``) on the pieces at
-the codepoint c, where it is singular; ``moments_many`` halves a piece until
-its n- and 2n-point rules agree.  Every integrand is a function of a 1-D
-array of points: the smooth families give their pdfs an array form that
-equals the scalar pdf bit for bit, and ``over_arrays`` maps any other scalar
-pdf over an array with ``call_each``.
+with the kink locations known in advance.  One engine integrates them all:
+``moments_many``, pairs of Gauss rules (``gauss_jacobi``) on many pieces at
+once, weighted by |x - c|**p at a codepoint c and plain at p = 0 (masses,
+cdfs, ``integrate``), a piece halved where its rules disagree.  It raises
+past its depth cap or work budget: it never truncates.  Every integrand is
+a function of a 1-D array of points (``over_arrays``).
 ``bisect_many`` runs one ``bisect_increasing`` per bracket, all brackets a
 step at a time; given a bracket known to hold each root, it asks only for
 the midpoints inside it, for all brackets in one call.  A power sum that
@@ -27,32 +22,20 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "integrate",
-    "integrate_many",
-    "gauss_jacobi",
-    "moments_many",
-    "call_each",
-    "with_array_form",
-    "over_arrays",
-    "bisect_increasing",
-    "bisect_many",
-    "golden_extremum",
-    "scan_extremum",
-]
-
 _TINY = float(np.finfo(float).tiny)
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 40
-# deepest refinement allowed: at most 3 stack frames a level, well inside 1000
+# deepest halving allowed: at most 3 stack frames a level, well inside 1000
 _DEPTH_LIMIT = 200
-# Most nodes integrate_many refines in one step.  A wider level is cut into
-# near-equal chunks, each refined depth first, so an integrand call gets at
-# most 3 * LEVEL_NODES points (3 per root, 2 per node below) and a call holds
-# a few levels of this width however large its trees.  Wider saves numpy
-# overhead per level (at 2048 a smooth sweep's peak resident set is 1% more).
+# Most pieces moments_many evaluates in one call of the integrand.  A wider
+# level is cut into chunks of this width, each halved depth first, so a call
+# holds a few levels of this width however many pieces it is given.
 LEVEL_NODES = 1024
-GAUSS_POINTS = 4  # the n of moments_many: n- and 2n-point rules, 3n pdf values a piece
+GAUSS_POINTS = 4  # the n of the weighted rules: n- and 2n-point, 3n pdf values a piece
+PLAIN_POINTS = 2  # the n at p = 0; 4 would double the pdf values of a smooth sweep's cdf
+# pdf values a moments_many call may spend per piece it is given: a smooth
+# benchmark sweep takes at most 2,634, the steepest power integral tested 4,218
+WORK_BUDGET = 100_000
 # a codepoint this close past a piece, in its widths, takes the piece out to it
 SLIVER = 2.0**-20
 
@@ -86,7 +69,9 @@ def _log_of_sum(total: float, log_terms) -> float:
 
 
 def call_each(f, xs: np.ndarray) -> np.ndarray:
-    """The scalar callable f at each entry of the 1-D float array xs."""
+    """The scalar callable f at each entry of the 1-D float array xs: with
+    math.exp or math.log, libm's bits, where numpy's may take a SIMD path
+    that differs in the last one."""
     return np.fromiter(map(f, xs.tolist()), float, count=len(xs))
 
 
@@ -106,75 +91,6 @@ def over_arrays(f):
     one, otherwise f called at each entry through ``call_each``."""
     many = getattr(f, "_array_form", None)
     return many if many is not None else lambda xs: call_each(f, xs)
-
-
-def integrate_many(f, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH):
-    """Adaptive Simpson integral of f over each interval [a[i], b[i]].
-
-    ``f(x)`` returns the integrand at each entry of the 1-D array x.
-    ``a`` and ``b`` are 1-D of one length with a[i] <= b[i]; an empty
-    interval (a[i] == b[i]) gives exactly 0.0.  Each refinement level takes
-    a stack frame, so ``max_depth`` above ``_DEPTH_LIMIT`` raises ValueError.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape or not (a <= b).all():
-        raise ValueError("integrate_many needs 1-D interval ends of one length with a <= b")
-    if int(max_depth) > _DEPTH_LIMIT:
-        raise ValueError(f"max_depth must be at most {_DEPTH_LIMIT}, got {max_depth!r}")
-    m = 0.5 * (a + b)
-    v = np.empty((3, len(a)))
-    for part in _chunks(len(a)):
-        v[:, part] = f(np.concatenate((a[part], m[part], b[part]))).reshape(3, -1)
-    if not np.isfinite(v).all():
-        i = int(np.isfinite(v).all(axis=0).argmin())
-        raise ValueError(f"integrand is not finite on [{a[i]}, {b[i]}]")
-    whole = (b - a) / 6.0 * (v[0] + 4.0 * v[1] + v[2])
-    level = [a, b, *v, whole, float(rel_tol) * np.maximum(np.abs(whole), 1e-12)]
-    del a, b, m, v, whole
-    return _refine(f, level, 0, int(max_depth))
-
-
-def _chunks(n):
-    """Near-equal slices covering range(n), none longer than LEVEL_NODES."""
-    parts = -(-n // LEVEL_NODES)
-    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
-
-
-def _refine(f, level, depth, max_depth):
-    """The sums of one level's nodes at ``depth``, each tree refined below it.
-
-    ``level`` lists the nodes' [a, b, fa, fm, fb, whole, eps] and is
-    emptied, so its arrays go before the next level is refined; a level
-    wider than ``LEVEL_NODES`` goes in chunks, views that hold it to the
-    last.  A leaf takes its Richardson sum; the nodes that split make the
-    next level, left halves then right halves, and take left + right.
-    """
-    if len(level[0]) > LEVEL_NODES:
-        parts = [[x[part] for x in level] for part in _chunks(len(level[0]))]
-        level.clear()
-        return np.concatenate([_refine(f, nodes, depth, max_depth) for nodes in parts])
-    a, b, fa, fm, fb, whole, eps = level
-    level.clear()
-    m = 0.5 * (a + b)
-    flm, frm = f(np.concatenate((0.5 * (a + m), 0.5 * (m + b)))).reshape(2, -1)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    both = left + right
-    delta = both - whole
-    # Richardson correction: one extrapolation order for free
-    total = both + delta / 15.0
-    # a NaN delta splits, as in the recursion
-    split = np.flatnonzero(~(np.abs(delta) <= 15.0 * eps))
-    if depth >= max_depth or len(split) == 0:
-        return total
-    # the left halves [a, m] of the split nodes, then their right halves [m, b]
-    halves = [np.concatenate((x[split], y[split])) for x, y in ((a, m), (m, b), (fa, fm),
-              (flm, frm), (fm, fb), (left, right), (0.5 * eps, 0.5 * eps))]
-    del a, b, fa, fm, fb, whole, eps, m, flm, frm, left, right, both, delta
-    sums = _refine(f, halves, depth + 1, max_depth)
-    total[split] = sums[: len(split)] + sums[len(split) :]
-    return total
 
 
 @functools.lru_cache(maxsize=64)
@@ -213,69 +129,103 @@ def gauss_jacobi(beta: float, n: int):
                               for t in roots)
 
 
-def moments_many(f, a, b, c, p):
+def moments_many(f, a, b, c, p, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH):
     """Integral of |x - c[k]|**p * f(x) over each piece [a[k], b[k]], p >= 0.
 
-    c[k] is an end of its piece or outside it.  A piece of width h with c at
-    an end is h**(p + 1) times the integral of t**p * f(c +- h * t) on
-    [0, 1], by the ``gauss_jacobi`` rules for t**p; any other is h times that
-    of |x - c|**p * f(a + h * t), by those for t**0.  A piece keeps its
-    2n-point sum Q where the n-point one is within DEFAULT_REL_TOL of |Q| or
-    of the smallest normal float, and, as no node lies on an end, where Q is
-    a normal float or the pdf at both ends bounds the piece below one.  Else
-    it adds up its halves, or raises ValueError past DEFAULT_MAX_DEPTH
-    halvings.  A level calls the array function f once per ``LEVEL_NODES``
-    pieces and adds elementwise, so a piece gets the bits of a call on it.
-    Where c[k] lies past an end by less than SLIVER widths, the plain rules
-    would halve towards it about log2(width / gap) times: the piece is taken
-    out to c[k] instead, less the sliver between that end and c[k].
+    ``a``, ``b`` and ``c`` are 1-D of one length with a[k] <= b[k]; an empty
+    piece gives exactly 0.0.  At p = 0, c plays no part: a piece of width h
+    is h times the integral of f(a + h * t) on [0, 1], by the Gauss-Legendre
+    rules of ``PLAIN_POINTS``.  Else c[k] is an end of its piece or outside
+    it, and with c at an end the piece is h**(p + 1) times the integral of
+    t**p * f(c +- h * t), by the ``gauss_jacobi`` rules for t**p of
+    ``GAUSS_POINTS``, and otherwise h times that of |x - c|**p * f(a + h * t).
+    A piece keeps its 2n-point sum Q where the n-point one is within
+    ``rel_tol`` of the largest of |Q|, its share of the piece it was halved
+    from (half of that one's |Q| or share) and the smallest normal float,
+    and, as no node lies on an end, where Q is a normal float or the pdf at
+    both ends bounds the piece below one (a pdf that is 0 at every node and
+    at both ends, but not between, reads 0).  Else it adds up its halves, or
+    raises ValueError past ``max_depth`` halvings or ``WORK_BUDGET`` pdf
+    values per piece given.  A level calls the array function f once per
+    ``LEVEL_NODES`` pieces and adds elementwise, so a piece gets the bits of
+    a call on it.  A piece that c[k] lies past by less than SLIVER widths is
+    taken out to c[k], which its rules would halve towards, less the sliver.
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    if a.ndim != 1 or not a.shape == b.shape == c.shape or not (a <= b).all():
+        raise ValueError("moments_many needs 1-D piece ends of one length with a <= b")
+    if int(max_depth) > _DEPTH_LIMIT:
+        raise ValueError(f"max_depth must be at most {_DEPTH_LIMIT}, got {max_depth!r}")
+    p = float(p)
+    c = a if p == 0.0 else c  # at p = 0 every piece runs from a
     gap = np.maximum(a - c, c - b)
     near = (gap > 0.0) & (gap < SLIVER * (b - a))
     if near.any():
         # out to c, then the sliver between the end and c taken off
         out = moments_many(f, np.where(near, np.minimum(a, c), a),
-                           np.where(near, np.maximum(b, c), b), c, p)
+                           np.where(near, np.maximum(b, c), b), c, p, rel_tol, max_depth)
         out[near] -= moments_many(f, np.where(c < a, c, b)[near], np.where(c < a, a, c)[near],
-                                  c[near], p)
+                                  c[near], p, rel_tol, max_depth)
         return out
-    n, p = GAUSS_POINTS, float(p)
-    # rows: the n-point rule, then the 2n-point one; columns: for t**p, for t**0
-    rule = [np.column_stack([np.concatenate([gauss_jacobi(beta, k)[i] for k in (n, 2 * n)])
+    rule = _rule(p, PLAIN_POINTS if p == 0.0 else GAUSS_POINTS)
+    job = [float(rel_tol), int(max_depth), WORK_BUDGET * len(a),
+           "a cell moment" if p else "an integral"]
+    return _gauss_pieces(f, a, b, c, np.zeros(len(a)), p, rule, job, 0) if len(a) else np.zeros(0)
+
+
+@functools.lru_cache(maxsize=64)
+def _rule(p, n):
+    """Nodes and weights, only read: n-point rows, then 2n; columns for t**p, t**0."""
+    return [np.column_stack([np.concatenate([gauss_jacobi(beta, k)[i] for k in (n, 2 * n)])
                              for beta in (p, 0.0)]) for i in (0, 1)]
-    return _gauss_pieces(f, a, b, c, p, rule, 0) if len(a) else np.zeros(0)
 
 
-def _gauss_pieces(f, a, b, c, p, rule, depth):
-    """``moments_many`` on the pieces of one level, those that do not converge halved below it."""
+def _gauss_pieces(f, a, b, c, share, p, rule, job, depth):
+    """``moments_many`` on one level of pieces and their shares, halving those that do not
+    converge.  ``job``: the tolerance, depth cap, pdf values left and what is integrated."""
     if len(a) > LEVEL_NODES:
-        return np.concatenate([_gauss_pieces(f, a[s], b[s], c[s], p, rule, depth)
-                               for s in _chunks(len(a))])
-    (nodes, weights), n = rule, GAUSS_POINTS
-    on, at_b, h = (a == c) | (b == c), b == c, b - a
-    # a piece with c at b runs from b towards a
-    x = np.where(at_b, b, a) + np.where(at_b, -h, h) * np.where(on, nodes[:, :1], nodes[:, 1:])
-    x = np.clip(x, a, b)
-    g = f(x.ravel()).reshape(x.shape)
-    if not np.isfinite(g).all():
-        i = int(np.isfinite(g).all(axis=0).argmin())
-        raise ValueError(f"integrand is not finite on [{a[i]}, {b[i]}]")
+        parts = [slice(k, k + LEVEL_NODES) for k in range(0, len(a), LEVEL_NODES)]
+        return np.concatenate([_gauss_pieces(f, a[k], b[k], c[k], share[k], p, rule, job, depth)
+                               for k in parts])
+    n = len(rule[0]) // 3
+    rel_tol, max_depth, _, what = job
+
+    def values(x, k):
+        # f at the points x, a column for each piece k, charged to the budget
+        job[2] -= x.size
+        if job[2] < 0:
+            raise ValueError(f"{what} takes more than {WORK_BUDGET} pdf values a piece; "
+                             f"it was halving [{a[0]}, {b[0]}]")
+        g = f(x.ravel()).reshape(x.shape)
+        if not np.isfinite(g).all():
+            i = k[int(np.isfinite(g).all(axis=0).argmin())]
+            raise ValueError(f"integrand is not finite on [{a[i]}, {b[i]}]")
+        return g
+
+    h = b - a
+    if p == 0.0:  # c is a: every piece runs from a, with weight 1
+        on, start, step, off = True, a, h, ()
+    else:
+        on, at_b = (a == c) | (b == c), b == c
+        # a piece with c at b runs from b towards a
+        start, step, off = np.where(at_b, b, a), np.where(at_b, -h, h), np.flatnonzero(~on)
+    # the rules for t**p on the pieces at c, for t**0 on the others
+    t, w = (u[:, :1] if len(off) == 0 else np.where(on, u[:, :1], u[:, 1:]) for u in rule)
+    x = np.minimum(np.maximum(start + step * t, a), b)
+    g = values(x, range(len(a)))
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.where(on, g, np.float_power(np.abs(x - c), p) * g)
-        g *= np.where(on, weights[:, :1], weights[:, 1:])
-        scale = np.where(on, np.float_power(h, p + 1.0), h)
-        few, many = (functools.reduce(np.add, rows) * scale for rows in (g[:n], g[n:]))
-    if not np.isfinite([few, many]).all():
-        raise ValueError("a cell moment overflows; reduce r or the cell widths")
-    size = np.abs(many)
-    split = ~(np.abs(many - few) <= DEFAULT_REL_TOL * np.maximum(size, _TINY))
+        wg, scale = g * w, h if p == 0.0 else np.where(on, np.float_power(h, p + 1.0), h)
+        if len(off):
+            # the weight |x - c|**p, only on the pieces that c is not at
+            wg[:, off] = np.float_power(np.abs(x[:, off] - c[off]), p) * g[:, off] * w[:, off]
+        few, many = (functools.reduce(np.add, rows) * scale for rows in (wg[:n], wg[n:]))
+        size, apart = np.abs(many), np.abs(many - few)
+    if not np.isfinite(apart).all():
+        raise ValueError(f"{what} overflows; reduce r or the cell widths")
+    split = ~(apart <= rel_tol * np.maximum(np.maximum(size, share), _TINY))
     faint = np.flatnonzero(~split & (size < _TINY)) if size.min() < _TINY else []
     if len(faint):
-        ends = f(np.concatenate((a[faint], b[faint]))).reshape(2, -1)
-        if not np.isfinite(ends).all():
-            i = faint[int(np.isfinite(ends).all(axis=0).argmin())]
-            raise ValueError(f"integrand is not finite on [{a[i]}, {b[i]}]")
+        ends = values(np.stack((a[faint], b[faint])), faint)
         reach = np.maximum(np.abs(a - c), np.abs(b - c))[faint]
         with np.errstate(over="ignore"):
             # the pdf at an end, times the largest |x - c|**p and the width
@@ -283,27 +233,25 @@ def _gauss_pieces(f, a, b, c, p, rule, depth):
     split = np.flatnonzero(split)
     if len(split) == 0:
         return many
-    if depth == DEFAULT_MAX_DEPTH:
-        raise ValueError(f"a cell moment does not converge on [{a[split[0]]}, {b[split[0]]}]")
-    m = 0.5 * (a + b)
-    halves = [np.concatenate((u[split], v[split])) for u, v in ((a, m), (m, b), (c, c))]
-    sums = _gauss_pieces(f, *halves, p, rule, depth + 1)
+    if depth >= max_depth:
+        raise ValueError(f"{what} does not converge on [{a[split[0]]}, {b[split[0]]}]")
+    m, share = 0.5 * (a + b), 0.5 * np.maximum(share, size)
+    halves = [np.concatenate((u[split], v[split]))
+              for u, v in ((a, m), (m, b), (c, c), (share, share))]
+    del x, g, wg, t, w, on, start, step, h, scale, few, size, m, share  # gone before the next level
+    sums = _gauss_pieces(f, *halves, p, rule, job, depth + 1)
     many[split] = sums[: len(split)] + sums[len(split):]
     return many
 
 
 def integrate(f, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH, breakpoints=()):
-    """Integrate f, a function of a 1-D array of points, over [a, b],
-    splitting at the given interior breakpoints; the pieces are added left
-    to right."""
+    """Integrate f, a function of a 1-D array of points, over [a, b] cut at the
+    interior breakpoints: one ``moments_many`` call at p = 0, added left to right."""
     if b < a:
         raise ValueError(f"empty integration range [{a}, {b}]")
-    if b == a:
-        return 0.0
     cuts = np.unique([a, b, *(x for x in breakpoints if a < x < b)])
-    pieces = integrate_many(f, cuts[:-1], cuts[1:], rel_tol, max_depth)
     total = 0.0
-    for piece in pieces.tolist():
+    for piece in moments_many(f, cuts[:-1], cuts[1:], cuts[:-1], 0.0, rel_tol, max_depth).tolist():
         total += piece
     return total
 

@@ -2,12 +2,12 @@
 
 Two families are supported: piecewise-constant densities, for which every
 integral used by the library has a closed form, and smooth densities backed
-by adaptive quadrature.  Both expose the same small surface: ``pdf``,
-``cdf`` and ``quantile`` (the generalized inverse of the cdf), power and
-log-moment integrals, essential bounds, and similarity transforms.  ``cdf``
-and ``quantile`` take a scalar or a whole array of arguments and treat the
-array in one pass: a piecewise density in closed form, a smooth one with
-one batched quadrature call (``_quadrature.integrate_many``) per cdf, and
+by one Gauss quadrature engine (``_quadrature.moments_many``).  Both expose
+the same small surface: ``pdf``, ``cdf`` and ``quantile`` (the generalized
+inverse of the cdf), power and log-moment integrals, essential bounds, and
+similarity transforms.  ``cdf`` and ``quantile`` take a scalar or a whole
+array of arguments and treat the array in one pass: a piecewise density in
+closed form, a smooth one with one batched quadrature call per cdf, and
 per step of one safeguarded Newton iteration that moves every quantile
 argument together.  A sweep over level counts designs its point
 density once and, when the level counts are nested, asks it for each
@@ -33,7 +33,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import (_log_sum_exp, _normal_sums, integrate, integrate_many, moments_many,
+from ._quadrature import (_log_sum_exp, _normal_sums, call_each, integrate, moments_many,
                           over_arrays, scan_extremum, with_array_form)
 
 __all__ = [
@@ -332,11 +332,13 @@ class SmoothDensity:
 
     The constructor integrates the pdf over every cell of a table in one
     batched quadrature call to build a monotone cdf table; cdf evaluations
-    then only integrate within one cell.  Every integrand, and the scan for
-    the essential bounds, evaluates the pdf over whole arrays: the package's
-    own pdfs carry an array form (``_quadrature.with_array_form``) that
-    equals the scalar pdf bit for bit, and any other pdf is called once per
-    point.
+    then only integrate within one cell.  Every integral halves a piece
+    where its pair of Gauss rules disagrees by more than ``rel_tol``, at
+    most ``max_depth`` times (``_quadrature.moments_many``), or raises
+    ValueError.  Every integrand, and the scan for the essential bounds,
+    evaluates the pdf over whole arrays: the package's own pdfs carry an
+    array form (``_quadrature.with_array_form``) that equals the scalar pdf
+    bit for bit, and any other pdf is called once per point.
     ``breakpoints`` lists interior kink locations respected by every
     quadrature call.  Essential bounds use a dense scan refined by a
     golden-section pass.
@@ -369,17 +371,13 @@ class SmoothDensity:
             n = max(8, int(round(table_cells * (b - a) / support.width)))
             edges.extend(np.linspace(a, b, n + 1)[:-1])
         edges.append(support.hi)
-        edges = np.asarray(edges, dtype=float)
-        masses = integrate_many(self._pdf_many, edges[:-1], edges[1:], self._rel_tol,
-                                self._max_depth)
-        total = float(masses.sum())
+        self._edges = np.asarray(edges, dtype=float)
+        masses = self._cell_masses(self._edges)
+        self._total = total = float(masses.sum())
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"pdf must integrate to 1 within quadrature tolerance, got {total!r}")
-        self._total = total
-        cum = np.concatenate(([0.0], np.cumsum(masses / total)))
-        cum[-1] = 1.0
-        self._edges = edges
-        self._cum = cum
+        self._cum = np.concatenate(([0.0], np.cumsum(masses / total)))
+        self._cum[-1] = 1.0
 
         if ess_inf is not None and ess_sup is not None:
             self._ess = (float(ess_inf), float(ess_sup))
@@ -432,11 +430,12 @@ class SmoothDensity:
     def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
         """cdf at points strictly inside the support, one quadrature call for all.
 
-        A point on a table edge integrates over an empty interval, which
-        gives exactly 0.0, so it takes its table entry unchanged.
+        A point on a table edge integrates over an empty piece, which gives
+        exactly 0.0, so it takes its table entry unchanged.
         """
         j = np.searchsorted(self._edges, x, side="right") - 1
-        part = integrate_many(self._pdf_many, self._edges[j], x, self._rel_tol, self._max_depth)
+        a = self._edges[j]
+        part = moments_many(self._pdf_many, a, x, a, 0.0, self._rel_tol, self._max_depth)
         return np.minimum(self._cum[j] + part / self._total, 1.0)
 
     def quantile(self, u):
@@ -506,7 +505,7 @@ class SmoothDensity:
         def f(x):
             v = self._pdf_many(x)
             positive = v > 0.0
-            return np.where(positive, v * _libm_each(math.log, np.where(positive, v, 1.0)), 0.0)
+            return np.where(positive, v * call_each(math.log, np.where(positive, v, 1.0)), 0.0)
 
         return integrate(f, self._support.lo, self._support.hi, self._rel_tol, self._max_depth,
                          breakpoints=self._breaks)
@@ -515,10 +514,9 @@ class SmoothDensity:
         return self._ess
 
     def _cell_masses(self, bounds: np.ndarray) -> np.ndarray:
-        """Mass of each cell between consecutive entries of ``bounds``: cdf differences."""
-        masses = np.diff(self.cdf(bounds))
-        masses[masses < 0.0] = 0.0
-        return masses
+        """Mass of each cell between consecutive entries of ``bounds``, each
+        integrated on its own: no cdf difference cancels near 1."""
+        return self._moment_terms(bounds[:-1], bounds[1:], bounds[:-1], 0.0)[:, 0]
 
     def _moment_terms(self, s, t, c, p: float) -> np.ndarray:
         """Integral of |x - c[k]|**p dmu over each cell [s[k], t[k]], as one column.
@@ -542,8 +540,8 @@ class SmoothDensity:
         lo, hi = cuts[:, :-1], cuts[:, 1:]
         live = hi > lo
         pieces = np.zeros(lo.shape)
-        pieces[live] = moments_many(self._pdf_many, lo[live], hi[live],
-                                    c[np.nonzero(live)[0]], p)
+        pieces[live] = moments_many(self._pdf_many, lo[live], hi[live], c[np.nonzero(live)[0]],
+                                    p, self._rel_tol, self._max_depth)
         return _cell_sums(pieces)[:, None]
 
     def _power_density(self, p: float, order: float) -> "SmoothDensity":
@@ -609,12 +607,6 @@ def uniform(lo: float, hi: float) -> PiecewiseConstantDensity:
     return PiecewiseConstantDensity([lo, hi], [1.0 / width])
 
 
-def _libm_each(fn, z: np.ndarray) -> np.ndarray:
-    # libm's exp or log (fn is math.exp or math.log) at each entry of the 1-D
-    # array z: numpy's may take a SIMD path that differs in the last bit
-    return np.fromiter(map(fn, z.tolist()), float, count=len(z))
-
-
 def _power_of(integral: float, p: float, q: float) -> float:
     """integral ** q, for the positive normal integral of pdf**p; where the
     plain power overflows it is taken in logs, as ``_integral_power`` sums
@@ -670,7 +662,7 @@ def truncated_gauss(mean: float, sigma: float, lo: float, hi: float) -> SmoothDe
         return _n * math.exp(-0.5 * ((x - _m) / _s) ** 2)
 
     def many(x, _m=mean, _s=sigma, _n=norm):
-        return _n * _libm_each(math.exp, -0.5 * np.float_power((x - _m) / _s, 2.0))
+        return _n * call_each(math.exp, -0.5 * np.float_power((x - _m) / _s, 2.0))
 
     d = SmoothDensity(with_array_form(pdf, many), lo, hi)
     d.spec = {"kind": "truncated_gauss", "mean": float(mean),
@@ -699,7 +691,7 @@ def truncated_laplace(center: float, scale: float, lo: float, hi: float) -> Smoo
         return _n * math.exp(-abs(x - _c) / _s)
 
     def many(x, _c=center, _s=scale, _n=norm):
-        return _n * _libm_each(math.exp, -np.abs(x - _c) / _s)
+        return _n * call_each(math.exp, -np.abs(x - _c) / _s)
 
     # the kink at the center matters for quadrature when it is interior
     breaks = [center] if lo < center < hi else []
@@ -821,7 +813,7 @@ def _pair_integrals(f: Density, gs, phi) -> np.ndarray:
     densities it gets the pieces of their common refinement, hg a row per g,
     and each row is added left to right; otherwise phi(1.0, f(x), g(x)) is
     integrated by quadrature wherever f(x) > 0, the pdfs taken over arrays.
-    Powers in phi go through ``_powers`` and logs through ``_libm_each``, so
+    Powers in phi go through ``_powers`` and logs through ``call_each``, so
     each piece or point gets the bits of Python's scalar arithmetic.
     """
     if isinstance(f, PiecewiseConstantDensity) and isinstance(gs[0], PiecewiseConstantDensity):

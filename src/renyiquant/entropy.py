@@ -13,10 +13,10 @@ import math
 import numpy as np
 
 # _log_sum_exp and _normal_sums stay importable from here for the tests
-from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums  # noqa: F401
+from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums, call_each  # noqa: F401
 from .core import as_order, branch_of
-from .densities import (Density, _libm_each, _pair_integrals, _powers, _ratio_bounds,
-                        _require_covered, require_nested_supports)
+from .densities import (Density, _pair_integrals, _powers, _ratio_bounds, _require_covered,
+                        require_nested_supports)
 
 __all__ = ["renyi_entropy", "differential_entropy", "relative_entropy"]
 
@@ -143,7 +143,7 @@ def _divergences(f: Density, gs, alpha) -> list[float]:
         def phi(w, hf, hg):
             with np.errstate(divide="ignore"):
                 ratio = hf / hg
-            return w * hf * _libm_each(math.log, ratio.ravel()).reshape(ratio.shape)
+            return w * hf * call_each(math.log, ratio.ravel()).reshape(ratio.shape)
 
         integrals = _pair_integrals(f, gs, phi).tolist()
         if not all(map(math.isfinite, integrals)):

@@ -1,12 +1,13 @@
 """Plain-Python references for the batched quadrature.
 
-``integrate`` is the recursive adaptive Simpson rule, one interval at a
-time; ``renyiquant._quadrature.integrate_many`` must follow it step for step
-and give the same floats.  ``cdf`` and ``quantile`` build those of a
-``SmoothDensity`` from it, one argument at a time.  ``moment`` and
-``balance`` give its cell moments one piece at a time, by the Gauss rules of
-``renyiquant._quadrature.gauss_jacobi`` and the halving of
-``moments_many``, and its sliver rule for a codepoint just past a piece.
+``moment`` and ``balance`` give a density's cell moments one piece at a
+time, by the Gauss rules of ``renyiquant._quadrature.gauss_jacobi`` and the
+halving of ``moments_many``, and its sliver rule for a codepoint just past
+a piece; ``renyiquant._quadrature.moments_many`` must follow them step for
+step and give the same floats.  ``integrate`` is the same rule at p = 0,
+the plain Gauss-Legendre pair, for any scalar integrand over an interval
+cut at its breakpoints.  ``cdf`` and ``quantile`` build those of a
+``SmoothDensity`` from it, one argument at a time.
 """
 
 from __future__ import annotations
@@ -16,53 +17,8 @@ import sys
 
 import numpy as np
 
-from renyiquant._quadrature import (DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, GAUSS_POINTS, SLIVER,
-                                    gauss_jacobi)
-
-
-def _simpson(fa, fm, fb, a, b):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adapt(f, a, b, fa, fm, fb, whole, eps, depth, max_depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, a, m)
-    right = _simpson(fm, frm, fb, m, b)
-    delta = left + right - whole
-    if depth >= max_depth or abs(delta) <= 15.0 * eps:
-        # Richardson correction: one extrapolation order for free.
-        return left + right + delta / 15.0
-    return _adapt(f, a, m, fa, flm, fm, left, 0.5 * eps, depth + 1, max_depth) + _adapt(
-        f, m, b, fm, frm, fb, right, 0.5 * eps, depth + 1, max_depth
-    )
-
-
-def _integrate_piece(f, a, b, rel_tol, max_depth):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    for v in (fa, fm, fb):
-        if not math.isfinite(v):
-            raise ValueError(f"integrand is not finite on [{a}, {b}]")
-    whole = _simpson(fa, fm, fb, a, b)
-    eps = rel_tol * max(abs(whole), 1e-12)
-    return _adapt(f, a, b, fa, fm, fb, whole, eps, 0, max_depth)
-
-
-def integrate(f, a, b, rel_tol=1e-10, max_depth=40, breakpoints=()):
-    """Integrate f over [a, b], splitting at the given interior breakpoints."""
-    if b < a:
-        raise ValueError(f"empty integration range [{a}, {b}]")
-    if b == a:
-        return 0.0
-    cuts = [a] + sorted(x for x in breakpoints if a < x < b) + [b]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            total += _integrate_piece(f, lo, hi, rel_tol, max_depth)
-    return total
+from renyiquant._quadrature import (DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, GAUSS_POINTS,
+                                    PLAIN_POINTS, SLIVER, gauss_jacobi)
 
 
 def cdf(d, x: float) -> float:
@@ -111,31 +67,38 @@ def quantile(d, u: float) -> float:
     raise ValueError(f"quantile of {u!r} does not converge in 200 steps")
 
 
-def _gauss_piece(f, a, b, c, p, depth=0):
+def _gauss_piece(f, a, b, c, p, rel_tol, max_depth, depth=0, share=0.0):
     """Integral of |x - c|**p * f over the piece [a, b], c at one end or outside.
 
-    With c at one end it is (b - a)**(p + 1) times a Gauss rule for t**p on
-    f(c +- (b - a) * t); otherwise it is b - a times a Gauss-Legendre rule on
-    |x - c|**p * f(a + (b - a) * t), each point clamped into the piece.  The
-    2n-point sum stands where it agrees with the n-point sum to
-    DEFAULT_REL_TOL of itself or of the smallest normal float, whichever is
-    larger, and, if it is below that float, where the pdf at both ends
-    bounds the piece below it too; otherwise the piece is the sum of its
-    halves.
+    At p = 0 it is (b - a) times a Gauss-Legendre rule of ``PLAIN_POINTS`` on
+    f(a + (b - a) * t), whatever c is.  Otherwise, with c at one end, it is
+    (b - a)**(p + 1) times a Gauss rule for t**p on f(c +- (b - a) * t), and
+    else b - a times a Gauss-Legendre rule on |x - c|**p * f(a + (b - a) * t),
+    both of ``GAUSS_POINTS``; each point is clamped into the piece.  The
+    2n-point sum stands where it agrees with the n-point sum to rel_tol of
+    itself or of the smallest normal float, whichever is larger, and, if it
+    is below that float, where the pdf at both ends bounds the piece below
+    it too; otherwise the piece is the sum of its halves.
     """
+    if p == 0.0:
+        c = a
     on = c in (a, b)
     start, reach = (b, a - b) if c == b else (a, b - a)
     scale = (b - a) ** (p + 1.0) if on else b - a
+    n = PLAIN_POINTS if p == 0.0 else GAUSS_POINTS
     sums = []
-    for n in (GAUSS_POINTS, 2 * GAUSS_POINTS):
-        nodes, weights = gauss_jacobi(p if on else 0.0, n)
+    for k in (n, 2 * n):
+        nodes, weights = gauss_jacobi(p if on else 0.0, k)
         total = 0.0
         for t, w in zip(nodes, weights):
             x = min(max(start + reach * t, a), b)
-            total += w * (f(x) if on else abs(x - c) ** p * f(x))
+            v = f(x)
+            if not math.isfinite(v):
+                raise ValueError(f"integrand is not finite on [{a}, {b}]")
+            total += w * (v if on else abs(x - c) ** p * v)
         sums.append(total * scale)
     few, many = sums
-    if abs(many - few) <= DEFAULT_REL_TOL * max(abs(many), sys.float_info.min):
+    if abs(many - few) <= rel_tol * max(abs(many), share, sys.float_info.min):
         if abs(many) >= sys.float_info.min:
             return many
         ends = f(a), f(b)
@@ -143,20 +106,38 @@ def _gauss_piece(f, a, b, c, p, depth=0):
             raise ValueError(f"integrand is not finite on [{a}, {b}]")
         if (b - a) * max(abs(a - c), abs(b - c)) ** p * max(ends) <= sys.float_info.min:
             return many
-    if depth == DEFAULT_MAX_DEPTH:
-        raise ValueError(f"a cell moment does not converge on [{a}, {b}]")
+    if depth >= max_depth:
+        what = "a cell moment" if p else "an integral"
+        raise ValueError(f"{what} does not converge on [{a}, {b}]")
     m = 0.5 * (a + b)
-    return _gauss_piece(f, a, m, c, p, depth + 1) + _gauss_piece(f, m, b, c, p, depth + 1)
+    share = 0.5 * max(share, abs(many))
+    return (_gauss_piece(f, a, m, c, p, rel_tol, max_depth, depth + 1, share)
+            + _gauss_piece(f, m, b, c, p, rel_tol, max_depth, depth + 1, share))
 
 
-def _moment_piece(f, a, b, c, p):
-    """``_gauss_piece``, except that c less than SLIVER widths past an end
-    takes the piece out to c less the sliver between that end and c."""
+def _moment_piece(f, a, b, c, p, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH):
+    """``_gauss_piece``, except that at p > 0 c less than SLIVER widths past
+    an end takes the piece out to c less the sliver between that end and c."""
     gap = max(a - c, c - b)
-    if 0.0 < gap < SLIVER * (b - a):
+    if p != 0.0 and 0.0 < gap < SLIVER * (b - a):
         sliver = (c, a) if c < a else (b, c)
-        return _gauss_piece(f, min(a, c), max(b, c), c, p) - _gauss_piece(f, *sliver, c, p)
-    return _gauss_piece(f, a, b, c, p)
+        return (_gauss_piece(f, min(a, c), max(b, c), c, p, rel_tol, max_depth)
+                - _gauss_piece(f, *sliver, c, p, rel_tol, max_depth))
+    return _gauss_piece(f, a, b, c, p, rel_tol, max_depth)
+
+
+def integrate(f, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH, breakpoints=()):
+    """Integrate the scalar f over [a, b], split at the given interior
+    breakpoints, by the plain Gauss-Legendre pair; the pieces add left to
+    right from 0.0."""
+    if b < a:
+        raise ValueError(f"empty integration range [{a}, {b}]")
+    cuts = [a] + sorted(x for x in breakpoints if a < x < b) + [b]
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi > lo:
+            total += _moment_piece(f, lo, hi, lo, 0.0, rel_tol, max_depth)
+    return total
 
 
 def moment(d, s: float, t: float, c: float, p: float) -> float:
@@ -169,7 +150,7 @@ def moment(d, s: float, t: float, c: float, p: float) -> float:
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi > lo:
-            total += _moment_piece(d.pdf, lo, hi, c, p)
+            total += _moment_piece(d.pdf, lo, hi, c, p, d._rel_tol, d._max_depth)
     return total
 
 

@@ -10,6 +10,8 @@ import renyiquant.compander
 from renyiquant import MonotonicityError
 from renyiquant.cli import ConvergenceReport, SweepRequest, main
 
+from time_limit import time_limit
+
 
 @pytest.fixture
 def density_file(tmp_path):
@@ -322,6 +324,21 @@ def test_predict_refuses_a_limit_past_the_float_range(capsys, tmp_path, spec, al
     assert rc == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0]
+
+
+def test_a_design_whose_power_integral_cannot_converge_ends(capsys, tmp_path):
+    # the pdf underflows towards both ends of the support; adaptive
+    # refinement with an absolute tolerance ran on for minutes here
+    spec = {"kind": "truncated_gauss", "mean": 928.2188125461596, "sigma": 40.83788701536796,
+            "lo": -1000.0, "hi": 6288.709361311061}
+    with time_limit(30.0):
+        rc = main(["design", "--density", _spec_file(tmp_path, spec), "--alpha", "-29.021",
+                   "--r", "1.989", "--levels", "236"])
+    captured = capsys.readouterr()
+    assert rc in (0, 2)
+    if rc == 2:
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_sweep_takes_the_entropy_scale_in_logs_where_it_overflows(capsys, tmp_path):

@@ -25,6 +25,7 @@ from renyiquant.design import optimal_point_density
 
 import reference_pieces
 import reference_quadrature as reference
+from time_limit import time_limit
 
 
 def test_interval_validation():
@@ -470,6 +471,19 @@ def test_a_quantile_bisects_where_the_pdf_underflows_to_zero():
         # the generalized inverse: the cdf crosses u within the tolerance of q
         assert c < q < d._edges[j + 1] and d.cdf(q - t) < u <= d.cdf(q + t)
         assert q == reference.quantile(d, u)
+
+
+def test_the_smooth_cdf_is_monotone_across_table_edges():
+    # the flat stretch of the density above: each cdf is its table entry
+    # plus one integral in its cell, and where adaptive refinement with an
+    # absolute tolerance added them, 77 steps over these points went down
+    c, k = 0.3001, 1e6
+    h = 1.0 / (2.0 * c + 2.0 / k)
+    pdf = lambda x: h * math.exp(-k * min(x - c, 1.0 - c - x)) if c < x < 1.0 - c else h
+    d = SmoothDensity(pdf, 0.0, 1.0, breakpoints=[c, 1.0 - c], ess_inf=0.0, ess_sup=h)
+    with time_limit(60.0):
+        v = d.cdf(np.linspace(0.2999, 0.7001, 200_001))
+    assert np.count_nonzero(np.diff(v) < 0.0) == 0
 
 
 def test_a_quantile_that_does_not_converge_raises():

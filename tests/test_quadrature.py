@@ -11,8 +11,9 @@ import reference_quadrature as reference
 import renyiquant._quadrature as quadrature
 from renyiquant import SmoothDensity, truncated_gauss, truncated_laplace
 from renyiquant._quadrature import (_DEPTH_LIMIT, DEFAULT_MAX_DEPTH, GAUSS_POINTS, LEVEL_NODES,
-                                   bisect_increasing, bisect_many, call_each, gauss_jacobi,
-                                   golden_extremum, integrate, integrate_many, moments_many)
+                                   PLAIN_POINTS, WORK_BUDGET, bisect_increasing, bisect_many,
+                                   call_each, gauss_jacobi, golden_extremum, integrate,
+                                   moments_many)
 from renyiquant.design import optimal_point_density
 from time_limit import time_limit
 
@@ -38,54 +39,81 @@ def _interval(draw):
     return a, a + width
 
 
+def _outcome(call):
+    """What a call gives: its value, or the message of its ValueError."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
 @settings(max_examples=40, deadline=None)
 @given(pdf=st.sampled_from(sorted(PDFS)), ends=_interval(), cuts=st.lists(unit, max_size=3),
        rel_tol=st.sampled_from([1e-10, 1e-6, 1e-13]))
 def test_integrate_equals_the_recursion(pdf, ends, cuts, rel_tol):
+    # the pdfs jump to 0 past 1, so a piece from 1 halves to the cap and raises
     f = PDFS[pdf]
     a, b = ends
     breaks = [a + c * (b - a) for c in cuts] + [0.45]
-    expected = reference.integrate(f, a, b, rel_tol, 40, breaks)
-    assert integrate(_each(f), a, b, rel_tol, 40, breaks) == expected
+    expected = _outcome(lambda: reference.integrate(f, a, b, rel_tol, 40, breaks))
+    assert _outcome(lambda: integrate(_each(f), a, b, rel_tol, 40, breaks)) == expected
 
 
 @settings(max_examples=3, deadline=None)
 @given(pdf=st.sampled_from(sorted(PDFS)),
        intervals=st.lists(_interval(), min_size=49, max_size=99),
        scale=st.floats(min_value=0.5, max_value=2.0))
-def test_integrate_many_equals_the_recursion_interval_by_interval(pdf, intervals, scale):
+def test_moments_many_at_p0_equals_the_reference_piece_by_piece(pdf, intervals, scale):
     # the list spans several chunks
     f = PDFS[pdf]
     a, b = (np.array(col) for col in zip(*intervals))
-    expected = [reference.integrate(lambda x: scale * f(x), lo, hi)
+    expected = [_outcome(lambda lo=lo, hi=hi: reference.integrate(lambda x: scale * f(x), lo, hi))
                 for lo, hi in zip(a.tolist(), b.tolist())]
     with _block_size(48):
-        assert integrate_many(lambda x: scale * call_each(f, x), a, b).tolist() == expected
+        got = _outcome(lambda: moments_many(lambda x: scale * call_each(f, x), a, b, a,
+                                            0.0).tolist())
+    # a call with a piece that raises names one such piece
+    assert got == expected if isinstance(got, list) else got in expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(ends=_interval(), root=unit, max_depth=st.integers(min_value=0, max_value=8))
 def test_the_depth_cap_stops_refinement_as_the_recursion_does(ends, root, max_depth):
+    # a kink inside the interval that no cut marks: the pieces holding it
+    # halve to the cap, and the call raises there or converges first
     a, b = ends
     x0 = a + root * (b - a)
     f = lambda x: math.sqrt(abs(x - x0))
-    assert (integrate(_each(f), a, b, 1e-14, max_depth)
-            == reference.integrate(f, a, b, 1e-14, max_depth))
+    assert (_outcome(lambda: integrate(_each(f), a, b, 1e-14, max_depth))
+            == _outcome(lambda: reference.integrate(f, a, b, 1e-14, max_depth)))
 
 
 def test_the_depth_cap_binds_on_a_square_root():
-    f = lambda x: math.sqrt(abs(x - 0.3))
-    capped = integrate(_each(f), 0.0, 1.0, 1e-14, 4)
-    assert capped == reference.integrate(f, 0.0, 1.0, 1e-14, 4)
-    assert capped != integrate(_each(f), 0.0, 1.0, 1e-14, 40)
+    # sqrt(x + 0.3) converges at depth 11 at this tolerance, near x = 0
+    f = lambda x: math.sqrt(x + 0.3)
+    message = "an integral does not converge on [0.0, 0.0009765625]"
+    assert _outcome(lambda: reference.integrate(f, 0.0, 1.0, 1e-14, 10)) == message
+    with pytest.raises(ValueError) as capped:
+        integrate(_each(f), 0.0, 1.0, 1e-14, 10)
+    assert str(capped.value) == message
+    expected = reference.integrate(f, 0.0, 1.0, 1e-14, 11)
+    assert integrate(_each(f), 0.0, 1.0, 1e-14, 11) == expected
+    assert integrate(_each(f), 0.0, 1.0, 1e-14, 40) == expected
+
+
+def _inverse_root(x):
+    # x**-0.5, 0 at 0: 2 on [0, 1]
+    return np.where(x > 0.0, 1.0 / np.sqrt(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
 def test_max_depth_is_bounded_below_the_recursion_limit():
-    # a step at 0 splits the leftmost node at every level, so the deepest
-    # allowed depth is reached; one more is refused, not a RecursionError
-    f = lambda x: np.where(x > 0.0, 1.0, 0.0)
+    # the square of x's binary exponent: constant on [2**(e - 1), 2**e), so
+    # of the two halves of [0, 2**-k] only the one at 0 splits, and the
+    # deepest allowed depth is reached; one more is refused, not a RecursionError
+    f = lambda x: np.frexp(x)[1].astype(float) ** 2
     assert _DEPTH_LIMIT == 200
-    assert integrate(f, 0.0, 1.0, 1e-10, _DEPTH_LIMIT) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ValueError, match=rf"does not converge on \[0.0, {2.0**-200}\]"):
+        integrate(f, 0.0, 1.0, 1e-10, _DEPTH_LIMIT)
     with pytest.raises(ValueError, match="max_depth must be at most 200"):
         integrate(f, 0.0, 1.0, 1e-10, _DEPTH_LIMIT + 1)
     SmoothDensity(GAUSS._pdf, 0.0, 1.0, max_depth=_DEPTH_LIMIT)
@@ -93,10 +121,39 @@ def test_max_depth_is_bounded_below_the_recursion_limit():
         SmoothDensity(GAUSS._pdf, 0.0, 1.0, max_depth=_DEPTH_LIMIT + 1)
 
 
+def test_a_singular_integral_raises_instead_of_truncating():
+    # no node lies on 0, so the piece at 0 halves to the cap, where adaptive
+    # refinement that truncates returns 1.9999994163689756
+    with time_limit(10.0):
+        with pytest.raises(ValueError, match=r"converge on \[0.0, 9.094947017729282e-13\]"):
+            integrate(_inverse_root, 0.0, 1.0)
+
+
+def test_a_call_stops_at_its_work_budget():
+    # a ripple the rules resolve on pieces about 2**-23 wide: the call would
+    # take some 2**24 pieces, while a depth of 40 is far off
+    asked = []
+
+    def values(x):
+        asked.append(len(x))
+        return 1.0 + 1e-6 * np.sin(2.0**20 * x)
+
+    message = f"takes more than {WORK_BUDGET} pdf values a piece"
+    with pytest.raises(ValueError, match=message):
+        moments_many(values, [0.0], [1.0], [0.0], 0.0)
+    # the call that would pass the budget is never made
+    assert WORK_BUDGET - 3 * PLAIN_POINTS * LEVEL_NODES < sum(asked) <= WORK_BUDGET
+    # a cdf table of 8 cells, whose pdf is called a point at a time
+    pdf = lambda x: 1.0 + 1e-6 * math.sin(1e12 * x)
+    with time_limit(30.0):
+        with pytest.raises(ValueError, match=message):
+            SmoothDensity(pdf, 0.0, 1.0, ess_inf=1.0 - 1e-6, ess_sup=1.0 + 1e-6, table_cells=8)
+
+
 @pytest.mark.parametrize("f, a, b, breaks", [
-    (lambda x: math.inf if x == 0.0 else 1.0, 0.0, 1.0, ()),
+    (lambda x: math.inf if x < 0.1 else 1.0, 0.0, 1.0, ()),
     (lambda x: math.nan if x > 0.75 else x, 0.0, 1.0, (0.5,)),
-    (lambda x: -math.inf if x == 1.0 else 2.0, 0.0, 1.0, (0.25,)),
+    (lambda x: -math.inf if x > 0.9 else 2.0, 0.0, 1.0, (0.25,)),
 ])
 def test_a_non_finite_integrand_raises_the_same_error(f, a, b, breaks):
     with pytest.raises(ValueError) as expected:
@@ -106,11 +163,11 @@ def test_a_non_finite_integrand_raises_the_same_error(f, a, b, breaks):
     assert str(got.value) == str(expected.value)
 
 
-def test_integrate_many_gives_zero_on_an_empty_interval():
+def test_moments_many_gives_zero_on_an_empty_piece():
     # the smooth cdf relies on this at the edges of its table
-    out = integrate_many(_each(math.exp), [0.3, 0.5], [0.3, 0.7])
+    out = moments_many(_each(math.exp), [0.3, 0.5], [0.3, 0.7], [0.3, 0.5], 0.0)
     assert out.tolist() == [0.0, reference.integrate(math.exp, 0.5, 0.7)]
-    assert integrate_many(lambda x: x, [], []).shape == (0,)
+    assert moments_many(lambda x: x, [], [], [], 0.0).shape == (0,)
 
 
 @contextlib.contextmanager
@@ -123,49 +180,46 @@ def _block_size(n):
         quadrature.LEVEL_NODES = saved
 
 
-def _quartic(x):
-    # 0 at every root sample of [0, 1], so every node of its trees splits
-    return x * (1.0 - x) * (x - 0.5) ** 2
-
-
 @settings(max_examples=20, deadline=None)
-@given(intervals=st.lists(_interval(), min_size=1, max_size=12), x0=unit,
-       max_depth=st.integers(min_value=0, max_value=8))
-def test_integrate_many_does_not_depend_on_the_node_budget(intervals, x0, max_depth):
-    # each tree refines on its own: the budget only sets which nodes run together
+@given(intervals=st.lists(_interval(), min_size=1, max_size=12), x0=unit)
+def test_the_plain_rule_does_not_depend_on_level_nodes(intervals, x0):
+    # each piece halves on its own: LEVEL_NODES only sets which pieces run together
     a, b = (np.array(col) for col in zip(*intervals))
-
-    def root(x):
-        return np.sqrt(np.abs(x - x0))
-
-    expected = [reference.integrate(lambda x: math.sqrt(abs(x - x0)), lo, hi, 1e-14, max_depth)
+    expected = [reference.integrate(lambda x: math.sqrt(abs(x - x0) + 1e-2), lo, hi)
                 for lo, hi in zip(a.tolist(), b.tolist())]
     results = []
     for n in (1, 2, 3, 48, LEVEL_NODES):
         with _block_size(n):
-            results.append((integrate_many(root, a, b, 1e-14, max_depth).tolist(),
-                            integrate_many(_quartic, np.zeros(2), np.ones(2), 1e-10, max_depth).tolist()))
+            results.append(moments_many(lambda x: np.sqrt(np.abs(x - x0) + 1e-2), a, b, a,
+                                        0.0).tolist())
     assert all(r == results[0] for r in results)
-    assert results[0][0] == expected
+    assert results[0] == expected
 
 
-def test_integrate_many_holds_a_level_of_nodes_at_a_time():
-    # 16 trees that split fully to depth 12: 2**13 - 1 nodes each
+def _ripple(x):
+    # 1e-6 * sin(1e12 x) keeps the two rules apart on every piece down to
+    # widths near 1e-12: a unit piece would halve into about 2**40
+    return 1.0 + 1e-6 * np.sin(1e12 * x)
+
+
+def test_the_plain_rule_holds_a_level_of_pieces_at_a_time():
+    # 16 unit pieces: the first chunk of each level goes on down to the depth
+    # cap, so the levels past LEVEL_NODES pieces are cut and held a chunk each
     asked = []
 
     def values(x):
         asked.append(len(x))
-        return _quartic(x)
+        return _ripple(x)
 
     tracemalloc.start()
     try:
-        integrate_many(values, np.zeros(16), np.ones(16), max_depth=12)
+        with pytest.raises(ValueError, match="an integral does not converge on"):
+            moments_many(values, np.arange(16.0), np.arange(1.0, 17.0), np.arange(16.0), 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(asked) == 16 * (3 + 2 * (2**13 - 1))
-    assert max(asked) <= 3 * LEVEL_NODES
-    assert peak < 2_000_000  # 12.1 MB when every level was held until the sums
+    assert max(asked) <= 3 * PLAIN_POINTS * LEVEL_NODES
+    assert peak < 4_000_000  # 3.2 MB; a whole level of 2**20 pieces would be 50 MB an array
 
 
 @pytest.mark.parametrize("a, b", [
@@ -175,9 +229,9 @@ def test_integrate_many_holds_a_level_of_nodes_at_a_time():
     ([[0.0]], [[1.0]]),  # not 1-D
     (0.0, 1.0),
 ])
-def test_integrate_many_refuses_intervals_that_are_not_ordered_pairs(a, b):
+def test_moments_many_refuses_pieces_that_are_not_ordered_pairs(a, b):
     with pytest.raises(ValueError, match="a <= b"):
-        integrate_many(lambda x: x * x, a, b)
+        moments_many(lambda x: x * x, a, b, a, 0.0)
 
 
 @st.composite
@@ -220,10 +274,11 @@ def test_bisect_many_asks_only_for_the_open_brackets():
 
 
 GAUSS_BETAS = [0.0, 0.5, 1.5, 2.0, 3.9, 200.0]
+RULE_SIZES = sorted({PLAIN_POINTS, 2 * PLAIN_POINTS, GAUSS_POINTS, 2 * GAUSS_POINTS})
 
 
 @pytest.mark.parametrize("beta", GAUSS_BETAS)
-@pytest.mark.parametrize("n", [GAUSS_POINTS, 2 * GAUSS_POINTS])
+@pytest.mark.parametrize("n", RULE_SIZES)
 def test_gauss_jacobi_matches_50_digit_jacobi_roots(beta, n):
     # on [-1, 1] the nodes are the roots x of the Jacobi polynomial
     # P_n^(0, beta), and the weights for (1 + x)**beta are
@@ -241,7 +296,7 @@ def test_gauss_jacobi_matches_50_digit_jacobi_roots(beta, n):
 
 
 @pytest.mark.parametrize("beta", GAUSS_BETAS)
-@pytest.mark.parametrize("n", [GAUSS_POINTS, 2 * GAUSS_POINTS])
+@pytest.mark.parametrize("n", RULE_SIZES)
 def test_gauss_jacobi_integrates_polynomials_of_degree_below_2n_exactly(beta, n):
     nodes, weights = gauss_jacobi(beta, n)
     with mpmath.workdps(50):
@@ -282,7 +337,7 @@ def test_moments_many_takes_a_zero_integrand_at_the_first_level():
 
 def test_moments_many_holds_each_level_to_level_nodes_pieces():
     # a kink at a quarter of each unit piece: every piece splits, and so do
-    # its halves, so the levels hold n, 2n, 4n, 2n and 2n pieces
+    # its halves, so the levels hold n, 2n, 4n and 2n pieces
     sizes = []
 
     def kinked(x):
@@ -292,7 +347,7 @@ def test_moments_many_holds_each_level_to_level_nodes_pieces():
     n = 3 * LEVEL_NODES // 2
     a = np.arange(n, dtype=float)
     got = moments_many(kinked, a, a + 1.0, a, 1.5)
-    assert sum(sizes) == 3 * GAUSS_POINTS * 11 * n
+    assert sum(sizes) == 3 * GAUSS_POINTS * 9 * n
     assert max(sizes) <= 3 * GAUSS_POINTS * LEVEL_NODES
     # a piece gets the bits of a call on it alone
     assert got.tolist() == [moments_many(kinked, [k], [k + 1.0], [k], 1.5)[0]
