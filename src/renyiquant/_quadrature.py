@@ -304,8 +304,8 @@ def bisect_many(below, lo, hi, tol, max_iter=200, known=None):
         if not go_on.all():
             a[k], b[k] = al, bl
             k, al, bl, tl, xa, xb, steps = (v[go_on] for v in (k, al, bl, tl, xa, xb, steps))
-            if len(k) == 0:
-                return 0.5 * (a + b)
+        if len(k) == 0:
+            return 0.5 * (a + b)
         m = 0.5 * (al + bl)
         move = True
         if known is None:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .compander import Compander
-from .core import RenyiOrder, parse_order
+from .core import RenyiOrder, _high_order, parse_order
 from .densities import density_from_spec
 from .design import (
     design_compander,
@@ -143,7 +143,7 @@ def _load_density(path: str):
 
 
 def _dispatch_prediction(f, alpha: RenyiOrder, r: float):
-    if alpha.is_pos_inf or (alpha.is_finite and alpha.value >= 1.0 + r):
+    if _high_order(alpha, r):
         return predicted_limit_high_alpha(f, alpha, r)
     return predicted_limit(f, alpha, r)
 

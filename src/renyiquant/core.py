@@ -138,6 +138,11 @@ def _as_count(n, what: str) -> int:
     raise ValueError(f"{what} must be a whole number, got {n!r}")
 
 
+def _high_order(a: RenyiOrder, r: float) -> bool:
+    """Whether order a is in the high-order regime: +inf, or finite with a >= 1 + r."""
+    return a.is_pos_inf or (a.is_finite and a.value >= 1.0 + r)
+
+
 def distortion_constant(r: float) -> float:
     """Moment constant of a centred unit cell: 1 / ((1+r) * 2**r)."""
     r = validate_exponent(r)
@@ -172,7 +177,7 @@ def exponents(alpha, r: float) -> ExponentPair:
         raise ValueError("exponent pair is undefined at order +inf")
     if branch_of(a) == "shannon":
         raise ValueError("exponent pair is undefined at order 1")
-    if a.value >= 1.0 + r:
+    if _high_order(a, r):
         raise ValueError(f"exponent pair requires order < 1 + r, got {a.value}")
     v = a.value
     first = (1.0 - v + v * r) / (1.0 - v + r)

@@ -33,8 +33,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import (_log_sum_exp, _normal_sums, call_each, integrate, moments_many,
-                          over_arrays, scan_extremum, with_array_form)
+from ._quadrature import (DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, _log_sum_exp, _normal_sums,
+                          call_each, integrate, moments_many, over_arrays, scan_extremum,
+                          with_array_form)
 
 __all__ = [
     "Interval",
@@ -244,7 +245,7 @@ class PiecewiseConstantDensity:
             h = self._padded.take(f + j[:-1], mode="clip").T
             return np.where(h > 0.0, pieces(edges.T, h, rows), 0.0)
 
-        w = count.max() + 1
+        w = count.max(initial=0) + 1
         with np.errstate(over="ignore", invalid="ignore"):
             # padding every row passes n * (w + 1) edges, the split 2 * n + k * w
             if (w - 1) * len(lo) <= np.count_nonzero(count) * w + SPLIT_EDGES:
@@ -351,8 +352,8 @@ class SmoothDensity:
         hi: float,
         *,
         breakpoints: Sequence[float] = (),
-        rel_tol: float = 1e-10,
-        max_depth: int = 40,
+        rel_tol: float = DEFAULT_REL_TOL,
+        max_depth: int = DEFAULT_MAX_DEPTH,
         ess_inf: float | None = None,
         ess_sup: float | None = None,
         table_cells: int = 1024,

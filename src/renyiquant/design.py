@@ -18,7 +18,8 @@ import numpy as np
 
 from ._quadrature import bisect_increasing
 from .compander import Compander, _bennett_functionals
-from .core import as_order, branch_of, distortion_constant, exponents, validate_exponent
+from .core import (_high_order, as_order, branch_of, distortion_constant, exponents,
+                   validate_exponent)
 from .densities import Density, Interval, uniform
 from .entropy import _divergences, renyi_entropy
 from .quantizer import MAX_UNIFORM_LEVELS, IntervalQuantizer, uniform_quantizer
@@ -60,7 +61,7 @@ def optimal_point_density(f: Density, alpha, r: float) -> Density:
     r = validate_exponent(r)
     a = as_order(alpha)
     branch = branch_of(a)
-    if branch == "pos_inf" or (branch == "finite" and a.value >= 1.0 + r):
+    if _high_order(a, r):
         raise ValueError(f"no companding optimum at order {a.value} >= 1 + r")
     if branch == "neg_inf":
         return f
@@ -88,7 +89,7 @@ def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:
     a = as_order(alpha)
     branch = branch_of(a)
     cr = distortion_constant(r)
-    if branch == "pos_inf" or (branch == "finite" and a.value >= 1.0 + r):
+    if _high_order(a, r):
         raise ValueError(f"order {a.value!r} is outside the fixed-exponent regime")
     if branch == "neg_inf":
         return PredictedLimit(cr * f.power_integral(1.0 - r), "neg_inf", r)
@@ -106,7 +107,7 @@ def predicted_limit_high_alpha(f: Density, alpha, r: float) -> PredictedLimit:
     """
     r = validate_exponent(r)
     a = as_order(alpha)
-    if a.is_neg_inf or (a.is_finite and a.value < 1.0 + r):
+    if not _high_order(a, r):
         raise ValueError(f"order {a.value!r} is below the high-order regime 1 + r")
     beta = 1.0 if a.is_pos_inf else (a.value - 1.0) / a.value
     value = distortion_constant(r) * f.ess_bounds()[1] ** (-r)
@@ -141,7 +142,7 @@ def uniform_optimal(interval: Interval, alpha, rate: float, r: float) -> Interva
     if rate < 0.0:
         raise ValueError(f"rate must be nonnegative, got {rate!r}")
     a = as_order(alpha)
-    if a.is_pos_inf or (a.is_finite and a.value >= 1.0 + r):
+    if _high_order(a, r):
         raise ValueError(f"order {a.value!r} is outside the structured regime")
     if rate > math.log(MAX_UNIFORM_LEVELS - 1):
         raise ValueError(

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-# _log_sum_exp and _normal_sums stay importable from here for the tests
-from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums, call_each  # noqa: F401
+from ._quadrature import _log_of_sum, call_each
 from .core import as_order, branch_of
 from .densities import (Density, _pair_integrals, _powers, _ratio_bounds, _require_covered,
                         require_nested_supports)

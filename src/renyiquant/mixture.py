@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_order, branch_of, exponents, validate_exponent
+from .core import _high_order, as_order, branch_of, exponents, validate_exponent
 from .densities import Density, Interval, PiecewiseConstantDensity
 from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums
 from .entropy import _checked_weights
@@ -122,7 +122,7 @@ def allocation_weights(weights, alpha, r: float) -> np.ndarray:
         raise ValueError("allocation weights require a finite order")
     if branch_of(a) == "shannon":
         raise ValueError("allocation weights are undefined at order 1")
-    if a.value >= 1.0 + r:
+    if _high_order(a, r):
         raise ValueError(f"allocation weights require order < 1 + r, got {a.value}")
     pair = exponents(a, r)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,8 +8,9 @@ grid has only n(n - 1)/2 cells, so every per-partition figure reduces one
 n * n per-cell table (masses, powers, distortions) along the tree that
 ``partitions()`` enumerates: a k-cell row is its (k - 1)-cell prefix and one
 more cut, so each row costs its parent's value and two table reads
-(``_PartitionTree``).  ``_entropies`` holds the row form of the range rule of
-``_quadrature._log_of_sum``: ``np.log`` of each normal power sum, the
+(``_PartitionTree``), and every sum adds a row's cells left to right, at
+every ``max_cells``.  ``_entropies`` holds the row form of the range rule
+of ``_quadrature._log_of_sum``: ``np.log`` of each normal power sum, the
 log-sum-exp of its row's logs for the rest.
 """
 
@@ -177,8 +178,10 @@ class _PartitionTree:
     prefix of k - 1 cuts and ``steps[k - 1]`` holds its last cell (x[k - 1],
     x[k]) at x[k - 1] * n + x[k]; the empty prefix is cut 0.  The partitions
     of each cell count take the slice ``bounds[k - 1]:bounds[k]`` of a row
-    vector.  ``out`` and ``scratch`` are buffers of a row vector and of the
-    largest level, kept so that repeated reductions allocate nothing.
+    vector.  ``reduce`` walks the depths in order, so each row's value is
+    one fold of its cells from the left.  ``out`` and ``scratch`` are
+    buffers of a row vector and of the largest level, kept so that repeated
+    reductions allocate nothing.
     """
 
     def __init__(self, n: int, max_cells: int):
@@ -202,56 +205,28 @@ class _PartitionTree:
         self.out = np.empty(self.rows)
         self.scratch = np.empty(int(np.diff(self.bounds).max()))
 
-    def reduce(self, table: np.ndarray, op, out: np.ndarray, by_pairs: bool = False):
+    def reduce(self, table: np.ndarray, op, out: np.ndarray):
         """Reduce a flat n * n per-cell table over each row's cells into out.
 
-        Cells fold left to right.  With ``by_pairs`` they add as np.sum adds
-        a row of 8, padding zeros included: ((c0 + c1) + (c2 + c3)) +
-        ((c4 + c5) + (c6 + c7)).  A prefix then carries a stack of finished
-        pair sums, and a row adds its last cell into the stack from the right.
+        Cells fold left to right, for every ``max_cells``: each level of out
+        first holds its prefixes' folds, which their children extend, and
+        then takes each prefix's closing cell (x[k], n - 1).
         """
         n, scratch = self.n, self.scratch
         # the closing cell (x, n - 1) of a row whose last cell is (w, x)
         closes = np.ascontiguousarray(np.broadcast_to(table[n - 1 :: n], (n, n))).ravel()
         levels = [out[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]
         levels[0][0] = table[n - 1]
-        # each prefix's stack of [partial values, cells in them], one array per
-        # entry for all prefixes of one depth; the bottom entry is written in
-        # place in the level of out whose rows close those prefixes
-        stack = []
         for depth, (parent, step) in enumerate(zip(self.parents, self.steps), start=1):
             here = levels[depth]
-            if not stack:
+            if depth == 1:
                 np.take(table, step, out=here, mode="clip")
-                children = [[here, 1]]
             else:
-                # the parents' stacks, then the new cell on top
-                np.take(stack[0][0], parent, out=here, mode="clip")
-                children = [[here, stack[0][1]]] + [[np.take(a, parent), k] for a, k in stack[1:]]
-                if by_pairs and children[-1][1] > 1:
-                    children.append([np.take(table, step), 1])
-                else:
-                    leaf = np.take(table, step, out=scratch[: len(step)], mode="clip")
-                    op(children[-1][0], leaf, out=children[-1][0])
-                    children[-1][1] += 1
-                # a pair of pairs is complete when two entries hold as many cells
-                while len(children) > 1 and (not by_pairs or children[-1][1] == children[-2][1]):
-                    a, k = children.pop()
-                    op(children[-1][0], a, out=children[-1][0])
-                    children[-1][1] += k
-            if stack:
-                self._close(stack, closes, self.steps[depth - 2], op)
-            stack = children
-        if stack:
-            self._close(stack, closes, self.steps[-1], op)
+                np.take(levels[depth - 1], parent, out=here, mode="clip")
+                op(here, np.take(table, step, out=scratch[: len(step)], mode="clip"), out=here)
+        for level, step in zip(levels[1:], self.steps):
+            op(level, np.take(closes, step, out=scratch[: len(step)], mode="clip"), out=level)
         return out
-
-    def _close(self, stack, closes, step, op):
-        """Add each prefix's closing cell into its stack, from the right."""
-        v = np.take(closes, step, out=self.scratch[: len(step)], mode="clip")
-        for a, _ in reversed(stack[1:]):
-            op(a, v, out=v)
-        op(stack[0][0], v, out=stack[0][0])
 
     def cells(self, rows: np.ndarray) -> np.ndarray:
         """Flat cells of the partitions() rows ``rows``, given in order, one row each.
@@ -276,12 +251,6 @@ class _PartitionTree:
         return np.append(cells[cells < self.n * self.n - 1] // self.n, self.n - 1)
 
 
-def _partition_sums(table: np.ndarray, inst: GridInstance) -> np.ndarray:
-    """Sum over each partition as np.sum adds a row: by pairs of pairs at 8 cells."""
-    tree = inst._tree()
-    return tree.reduce(table, np.add, tree.out, by_pairs=inst.max_cells == 8)
-
-
 def _entropies(inst: GridInstance, alpha: RenyiOrder) -> np.ndarray:
     """Entropy of order alpha of every partition, from the flat cell masses.
 
@@ -297,13 +266,13 @@ def _entropies(inst: GridInstance, alpha: RenyiOrder) -> np.ndarray:
         return np.negative(np.log(out, out=out), out=out)
     if branch == "shannon":
         safe = np.where(mass > 0.0, mass, 1.0)
-        out = _partition_sums(safe * np.log(safe), inst)
+        out = tree.reduce(safe * np.log(safe), np.add, tree.out)
         return np.negative(out, out=out)
     v = alpha.value
     powered = np.zeros_like(mass)
     with np.errstate(over="ignore"):
         np.power(mass, v, out=powered, where=mass > 0.0)
-    sums = _partition_sums(powered, inst)
+    sums = tree.reduce(powered, np.add, tree.out)
     # the two extremes tell whether any row leaves the normal range
     bad = None if _normal_sums(sums.min()) and _normal_sums(sums.max()) else ~_normal_sums(sums)
     with np.errstate(divide="ignore"):

@@ -178,14 +178,11 @@ def optimal_codepoint(cell: Interval, d: Density, r: float) -> float:
     bisection brackets the stationary point; for r = 2 this is the
     conditional mean, for r = 1 the conditional median.  The result is the
     plain bisection's, from a few balance evaluations
-    (``_optimal_codepoints``).  A cell whose balances underflow, one far out
-    in a tail, raises ValueError.
+    (``_optimal_codepoints``).  A cell without mass, or whose balances
+    underflow, one far out in a tail, raises ValueError.
     """
     r = validate_exponent(r)
-    lo, hi = cell.lo, cell.hi
-    if d.cdf(hi) - d.cdf(lo) <= 0.0:
-        raise ValueError(f"cell [{lo}, {hi}] carries no mass")
-    return float(_optimal_codepoints(d, np.array([lo]), np.array([hi]), r)[0])
+    return float(_optimal_codepoints(d, np.array([cell.lo]), np.array([cell.hi]), r)[0])
 
 
 def _balances(d: Density, lo, hi, a, r: float) -> np.ndarray:
@@ -216,8 +213,6 @@ def _optimal_codepoints(d: Density, lo: np.ndarray, hi: np.ndarray, r: float) ->
     bracket, and every cell after SECANT_STEPS steps.
     """
     n, width = len(lo), hi - lo
-    if n == 0:
-        return np.zeros(0)
     mid = 0.5 * (lo + hi)
     f_lo, f_hi, f_mid = _balances(d, np.tile(lo, 3), np.tile(hi, 3),
                                   np.concatenate((lo, hi, mid)), r).reshape(3, n)
@@ -266,7 +261,7 @@ def improve_codepoints(q: IntervalQuantizer, d: Density, r: float) -> IntervalQu
     """Replace each codepoint by the cell optimum; zero-mass cells keep theirs."""
     r = validate_exponent(r)
     b = q.boundaries
-    live = np.flatnonzero(np.diff(d.cdf(b)) > 0.0)
+    live = np.flatnonzero(d._cell_masses(b) > 0.0)
     points = q.codepoints.copy()
     points[live] = _optimal_codepoints(d, b[:-1][live], b[1:][live], r)
     return IntervalQuantizer(b, points)

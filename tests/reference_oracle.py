@@ -2,9 +2,9 @@
 
 ``partitions`` builds the partition table from ``itertools.combinations``
 and ``entropies`` reduces a whole P x max_cells mass matrix, padding zeros
-included, one order at a time.  ``renyiquant.oracle`` does the same work
-by reducing per-cell tables along the partition tree, and must give the
-same arrays bit for bit.
+included, one order at a time.  Every sum adds a row left to right, at
+every width.  ``renyiquant.oracle`` does the same work by reducing per-cell
+tables along the partition tree, and must give the same arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from renyiquant.core import branch_of
-from renyiquant.entropy import _log_sum_exp, _normal_sums
+from renyiquant._quadrature import _log_sum_exp, _normal_sums
 
 
 def partitions(n_points: int, max_cells: int) -> np.ndarray:
@@ -39,6 +39,14 @@ def mass_matrix(prefix: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return prefix[idx[:, 1:]] - prefix[idx[:, :-1]]
 
 
+def _left_to_right(rows: np.ndarray) -> np.ndarray:
+    """Each row's entries added left to right."""
+    total = rows[:, 0].copy()
+    for col in rows.T[1:]:
+        total += col
+    return total
+
+
 def _log_power_sums(masses, v, sums):
     bad = ~_normal_sums(sums)
     with np.errstate(divide="ignore"):
@@ -59,19 +67,16 @@ def entropies(masses: np.ndarray, alpha) -> np.ndarray:
         return -np.log(np.where(masses > 0.0, masses, np.inf).min(axis=1))
     if branch == "shannon":
         safe = np.where(masses > 0.0, masses, 1.0)
-        return -(safe * np.log(safe)).sum(axis=1)
+        return -_left_to_right(safe * np.log(safe))
     v = alpha.value
     if v == 0.0:
         return np.log((masses > 0.0).sum(axis=1))
     powered = np.zeros_like(masses)
     with np.errstate(over="ignore"):
         np.power(masses, v, out=powered, where=masses > 0.0)
-    return _log_power_sums(masses, v, powered.sum(axis=1)) / (1.0 - v)
+    return _log_power_sums(masses, v, _left_to_right(powered)) / (1.0 - v)
 
 
 def partition_distortion(dists: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Each row's cell distortions from an n x n table, added left to right."""
-    vec = dists[idx[:, 0], idx[:, 1]]
-    for j in range(1, idx.shape[1] - 1):
-        vec += dists[idx[:, j], idx[:, j + 1]]
-    return vec
+    return _left_to_right(dists[idx[:, :-1], idx[:, 1:]])

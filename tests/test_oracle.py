@@ -26,7 +26,7 @@ from renyiquant import (
     quantizer_entropy,
     uniform,
 )
-from renyiquant.entropy import _normal_sums
+from renyiquant._quadrature import _normal_sums
 from renyiquant.oracle import _entropies
 
 PROFILE_ORDERS = (NEG_INF, RenyiOrder(-2.0), RenyiOrder(-1.0), RenyiOrder(0.0),

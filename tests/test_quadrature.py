@@ -273,6 +273,16 @@ def test_bisect_many_asks_only_for_the_open_brackets():
     assert got.tolist() == [0.3125, 0.5, 0.5]
 
 
+@pytest.mark.parametrize("known", [False, True], ids=["plain", "known"])
+def test_bisect_many_on_no_brackets_returns_at_once(known):
+    # with nothing open, every bracket has stopped: the loop must end there
+    none = np.zeros(0)
+    with time_limit(10.0):
+        got = bisect_many(lambda m, k: m < 0.5, none, none, 1e-3,
+                          known=(none, none) if known else None)
+    assert got.shape == (0,)
+
+
 GAUSS_BETAS = [0.0, 0.5, 1.5, 2.0, 3.9, 200.0]
 RULE_SIZES = sorted({PLAIN_POINTS, 2 * PLAIN_POINTS, GAUSS_POINTS, 2 * GAUSS_POINTS})
 

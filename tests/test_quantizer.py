@@ -155,6 +155,30 @@ def test_optimal_codepoint_rejects_empty_cell():
         optimal_codepoint(Interval(0.6, 0.9), uniform(0.0, 0.5), 2.0)
 
 
+def test_a_far_tail_cell_gets_its_conditional_mean():
+    # both cdfs of [33, 34] round to 1.0, yet the cell carries 8.3e-42 of
+    # the mass, and its balances place the codepoint
+    d = truncated_gauss(0.0, 1.0, 30.0, 40.0)
+    with mpmath.workdps(50):
+        a, b, root2 = mpmath.mpf(33), mpmath.mpf(34), mpmath.sqrt(2)
+        mean = (mpmath.exp(-a**2 / 2) - mpmath.exp(-b**2 / 2)) / (
+            mpmath.sqrt(mpmath.pi / 2) * (mpmath.erfc(a / root2) - mpmath.erfc(b / root2)))
+    assert optimal_codepoint(Interval(33.0, 34.0), d, 2.0) == pytest.approx(float(mean),
+                                                                           rel=1e-14)
+
+
+def test_improve_codepoints_solves_every_far_tail_cell_with_mass():
+    # cdf differences read 0 on cells 2..5, whose masses run from 1e-27 to
+    # 1e-71, and a rounding error of 3.3e-16 on cell 6, whose mass is 8.5e-87
+    d = truncated_gauss(0.0, 1.0, 30.0, 37.0)
+    q = uniform_quantizer(Interval(30.0, 37.0), 7)
+    b = q.boundaries.tolist()
+    got = improve_codepoints(q, d, 2.0).codepoints.tolist()
+    assert got == [optimal_codepoint(Interval(lo, hi), d, 2.0) for lo, hi in zip(b[:-1], b[1:])]
+    # a falling density puts each cell's mean left of its midpoint
+    assert all(c < m for c, m in zip(got, q.codepoints.tolist()))
+
+
 def test_improve_codepoints_never_hurts():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -798,16 +822,26 @@ def test_codepoint_pieces_take_few_integrand_points():
     assert count[0] == 24_636  # 2053 pieces; 161,005 before
     d = truncated_gauss(0.45, 0.3, 0.0, 1.0)
     counting(d)
-    # 12 for the mass check (two cdfs of one piece, 6 each; 10 before the
-    # Gauss rules took the cdf), then 12 a piece: 4 pieces for the balances
-    # at the cell's ends and midpoint, 4 for the pair of each search step, and 2 for
-    # each midpoint the bisection evaluates.  Bisection alone took 44 steps of
-    # 2 pieces, 1066 values (26,762, 24,754, 5698 and 10,262 before the Gauss
-    # rules).
+    # 12 a piece: 4 pieces for the balances at the cell's ends and midpoint,
+    # 4 for the pair of each search step, and 2 for each midpoint the
+    # bisection evaluates; no cdf checks the cell's mass.
+    # Bisection alone took 44 steps of 2 pieces, 1066 values (26,762,
+    # 24,754, 5698 and 10,262 before the Gauss rules).
     for r, pieces in ((1.1, 20), (1.5, 20), (2.0, 8), (3.0, 26)):
         count[0] = 0
         optimal_codepoint(Interval(0.2, 0.3), d, r)
-        assert count[0] == 12 + 12 * pieces < 1066
+        assert count[0] == 12 * pieces < 1066
+
+
+@pytest.mark.parametrize("d", [PiecewiseConstantDensity([0.0, 0.3, 1.0], [0.5, 8.5 / 7.0]),
+                               SMOOTH["gauss"]], ids=["piecewise", "gauss"])
+def test_no_cells_give_empty_terms_and_codepoints(d):
+    none = np.zeros(0)
+    with time_limit(10.0):
+        terms = d._moment_terms(none, none, none, 2.0)
+        points = quantizer._optimal_codepoints(d, none, none, 2.0)
+    assert terms.shape == (0, 1)
+    assert points.shape == (0,)
 
 
 def _bisected_codepoints(d, lo, hi, r):
