@@ -75,22 +75,21 @@ def call_each(f, xs: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, xs.tolist()), float, count=len(xs))
 
 
-def with_array_form(f, many):
-    """The scalar callable f, carrying ``many``, its form over 1-D float arrays.
+def with_array_form(many):
+    """``many``, a pdf written as a function of a 1-D float array, marked so.
 
-    ``many`` must give f's bits at every point, and raise where f raises.  So
-    it does only correctly rounded arithmetic in numpy and takes powers with
-    ``np.float_power``, which calls the C ``pow`` as Python's ``**`` does.
+    Each entry must get the bits of the pdf's formula in Python floats: so
+    ``many`` does only correctly rounded arithmetic in numpy, and takes powers
+    with ``np.float_power`` (the C ``pow``, as ``**``), exp and log by ``call_each``.
     """
-    f._array_form = many
-    return f
+    many._array_form = True
+    return many
 
 
 def over_arrays(f):
-    """f as a function of a 1-D float array: its array form if it carries
-    one, otherwise f called at each entry through ``call_each``."""
-    many = getattr(f, "_array_form", None)
-    return many if many is not None else lambda xs: call_each(f, xs)
+    """f as a function of a 1-D float array: f itself if ``with_array_form``
+    marked it, otherwise f called at each entry through ``call_each``."""
+    return f if getattr(f, "_array_form", False) else lambda xs: call_each(f, xs)
 
 
 @functools.lru_cache(maxsize=64)

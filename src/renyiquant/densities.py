@@ -21,7 +21,8 @@ are moments of power r - 1, so ``quantizer`` takes them from
 ``_moment_terms``.  No other module tests the family.
 
 Densities are immutable; all caches, ``support`` among them, are built
-eagerly in ``__init__`` so instances can be shared across threads.
+eagerly in ``__init__``, so a pdf that is not a density is refused there
+and every later call only reads them.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ class PiecewiseConstantDensity:
         return [float(x) for x in self.breakpoints[1:-1]]
 
     def pdf(self, x: float) -> float:
-        return float(self._pdf_values(np.float64(x)))
+        return float(self._pdf_values(np.float64(_not_nan(x, "pdf argument"))))
 
     def _pdf_values(self, xs: np.ndarray) -> np.ndarray:
         """``pdf`` at each entry of the array xs."""
@@ -336,13 +337,13 @@ class SmoothDensity:
     then only integrate within one cell.  Every integral halves a piece
     where its pair of Gauss rules disagrees by more than ``rel_tol``, at
     most ``max_depth`` times (``_quadrature.moments_many``), or raises
-    ValueError.  Every integrand, and the scan for the essential bounds,
-    evaluates the pdf over whole arrays: the package's own pdfs carry an
-    array form (``_quadrature.with_array_form``) that equals the scalar pdf
-    bit for bit, and any other pdf is called once per point.
-    ``breakpoints`` lists interior kink locations respected by every
-    quadrature call.  Essential bounds use a dense scan refined by a
-    golden-section pass.
+    ValueError.  Every integrand evaluates the pdf over whole arrays: a pdf
+    written over point arrays (``_quadrature.with_array_form``), as the
+    package's own are, is called on them, any other once per point
+    (``_quadrature.over_arrays``); ``pdf`` is that array function at one
+    point.  ``breakpoints`` lists interior kink locations respected by every
+    quadrature call.  An essential bound not passed in, as the package's own
+    densities pass theirs, is found by a dense scan refined by golden sections.
     """
 
     def __init__(
@@ -359,7 +360,6 @@ class SmoothDensity:
         table_cells: int = 1024,
     ):
         support = Interval(lo, hi)
-        self._pdf = pdf
         self._pdf_many = over_arrays(pdf)
         self._support = support
         self._breaks = sorted(float(x) for x in breakpoints if support.lo < x < support.hi)
@@ -389,7 +389,7 @@ class SmoothDensity:
         xs = np.linspace(self._support.lo, self._support.hi, ESS_SCAN_POINTS)
         vals = self._pdf_many(xs)
         return tuple(
-            scan_extremum(self._pdf, xs, vals, maximize) if override is None else float(override)
+            scan_extremum(self.pdf, xs, vals, maximize) if override is None else float(override)
             for maximize, override in ((False, inf_override), (True, sup_override))
         )
 
@@ -401,10 +401,7 @@ class SmoothDensity:
         return list(self._breaks)
 
     def pdf(self, x: float) -> float:
-        x = float(x)
-        if x < self._support.lo or x > self._support.hi:
-            return 0.0
-        return float(self._pdf(x))
+        return float(self._pdf_values(np.array([_not_nan(x, "pdf argument")]))[0])
 
     def _pdf_values(self, xs: np.ndarray) -> np.ndarray:
         """``pdf`` at each entry of the 1-D array xs."""
@@ -553,13 +550,10 @@ class SmoothDensity:
 
         # the point density has this support, so it never asks outside it and
         # the raw pdf can skip the support test of pdf
-        def pdf(x, _f=self._pdf, _p=p, _n=norm):
-            return _f(x) ** _p / _n
-
-        def many(x, _f=self._pdf_many, _p=p, _n=norm):
+        def pdf(x, _f=self._pdf_many, _p=p, _n=norm):
             return np.float_power(_f(x), _p) / _n
 
-        return SmoothDensity(with_array_form(pdf, many), self._support.lo, self._support.hi,
+        return SmoothDensity(with_array_form(pdf), self._support.lo, self._support.hi,
                              breakpoints=self._breaks, ess_inf=bounds[0], ess_sup=bounds[1])
 
     def _integral_power(self, p: float, q: float) -> float:
@@ -575,17 +569,16 @@ class SmoothDensity:
         c = float(c)
         if not c > 0:
             raise ValueError(f"scale must be positive, got {c!r}")
-        base, base_many = self._pdf, self._pdf_many
+        base = self._pdf_many
         # y = t + s * x with s = +-c.  Negation is exact, so the inverse
         # (sign * y - sign * t) / c is (t - y) / c when reflecting, +0.0 at y == t.
         sign = -1.0 if reflect else 1.0
         s, shift = sign * c, sign * t
         new_pdf = lambda y: base((sign * y - shift) / c) / c
-        many = lambda y: base_many((sign * y - shift) / c) / c
         lo, hi = sorted(t + s * x for x in (self._support.lo, self._support.hi))
         ess_inf, ess_sup = self._ess
         return SmoothDensity(
-            with_array_form(new_pdf, many),
+            with_array_form(new_pdf),
             lo,
             hi,
             breakpoints=[t + s * x for x in self._breaks],
@@ -643,6 +636,16 @@ def _require_mass(mass: float):
         raise ValueError("truncation interval carries no mass")
 
 
+def _peaked(pdf, lo: float, hi: float, centre: float, **kwargs) -> SmoothDensity:
+    """SmoothDensity of ``pdf``, a function of a point array that falls away from
+    ``centre`` on both sides: its essential bounds are its values at the support
+    end farther from the centre and at the centre clipped to the support."""
+    s = Interval(lo, hi)
+    v = pdf(np.array([s.lo, s.hi, min(max(centre, s.lo), s.hi)]))
+    return SmoothDensity(with_array_form(pdf), lo, hi, ess_inf=float(min(v[0], v[1])),
+                         ess_sup=float(v[2]), **kwargs)
+
+
 def truncated_gauss(mean: float, sigma: float, lo: float, hi: float) -> SmoothDensity:
     """Gaussian restricted to [lo, hi] and renormalized."""
     if not sigma > 0:
@@ -660,12 +663,9 @@ def truncated_gauss(mean: float, sigma: float, lo: float, hi: float) -> SmoothDe
     norm = 1.0 / (mass * sigma * math.sqrt(2.0 * math.pi))
 
     def pdf(x, _m=mean, _s=sigma, _n=norm):
-        return _n * math.exp(-0.5 * ((x - _m) / _s) ** 2)
-
-    def many(x, _m=mean, _s=sigma, _n=norm):
         return _n * call_each(math.exp, -0.5 * np.float_power((x - _m) / _s, 2.0))
 
-    d = SmoothDensity(with_array_form(pdf, many), lo, hi)
+    d = _peaked(pdf, lo, hi, mean)
     d.spec = {"kind": "truncated_gauss", "mean": float(mean),
               "sigma": float(sigma), "lo": float(lo), "hi": float(hi)}
     return d
@@ -689,14 +689,10 @@ def truncated_laplace(center: float, scale: float, lo: float, hi: float) -> Smoo
     norm = 1.0 / (2.0 * scale * mass)
 
     def pdf(x, _c=center, _s=scale, _n=norm):
-        return _n * math.exp(-abs(x - _c) / _s)
-
-    def many(x, _c=center, _s=scale, _n=norm):
         return _n * call_each(math.exp, -np.abs(x - _c) / _s)
 
     # the kink at the center matters for quadrature when it is interior
-    breaks = [center] if lo < center < hi else []
-    d = SmoothDensity(with_array_form(pdf, many), lo, hi, breakpoints=breaks)
+    d = _peaked(pdf, lo, hi, center, breakpoints=[center] if lo < center < hi else [])
     d.spec = {"kind": "truncated_laplace", "center": float(center),
               "scale": float(scale), "lo": float(lo), "hi": float(hi)}
     return d
@@ -850,15 +846,16 @@ def _compressed(f: Density, g: Density, table_cells: int) -> Density:
         return PiecewiseConstantDensity(edges, hf / hg)
 
     y_lo, y_hi = g.cdf(lo), g.cdf(hi)
-    ratio = lambda x: f.pdf(x) / g.pdf(x)
-    ratios = lambda xs: f._pdf_values(xs) / g._pdf_values(xs)
-    pdf = lambda y: ratio(g.quantile(y))
+
+    def pdf(ys):
+        xs = g.quantile(ys)
+        return f._pdf_values(xs) / g._pdf_values(xs)
 
     # essential bounds of f/g are cheap to locate in x-space
     (ess_inf,), (ess_sup,) = _ratio_bounds(f, [g], 2048)
     breaks = sorted(g.cdf(x) for x in set(f.interior_breakpoints()) | set(g.interior_breakpoints())
                     if lo < x < hi)
-    return SmoothDensity(with_array_form(pdf, lambda ys: ratios(g.quantile(ys))), y_lo, y_hi,
+    return SmoothDensity(with_array_form(pdf), y_lo, y_hi,
                          breakpoints=breaks, rel_tol=1e-9, ess_inf=ess_inf, ess_sup=ess_sup,
                          table_cells=table_cells)
 

@@ -31,7 +31,7 @@ def cdf(d, x: float) -> float:
     j = int(np.searchsorted(d._edges, x, side="right")) - 1
     if d._edges[j] == x:
         return float(d._cum[j])
-    part = integrate(d._pdf, float(d._edges[j]), x, d._rel_tol, d._max_depth)
+    part = integrate(d.pdf, float(d._edges[j]), x, d._rel_tol, d._max_depth)
     return min(float(d._cum[j] + part / d._total), 1.0)
 
 

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -324,6 +325,19 @@ def test_predict_refuses_a_limit_past_the_float_range(capsys, tmp_path, spec, al
     assert rc == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0]
+
+
+def test_predict_at_the_top_order_takes_the_laplace_peak(capsys, tmp_path):
+    # C(3) / peak**3, to the 12 printed digits of the 50-digit value
+    spec = {"kind": "truncated_laplace", "center": 0.45, "scale": 0.3, "lo": 0.0, "hi": 1.0}
+    rc, out = run_cli(capsys, "predict", "--density", _spec_file(tmp_path, spec),
+                      "--alpha", "pos_inf", "--r", "3")
+    with mpmath.workdps(50):
+        c, s = mpmath.mpf(0.45), mpmath.mpf(0.3)
+        peak = 1 / (2 * s * (1 - mpmath.exp(-c / s) / 2 - mpmath.exp((c - 1) / s) / 2))
+        exact = 1 / (4 * 2**3 * peak**3)
+    assert rc == 0
+    assert out.splitlines()[0] == f"value={float(exact):.12g}" == "value=0.00356726903205"
 
 
 def test_a_design_whose_power_integral_cannot_converge_ends(capsys, tmp_path):

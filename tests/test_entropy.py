@@ -91,6 +91,15 @@ def test_differential_entropy(two_mass, alpha, expected):
         expected, rel=1e-12)
 
 
+def test_the_top_order_entropy_of_a_laplace_source_is_exact():
+    # minus the log of the peak, to the last bit of the 50-digit value
+    d = truncated_laplace(0.45, 0.3, 0.0, 1.0)
+    with mpmath.workdps(50):
+        c, s = mpmath.mpf(0.45), mpmath.mpf(0.3)
+        exact = mpmath.log(2 * s * (1 - mpmath.exp(-c / s) / 2 - mpmath.exp((c - 1) / s) / 2))
+    assert differential_entropy(d, POS_INF) == float(exact) == -0.7234063500503651
+
+
 @pytest.mark.parametrize("alpha", ALL_ORDERS)
 def test_differential_entropy_of_uniform(alpha):
     assert differential_entropy(uniform(0.0, 2.0), alpha) == pytest.approx(

@@ -26,7 +26,7 @@ from renyiquant._quadrature import with_array_form
 WIDTHS = np.array([0.3, 0.25, 0.45])
 STEP = PiecewiseConstantDensity([0.0, 0.3, 0.55, 1.0], np.array([0.15, 0.5, 0.35]) / WIDTHS)
 # the same step pdf, integrated by quadrature with its jumps as kinks
-TWIN = SmoothDensity(with_array_form(lambda x: STEP.pdf(x), STEP._pdf_values), 0.0, 1.0,
+TWIN = SmoothDensity(with_array_form(lambda xs: STEP._pdf_values(xs)), 0.0, 1.0,
                      breakpoints=STEP.interior_breakpoints())
 # the outer cells reach past the support; one boundary sits on a jump, one
 # cell holds a jump inside

@@ -357,14 +357,21 @@ def test_tree_rows_are_the_partition_rows(n, max_cells):
 
 def test_the_largest_instance_stays_small():
     # a fresh interpreter, so the peak is this one search's over 2,804,012
-    # partitions; one intp per partition and cell would be 179 MB alone
+    # partitions; one intp per partition and cell would be 179 MB alone.  The
+    # child reads its own peak, VmHWM: on Linux its ru_maxrss carries the
+    # peak of this process across fork and exec
     code = (
-        "import resource, numpy as np\n"
+        "import re, resource, numpy as np\n"
         "from renyiquant import GridInstance, RenyiOrder, brute_force_optimal, uniform\n"
         "inst = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, 32), 8)\n"
         "res = brute_force_optimal(inst, RenyiOrder(0.5), 2.0, 2.0)\n"
         "assert res.feasible_count == 2492188, res.feasible_count\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "try:\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        hwm = re.search(r'VmHWM:\\s*(\\d+) kB', status.read())\n"
+        "except OSError:\n"
+        "    hwm = None\n"
+        "print(hwm[1] if hwm else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     src = str(Path(renyiquant.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -116,9 +116,9 @@ def test_max_depth_is_bounded_below_the_recursion_limit():
         integrate(f, 0.0, 1.0, 1e-10, _DEPTH_LIMIT)
     with pytest.raises(ValueError, match="max_depth must be at most 200"):
         integrate(f, 0.0, 1.0, 1e-10, _DEPTH_LIMIT + 1)
-    SmoothDensity(GAUSS._pdf, 0.0, 1.0, max_depth=_DEPTH_LIMIT)
+    SmoothDensity(GAUSS.pdf, 0.0, 1.0, max_depth=_DEPTH_LIMIT)
     with pytest.raises(ValueError, match="max_depth must be at most 200"):
-        SmoothDensity(GAUSS._pdf, 0.0, 1.0, max_depth=_DEPTH_LIMIT + 1)
+        SmoothDensity(GAUSS.pdf, 0.0, 1.0, max_depth=_DEPTH_LIMIT + 1)
 
 
 def test_a_singular_integral_raises_instead_of_truncating():
