@@ -29,7 +29,7 @@ from .design import (
 )
 from .entropy import renyi_entropy
 from .oracle import MonotonicityError, alpha_profile, instance_from_spec
-from .quantizer import cell_masses, distortion
+from .quantizer import _masses_and_distortion
 from .verification import run_all
 
 __all__ = ["SweepRequest", "ConvergenceReport", "main"]
@@ -183,9 +183,8 @@ def cmd_design(args) -> int:
 
 
 def _sweep_row(compander, f, alpha, r, n, normalization):
-    q = compander.build(n)
-    h = renyi_entropy(cell_masses(q, f), alpha)
-    d = distortion(q, f, r)
+    masses, d = _masses_and_distortion(compander.build(n), f, r)
+    h = renyi_entropy(masses, alpha)
     try:
         scale = math.exp(r * h) if normalization == "entropy" else float(n) ** r
         normalized = scale * d

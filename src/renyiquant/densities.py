@@ -14,8 +14,9 @@ density once and, when the level counts are nested, asks it for each
 expander value once (see ``compander.Compander``).
 
 Every formula that differs between the families lives here: each class
-has the four private methods ``_cell_masses``, ``_moment_terms``,
-``_power_density`` and ``_integral_power``, and the functions of two
+has the private methods ``_cell_masses``, ``_moment_terms``, ``_cell_terms``
+(both, one walk for a piecewise density), ``_power_density`` and
+``_integral_power``, and the functions of two
 densities pick the closed form when both are piecewise.  Codepoint balances
 are moments of power r - 1, so ``quantizer`` takes them from
 ``_moment_terms``.  No other module tests the family.
@@ -215,25 +216,20 @@ class PiecewiseConstantDensity:
     def ess_bounds(self):
         return float(self.heights.min()), float(self.heights.max())
 
-    def _piece_terms(self, lo, hi, pieces) -> np.ndarray:
+    def _piece_terms(self, lo, hi, first, count, pieces) -> np.ndarray:
         """Closed-form integrals over the pieces of many cells [lo[k], hi[k]].
 
-        Cell k's edges are lo[k], the breakpoints strictly inside it, then
-        hi[k] repeated; piece j takes the height ``_padded[first + j]`` (0
-        outside the support).  Row k holds its pieces left to right, with an
-        exact 0.0 for an empty piece or one of height 0.  ``pieces(edges, h,
-        rows)`` gets the edges of the cells ``rows``, a row each, and the
-        piece heights, and returns each piece's integral.  Where few cells
-        hold a breakpoint, every cell passes edges 0 and 1 and only those few
-        the rest, so a cell with none is one piece.  Powers must go through
-        ``np.float_power``: it calls the C ``pow`` as Python's ``**`` does,
-        while ``np.power`` may take a SIMD path that differs in the last bit.
+        Cell k's edges are lo[k], its ``count[k]`` inner breakpoints from
+        ``first[k]`` on, then hi[k] repeated; piece j takes the height
+        ``_padded[first + j]`` (0 outside the support).  Row k holds its
+        pieces left to right, with an exact 0.0 for an empty piece or one of
+        height 0.  ``pieces(edges, h, rows)`` gets the edges of the cells
+        ``rows``, a row each, and the piece heights, and returns each piece's
+        integral, or a pair of matrices that the walk keeps apart.  Where few
+        cells hold a breakpoint, every cell passes edges 0 and 1 and only
+        those few the rest, so a cell with none is one piece.
         """
         x = self.breakpoints
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        first = x.searchsorted(lo, side="right")
-        count = np.maximum(x.searchsorted(hi) - first, 0)
 
         def window(rows, i):
             # edges i[0] .. i[-1] of the cells rows (edge 0 is lo), built as
@@ -251,35 +247,43 @@ class PiecewiseConstantDensity:
             # padding every row passes n * (w + 1) edges, the split 2 * n + k * w
             if (w - 1) * len(lo) <= np.count_nonzero(count) * w + SPLIT_EDGES:
                 return window(slice(None), np.arange(w + 1))
-            terms = np.zeros((len(lo), w), order="F")
-            terms[:, :1] = window(slice(None), np.arange(2))
+            head = window(slice(None), np.arange(2))
+            terms = np.zeros(head.shape[:-1] + (w,))
+            terms[..., :1] = head
             rows = np.flatnonzero(count)
-            terms[rows, 1:] = window(rows, np.arange(1, w + 1))
+            terms[..., rows, 1:] = window(rows, np.arange(1, w + 1))
         return terms
+
+    def _placed(self, bounds: np.ndarray):
+        """``first`` and ``count`` of the cells between consecutive entries of the
+        increasing ``bounds``: the breakpoints placed among the ends, then counted."""
+        left = bounds.searchsorted(self.breakpoints)  # the ends below each breakpoint
+        right = left + (bounds.take(left, mode="clip") == self.breakpoints)
+        first, last = (np.bincount(v, minlength=len(bounds) + 1).cumsum() for v in (left, right))
+        return first[:-2], last[1:-1] - first[:-2]
 
     def _cell_masses(self, bounds: np.ndarray) -> np.ndarray:
         """Mass of each cell between consecutive entries of ``bounds``."""
         # add each cell up from its pieces: no cancellation, so even tiny
         # masses keep full relative accuracy
-        return _cell_sums(self._piece_terms(bounds[:-1], bounds[1:],
-                                            lambda e, h, _: h * (e[:, 1:] - e[:, :-1])))
+        return _cell_sums(self._piece_terms(bounds[:-1], bounds[1:], *self._placed(bounds),
+                                            _mass_pieces))
 
     def _moment_terms(self, lo, hi, c, p: float) -> np.ndarray:
-        """Integral of |x - c[k]|**p dmu over each piece of each cell [lo[k], hi[k]].
+        """Integral of |x - c[k]|**p dmu over each piece of each cell [lo[k], hi[k]],
+        a row of pieces per cell, left to right; ``_cell_sums`` adds them up."""
+        lo, hi, c = (np.asarray(v, dtype=float) for v in (lo, hi, c))
+        first = self.breakpoints.searchsorted(lo, side="right")
+        count = np.maximum(self.breakpoints.searchsorted(hi) - first, 0)
+        return self._piece_terms(lo, hi, first, count,
+                                 lambda e, h, rows: _moment_pieces(e, h, c[rows], p))
 
-        Row k holds the pieces of cell k left to right; ``_cell_sums`` adds
-        them up.
-        """
-        rp1 = p + 1.0
-        c = np.asarray(c, dtype=float)
-
-        def pieces(edges, h, rows):
-            # antiderivative of |x|**p at each cut, relative to the codepoint
-            y = edges - c[rows, None]
-            psi = np.copysign(np.float_power(np.abs(y), rp1), y) / rp1
-            return h * (psi[:, 1:] - psi[:, :-1])
-
-        return self._piece_terms(lo, hi, pieces)
+    def _cell_terms(self, bounds: np.ndarray, c: np.ndarray, p: float):
+        """``_cell_masses`` and ``_moment_terms`` of the same cells, from one walk."""
+        masses, moments = self._piece_terms(
+            bounds[:-1], bounds[1:], *self._placed(bounds),
+            lambda e, h, rows: (_mass_pieces(e, h, rows), _moment_pieces(e, h, c[rows], p)))
+        return _cell_sums(masses), moments
 
     def _power_density(self, p: float, order: float) -> "PiecewiseConstantDensity":
         """The density proportional to pdf**p; ``order`` is the order it serves.
@@ -457,7 +461,8 @@ class SmoothDensity:
         (u - F) * total / pdf; it bisects instead where that step is not
         finite, leaves the bracket or does not halve the previous step.  An
         argument ends at its new iterate once the step or the bracket is at
-        most 1e-13 of the support width, or raises ValueError after 200
+        most 1e-13 of the support width or its midpoint rounds onto an end
+        (as in ``_quadrature.bisect_many``), or raises ValueError after 200
         steps.  All is elementwise, so an array gives its scalar calls' bits.
         """
         out = np.where(us <= 0.0, self._support.lo, self._support.hi)
@@ -478,9 +483,10 @@ class SmoothDensity:
                 y = x + dx
             # every comparison is False at a NaN step
             newton = (np.abs(dx) <= 0.5 * step) & (a <= y) & (y <= b)
-            x = np.where(newton, y, 0.5 * (a + b))
+            m = 0.5 * (a + b)
+            x = np.where(newton, y, m)
             step = np.where(newton, np.abs(dx), 0.5 * (b - a))
-            done = (step <= tol) | (b - a <= tol)
+            done = (step <= tol) | (b - a <= tol) | (m == a) | (m == b)
             out[live[done]] = x[done]
             live, u, a, b, x, step = (v[~done] for v in (live, u, a, b, x, step))
         if len(live):
@@ -515,6 +521,10 @@ class SmoothDensity:
         """Mass of each cell between consecutive entries of ``bounds``, each
         integrated on its own: no cdf difference cancels near 1."""
         return self._moment_terms(bounds[:-1], bounds[1:], bounds[:-1], 0.0)[:, 0]
+
+    def _cell_terms(self, bounds: np.ndarray, c: np.ndarray, p: float):
+        """``_cell_masses(bounds)`` and the ``_moment_terms`` of the same cells about c."""
+        return self._cell_masses(bounds), self._moment_terms(bounds[:-1], bounds[1:], c, p)
 
     def _moment_terms(self, s, t, c, p: float) -> np.ndarray:
         """Integral of |x - c[k]|**p dmu over each cell [s[k], t[k]], as one column.
@@ -728,6 +738,20 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 def _cell_sums(terms: np.ndarray) -> np.ndarray:
     """``_row_sums`` of cell terms; an overflowing sum raises ValueError."""
     return _checked(_row_sums(terms))
+
+
+def _mass_pieces(edges, h, rows):
+    return h * (edges[:, 1:] - edges[:, :-1])
+
+
+def _moment_pieces(edges, h, c, p: float):
+    """h times the integral of |x - c[k]|**p over each piece, a row of edges per k.
+    Powers must go through ``np.float_power``: it calls the C ``pow`` as Python's
+    ``**`` does, while ``np.power`` may take a SIMD path that differs in the last bit."""
+    # antiderivative of |x|**p at each cut, relative to the codepoint
+    y, rp1 = edges - c[:, None], p + 1.0
+    psi = np.copysign(np.float_power(np.abs(y), rp1), y) / rp1
+    return h * (psi[:, 1:] - psi[:, :-1])
 
 
 def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity, *more):

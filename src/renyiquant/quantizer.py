@@ -4,10 +4,11 @@ A quantizer is a strictly increasing boundary vector plus one codepoint per
 cell.  Cell i covers (boundaries[i], boundaries[i+1]]; the first cell is
 closed on the left.  The formulas of each density family live in
 ``densities``: this module asks the density for its cell masses
-(``_cell_masses``) and its moment terms (``_moment_terms``: a closed form per
+(``_cell_masses``), its moment terms (``_moment_terms``: a closed form per
 piece for a piecewise density, where a cell with no breakpoint is one piece;
 for a smooth one, Gauss rules weighted by |x - c|**p on the pieces that end
-at the codepoint c), and never looks at the family.
+at the codepoint c) or both, from one walk (``_cell_terms``, through
+``_masses_and_distortion``), and never looks at the family.
 
 A distortion adds all moment terms left to right across the span, a row of
 pieces per cell; a cell's own moment adds its row (``densities._cell_sums``).
@@ -138,14 +139,31 @@ def _check_covers(q: IntervalQuantizer, d: Density):
         )
 
 
-def cell_masses(q: IntervalQuantizer, d: Density) -> np.ndarray:
-    """Probability carried by each cell; exact zeros stay exact."""
-    _check_covers(q, d)
-    masses = d._cell_masses(q.boundaries)
+def _normalized(masses: np.ndarray) -> np.ndarray:
     total = float(masses.sum())
     if total <= 0.0:
         raise ValueError("density mass inside the quantizer span is zero")
     return masses / total
+
+
+def _added(terms: np.ndarray) -> float:
+    """Every term of every cell, added left to right across the span."""
+    return float(_checked(np.cumsum(terms.ravel())[-1]))
+
+
+def _masses_and_distortion(q: IntervalQuantizer, d: Density, r: float):
+    """``cell_masses(q, d)`` and ``distortion(q, d, r)`` from one walk over the
+    cells, raising as the two calls do, in their order, for a valid r."""
+    r = validate_exponent(r)
+    _check_covers(q, d)
+    masses, moments = d._cell_terms(q.boundaries, q.codepoints, r)
+    return _normalized(masses), _added(moments)
+
+
+def cell_masses(q: IntervalQuantizer, d: Density) -> np.ndarray:
+    """Probability carried by each cell; exact zeros stay exact."""
+    _check_covers(q, d)
+    return _normalized(d._cell_masses(q.boundaries))
 
 
 def quantizer_entropy(q: IntervalQuantizer, d: Density, alpha) -> float:
@@ -157,9 +175,7 @@ def distortion(q: IntervalQuantizer, d: Density, r: float) -> float:
     """Expected r-th power error of the quantizer against the density."""
     r = validate_exponent(r)
     _check_covers(q, d)
-    terms = d._moment_terms(q.boundaries[:-1], q.boundaries[1:], q.codepoints, r)
-    # every term of every cell, added left to right across the span
-    return float(_checked(np.cumsum(terms.ravel())[-1]))
+    return _added(d._moment_terms(q.boundaries[:-1], q.boundaries[1:], q.codepoints, r))
 
 
 def cell_distortion(d: Density, lo: float, hi: float, c: float, r: float) -> float:

@@ -38,6 +38,7 @@ from .mixture import (
 from .oracle import GridInstance, MonotonicityError, alpha_profile, brute_force_optimal
 from .quantizer import (
     IntervalQuantizer,
+    _masses_and_distortion,
     cell_masses,
     distortion,
     transform_quantizer,
@@ -87,9 +88,8 @@ def _two_mass() -> PiecewiseConstantDensity:
 
 def _normalized_value(f, alpha, r: float, n: int) -> float:
     """Entropy-normalized distortion e^{r H} D of the designed compander."""
-    q = design_compander(f, alpha, r, n)
-    h = renyi_entropy(cell_masses(q, f), alpha)
-    return math.exp(r * h) * distortion(q, f, r)
+    masses, d = _masses_and_distortion(design_compander(f, alpha, r, n), f, r)
+    return math.exp(r * renyi_entropy(masses, alpha)) * d
 
 
 def suite_uniform_exactness() -> SuiteResult:
@@ -97,9 +97,9 @@ def suite_uniform_exactness() -> SuiteResult:
     u = uniform(0.0, 1.0)
     worst = 0.0
     for n in range(1, 65):
-        q = uniform_quantizer(Interval(0.0, 1.0), n)
-        worst = max(worst, abs(distortion(q, u, 2.0) - 1.0 / (12.0 * n * n)) / 1e-12)
-        for h in renyi_entropy(cell_masses(q, u), ALPHA_GRID):
+        masses, d = _masses_and_distortion(uniform_quantizer(Interval(0.0, 1.0), n), u, 2.0)
+        worst = max(worst, abs(d - 1.0 / (12.0 * n * n)) / 1e-12)
+        for h in renyi_entropy(masses, ALPHA_GRID):
             worst = max(worst, abs(h - math.log(n)) / 1e-12)
     return _result("uniform_exactness", worst, "n = 1..64, r = 2, all orders")
 
@@ -250,10 +250,11 @@ def suite_scaling_invariance() -> SuiteResult:
         r = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         ft = f.similarity_transform(c, t)
         qt = transform_quantizer(q, c, t)
-        base = distortion(q, f, r)
-        worst = max(worst, abs(distortion(qt, ft, r) / (c ** r * base) - 1.0) / 1e-10)
-        hs_t = renyi_entropy(cell_masses(qt, ft), ALPHA_GRID)
-        for h_t, h in zip(hs_t, renyi_entropy(cell_masses(q, f), ALPHA_GRID)):
+        masses, base = _masses_and_distortion(q, f, r)
+        masses_t, d_t = _masses_and_distortion(qt, ft, r)
+        worst = max(worst, abs(d_t / (c ** r * base) - 1.0) / 1e-10)
+        hs_t = renyi_entropy(masses_t, ALPHA_GRID)
+        for h_t, h in zip(hs_t, renyi_entropy(masses, ALPHA_GRID)):
             worst = max(worst, abs(h_t - h) / 1e-12)
     # the exhaustive optimum is equivariant as well
     inst, _ = _monotonicity_instances()
@@ -298,13 +299,13 @@ def suite_mixture_composition() -> SuiteResult:
         q = compose(spec, parts)
         comb = spec.combined_density()
         weights = spec.weights
-        total = sum(w * distortion(p, c.density, r)
-                    for w, p, c in zip(weights, parts, spec.components))
-        worst = max(worst, abs(distortion(q, comb, r) - total) / 1e-12)
-        # one row of entropies per part, one entry per order
-        part_hs = [renyi_entropy(cell_masses(p, c.density), ALPHA_GRID)
+        figures = [_masses_and_distortion(p, c.density, r)
                    for p, c in zip(parts, spec.components)]
-        comb_hs = renyi_entropy(cell_masses(q, comb), ALPHA_GRID)
+        comb_masses, comb_d = _masses_and_distortion(q, comb, r)
+        worst = max(worst, abs(comb_d - sum(w * d for w, (_, d) in zip(weights, figures))) / 1e-12)
+        # one row of entropies per part, one entry per order
+        part_hs = [renyi_entropy(masses, ALPHA_GRID) for masses, _ in figures]
+        comb_hs = renyi_entropy(comb_masses, ALPHA_GRID)
         for got, h in zip(composed_entropy(weights, list(zip(*part_hs)), ALPHA_GRID), comb_hs):
             worst = max(worst, abs(got - h) / 1e-12)
     # rate allocation composes back to the total rate exactly

@@ -219,6 +219,20 @@ def test_design_compander_counts_and_orders(two_mass):
     assert np.allclose(np.diff(flat.boundaries), 0.25)
 
 
+def test_a_smooth_design_far_from_zero_is_the_shifted_design():
+    # on [2000, 2001] 1e-13 of the width is below the float spacing, so the
+    # quantile stops where its bracket holds no float inside
+    alpha = RenyiOrder(0.5)
+    base = design_compander(truncated_gauss(0.45, 0.3, 0.0, 1.0), alpha, 2.0, 64)
+    f = truncated_gauss(2000.45, 0.3, 2000.0, 2001.0)
+    q = design_compander(f, alpha, 2.0, 64)
+    assert np.abs(q.boundaries - 2000.0 - base.boundaries).max() <= 4 * np.spacing(2001.0)
+    g = truncated_gauss(0.45, 0.3, 0.0, 1.0)
+    assert distortion(q, f, 2.0) == pytest.approx(distortion(base, g, 2.0), rel=1e-12)
+    assert quantizer_entropy(q, f, alpha) == pytest.approx(
+        quantizer_entropy(base, g, alpha), rel=1e-12)
+
+
 def test_uniform_optimal_nonpositive_orders():
     box = Interval(0.0, 1.0)
     q = uniform_optimal(box, RenyiOrder(-1.0), math.log(2.5), 2.0)

@@ -451,32 +451,44 @@ def test_piecewise_layouts_match_the_scalar_loops(layout, split, monkeypatch):
     monkeypatch.setattr(densities, "SPLIT_EDGES", -math.inf if split else math.inf)
     q = IntervalQuantizer(bounds, 0.5 * (bounds[:-1] + bounds[1:]))
     lo, hi = q.boundaries[:-1].tolist(), q.boundaries[1:].tolist()
-    assert d._cell_masses(q.boundaries).tolist() == [
-        _scalar_cell(d, s, t, lambda a, b, h: h * (b - a)) for s, t in zip(lo, hi)]
+    scalar = [_scalar_cell(d, s, t, lambda a, b, h: h * (b - a)) for s, t in zip(lo, hi)]
+    assert d._cell_masses(q.boundaries).tolist() == scalar
     for r in (1.0, 2.0, 3.5):
         assert distortion(q, d, r) == _reference_distortion(q, d, r)
+        # the one walk gives both figures with the same bits
+        assert d._cell_terms(q.boundaries, q.codepoints, r)[0].tolist() == scalar
+        masses, total = quantizer._masses_and_distortion(q, d, r)
+        assert masses.tolist() == (np.array(scalar) / np.array(scalar).sum()).tolist()
+        assert total == _reference_distortion(q, d, r)
         # cells without mass keep their points; optimal_codepoint refuses them
         better = improve_codepoints(q, d, r)
         assert [optimal_codepoint(Interval(s, t), d, r)
                 for s, t in zip(lo, hi) if d.cdf(t) > d.cdf(s)] == [
             c for s, t, c in zip(lo, hi, better.codepoints.tolist()) if d.cdf(t) > d.cdf(s)]
-    width = d._piece_terms(lo, hi, lambda edges, h, rows: h * np.diff(edges)).shape[1]
+    width = d._piece_terms(q.boundaries[:-1], q.boundaries[1:], *d._placed(q.boundaries),
+                           lambda edges, h, rows: h * np.diff(edges)).shape[1]
     assert width == 1 + max(sum(s < v < t for v in breaks) for s, t in zip(lo, hi))
     if layout == "no cell holds a breakpoint":
         assert width == 1
 
 
-def test_cells_without_a_breakpoint_pass_two_edges():
-    # the density of the piecewise benchmark sweep, at its largest level count:
-    # each kernel call takes 2 edges for each cell with no breakpoint inside,
-    # where padding every row to the longest took 3
+def _sweep_quantizer():
+    """The density of the piecewise benchmark sweep and its quantizer at the
+    largest level count."""
     rng = np.random.default_rng(7)
     widths = rng.uniform(0.5, 1.5, 48)
     breaks = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
     breaks[-1] = 1.0
     heights = rng.uniform(0.25, 4.0, 48)
     d = PiecewiseConstantDensity(breaks, heights / float(np.dot(heights, np.diff(breaks))))
-    q = Compander(optimal_point_density(d, 0.5, 2.0)).build(65536)
+    return d, Compander(optimal_point_density(d, 0.5, 2.0)).build(65536)
+
+
+def test_cells_without_a_breakpoint_pass_two_edges():
+    # each kernel call takes 2 edges for each cell with no breakpoint inside,
+    # where padding every row to the longest took 3
+    d, q = _sweep_quantizer()
+    breaks = d.breakpoints
     lo, hi = q.boundaries[:-1], q.boundaries[1:]
     inner = (lo[:, None] < breaks) & (breaks < hi[:, None])
     held = int(inner.any(axis=1).sum())
@@ -487,8 +499,28 @@ def test_cells_without_a_breakpoint_pass_two_edges():
         calls.append(edges.shape)
         return h * np.diff(edges)
 
-    d._piece_terms(lo, hi, pieces)
+    d._piece_terms(lo, hi, *d._placed(q.boundaries), pieces)
     assert calls == [(65536, 2), (held, 2)]
+
+
+@pytest.mark.parametrize("layout", ["the benchmark sweep", "seeded ends on breakpoints",
+                                    *sorted(PIECEWISE_LAYOUTS)])
+def test_breakpoints_placed_among_the_ends_match_two_searches_of_the_ends(layout):
+    if layout == "the benchmark sweep":
+        d, q = _sweep_quantizer()
+        bounds = q.boundaries
+    elif layout == "seeded ends on breakpoints":
+        rng = np.random.default_rng(3)
+        d = PiecewiseConstantDensity(np.linspace(0.0, 1.0, 9), np.ones(8))
+        bounds = np.unique(np.concatenate((rng.uniform(-0.5, 1.5, 40),
+                                           d.breakpoints[rng.integers(0, 9, 5)])))
+    else:
+        breaks, heights, bounds = PIECEWISE_LAYOUTS[layout]
+        d = PiecewiseConstantDensity(breaks, heights)
+    x, lo, hi = d.breakpoints, bounds[:-1], bounds[1:]
+    first, count = d._placed(bounds)
+    assert first.tolist() == x.searchsorted(lo, side="right").tolist()
+    assert count.tolist() == np.maximum(x.searchsorted(hi) - first, 0).tolist()
 
 
 def test_distortion_overflow_raises_like_cell_distortion():
@@ -780,6 +812,40 @@ GOLDEN_DISTORTIONS = {
     "gauss": (0.5, [(4, 1.5177216293103918e-15), (16, 7.558397069939862e-17),
                     (64, 9.448082074284302e-18), (256, 1.1886370660323777e-18)]),
 }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DISTORTIONS))
+def test_one_walk_gives_the_bits_of_the_two_calls_on_the_golden_quantizers(name):
+    d = SMOOTH[name]
+    alpha, cases = GOLDEN_DISTORTIONS[name]
+    compander = Compander(optimal_point_density(d, alpha, 1.5))
+    for n, _ in cases:
+        q = compander.build(n)
+        masses, total = quantizer._masses_and_distortion(q, d, 1.5)
+        assert masses.tolist() == cell_masses(q, d).tolist()
+        assert total == distortion(q, d, 1.5)
+
+
+PAST_THE_END = 1.0 + 1e-13  # past the span's end, inside the cover check's tolerance
+
+
+@pytest.mark.parametrize("q, d, r", [
+    (IntervalQuantizer([0.0, 0.5], [0.25]), uniform(0.0, 1.0), 2.0),
+    (IntervalQuantizer([0.0, 1.0], [0.5]),
+     PiecewiseConstantDensity([PAST_THE_END, PAST_THE_END + 1e-13],
+                              [1.0 / ((PAST_THE_END + 1e-13) - PAST_THE_END)]),
+     2.0),
+    (IntervalQuantizer([0.0, 1e3], [0.0]), PiecewiseConstantDensity([0.0, 1e3], [1e-3]), 200.0),
+    (IntervalQuantizer([-500.0, 500.0], [0.0]), truncated_gauss(0.0, 100.0, -500.0, 500.0),
+     200.0),
+], ids=["uncovered", "zero mass", "piecewise overflow", "smooth overflow"])
+def test_one_walk_raises_what_the_two_calls_raise(q, d, r):
+    with pytest.raises(ValueError) as two:
+        cell_masses(q, d)
+        distortion(q, d, r)
+    with pytest.raises(ValueError) as one:
+        quantizer._masses_and_distortion(q, d, r)
+    assert str(one.value) == str(two.value)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DISTORTIONS))
