@@ -16,10 +16,12 @@ expander value once (see ``compander.Compander``).
 Every formula that differs between the families lives here: each class
 has the private methods ``_cell_masses``, ``_moment_terms``, ``_cell_terms``
 (both, one walk for a piecewise density), ``_power_density`` and
-``_integral_power``, and the functions of two
-densities pick the closed form when both are piecewise.  Codepoint balances
-are moments of power r - 1, so ``quantizer`` takes them from
-``_moment_terms``.  No other module tests the family.
+``_integral_power``.  The functions of two densities test the pair's family
+once, in ``_pair_cut``, which gives them the shared support, the kinks in
+it and, for two piecewise densities, the common refinement on which their
+closed forms run.  Codepoint balances are moments of power r - 1, so
+``quantizer`` takes them from ``_moment_terms``.  No other module tests the
+family.
 
 Densities are immutable; all caches, ``support`` among them, are built
 eagerly in ``__init__``, so a pdf that is not a density is refused there
@@ -754,45 +756,33 @@ def _moment_pieces(edges, h, c, p: float):
     return h * (psi[:, 1:] - psi[:, :-1])
 
 
-def _common_pieces(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity, *more):
-    """The support of f cut at the breakpoints of both densities, left to right.
-
-    Returns the piece widths and the heights of f and of g on each piece.
-    Densities in ``more`` share g's breakpoints; their heights on the
-    pieces follow g's, and all of them come as one array, a row per density.
-    """
-    lo, hi = f.breakpoints[0], f.breakpoints[-1]
-    cuts = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
-    edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
-    # the height just right of each left end, 0 outside the support
+def _pair_cut(f: Density, gs):
+    """The shared support (lo, hi) of f and the densities gs, without the sliver
+    of f past them that ``require_nested_supports`` allows; the kinks of f and
+    gs[0] strictly inside it, sorted; and, when f and gs are piecewise, their
+    common refinement there (else None): the piece widths left to right, the
+    heights of f on them and a row of heights per density of gs.  gs share one
+    support and one breakpoint grid, so gs[0] stands for all of them."""
+    g = gs[0]
+    lo, hi = max(f.support.lo, g.support.lo), min(f.support.hi, g.support.hi)
+    cuts = np.unique(np.concatenate((f.interior_breakpoints(), g.interior_breakpoints())))
+    kinks = cuts[(cuts > lo) & (cuts < hi)]
+    if not (isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity)):
+        return (lo, hi), kinks, None
+    # the height just right of each left end
+    edges = np.concatenate(([lo], kinks, [hi]))
     left = edges[:-1]
     jf, jg = (d.breakpoints.searchsorted(left, side="right") for d in (f, g))
-    hg = np.array([d._padded for d in (g, *more)])[:, jg] if more else g._padded[jg]
-    return edges[1:] - left, f._padded[jf], hg
-
-
-def _shared_pieces(f: PiecewiseConstantDensity, gs):
-    """``_common_pieces`` of f and the densities gs, which share one breakpoint
-    grid, where they are positive (``require_nested_supports`` lets f reach
-    a sliver past them, and the pair functions skip it); their heights come
-    a row per density."""
-    widths, hf, hg = _common_pieces(f, *gs)
-    hg = np.atleast_2d(hg)
-    keep = hg[0] > 0.0
-    return widths[keep], hf[keep], hg[:, keep]
-
-
-def _shared_support(f: Density, g: Density):
-    """The ends of the part of f's support that g covers (see ``_shared_pieces``)."""
-    return max(f.support.lo, g.support.lo), min(f.support.hi, g.support.hi)
+    hg = np.array([d._padded[jg] for d in gs])
+    return (lo, hi), kinks, (edges[1:] - left, f._padded[jf], hg)
 
 
 def _require_covered(f: Density, g: Density):
     """``require_nested_supports``, and at most MASS_TOL of f past g, where it
     makes divergences from order 1 up, f/g**r and G(X)'s density infinite."""
     require_nested_supports(f, g)
-    (lo, hi), s = _shared_support(f, g), f.support
-    slivers = [(a, b) for a, b in ((s.lo, lo), (hi, s.hi)) if a < b]
+    s, t = f.support, g.support
+    slivers = [(a, b) for a, b in ((s.lo, t.lo), (t.hi, s.hi)) if a < b]
     mass = sum(integrate(f._pdf_values, a, b, breakpoints=f.interior_breakpoints())
                for a, b in slivers)
     if mass > MASS_TOL:
@@ -800,23 +790,24 @@ def _require_covered(f: Density, g: Density):
 
 
 def _ratio_bounds(f: Density, gs, points: int):
-    """Essential infimum and supremum of f/g over ``_shared_support(f, g)``, for
-    each g of gs, which share one support and, if piecewise, one breakpoint
-    grid: a list of infima and a list of suprema.
+    """Essential infimum and supremum of f/g over the shared support of
+    ``_pair_cut``, for each g of gs: a list of infima and a list of suprema.
 
-    Two piecewise densities give the extreme height ratios of their common
-    refinement; otherwise the array ratio at ``points`` evenly spaced points
-    is refined by ``_quadrature.scan_extremum`` with the scalar ratio.
+    A common refinement gives the extreme height ratios of its pieces;
+    otherwise the array ratio at ``points`` evenly spaced points is refined
+    by ``_quadrature.scan_extremum`` with the scalar ratio.
     """
-    if isinstance(f, PiecewiseConstantDensity) and isinstance(gs[0], PiecewiseConstantDensity):
-        _, hf, hg = _shared_pieces(f, gs)
+    support, _, pieces = _pair_cut(f, gs)
+    if pieces is not None:
+        _, hf, hg = pieces
         ratios = hf / hg
         return ratios.min(axis=1).tolist(), ratios.max(axis=1).tolist()
+    xs = np.linspace(*support, points)
+    vf = f._pdf_values(xs)
     lows, highs = [], []
     for g in gs:
-        xs = np.linspace(*_shared_support(f, g), points)
         with np.errstate(all="ignore"):
-            vals = f._pdf_values(xs) / g._pdf_values(xs)
+            vals = vf / g._pdf_values(xs)
         if not np.isfinite(vals).all():
             raise ValueError("the density ratio is unbounded: the second density vanishes")
         ratio = lambda x, g=g: f.pdf(x) / g.pdf(x)
@@ -826,20 +817,19 @@ def _ratio_bounds(f: Density, gs, points: int):
 
 
 def _pair_integrals(f: Density, gs, phi) -> np.ndarray:
-    """Integral over ``_shared_support(f, g)`` of phi(w, f, g) for each g of gs,
-    which share one support and, if piecewise, one breakpoint grid.
+    """Integral of phi(w, f, g) over the shared support of ``_pair_cut``, each g of gs.
 
     ``phi(w, hf, hg)`` takes arrays: the integrals over pieces of width w on
-    which the densities take the values hf and hg.  For two piecewise
-    densities it gets the pieces of their common refinement, hg a row per g,
-    and each row is added left to right; otherwise phi(1.0, f(x), g(x)) is
-    integrated by quadrature wherever f(x) > 0, the pdfs taken over arrays.
-    Powers in phi go through ``_powers`` and logs through ``call_each``, so
-    each piece or point gets the bits of Python's scalar arithmetic.
+    which the densities take the values hf and hg.  A common refinement gives
+    it its pieces, hg a row per g, and each row is added left to right;
+    otherwise phi(1.0, f(x), g(x)) is integrated by quadrature, cut at the
+    kinks, wherever f(x) > 0, the pdfs taken over arrays.  Powers in phi go
+    through ``_powers`` and logs through ``call_each``, so each piece or point
+    gets the bits of Python's scalar arithmetic.
     """
-    if isinstance(f, PiecewiseConstantDensity) and isinstance(gs[0], PiecewiseConstantDensity):
-        widths, hf, hg = _shared_pieces(f, gs)
-        return _row_sums(np.broadcast_to(phi(widths, hf, hg), hg.shape))
+    support, kinks, pieces = _pair_cut(f, gs)
+    if pieces is not None:
+        return _row_sums(np.broadcast_to(phi(*pieces), pieces[2].shape))
 
     def integral(g):
         def integrand(xs):
@@ -849,27 +839,24 @@ def _pair_integrals(f: Density, gs, phi) -> np.ndarray:
             out[live] = phi(1.0, vf[live], vg[live])
             return out
 
-        breaks = sorted(set(f.interior_breakpoints()) | set(g.interior_breakpoints()))
-        return integrate(integrand, *_shared_support(f, g), breakpoints=breaks)
+        return integrate(integrand, *support, breakpoints=kinks)
 
     return np.array([integral(g) for g in gs], dtype=float)
 
 
 def _compressed(f: Density, g: Density, table_cells: int) -> Density:
-    """Density of G(X), X drawn from f and G the cdf of g, over [lo, hi] =
-    ``_shared_support(f, g)``; g must be bounded away from zero there.
+    """Density of G(X), X drawn from f and G the cdf of g, over the shared
+    support [lo, hi] of ``_pair_cut``; g must be bounded away from zero there.
 
-    Two piecewise densities give a piecewise density with the heights f/g of
-    their common refinement.  Otherwise the result is a quadrature-backed
-    density on [G(lo), G(hi)] with ``table_cells`` table cells.
+    A common refinement gives a piecewise density with the heights f/g of its
+    pieces.  Otherwise the result is a quadrature-backed density on
+    [G(lo), G(hi)] with ``table_cells`` table cells, cut at the images of the kinks.
     """
-    lo, hi = _shared_support(f, g)
-    if isinstance(f, PiecewiseConstantDensity) and isinstance(g, PiecewiseConstantDensity):
-        widths, hf, (hg,) = _shared_pieces(f, [g])
+    (lo, hi), kinks, pieces = _pair_cut(f, [g])
+    if pieces is not None:
+        widths, hf, (hg,) = pieces
         edges = np.concatenate(([g.cdf(lo)], g.cdf(lo) + np.cumsum(widths * hg)))
         return PiecewiseConstantDensity(edges, hf / hg)
-
-    y_lo, y_hi = g.cdf(lo), g.cdf(hi)
 
     def pdf(ys):
         xs = g.quantile(ys)
@@ -877,11 +864,9 @@ def _compressed(f: Density, g: Density, table_cells: int) -> Density:
 
     # essential bounds of f/g are cheap to locate in x-space
     (ess_inf,), (ess_sup,) = _ratio_bounds(f, [g], 2048)
-    breaks = sorted(g.cdf(x) for x in set(f.interior_breakpoints()) | set(g.interior_breakpoints())
-                    if lo < x < hi)
-    return SmoothDensity(with_array_form(pdf), y_lo, y_hi,
-                         breakpoints=breaks, rel_tol=1e-9, ess_inf=ess_inf, ess_sup=ess_sup,
-                         table_cells=table_cells)
+    return SmoothDensity(with_array_form(pdf), g.cdf(lo), g.cdf(hi),
+                         breakpoints=sorted(g.cdf(x) for x in kinks), rel_tol=1e-9,
+                         ess_inf=ess_inf, ess_sup=ess_sup, table_cells=table_cells)
 
 
 def density_from_spec(spec: dict) -> Density:

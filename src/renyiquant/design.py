@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import bisect_increasing
+from ._quadrature import _normal_sums, bisect_increasing
 from .compander import Compander, _bennett_functionals
 from .core import (_high_order, as_order, branch_of, distortion_constant, exponents,
                    validate_exponent)
@@ -49,6 +49,11 @@ class PredictedLimit:
     value: float
     regime: str
     rate_exponent: float
+
+    def __post_init__(self):
+        if not _normal_sums(self.value):
+            raise ValueError(f"the predicted limit {self.value!r} is not a positive normal "
+                             "float: the source's scale to the power r leaves the float range")
 
 
 def optimal_point_density(f: Density, alpha, r: float) -> Density:

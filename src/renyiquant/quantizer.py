@@ -147,8 +147,13 @@ def _normalized(masses: np.ndarray) -> np.ndarray:
 
 
 def _added(terms: np.ndarray) -> float:
-    """Every term of every cell, added left to right across the span."""
-    return float(_checked(np.cumsum(terms.ravel())[-1]))
+    """Every term of every cell, added left to right across the span: a distortion,
+    which must be a positive normal float, else ValueError."""
+    total = float(_checked(np.cumsum(terms.ravel())[-1]))
+    if not _normal_sums(total):
+        raise ValueError(f"the distortion {total!r} is not a positive normal float: "
+                         "the cell moments underflow at this scale and r")
+    return total
 
 
 def _masses_and_distortion(q: IntervalQuantizer, d: Density, r: float):

@@ -2,9 +2,9 @@
 
 ``common_pieces`` cuts the support of f at the breakpoints of g inside it,
 then cuts each of those pieces at the breakpoints of f inside it, with one
-``cut_cells`` call per density.  ``renyiquant.densities._common_pieces``
-merges both breakpoint sets in one step and must return the same widths
-and heights, float for float.
+``cut_cells`` call per density.  ``renyiquant.densities._pair_cut`` merges
+both breakpoint sets in one step and must return the same widths and
+heights, float for float, on the pieces where g is positive.
 
 A piece takes the height of the segment it lies in, found from its left end
 with a scalar search, 0 outside the support.  Its midpoint would not do: a

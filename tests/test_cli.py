@@ -553,3 +553,52 @@ def test_a_huge_level_count_is_refused_before_allocating(capsys, density_file):
     # the row that can be built is the one a sweep of it alone prints
     rows = run_cli(capsys, *sweep, "16")[1].splitlines()
     assert out.splitlines() == [*rows[:2], "1000000000000,error,error,error", rows[2]]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "--alpha", "half", "--r", "2"],
+     "argument --alpha: cannot parse entropy order 'half'"),
+    (["sweep", "--alpha", "0.5", "--r", "2", "--levels", "4,eight"],
+     "argument --levels: bad level list '4,eight'"),
+])
+def test_a_bad_option_text_exits_two_with_its_message(capsys, density_file, argv, message):
+    assert main([*argv, "--density", density_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_a_sweep_request_refuses_an_unknown_normalization():
+    with pytest.raises(ValueError, match="unknown normalization 'bits'"):
+        SweepRequest({}, None, 2.0, (2, 4), None, "csv", "bits")
+
+
+TINY_UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1e-8}
+TINY_GAUSS = {"kind": "truncated_gauss", "mean": 0.0, "sigma": 1e-9, "lo": -1e-8, "hi": 1e-8}
+
+
+@pytest.mark.parametrize("command, spec", [("predict", TINY_UNIFORM), ("sweep", TINY_UNIFORM),
+                                           ("sweep", TINY_GAUSS)])
+def test_a_limit_that_underflows_exits_two(capsys, tmp_path, command, spec):
+    # the limit scales as the width**40: predict printed value=0 and a sweep
+    # divided by it, ending in a ZeroDivisionError
+    levels = ["--levels", "4,8"] if command == "sweep" else []
+    rc = main([command, "--density", _spec_file(tmp_path, spec), "--alpha", "0.5", "--r", "40",
+               *levels])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: the predicted limit 0.0 is not a positive normal float")
+
+
+def test_sweep_rows_whose_distortion_underflows_are_error_rows(capsys, tmp_path):
+    # the limit, 8.33e-302, is normal, but the distortion underflowed to 0
+    # and the report refused it as "normalized values must be positive"
+    spec = {"kind": "uniform", "lo": 0.0, "hi": 1e-150}
+    rc, out = run_cli(capsys, "sweep", "--density", _spec_file(tmp_path, spec), "--alpha", "0.5",
+                      "--r", "2", "--levels", "4,8", "--format", "json")
+    assert rc == 2
+    rows = json.loads(out)["rows"]
+    assert [row["N"] for row in rows] == [4, 8]
+    assert all(row["error"].startswith("the distortion 0.0 is not a positive normal float")
+               for row in rows)

@@ -15,13 +15,14 @@ from renyiquant import (
     cell_masses,
     density_from_spec,
     density_to_spec,
+    differential_entropy,
     relative_entropy,
     truncated_gauss,
     truncated_laplace,
     uniform,
 )
-from renyiquant.core import exponents
-from renyiquant.densities import _common_pieces, _pair_integrals, require_nested_supports
+from renyiquant.core import NEG_INF, exponents
+from renyiquant.densities import _pair_cut, _pair_integrals, require_nested_supports
 from renyiquant.design import optimal_point_density
 
 import reference_pieces
@@ -119,8 +120,11 @@ def _nested_pair(draw):
 @settings(max_examples=100, deadline=None)
 @given(pair=_nested_pair())
 def test_merged_common_pieces_equal_the_two_cut_reference(pair):
+    # the cut skips f's sliver past g, the pieces where the reference has g = 0
     f, g = pair
-    for got, expected in zip(_common_pieces(f, g), reference_pieces.common_pieces(f, g)):
+    widths, hf, hg = reference_pieces.common_pieces(f, g)
+    keep = hg > 0.0
+    for got, expected in zip(_pair_cut(f, [g])[2], (widths[keep], hf[keep], hg[None, keep])):
         assert got.shape == expected.shape
         assert (got == expected).all()
 
@@ -742,3 +746,20 @@ def test_piecewise_pdf_values_match_the_scalar_pdf(two_mass):
     b = two_mass.breakpoints.tolist()
     xs = np.array(b + [np.nextafter(x, s) for x in b for s in (-np.inf, np.inf)] + [0.3, 7.0])
     assert two_mass._pdf_values(xs).tolist() == _scalar_each(two_mass.pdf, xs)
+
+
+def test_a_smooth_density_that_touches_zero_refuses_what_needs_a_positive_floor():
+    d = SmoothDensity(lambda x: 2.0 * x, 0.0, 1.0)
+    with pytest.raises(ValueError, match="order -inf requires a density bounded away from zero"):
+        differential_entropy(d, NEG_INF)
+    with pytest.raises(ValueError, match="negative power integral requires a density bounded"):
+        d.power_integral(-1.0)
+    with pytest.raises(ValueError, match="does not carry a serializable description"):
+        density_to_spec(d)
+
+
+def test_a_smooth_pdf_or_transform_that_is_not_a_density_is_refused():
+    with pytest.raises(ValueError, match="pdf must integrate to 1 within quadrature tolerance"):
+        SmoothDensity(lambda x: 2.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="scale must be positive, got 0.0"):
+        truncated_gauss(0.5, 0.2, 0.0, 1.0).similarity_transform(0.0, 1.0)

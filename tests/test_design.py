@@ -13,6 +13,7 @@ from renyiquant import (
     POS_INF,
     PiecewiseConstantDensity,
     RenyiOrder,
+    SmoothDensity,
     compander_score,
     design_compander,
     distortion,
@@ -30,7 +31,7 @@ from renyiquant import (
 )
 from renyiquant.compander import Compander
 from renyiquant.core import as_order, branch_of, distortion_constant
-from renyiquant.densities import _common_pieces
+from renyiquant.densities import _pair_cut
 from renyiquant.quantizer import MAX_UNIFORM_LEVELS
 
 
@@ -360,8 +361,8 @@ def test_quantizer_builders_cap_the_level_count(build):
 def _scalar_score(f, g, alpha, r):
     """compander_score by the scalar closed forms: Python floats summed left to
     right over the common refinement, as one pair at a time computed it."""
-    widths, hf, hg = _common_pieces(f, g)
-    pieces = [(w, a, b) for w, a, b in zip(widths.tolist(), hf.tolist(), hg.tolist()) if b > 0.0]
+    widths, hf, (hg,) = _pair_cut(f, [g])[2]
+    pieces = list(zip(widths.tolist(), hf.tolist(), hg.tolist()))
     order = as_order(alpha)
     branch = branch_of(order)
     if branch in ("pos_inf", "neg_inf"):
@@ -442,3 +443,16 @@ def test_a_smooth_integral_power_in_range_is_the_plain_power(p, q):
 def test_a_limit_whose_integral_power_overflows_raises_value_error(f, alpha, r):
     with pytest.raises(ValueError, match=r"^\(integral of pdf\*\*.*\)\*\*.* overflows$"):
         predicted_limit(f, alpha, r)
+
+
+def test_pierce_bound_checks_its_rate_and_density():
+    with pytest.raises(ValueError, match="rate must be nonnegative, got -1.0"):
+        pierce_upper_bound(uniform(0.0, 1.0), 2.0, -1.0)
+    with pytest.raises(ValueError, match="requires a density bounded away from zero"):
+        pierce_upper_bound(SmoothDensity(lambda x: 2.0 * x, 0.0, 1.0), 2.0, 1.0)
+
+
+def test_a_high_order_limit_that_underflows_raises():
+    # C(40) / (1e8)**40 is below the float range; it read 0.0
+    with pytest.raises(ValueError, match="^the predicted limit 0.0 is not a positive normal float"):
+        predicted_limit_high_alpha(uniform(0.0, 1e-8), 50.0, 40.0)

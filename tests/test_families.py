@@ -103,6 +103,14 @@ def test_only_densities_tells_the_families_apart(path):
     assert {(path.name, scope) for scope, _ in checks} <= FAMILY_CHECKS_ALLOWED, checks
 
 
+def test_densities_tests_the_family_of_a_pair_in_one_place():
+    # the pair functions take the family from _pair_cut; density_to_spec
+    # writes each family's spec
+    path = Path(renyiquant.__file__).parent / "densities.py"
+    checks = _family_checks(ast.parse(path.read_text()))
+    assert {scope for scope, _ in checks} <= {"_pair_cut", "density_to_spec"}, checks
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_the_library_imports_only_numpy_and_the_standard_library(path):
     allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}

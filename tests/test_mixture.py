@@ -23,6 +23,7 @@ from renyiquant import (
     f_minimizer,
     predicted_limit,
     renyi_entropy,
+    truncated_gauss,
     uniform,
     uniform_optimal,
     uniform_quantizer,
@@ -387,3 +388,22 @@ def test_composed_entropy_of_a_list_of_orders_checks_its_shape():
         composed_entropy([0.5, 0.5], [[1.0, 2.0]] * 3, [RenyiOrder(0.5), POS_INF])
     with pytest.raises(ValueError, match="^entropies must be finite"):
         composed_entropy([0.5, 0.5], [[1.0, 2.0], [1.0, math.inf]], [RenyiOrder(0.5), POS_INF])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: allocation_weights([0.5, 0.5], math.inf, 2.0), "require a finite order"),
+    (lambda: allocation_weights([0.5, 0.5], 1.0, 2.0), "undefined at order 1"),
+    (lambda: allocation_weights([0.5, 0.5], 3.5, 2.0), "require order < 1 \\+ r, got 3.5"),
+    (lambda: check_rate_condition([0.5, 0.5], [1.0, 1.0, 1.0], 1.0, 0.5),
+     "need one rate per weight"),
+    (lambda: f_minimizer([0.5, 0.5], 1.5, 2.0), "finite orders below 1"),
+    (lambda: compose(halves_spec(), [uniform_quantizer(Interval(0.0, 0.5), 2)]),
+     "need exactly one part per component"),
+    (lambda: MixtureSpec([MixtureComponent(0.5, truncated_gauss(0.5, 0.2, 0.0, 1.0)),
+                          MixtureComponent(0.5, uniform(1.0, 2.0))]).combined_density(),
+     "requires piecewise components"),
+], ids=["alloc_inf", "alloc_1", "alloc_high", "rate_shape", "minimizer_order", "compose_parts",
+        "combined_smooth"])
+def test_each_mixture_argument_check_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -982,3 +982,19 @@ def test_a_cell_whose_balances_underflow_raises():
         improve_codepoints(uniform_quantizer(Interval(-40.0, 40.0), 80), d, 2.0)
     # one cell in, the balances are normal: the conditional mean, by mpmath at 50 digits
     assert abs(optimal_codepoint(Interval(-38.0, -37.0), d, 2.0) + 37.02698768612699) <= 1e-13
+
+
+def test_a_quantizer_without_levels_or_codepoints_is_refused():
+    with pytest.raises(ValueError, match="need at least one level, got 0"):
+        uniform_quantizer(Interval(0.0, 1.0), 0)
+    with pytest.raises(ValueError, match="malformed quantizer object: 'codepoints'"):
+        IntervalQuantizer.from_json({"boundaries": [0.0, 1.0]})
+
+
+def test_a_distortion_below_the_normal_floats_raises():
+    # the true value, (1e-150 / 8)**2 / 12 = 1.30e-303, is a normal float,
+    # but |x - c|**3 at every cut underflows, and the sum read 0.0
+    q, d = uniform_quantizer(Interval(0.0, 1e-150), 8), uniform(0.0, 1e-150)
+    for call in (distortion, quantizer._masses_and_distortion):
+        with pytest.raises(ValueError, match="^the distortion 0.0 is not a positive normal float"):
+            call(q, d, 2.0)
