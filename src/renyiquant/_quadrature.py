@@ -7,16 +7,17 @@ once, weighted by |x - c|**p at a codepoint c and plain at p = 0 (masses,
 cdfs, ``integrate``), a piece halved where its rules disagree.  It raises
 past its depth cap or work budget: it never truncates.  Every integrand is
 a function of a 1-D array of points (``over_arrays``).
-``bisect_many`` runs one ``bisect_increasing`` per bracket, all brackets a
-step at a time; given a bracket known to hold each root, it asks only for
-the midpoints inside it, for all brackets in one call.  A power sum that
-leaves the float range is summed in logs: ``_log_of_sum`` does it for one
-sum, with ``math.log`` where the sum is a normal float, and
-``oracle._entropies`` row by row with ``np.log``, whose last bit may differ.
+``bisect_many``, the one bisection loop, steps all brackets at once; given
+a bracket known to hold each root, it asks only for the midpoints inside it,
+for all brackets in one call.  A power sum that leaves the float range is
+summed in logs: ``_log_of_sum`` does it for one sum, with ``math.log`` where
+the sum is a normal float, and ``oracle._entropies`` row by row with
+``np.log``, whose last bit may differ.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 
@@ -66,6 +67,18 @@ def _log_of_sum(total: float, log_terms) -> float:
     if _normal_sums(total):
         return math.log(total)
     return float(_log_sum_exp(log_terms()))
+
+
+def _exp_product(plain, log_terms) -> float:
+    """A product of positive factors: ``plain()`` where it is a positive normal float,
+    else e**(sum of ``log_terms()``, their logs), inf where that overflows."""
+    with contextlib.suppress(OverflowError):  # from a float ** or math.exp
+        value = plain()
+        if _normal_sums(value):
+            return value
+    with contextlib.suppress(OverflowError):
+        return math.exp(sum(log_terms()))
+    return math.inf
 
 
 def call_each(f, xs: np.ndarray) -> np.ndarray:
@@ -256,33 +269,22 @@ def integrate(f, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH, bre
 
 
 def bisect_increasing(f, lo, hi, target=0.0, tol=None, max_iter=200):
-    """Find x in [lo, hi] with f(x) == target for f nondecreasing.
-
-    Returns the midpoint of the final bracket; the bracket endpoints are kept
-    even when f evaluates exactly to the target, so ties resolve stably.
-    """
+    """x in [lo, hi] with f(x) == target for f nondecreasing: ``bisect_many`` on the
+    one bracket, to ``tol`` (1e-13 of its width unless given).  It does not stop
+    where f meets the target exactly, so ties resolve stably."""
     if tol is None:
         tol = 1e-13 * (hi - lo)
-    a, b = lo, hi
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        m = 0.5 * (a + b)
-        if f(m) < target:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+    return float(bisect_many(lambda m, k: np.array([f(float(m[0])) < target]),
+                             [lo], [hi], tol, max_iter)[0])
 
 
 def bisect_many(below, lo, hi, tol, max_iter=200, known=None):
-    """``bisect_increasing`` on every bracket [lo[k], hi[k]] at once, step for step.
-
-    Bracket k gets the midpoints, comparisons, tolerance ``tol`` (a scalar
-    or one per bracket) and iteration cap of its own scalar call, except
-    that a bracket stops once a step leaves it as it was (its midpoint
-    rounds onto the end it replaces): every later step would repeat that
-    one.  ``below(m, k)`` gets the midpoints m of brackets k and returns, for
+    """Bisect every bracket [lo[k], hi[k]] at once, a step at a time, to the
+    midpoint of its last bracket: it keeps [m, hi] where f_k(m) < target_k,
+    else [lo, m], and stops at width ``tol`` (a scalar or one per bracket),
+    after ``max_iter`` steps, or once a step leaves it as it was (its midpoint
+    rounds onto the end it replaces): every later step would repeat that one.
+    ``below(m, k)`` gets the midpoints m of brackets k and returns, for
     each, whether f_k(m) < target_k; without ``known`` it is asked for every
     open bracket at every step.  ``known = (xa, xb)`` says that
     f_k(xa[k]) < target_k <= f_k(xb[k]), so a midpoint at or left of xa[k]
@@ -298,7 +300,7 @@ def bisect_many(below, lo, hi, tol, max_iter=200, known=None):
     xa, xb = known if known is not None else (al, bl)  # placeholders without known
     steps = np.zeros(len(a), dtype=int)
     while True:
-        # the scalar loop stops where b - a <= tol, so a NaN width keeps going
+        # a bracket stops where b - a <= tol, so a NaN width keeps going
         go_on = ~(bl - al <= tl) & (steps < max_iter)
         if not go_on.all():
             a[k], b[k] = al, bl
@@ -326,10 +328,9 @@ def bisect_many(below, lo, hi, tol, max_iter=200, known=None):
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_extremum(f, lo, hi, maximize, tol=None):
+def golden_extremum(f, lo, hi, maximize):
     """Golden-section search for an interior extremum of a unimodal section."""
-    if tol is None:
-        tol = 1e-12 * max(hi - lo, 1.0)
+    tol = 1e-12 * max(hi - lo, 1.0)
     sign = -1.0 if maximize else 1.0
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -22,14 +21,13 @@ from .compander import Compander
 from .core import RenyiOrder, _high_order, parse_order
 from .densities import density_from_spec
 from .design import (
+    _sweep_row,
     design_compander,
     optimal_point_density,
     predicted_limit,
     predicted_limit_high_alpha,
 )
-from .entropy import renyi_entropy
 from .oracle import MonotonicityError, alpha_profile, instance_from_spec
-from .quantizer import _masses_and_distortion
 from .verification import run_all
 
 __all__ = ["SweepRequest", "ConvergenceReport", "main"]
@@ -180,24 +178,6 @@ def cmd_design(args) -> int:
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
-
-
-def _sweep_row(compander, f, alpha, r, n, normalization):
-    masses, d = _masses_and_distortion(compander.build(n), f, r)
-    h = renyi_entropy(masses, alpha)
-    try:
-        scale = math.exp(r * h) if normalization == "entropy" else float(n) ** r
-        normalized = scale * d
-    except OverflowError:
-        # the scale leaves the float range; the product may not: e**(rH + log D)
-        log_scale = r * h if normalization == "entropy" else r * math.log(n)
-        try:
-            normalized = math.exp(log_scale + math.log(d)) if d > 0.0 else math.inf
-        except OverflowError:
-            normalized = math.inf
-    if not math.isfinite(normalized):
-        raise ValueError(f"the normalized distortion at N = {n} leaves the float range")
-    return h, d, normalized
 
 
 def run_sweep(req: SweepRequest, f):

@@ -144,9 +144,12 @@ def _high_order(a: RenyiOrder, r: float) -> bool:
 
 
 def distortion_constant(r: float) -> float:
-    """Moment constant of a centred unit cell: 1 / ((1+r) * 2**r)."""
+    """Moment constant of a centred unit cell: 1 / ((1+r) * 2**r); ValueError where it is 0."""
     r = validate_exponent(r)
-    return 1.0 / ((1.0 + r) * 2.0**r)
+    c = 1.0 / ((1.0 + r) * 2.0**r) if r < 1024.0 else 0.0  # else 2**r raises OverflowError
+    if c == 0.0:
+        raise ValueError(f"the distortion constant 1 / ((1 + r) * 2**r) underflows at r = {r!r}")
+    return c
 
 
 @dataclass(frozen=True)

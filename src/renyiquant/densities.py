@@ -710,14 +710,19 @@ def truncated_laplace(center: float, scale: float, lo: float, hi: float) -> Smoo
     return d
 
 
+def _require_within(inner: Interval, lo: float, hi: float, message: str):
+    """ValueError(message.format(inner.lo, inner.hi, lo, hi)) unless ``inner``
+    reaches past [lo, hi] by at most 1e-12 * max(hi - lo, 1)."""
+    tol = 1e-12 * max(hi - lo, 1.0)
+    if inner.lo < lo - tol or inner.hi > hi + tol:
+        raise ValueError(message.format(inner.lo, inner.hi, lo, hi))
+
+
 def require_nested_supports(f: Density, g: Density):
     """Raise unless the support of f lies inside the support of g."""
-    sf, sg = f.support, g.support
-    tol = 1e-12 * max(sg.width, 1.0)
-    if sf.lo < sg.lo - tol or sf.hi > sg.hi + tol:
-        raise ValueError(
-            f"first support [{sf.lo}, {sf.hi}] must lie inside second [{sg.lo}, {sg.hi}]"
-        )
+    sg = g.support
+    _require_within(f.support, sg.lo, sg.hi,
+                    "first support [{}, {}] must lie inside second [{}, {}]")
 
 
 def _checked(total):

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import _normal_sums, bisect_increasing
+from ._quadrature import _exp_product, _normal_sums, bisect_increasing
 from .compander import Compander, _bennett_functionals
 from .core import (_high_order, as_order, branch_of, distortion_constant, exponents,
                    validate_exponent)
 from .densities import Density, Interval, uniform
 from .entropy import _divergences, renyi_entropy
-from .quantizer import MAX_UNIFORM_LEVELS, IntervalQuantizer, uniform_quantizer
+from .quantizer import (MAX_UNIFORM_LEVELS, IntervalQuantizer, _masses_and_distortion,
+                        uniform_quantizer)
 
 __all__ = [
     "PredictedLimit",
@@ -99,7 +100,9 @@ def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:
     if branch == "neg_inf":
         return PredictedLimit(cr * f.power_integral(1.0 - r), "neg_inf", r)
     if branch == "shannon":
-        return PredictedLimit(cr * math.exp(-r * f.log_integral()), "shannon", r)
+        t = -r * f.log_integral()
+        return PredictedLimit(_exp_product(lambda: cr * math.exp(t), lambda: (math.log(cr), t)),
+                              "shannon", r)
     pair = exponents(a, r)
     return PredictedLimit(cr * f._integral_power(pair.first, pair.second), "finite", r)
 
@@ -115,13 +118,26 @@ def predicted_limit_high_alpha(f: Density, alpha, r: float) -> PredictedLimit:
     if not _high_order(a, r):
         raise ValueError(f"order {a.value!r} is below the high-order regime 1 + r")
     beta = 1.0 if a.is_pos_inf else (a.value - 1.0) / a.value
-    value = distortion_constant(r) * f.ess_bounds()[1] ** (-r)
+    cr, peak = distortion_constant(r), f.ess_bounds()[1]
+    value = _exp_product(lambda: cr * peak ** (-r), lambda: (math.log(cr), -r * math.log(peak)))
     return PredictedLimit(value, "high", (1.0 + r) * beta)
 
 
 def design_compander(f: Density, alpha, r: float, n: int) -> IntervalQuantizer:
     """n-level companding quantizer built on the optimal point density."""
     return Compander(optimal_point_density(f, alpha, r)).build(n)
+
+
+def _sweep_row(compander, f, alpha, r: float, n: int, normalization: str):
+    """H, D and e**(r*H) * D, or n**r * D at "levels", of ``compander.build(n)`` on f."""
+    masses, d = _masses_and_distortion(compander.build(n), f, r)
+    h = renyi_entropy(masses, alpha)
+    levels = normalization == "levels"
+    normalized = _exp_product(lambda: (float(n) ** r if levels else math.exp(r * h)) * d,
+                              lambda: (r * math.log(n) if levels else r * h, math.log(d)))
+    if not math.isfinite(normalized):
+        raise ValueError(f"the normalized distortion at N = {n} leaves the float range")
+    return h, d, normalized
 
 
 def _snap_floor(x: float) -> int:
@@ -185,7 +201,7 @@ def uniform_optimal(interval: Interval, alpha, rate: float, r: float) -> Interva
 
 
 def pierce_upper_bound(f: Density, r: float, rate: float) -> float:
-    """Nonasymptotic distortion bound (2 / ess inf f)**r * e**(-r * rate)."""
+    """Nonasymptotic distortion bound (2 / ess inf f)**r * e**(-r * rate), in logs if need be."""
     r = validate_exponent(r)
     rate = float(rate)
     if rate < 0.0:
@@ -193,7 +209,11 @@ def pierce_upper_bound(f: Density, r: float, rate: float) -> float:
     lo = f.ess_bounds()[0]
     if lo <= 0.0:
         raise ValueError("bound requires a density bounded away from zero")
-    return (2.0 / lo) ** r * math.exp(-r * rate)
+    bound = _exp_product(lambda: (2.0 / lo) ** r * math.exp(-r * rate),
+                         lambda: (r * (math.log(2.0) - math.log(lo)), -r * rate))
+    if not _normal_sums(bound):
+        raise ValueError("the bound (2 / ess inf f)**r * e**(-r * rate) leaves the float range")
+    return bound
 
 
 def compander_score(f: Density, g: Density, alpha, r: float) -> float | list[float]:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._quadrature import _normal_sums, bisect_many
 from .core import _as_count, validate_exponent
-from .densities import Density, Interval, _cell_sums, _checked, _not_nan
+from .densities import Density, Interval, _cell_sums, _checked, _not_nan, _require_within
 from .entropy import renyi_entropy
 
 __all__ = [
@@ -129,14 +129,8 @@ class IntervalQuantizer:
 
 
 def _check_covers(q: IntervalQuantizer, d: Density):
-    supp = d.support
-    lo, hi = float(q.boundaries[0]), float(q.boundaries[-1])
-    tol = 1e-12 * max(hi - lo, 1.0)
-    if supp.lo < lo - tol or supp.hi > hi + tol:
-        raise ValueError(
-            f"density support [{supp.lo}, {supp.hi}] is not covered by the "
-            f"quantizer span [{lo}, {hi}]"
-        )
+    _require_within(d.support, float(q.boundaries[0]), float(q.boundaries[-1]),
+                    "density support [{}, {}] is not covered by the quantizer span [{}, {}]")
 
 
 def _normalized(masses: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ from .compander import Compander, bennett_functional, entropy_offset
 from .core import NEG_INF, POS_INF, RenyiOrder, as_order, exponents
 from .densities import Interval, PiecewiseConstantDensity, uniform
 from .design import (
+    _sweep_row,
     compander_score,
-    design_compander,
     optimal_point_density,
     pierce_upper_bound,
     predicted_limit,
@@ -86,12 +86,6 @@ def _two_mass() -> PiecewiseConstantDensity:
     return PiecewiseConstantDensity([0.0, 0.5, 1.0], [0.5, 1.5])
 
 
-def _normalized_value(f, alpha, r: float, n: int) -> float:
-    """Entropy-normalized distortion e^{r H} D of the designed compander."""
-    masses, d = _masses_and_distortion(design_compander(f, alpha, r, n), f, r)
-    return math.exp(r * renyi_entropy(masses, alpha)) * d
-
-
 def suite_uniform_exactness() -> SuiteResult:
     """n equal cells on Uniform[0,1]: distortion 1/(12 n^2), entropy log n."""
     u = uniform(0.0, 1.0)
@@ -117,7 +111,8 @@ def suite_limit_convergence() -> SuiteResult:
     for alpha, frozen in cases:
         pred = predicted_limit(f, alpha, 2.0).value
         worst = max(worst, abs(pred - frozen) / frozen / 1e-9)
-        devs = {n: abs(_normalized_value(f, alpha, 2.0, n) - frozen)
+        compander = Compander(optimal_point_density(f, alpha, 2.0))
+        devs = {n: abs(_sweep_row(compander, f, alpha, 2.0, n, "entropy")[2] - frozen)
                 for n in (2 ** k for k in range(4, 12))}
         rel_final = devs[2048] / frozen
         worst = max(worst, rel_final / 0.02)

@@ -7,7 +7,9 @@ a piece; ``renyiquant._quadrature.moments_many`` must follow them step for
 step and give the same floats.  ``integrate`` is the same rule at p = 0,
 the plain Gauss-Legendre pair, for any scalar integrand over an interval
 cut at its breakpoints.  ``cdf`` and ``quantile`` build those of a
-``SmoothDensity`` from it, one argument at a time.
+``SmoothDensity`` from it, one argument at a time.  ``bisect_increasing``
+is the plain scalar bisection loop that ``_quadrature.bisect_many`` runs on
+every bracket at once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,26 @@ import numpy as np
 
 from renyiquant._quadrature import (DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, GAUSS_POINTS,
                                     PLAIN_POINTS, SLIVER, gauss_jacobi)
+
+
+def bisect_increasing(f, lo, hi, target=0.0, tol=None, max_iter=200):
+    """Find x in [lo, hi] with f(x) == target for f nondecreasing.
+
+    Returns the midpoint of the final bracket; the bracket endpoints are kept
+    even when f evaluates exactly to the target, so ties resolve stably.
+    """
+    if tol is None:
+        tol = 1e-13 * (hi - lo)
+    a, b = lo, hi
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        m = 0.5 * (a + b)
+        if f(m) < target:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
 
 
 def cdf(d, x: float) -> float:

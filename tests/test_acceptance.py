@@ -4,7 +4,7 @@ Run with -s to see one PASS/FAIL line per criterion.
 """
 import pytest
 
-from renyiquant import run_all
+from renyiquant import design, run_all, verification
 
 CRITERIA = [
     ("uniform_exactness", "closed-form figures for uniform quantizers"),
@@ -38,3 +38,18 @@ def test_acceptance(suite_results, name, blurb):
 
 def test_every_suite_is_covered(suite_results):
     assert sorted(suite_results) == sorted(name for name, _ in CRITERIA)
+
+
+def test_limit_convergence_builds_one_point_density_per_order(monkeypatch):
+    # one compander per order serves all eight level counts, as in a sweep
+    built = []
+    real = design.optimal_point_density
+
+    def counted(*args):
+        built.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(design, "optimal_point_density", counted)
+    monkeypatch.setattr(verification, "optimal_point_density", counted)
+    assert verification.suite_limit_convergence().passed
+    assert len(built) == 3

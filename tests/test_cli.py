@@ -8,6 +8,7 @@ import pytest
 
 import renyiquant.cli as cli
 import renyiquant.compander
+import renyiquant.design
 from renyiquant import MonotonicityError
 from renyiquant.cli import ConvergenceReport, SweepRequest, main
 
@@ -371,7 +372,7 @@ def test_sweep_rows_whose_product_leaves_the_float_range_are_error_rows(monkeypa
     f = cli.density_from_spec({"kind": "uniform", "lo": 0.0, "hi": 1.0})
     req = SweepRequest({}, cli.RenyiOrder(0.5), 2.0, (2, 4), None, "csv")
     # an entropy of 800 nats: e**(2H) * D is about 1e695, past the float range
-    monkeypatch.setattr(cli, "renyi_entropy", lambda masses, alpha: 800.0)
+    monkeypatch.setattr(renyiquant.design, "renyi_entropy", lambda masses, alpha: 800.0)
     report, errors = cli.run_sweep(req, f)
     assert report.rows == ()
     assert errors == [(n, f"the normalized distortion at N = {n} leaves the float range")
@@ -589,6 +590,43 @@ def test_a_limit_that_underflows_exits_two(capsys, tmp_path, command, spec):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: the predicted limit 0.0 is not a positive normal float")
+
+
+UNIT_UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+WIDE_UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1e10}
+
+
+def _one_error_line(capsys, tmp_path, command, spec, alpha, r):
+    """The one stderr line of a command that must exit 2 and print nothing."""
+    levels = {"predict": [], "design": ["--levels", "4"], "sweep": ["--levels", "4,8"]}[command]
+    rc = main([command, "--density", _spec_file(tmp_path, spec), "--alpha", alpha, "--r", r,
+               *levels])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["predict", "design", "sweep"])
+def test_a_distortion_constant_past_the_float_range_exits_two(capsys, tmp_path, command):
+    # 2**1100 in C(r) raised OverflowError: exit 1 with a traceback
+    line = _one_error_line(capsys, tmp_path, command, UNIT_UNIFORM, "0.5", "1100")
+    assert line == "error: the distortion constant 1 / ((1 + r) * 2**r) underflows at r = 1100.0"
+
+
+@pytest.mark.parametrize("command", ["predict", "design", "sweep"])
+def test_a_shannon_limit_past_the_float_range_exits_two(capsys, tmp_path, command):
+    # C(40) * e**(40 * log 1e10) is about 1e386; math.exp raised OverflowError
+    line = _one_error_line(capsys, tmp_path, command, WIDE_UNIFORM, "1", "40")
+    assert line.startswith("error: the predicted limit inf is not a positive normal float")
+
+
+@pytest.mark.parametrize("command", ["predict", "sweep"])
+def test_a_high_order_limit_past_the_float_range_exits_two(capsys, tmp_path, command):
+    # C(40) / (1e-10)**40 is about 2e386; the power raised OverflowError
+    line = _one_error_line(capsys, tmp_path, command, WIDE_UNIFORM, "50", "40")
+    assert line.startswith("error: the predicted limit inf is not a positive normal float")
 
 
 def test_sweep_rows_whose_distortion_underflows_are_error_rows(capsys, tmp_path):

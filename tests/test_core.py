@@ -89,6 +89,13 @@ def test_distortion_constant(r, expected):
     assert distortion_constant(r) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize("r", [1020.0, 1100.0])
+def test_a_distortion_constant_that_underflows_raises(r):
+    # (1 + r) * 2**r overflows to inf at r = 1020, and 2**r raised OverflowError at 1100
+    with pytest.raises(ValueError, match=f"^the distortion constant .* underflows at r = {r!r}$"):
+        distortion_constant(r)
+
+
 @pytest.mark.parametrize("alpha, r, first, second", [
     (0.5, 2.0, 0.6, 5.0),
     (-2.0, 2.0, -0.2, 1.6666666666666667),

@@ -445,6 +445,37 @@ def test_a_limit_whose_integral_power_overflows_raises_value_error(f, alpha, r):
         predicted_limit(f, alpha, r)
 
 
+def test_pierce_upper_bound_is_taken_in_logs_where_a_factor_leaves_the_float_range(two_mass):
+    # (2e10)**40 overflows, but times e**(-400) the bound is about 1e238
+    got = pierce_upper_bound(uniform(0.0, 1e10), 40.0, 10.0)
+    with mpmath.workdps(50):
+        exact = (2 / (1 / mpmath.mpf(10) ** 10)) ** 40 * mpmath.exp(-400)
+    assert got == pytest.approx(float(exact), rel=1e-12)
+    # e**(-50) is a normal float; so is the bound
+    assert pierce_upper_bound(two_mass, 2.0, 25.0) == 16.0 * math.exp(-50.0)
+
+
+@pytest.mark.parametrize("f, r, rate", [
+    # (2e10)**40 is about 1e412: it raised OverflowError
+    (uniform(0.0, 1e10), 40.0, 0.0),
+    # 16 * e**(-800) is below the float range: it read 0.0
+    (PiecewiseConstantDensity([0.0, 0.5, 1.0], [0.5, 1.5]), 2.0, 400.0),
+])
+def test_a_pierce_bound_past_the_float_range_raises(f, r, rate):
+    with pytest.raises(ValueError, match=r"^the bound .* leaves the float range$"):
+        pierce_upper_bound(f, r, rate)
+
+
+def test_a_limit_whose_scale_overflows_alone_is_taken_in_logs():
+    # at r = 31 both e**(31 * log 1e10) and (1e-10)**-31 overflow, while
+    # C(31) = 1 / (32 * 2**31) brings the limits back into the float range
+    f, r = uniform(0.0, 1e10), 31.0
+    with mpmath.workdps(50):
+        exact = float(mpmath.mpf(10) ** 310 / (32 * mpmath.mpf(2) ** 31))
+    assert predicted_limit(f, 1.0, r).value == pytest.approx(exact, rel=1e-12)
+    assert predicted_limit_high_alpha(f, 50.0, r).value == pytest.approx(exact, rel=1e-12)
+
+
 def test_pierce_bound_checks_its_rate_and_density():
     with pytest.raises(ValueError, match="rate must be nonnegative, got -1.0"):
         pierce_upper_bound(uniform(0.0, 1.0), 2.0, -1.0)

@@ -250,14 +250,17 @@ def _bracket(draw):
 @given(brackets=st.lists(_bracket(), min_size=1, max_size=8), shared_tol=st.booleans(),
        max_iter=st.sampled_from([0, 1, 5, 40, 200]))
 def test_bisect_many_is_one_bisect_increasing_per_bracket(brackets, shared_tol, max_iter):
+    # both against the plain scalar loop, bracket by bracket
     lo, hi, tol, scale, target = (np.array(col) for col in zip(*brackets))
     if shared_tol:
         tol = np.full(len(lo), tol[0])
-    expected = [bisect_increasing(lambda x, s=s: math.floor(s * x), a, b, t, e, max_iter)
-                for a, b, e, s, t in zip(*(col.tolist() for col in (lo, hi, tol, scale, target)))]
+    cases = [(lambda x, s=s: math.floor(s * x), a, b, t, e, max_iter)
+             for a, b, e, s, t in zip(*(col.tolist() for col in (lo, hi, tol, scale, target)))]
+    expected = [reference.bisect_increasing(*case) for case in cases]
     got = bisect_many(lambda m, k: np.floor(scale[k] * m) < target[k], lo, hi,
                       tol[0] if shared_tol else tol, max_iter)
     assert got.tolist() == expected
+    assert [bisect_increasing(*case) for case in cases] == expected
 
 
 def test_bisect_many_asks_only_for_the_open_brackets():

@@ -28,7 +28,7 @@ from renyiquant import (
     uniform_quantizer,
 )
 from renyiquant import densities, quantizer
-from renyiquant._quadrature import DEFAULT_REL_TOL, bisect_increasing, bisect_many, moments_many
+from renyiquant._quadrature import DEFAULT_REL_TOL, bisect_many, moments_many
 from renyiquant.compander import Compander
 from renyiquant.design import optimal_point_density
 from renyiquant.densities import _cell_sums
@@ -353,8 +353,8 @@ def test_piecewise_closed_forms_match_plain_python_loops():
             assert quantizer._balances(d, [lo], [hi], [a], r)[0] == _reference_balance(
                 d, lo, hi, float(a), r)
         c = optimal_codepoint(Interval(lo, hi), d, r)
-        assert c == bisect_increasing(lambda a: _reference_balance(d, lo, hi, a, r), lo, hi,
-                                      tol=1e-13 * (hi - lo))
+        assert c == reference.bisect_increasing(lambda a: _reference_balance(d, lo, hi, a, r),
+                                                lo, hi, tol=1e-13 * (hi - lo))
         assert cell_distortion(d, lo, hi, c, r) == _reference_cell_distortion(d, lo, hi, c, r)
         # cells reaching past the support keep the zero-height pieces out
         assert cell_distortion(d, lo - 0.5, hi + 0.5, c, r) == _reference_cell_distortion(
@@ -579,8 +579,8 @@ def test_smooth_cell_moments_match_the_recursion_on_seeded_cells(name):
     # the whole bisection, where |x - a|**(r - 1) stays smooth at a
     lo, hi = 0.3, 0.6
     c = optimal_codepoint(Interval(lo, hi), d, 3.0)
-    assert c == bisect_increasing(lambda a: reference.balance(d, lo, hi, a, 3.0), lo, hi,
-                                  tol=1e-13 * (hi - lo))
+    assert c == reference.bisect_increasing(lambda a: reference.balance(d, lo, hi, a, 3.0),
+                                            lo, hi, tol=1e-13 * (hi - lo))
 
 
 def test_an_overflowing_smooth_moment_raises():
