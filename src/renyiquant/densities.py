@@ -16,7 +16,7 @@ expander value once (see ``compander.Compander``).
 Every formula that differs between the families lives here: each class
 has the private methods ``_cell_masses``, ``_moment_terms``, ``_cell_terms``
 (both, one walk for a piecewise density), ``_power_density`` and
-``_integral_power``.  The functions of two densities test the pair's family
+``_log_power_integral``.  The functions of two densities test the pair's family
 once, in ``_pair_cut``, which gives them the shared support, the kinks in
 it and, for two piecewise densities, the common refinement on which their
 closed forms run.  Codepoint balances are moments of power r - 1, so
@@ -37,9 +37,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._quadrature import (DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, _log_sum_exp, _normal_sums,
-                          call_each, integrate, moments_many, over_arrays, scan_extremum,
-                          with_array_form)
+from ._quadrature import (DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, _log_of_sum, _log_sum_exp,
+                          _normal_sums, call_each, integrate, moments_many, over_arrays,
+                          scan_extremum, with_array_form)
 
 __all__ = [
     "Interval",
@@ -208,8 +208,9 @@ class PiecewiseConstantDensity:
         return float(v) if isinstance(us, float) else v
 
     def power_integral(self, p: float) -> float:
-        """Integral of pdf**p over the support."""
-        return float(np.dot(self.heights ** float(p), self._lens))
+        """Integral of pdf**p over the support; at a large |p| it may overflow or underflow."""
+        with np.errstate(over="ignore"):
+            return float(np.dot(self.heights ** float(p), self._lens))
 
     def log_integral(self) -> float:
         """Integral of pdf * log(pdf) over the support."""
@@ -292,11 +293,10 @@ class PiecewiseConstantDensity:
 
         Near order 1 + r, |p| is large and pdf**p overflows or underflows.
         When its integral is not a normal float (``_quadrature._normal_sums``)
-        the heights are normalized in logs, as ``_integral_power`` sums them;
+        the heights are normalized in logs, as ``_log_power_integral`` sums them;
         a height that still underflows to 0 raises ValueError.
         """
-        with np.errstate(over="ignore"):
-            norm = self.power_integral(p)
+        norm = self.power_integral(p)
         if _normal_sums(norm):
             heights = self.heights**p / norm
         else:
@@ -308,15 +308,11 @@ class PiecewiseConstantDensity:
                 f"the point density at order {order!r} underflows to 0 on part of the support")
         return PiecewiseConstantDensity._derived(self.breakpoints, heights)
 
-    def _integral_power(self, p: float, q: float) -> float:
-        """(integral of pdf**p) ** q; summed in logs where the integral
+    def _log_power_integral(self, p: float) -> float:
+        """log of ``power_integral(p)``, summed in logs where the integral
         overflows or underflows, as it does at large |p|."""
-        with np.errstate(over="ignore"):
-            integral = self.power_integral(p)
-        if _normal_sums(integral):
-            return _power_of(integral, p, q)
-        t = p * np.log(self.heights) + np.log(self._lens)
-        return _exp_of(q * float(_log_sum_exp(t)), p, q)
+        return _log_of_sum(self.power_integral(p),
+                           lambda: p * np.log(self.heights) + np.log(self._lens))
 
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
         """Density of c*X + t (or c*(-X) + t when reflect is set)."""
@@ -568,14 +564,12 @@ class SmoothDensity:
         return SmoothDensity(with_array_form(pdf), self._support.lo, self._support.hi,
                              breakpoints=self._breaks, ess_inf=bounds[0], ess_sup=bounds[1])
 
-    def _integral_power(self, p: float, q: float) -> float:
-        """(integral of pdf**p) ** q; ValueError unless the integral is positive
-        and finite, or where the power overflows (``_power_of``)."""
-        with np.errstate(over="ignore"):
-            integral = self.power_integral(p)
+    def _log_power_integral(self, p: float) -> float:
+        """log of ``power_integral(p)``; ValueError unless the integral is positive and finite."""
+        integral = self.power_integral(p)
         if not (math.isfinite(integral) and integral > 0.0):
             raise ValueError(f"power integral of order {p} is not positive and finite")
-        return _power_of(integral, p, q)
+        return math.log(integral)
 
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
         c = float(c)
@@ -611,24 +605,6 @@ def uniform(lo: float, hi: float) -> PiecewiseConstantDensity:
     """Uniform density on [lo, hi]."""
     width = float(hi) - float(lo)
     return PiecewiseConstantDensity([lo, hi], [1.0 / width])
-
-
-def _power_of(integral: float, p: float, q: float) -> float:
-    """integral ** q, for the positive normal integral of pdf**p; where the
-    plain power overflows it is taken in logs, as ``_integral_power`` sums
-    an integral that leaves the float range."""
-    try:
-        return integral**q
-    except OverflowError:
-        return _exp_of(q * math.log(integral), p, q)
-
-
-def _exp_of(log_value: float, p: float, q: float) -> float:
-    """(integral of pdf**p) ** q from its log; ValueError where it overflows."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise ValueError(f"(integral of pdf**{p!r})**{q!r} overflows") from None
 
 
 def _powers(x: np.ndarray, p: float) -> np.ndarray:

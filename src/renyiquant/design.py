@@ -80,11 +80,12 @@ def optimal_point_density(f: Density, alpha, r: float) -> Density:
 def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:
     """Limit of e**(r*R) * D(R) for orders below 1 + r.
 
-    Finite alpha != 1: C(r) * (integral of f**a1) ** a2, summed in logs for a
-    piecewise f whose integral leaves the float range near 1 + r; a smooth f
-    whose integral is not positive and finite raises ValueError.
+    Finite alpha != 1: C(r) * (integral of f**a1) ** a2.
     alpha = 1: C(r) * exp(-r * integral of f log f).
     alpha = -inf: C(r) * integral of f**(1-r).
+    Each is taken in logs where it, or the integral, is not a positive normal
+    float, the integral's by ``_log_power_integral``; a limit past the float range, or a
+    smooth f whose integral is not positive and finite, raises ValueError.
 
     Proven orders: 0 and 1 (classical), [-inf, 0) and (0, 1) (the source
     paper, arXiv:1008.1744); 1 + r and above (earlier work) is
@@ -97,14 +98,18 @@ def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:
     cr = distortion_constant(r)
     if _high_order(a, r):
         raise ValueError(f"order {a.value!r} is outside the fixed-exponent regime")
-    if branch == "neg_inf":
-        return PredictedLimit(cr * f.power_integral(1.0 - r), "neg_inf", r)
     if branch == "shannon":
         t = -r * f.log_integral()
-        return PredictedLimit(_exp_product(lambda: cr * math.exp(t), lambda: (math.log(cr), t)),
-                              "shannon", r)
-    pair = exponents(a, r)
-    return PredictedLimit(cr * f._integral_power(pair.first, pair.second), "finite", r)
+        plain, log_power = lambda: math.exp(t), lambda: t
+    else:
+        pair = exponents(a, r)  # (1 - r, 1) at -inf, where integral ** 1.0 is the integral
+        p, q = pair.first, pair.second
+        integral = f.power_integral(p)
+        # a subnormal or zero integral has lost digits: its power goes the log way (nan)
+        plain, log_power = (lambda: integral**q if _normal_sums(integral) else math.nan,
+                            lambda: q * f._log_power_integral(p))
+    value = _exp_product(lambda: cr * plain(), lambda: (math.log(cr), log_power()))
+    return PredictedLimit(value, branch, r)
 
 
 def predicted_limit_high_alpha(f: Density, alpha, r: float) -> PredictedLimit:

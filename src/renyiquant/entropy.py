@@ -88,7 +88,8 @@ def _entropy_of(pos: np.ndarray, alpha) -> float:
 def differential_entropy(d: Density, alpha) -> float:
     """Differential entropy of order alpha of a density.
 
-    Finite alpha != 1: log(integral of pdf**alpha) / (1 - alpha).
+    Finite alpha != 1: log(integral of pdf**alpha) / (1 - alpha), from
+    ``_log_power_integral``, which sums it in logs where need be.
     alpha = 1: minus the log-moment integral.  alpha = +inf / -inf: minus the
     log of the essential supremum / infimum over the support.
     """
@@ -103,11 +104,7 @@ def differential_entropy(d: Density, alpha) -> float:
         return -math.log(lo)
     if branch == "shannon":
         return -d.log_integral()
-    v = a.value
-    integral = d.power_integral(v)
-    if not math.isfinite(integral) or integral <= 0.0:
-        raise ValueError(f"power integral of order {v} is not positive and finite")
-    return math.log(integral) / (1.0 - v)
+    return d._log_power_integral(a.value) / (1.0 - a.value)
 
 
 def relative_entropy(f: Density, g: Density, alpha) -> float:

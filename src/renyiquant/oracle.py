@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._quadrature import _log_sum_exp, _normal_sums
+from ._quadrature import _exp_product, _log_sum_exp, _normal_sums
 from .core import RenyiOrder, _as_count, as_order, branch_of, validate_exponent
 from .densities import PiecewiseConstantDensity, _cell_sums, density_from_spec, density_to_spec
 from .quantizer import IntervalQuantizer, _optimal_codepoints
@@ -337,10 +337,8 @@ def empirical_limit_probe(inst: GridInstance, alpha, r: float, rates) -> list:
     scaled = []
     for R in map(float, rates):
         value = brute_force_optimal(inst, alpha, R, r).value
-        try:
-            scaled.append(math.exp(r * R) * value)
-        except OverflowError:
-            scaled.append(math.inf)
+        scaled.append(_exp_product(lambda: math.exp(r * R) * value,
+                                   lambda: (r * R, math.log(value))))
         if not math.isfinite(scaled[-1]):
             raise ValueError(f"the scaled oracle value at rate {R!r} overflows")
     return scaled

@@ -320,12 +320,13 @@ FAR_GAUSS = {"kind": "truncated_gauss", "mean": 0.0, "sigma": 1.0, "lo": 30.0, "
 
 @pytest.mark.parametrize("spec, alpha, r", [(FAR_LAPLACE, "-2", "7.5"), (FAR_GAUSS, "-50", "40")])
 def test_predict_refuses_a_limit_past_the_float_range(capsys, tmp_path, spec, alpha, r):
-    # (integral of f**a1)**a2 overflows; it used to escape as OverflowError
+    # C(r) * (integral of f**a1)**a2 overflows, even in logs; it used to escape as OverflowError
     rc = main(["predict", "--density", _spec_file(tmp_path, spec), "--alpha", alpha, "--r", r])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0]
+    assert len(lines) == 1
+    assert lines[0].startswith("error: the predicted limit inf is not a positive normal float")
 
 
 def test_predict_at_the_top_order_takes_the_laplace_peak(capsys, tmp_path):
@@ -627,6 +628,23 @@ def test_a_high_order_limit_past_the_float_range_exits_two(capsys, tmp_path, com
     # C(40) / (1e-10)**40 is about 2e386; the power raised OverflowError
     line = _one_error_line(capsys, tmp_path, command, WIDE_UNIFORM, "50", "40")
     assert line.startswith("error: the predicted limit inf is not a positive normal float")
+
+
+def test_a_negative_infinite_order_limit_past_the_float_range_exits_two(capsys, tmp_path):
+    # C(40) * (1e10)**40 is about 2e386; numpy's overflow warning came before the error
+    line = _one_error_line(capsys, tmp_path, "predict", WIDE_UNIFORM, "neg_inf", "40")
+    assert line.startswith("error: the predicted limit inf is not a positive normal float")
+
+
+@pytest.mark.parametrize("alpha", ["neg_inf", "-2", "0.5", "1", "2", "pos_inf"])
+def test_every_order_of_a_wide_uniform_source_prints_its_limit(capsys, tmp_path, alpha):
+    # C(31) * (1e10)**31 at every order; the finite orders refused it as an
+    # overflowing power, and -inf overflowed its integral
+    rc = main(["predict", "--density", _spec_file(tmp_path, WIDE_UNIFORM), "--alpha", alpha,
+               "--r", "31"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert captured.out.splitlines()[0] == "value=1.45519152284e+299"
 
 
 def test_sweep_rows_whose_distortion_underflows_are_error_rows(capsys, tmp_path):

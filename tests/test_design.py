@@ -5,7 +5,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from renyiquant import (
     Interval,
@@ -30,7 +30,8 @@ from renyiquant import (
     uniform_quantizer,
 )
 from renyiquant.compander import Compander
-from renyiquant.core import as_order, branch_of, distortion_constant
+from renyiquant._quadrature import _normal_sums
+from renyiquant.core import _high_order, as_order, branch_of, distortion_constant, exponents
 from renyiquant.densities import _pair_cut
 from renyiquant.quantizer import MAX_UNIFORM_LEVELS
 
@@ -429,7 +430,13 @@ def test_compander_scores_of_smooth_point_densities_equal_the_single_calls(two_m
 @pytest.mark.parametrize("p, q", [(0.5, 2.0), (-1.2, 3.5), (3.0, -0.25)])
 def test_a_smooth_integral_power_in_range_is_the_plain_power(p, q):
     f = truncated_laplace(0.5, 0.2, 0.0, 1.0)
-    assert f._integral_power(p, q) == f.power_integral(p) ** q
+    assert f._log_power_integral(p) == math.log(f.power_integral(p))
+    # the order at r = 2 whose second exponent is q: its limit keeps the plain product
+    alpha = 1.0 - 2.0 / (q - 1.0)
+    pair = exponents(alpha, 2.0)
+    assert pair.second == pytest.approx(q, rel=1e-15)
+    expected = distortion_constant(2.0) * f.power_integral(pair.first) ** pair.second
+    assert predicted_limit(f, alpha, 2.0).value == expected
 
 
 @pytest.mark.parametrize("f, alpha, r", [
@@ -441,7 +448,7 @@ def test_a_smooth_integral_power_in_range_is_the_plain_power(p, q):
     (PiecewiseConstantDensity([0.0, 0.5, 1.0], [1e-100, 2.0]), -0.5, 40.0),
 ])
 def test_a_limit_whose_integral_power_overflows_raises_value_error(f, alpha, r):
-    with pytest.raises(ValueError, match=r"^\(integral of pdf\*\*.*\)\*\*.* overflows$"):
+    with pytest.raises(ValueError, match="^the predicted limit inf is not a positive normal float"):
         predicted_limit(f, alpha, r)
 
 
@@ -474,6 +481,27 @@ def test_a_limit_whose_scale_overflows_alone_is_taken_in_logs():
         exact = float(mpmath.mpf(10) ** 310 / (32 * mpmath.mpf(2) ** 31))
     assert predicted_limit(f, 1.0, r).value == pytest.approx(exact, rel=1e-12)
     assert predicted_limit_high_alpha(f, 50.0, r).value == pytest.approx(exact, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.floats(1e-8, 1e12), r=st.floats(1.0, 40.0),
+       alpha=st.sampled_from([-math.inf, -2.0, 0.0, 0.5, 1.0, 2.0, None, math.inf]))
+# integral of f**39 underflows to 0.0, and 0.0 ** (-1/19) raises ZeroDivisionError
+@example(w=1e10, r=2.0, alpha=2.9)
+# integral of f**52 is subnormal, and its power -0.02 is a normal float off by ~1e-5
+@example(w=1.5e6, r=1.02, alpha=2.0)
+def test_every_limit_of_a_uniform_source_is_c_r_times_its_width_to_the_r(w, r, alpha):
+    # x -> c * x scales the distortion by c**r and keeps every entropy, so
+    # every order's limit on uniform(0, w) is C(r) * w**r; None stands for 1 + r
+    a = as_order(1.0 + r if alpha is None else alpha)
+    limit = predicted_limit_high_alpha if _high_order(a, r) else predicted_limit
+    with mpmath.workdps(50):
+        exact = float(mpmath.mpf(w) ** r / ((1 + mpmath.mpf(r)) * mpmath.mpf(2) ** r))
+    if not _normal_sums(exact):
+        with pytest.raises(ValueError):
+            limit(uniform(0.0, w), a, r)
+    else:
+        assert limit(uniform(0.0, w), a, r).value == pytest.approx(exact, rel=1e-12)
 
 
 def test_pierce_bound_checks_its_rate_and_density():

@@ -91,6 +91,15 @@ def test_differential_entropy(two_mass, alpha, expected):
         expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("v", [2000.0, -2000.0])
+def test_differential_entropy_at_an_extreme_order_is_summed_in_logs(two_mass, v):
+    # 1.5**2000 and 0.5**-2000 overflow, so the integral of pdf**v does too
+    with mpmath.workdps(50):
+        half = mpmath.mpf(0.5)
+        exact = float(mpmath.log(half * half**v + half * mpmath.mpf(1.5) ** v) / (1 - v))
+    assert differential_entropy(two_mass, RenyiOrder(v)) == pytest.approx(exact, rel=1e-12)
+
+
 def test_the_top_order_entropy_of_a_laplace_source_is_exact():
     # minus the log of the peak, to the last bit of the 50-digit value
     d = truncated_laplace(0.45, 0.3, 0.0, 1.0)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -407,6 +408,20 @@ def test_probe_keeps_the_plain_product():
     probe = empirical_limit_probe(inst, RenyiOrder(0.5), 2.0, rates)
     assert probe == [math.exp(2.0 * R) * brute_force_optimal(inst, RenyiOrder(0.5), R, 2.0).value
                      for R in rates]
+
+
+def test_probe_takes_the_scaled_value_in_logs_where_the_exponential_overflows(two_mass):
+    inst = GridInstance(two_mass, np.linspace(0.0, 1.0, 17), 5)
+    value = brute_force_optimal(inst, RenyiOrder(0.5), 356.0, 2.0).value
+    with mpmath.workdps(50):
+        exact = float(mpmath.exp(712) * mpmath.mpf(value))
+    # e**712 overflows, while the scaled value, about 5.0568e306, does not
+    assert exact == pytest.approx(5.0568e306, rel=1e-4)
+    assert empirical_limit_probe(inst, RenyiOrder(0.5), 2.0, [356.0]) == [
+        pytest.approx(exact, rel=1e-12)]
+    # about 1.5e310: past the float range
+    with pytest.raises(ValueError, match="rate 360.0 overflows"):
+        empirical_limit_probe(inst, RenyiOrder(0.5), 2.0, [356.0, 360.0])
 
 
 @pytest.mark.parametrize("rate", [400.0, math.inf])
