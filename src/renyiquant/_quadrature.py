@@ -268,12 +268,10 @@ def integrate(f, a, b, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_DEPTH, bre
     return total
 
 
-def bisect_increasing(f, lo, hi, target=0.0, tol=None, max_iter=200):
+def bisect_increasing(f, lo, hi, target, tol, max_iter=200):
     """x in [lo, hi] with f(x) == target for f nondecreasing: ``bisect_many`` on the
-    one bracket, to ``tol`` (1e-13 of its width unless given).  It does not stop
-    where f meets the target exactly, so ties resolve stably."""
-    if tol is None:
-        tol = 1e-13 * (hi - lo)
+    one bracket, to width ``tol``.  It does not stop where f meets the target
+    exactly, so ties resolve stably."""
     return float(bisect_many(lambda m, k: np.array([f(float(m[0])) < target]),
                              [lo], [hi], tol, max_iter)[0])
 

@@ -85,12 +85,12 @@ class Compander:
         if np.any(np.diff(bounds) <= 0):
             raise ValueError(f"companding boundaries collapse at {n} levels")
         # an expanded codepoint may land a float past its cell: it is snapped back
-        return IntervalQuantizer._derived(bounds, xs[1::2], in_cells=False)
+        return IntervalQuantizer(bounds, xs[1::2])
 
     def midpoint_variant(self, n: int) -> IntervalQuantizer:
         """Same boundaries as build(n) but with cell-midpoint codepoints."""
         b = self.build(n).boundaries
-        return IntervalQuantizer._derived(b, 0.5 * (b[:-1] + b[1:]), in_cells=True)
+        return IntervalQuantizer(b, 0.5 * (b[:-1] + b[1:]))
 
     def __repr__(self):
         return f"Compander({self.point_density!r})"

@@ -122,18 +122,6 @@ class PiecewiseConstantDensity:
         h = np.ascontiguousarray(heights, dtype=float)
         if b.ndim != 1 or h.ndim != 1 or len(b) != len(h) + 1 or len(h) < 1:
             raise ValueError("need m+1 breakpoints for m >= 1 heights")
-        self._settle(b, h)
-
-    @classmethod
-    def _derived(cls, breakpoints: np.ndarray, heights: np.ndarray) -> "PiecewiseConstantDensity":
-        """``__init__`` without its shape checks, for arrays derived from a checked
-        density; the value checks stay, as a scale or a power can overflow."""
-        d = cls.__new__(cls)
-        d._settle(np.ascontiguousarray(breakpoints), np.ascontiguousarray(heights))
-        return d
-
-    def _settle(self, b: np.ndarray, h: np.ndarray):
-        """Check the values of b and h, freeze them and build the caches."""
         with np.errstate(over="ignore", invalid="ignore"):
             lens = b[1:] - b[:-1]
             total = float(np.dot(h, lens))
@@ -292,12 +280,12 @@ class PiecewiseConstantDensity:
         """The density proportional to pdf**p; ``order`` is the order it serves.
 
         Near order 1 + r, |p| is large and pdf**p overflows or underflows.
-        When its integral is not a normal float (``_quadrature._normal_sums``)
-        the heights are normalized in logs, as ``_log_power_integral`` sums them;
-        a height that still underflows to 0 raises ValueError.
+        Where its integral loses digits (``_plain_power_integral``) the heights
+        are normalized in logs, as ``_log_power_integral`` sums them; a height
+        that still underflows to 0 raises ValueError.
         """
-        norm = self.power_integral(p)
-        if _normal_sums(norm):
+        norm = _plain_power_integral(self, p)
+        if not math.isnan(norm):
             heights = self.heights**p / norm
         else:
             t = p * np.log(self.heights)
@@ -306,12 +294,12 @@ class PiecewiseConstantDensity:
         if not (heights > 0.0).all():
             raise ValueError(
                 f"the point density at order {order!r} underflows to 0 on part of the support")
-        return PiecewiseConstantDensity._derived(self.breakpoints, heights)
+        return PiecewiseConstantDensity(self.breakpoints, heights)
 
     def _log_power_integral(self, p: float) -> float:
         """log of ``power_integral(p)``, summed in logs where the integral
         overflows or underflows, as it does at large |p|."""
-        return _log_of_sum(self.power_integral(p),
+        return _log_of_sum(_plain_power_integral(self, p),
                            lambda: p * np.log(self.heights) + np.log(self._lens))
 
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
@@ -321,8 +309,8 @@ class PiecewiseConstantDensity:
             raise ValueError(f"scale must be positive, got {c!r}")
         # negation is exact, so t + (-c) * x is t - c * x; reflecting reverses the order
         step = -1 if reflect else 1
-        return PiecewiseConstantDensity._derived((t + step * c * self.breakpoints)[::step],
-                                                 (self.heights / c)[::step])
+        return PiecewiseConstantDensity((t + step * c * self.breakpoints)[::step],
+                                        (self.heights / c)[::step])
 
     def __repr__(self):
         return (
@@ -491,26 +479,40 @@ class SmoothDensity:
             raise ValueError(f"quantile of {float(u[0])!r} does not converge in 200 steps")
         return out
 
+    def _whole(self, f) -> float:
+        """Integral of f, a function of a point array, over the support cut at the kinks."""
+        return integrate(f, self._support.lo, self._support.hi, self._rel_tol, self._max_depth,
+                         breakpoints=self._breaks)
+
     def power_integral(self, p: float) -> float:
+        """Integral of pdf**p over the support.  The quadrature's first nodes can
+        all miss a narrow peak and read it as 0, so at p > 1 or p < 0 a result
+        below Jensen's bound total**p * width**(1 - p), total the cdf table's
+        mass, taken in logs with a slack of 1e-8, raises ValueError."""
         p = float(p)
         if p < 0 and self.ess_bounds()[0] <= 0.0:
             raise ValueError("negative power integral requires a density bounded away from zero")
-
         try:
-            return integrate(lambda x: _powers(self._pdf_many(x), p), self._support.lo,
-                             self._support.hi, self._rel_tol, self._max_depth,
-                             breakpoints=self._breaks)
+            value = self._whole(lambda x: _powers(self._pdf_many(x), p))
         except OverflowError:
             raise ValueError(f"power integral of order {p} overflows") from None
+        bound = p * math.log(self._total) + (1.0 - p) * math.log(self._support.width)
+        if not (0.0 <= p <= 1.0 or value > 0.0 and math.log(value) >= bound - 1e-8):
+            raise ValueError(f"power integral of order {p} misses the peak of the density")
+        return value
 
     def log_integral(self) -> float:
+        """Integral of pdf * log(pdf) over the support; ValueError where the same
+        quadrature of the pdf misses the cdf table's mass by more than 1e-8."""
+        if abs(self._whole(self._pdf_many) - self._total) > 1e-8:
+            raise ValueError("the integral of pdf * log(pdf) misses the peak of the density")
+
         def f(x):
             v = self._pdf_many(x)
             positive = v > 0.0
             return np.where(positive, v * call_each(math.log, np.where(positive, v, 1.0)), 0.0)
 
-        return integrate(f, self._support.lo, self._support.hi, self._rel_tol, self._max_depth,
-                         breakpoints=self._breaks)
+        return self._whole(f)
 
     def ess_bounds(self):
         return self._ess
@@ -605,6 +607,13 @@ def uniform(lo: float, hi: float) -> PiecewiseConstantDensity:
     """Uniform density on [lo, hi]."""
     width = float(hi) - float(lo)
     return PiecewiseConstantDensity([lo, hi], [1.0 / width])
+
+
+def _plain_power_integral(d: Density, p: float) -> float:
+    """``d.power_integral(p)`` where it keeps its digits: divided by max(1, width)
+    it is a normal float.  NaN elsewhere, which sends the caller to logs."""
+    value = d.power_integral(p)
+    return value if _normal_sums(value / max(1.0, d.support.width)) else math.nan
 
 
 def _powers(x: np.ndarray, p: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from ._quadrature import _exp_product, _normal_sums, bisect_increasing
 from .compander import Compander, _bennett_functionals
 from .core import (_high_order, as_order, branch_of, distortion_constant, exponents,
                    validate_exponent)
-from .densities import Density, Interval, uniform
+from .densities import Density, Interval, _plain_power_integral, uniform
 from .entropy import _divergences, renyi_entropy
 from .quantizer import (MAX_UNIFORM_LEVELS, IntervalQuantizer, _masses_and_distortion,
                         uniform_quantizer)
@@ -104,10 +104,8 @@ def predicted_limit(f: Density, alpha, r: float) -> PredictedLimit:
     else:
         pair = exponents(a, r)  # (1 - r, 1) at -inf, where integral ** 1.0 is the integral
         p, q = pair.first, pair.second
-        integral = f.power_integral(p)
-        # a subnormal or zero integral has lost digits: its power goes the log way (nan)
-        plain, log_power = (lambda: integral**q if _normal_sums(integral) else math.nan,
-                            lambda: q * f._log_power_integral(p))
+        integral = _plain_power_integral(f, p)  # nan where it lost digits: the log way
+        plain, log_power = lambda: integral**q, lambda: q * f._log_power_integral(p)
     value = _exp_product(lambda: cr * plain(), lambda: (math.log(cr), log_power()))
     return PredictedLimit(value, branch, r)
 

@@ -95,7 +95,7 @@ class MixtureSpec:
         b = np.asarray(breakpoints)
         h = np.asarray(heights)
         h = h / float(np.dot(h, np.diff(b)))
-        return PiecewiseConstantDensity._derived(b, h)
+        return PiecewiseConstantDensity(b, h)
 
 
 def _clean_weights(weights) -> np.ndarray:
@@ -258,8 +258,7 @@ def compose(spec: MixtureSpec, parts: Sequence[IntervalQuantizer]) -> IntervalQu
         bounds.append(q.boundaries[1:])
         points.append(q.codepoints)
     # parts may overlap within the tolerance, so a codepoint may need its snap
-    return IntervalQuantizer._derived(np.concatenate(bounds), np.concatenate(points),
-                                      in_cells=False)
+    return IntervalQuantizer(np.concatenate(bounds), np.concatenate(points))
 
 
 def f_functional(weights, values, r: float) -> float | np.ndarray:

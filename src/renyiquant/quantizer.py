@@ -63,32 +63,16 @@ class IntervalQuantizer:
         c = np.ascontiguousarray(self.codepoints, dtype=float)
         if b.ndim != 1 or c.ndim != 1 or len(b) != len(c) + 1 or len(c) < 1:
             raise ValueError("need n+1 boundaries for n >= 1 codepoints")
-        self._settle(b, c, in_cells=False)
-
-    @classmethod
-    def _derived(cls, boundaries: np.ndarray, codepoints: np.ndarray,
-                 in_cells: bool) -> "IntervalQuantizer":
-        """``__init__`` without its shape checks, for arrays derived from checked
-        ones.  ``in_cells`` says each finite codepoint lies in its closed cell
-        (a midpoint does), so the codepoint check and the snap are skipped; the
-        other checks stay, as a scale or a sum can overflow or collapse."""
-        q = object.__new__(cls)
-        q._settle(np.ascontiguousarray(boundaries), np.ascontiguousarray(codepoints), in_cells)
-        return q
-
-    def _settle(self, b: np.ndarray, c: np.ndarray, in_cells: bool):
-        """Check the values of b and c, snap the codepoints into their cells and freeze both."""
         if not (np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("boundaries and codepoints must be finite")
         lo, hi = b[:-1], b[1:]
         if (hi <= lo).any():
             raise ValueError("boundaries must be strictly increasing")
-        if not in_cells:
-            tol = CODEPOINT_TOL * (b[-1] - b[0])
-            if ((c < lo - tol) | (c > hi + tol)).any():
-                raise ValueError("each codepoint must lie in the closure of its cell")
-            # snap float dust back into the closed cell so the invariant is exact
-            c = np.minimum(np.maximum(c, lo), hi)
+        tol = CODEPOINT_TOL * (float(b[-1]) - float(b[0]))  # inf, not a warning, past the range
+        if ((c < lo - tol) | (c > hi + tol)).any():
+            raise ValueError("each codepoint must lie in the closure of its cell")
+        # snap float dust back into the closed cell so the invariant is exact
+        c = np.minimum(np.maximum(c, lo), hi)
         b.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "boundaries", b)
@@ -297,7 +281,7 @@ def uniform_quantizer(interval: Interval, n: int) -> IntervalQuantizer:
     n = _level_count(n)
     b = interval.lo + (interval.width / n) * np.arange(n + 1)
     b[-1] = interval.hi
-    return IntervalQuantizer._derived(b, 0.5 * (b[:-1] + b[1:]), in_cells=True)
+    return IntervalQuantizer(b, 0.5 * (b[:-1] + b[1:]))
 
 
 def transform_quantizer(q: IntervalQuantizer, c: float, t: float) -> IntervalQuantizer:
@@ -305,6 +289,4 @@ def transform_quantizer(q: IntervalQuantizer, c: float, t: float) -> IntervalQua
     c = float(c)
     if not c > 0:
         raise ValueError(f"scale must be positive, got {c!r}")
-    # x -> c*x + t rounds monotonically, so each image codepoint stays in its image cell
-    return IntervalQuantizer._derived(c * q.boundaries + t, c * q.codepoints + t,
-                                      in_cells=True)
+    return IntervalQuantizer(c * q.boundaries + t, c * q.codepoints + t)

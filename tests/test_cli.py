@@ -658,3 +658,20 @@ def test_sweep_rows_whose_distortion_underflows_are_error_rows(capsys, tmp_path)
     assert [row["N"] for row in rows] == [4, 8]
     assert all(row["error"].startswith("the distortion 0.0 is not a positive normal float")
                for row in rows)
+
+
+@pytest.mark.parametrize("sigma, alpha, message", [
+    # the limit is 0.00134431597219; integral of f**200 read 1.7e-322, not 2.17e178
+    (0.05, "2.9801", "power integral of order 200.00502512563008 misses the peak"),
+    # the limit is 1.2809601334e-05; integral of f log f read 0, giving C(2) as if uniform
+    (0.003, "1", "the integral of pdf * log(pdf) misses the peak"),
+])
+def test_predict_refuses_an_integral_that_misses_a_narrow_peak(capsys, tmp_path, sigma, alpha,
+                                                                message):
+    spec = {"kind": "truncated_gauss", "mean": 0.5, "sigma": sigma, "lo": 0.0, "hi": 1.0}
+    rc = main(["predict", "--density", _spec_file(tmp_path, spec), "--alpha", alpha, "--r", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {message}")

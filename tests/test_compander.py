@@ -210,3 +210,26 @@ def test_a_bennett_integral_past_the_float_range_raises_value_error(two_mass):
     with pytest.raises(ValueError,
                        match=r"^the Bennett integral at r = 2.0 leaves the float range$"):
         bennett_functional(two_mass, g, 2.0)
+
+
+def test_a_bennett_integrand_that_overflows_raises_value_error():
+    # g's first height to the power 2 overflows, which _powers raises as OverflowError
+    g = PiecewiseConstantDensity([0.0, 1e-200, 1.0], [0.5e200, 0.5 / (1.0 - 1e-200)])
+    with pytest.raises(ValueError,
+                       match=r"^the Bennett integral at r = 2.0 leaves the float range$"):
+        bennett_functional(uniform(0.0, 1.0), g, 2.0)
+
+
+def test_a_point_density_that_underflows_to_zero_is_refused():
+    # the pdf is exp(-5000) = 0 at 1: its essential infimum is 0
+    g = truncated_gauss(0.0, 0.01, 0.0, 1.0)
+    for call in (lambda: compressed_density(uniform(0.0, 1.0), g),
+                 lambda: bennett_functional(uniform(0.0, 1.0), g, 2.0)):
+        with pytest.raises(ValueError, match="^point density must be bounded away from zero$"):
+            call()
+
+
+def test_companding_boundaries_that_collapse_are_refused():
+    # four cells of a support two floats wide
+    with pytest.raises(ValueError, match="^companding boundaries collapse at 4 levels$"):
+        Compander(uniform(1.0, 1.0 + 4.4e-16)).build(4)

@@ -763,3 +763,24 @@ def test_a_smooth_pdf_or_transform_that_is_not_a_density_is_refused():
         SmoothDensity(lambda x: 2.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="scale must be positive, got 0.0"):
         truncated_gauss(0.5, 0.2, 0.0, 1.0).similarity_transform(0.0, 1.0)
+
+
+NARROW = truncated_gauss(0.5, 0.05, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("p", [20.0, 150.0])
+def test_a_resolved_power_integral_of_a_narrow_peak_passes_the_jensen_guard(p):
+    # integral of exp(-p z**2 / 2) over [0, 1] is sigma * sqrt(2 pi / p) times
+    # the mass there of the Gaussian with sigma / sqrt(p)
+    with mpmath.workdps(50):
+        sigma = mpmath.mpf(0.05)
+        norm = 1 / (_gauss_mass(0.5, sigma, 0.0, 1.0) * sigma * mpmath.sqrt(2 * mpmath.pi))
+        exact = (norm**p * sigma * mpmath.sqrt(2 * mpmath.pi / p)
+                 * _gauss_mass(0.5, sigma / mpmath.sqrt(p), 0.0, 1.0))
+    assert NARROW.power_integral(p) == pytest.approx(float(exact), rel=1e-8)
+
+
+def test_a_power_integral_that_reads_zero_at_a_narrow_peak_is_refused():
+    # the first nodes all miss the peak, where the integral is about 1e268
+    with pytest.raises(ValueError, match="power integral of order 300.0 misses the peak"):
+        NARROW.power_integral(300.0)

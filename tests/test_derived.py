@@ -1,8 +1,8 @@
-"""Objects the library derives from checked ones skip only the checks their
-inputs guarantee (``PiecewiseConstantDensity._derived`` and
-``IntervalQuantizer._derived``).  Each derived path must build what the
-checked constructor builds from the same arrays, and reject what it rejects,
-with the same message."""
+"""Densities and quantizers that the library builds from other checked objects
+(a similarity transform, a power density, a mixture, a compander grid, a
+composition) must equal their constructor twins: what the constructor builds
+from the same arrays, bit for bit, and the same rejection, with the same
+message, where the constructor rejects the arrays."""
 
 import math
 import re

@@ -490,6 +490,8 @@ def test_a_limit_whose_scale_overflows_alone_is_taken_in_logs():
 @example(w=1e10, r=2.0, alpha=2.9)
 # integral of f**52 is subnormal, and its power -0.02 is a normal float off by ~1e-5
 @example(w=1.5e6, r=1.02, alpha=2.0)
+# integral of f**44.82 is a normal float, but its terms are subnormal and lost digits
+@example(w=10459616.3, r=1.0233537, alpha=2.0)
 def test_every_limit_of_a_uniform_source_is_c_r_times_its_width_to_the_r(w, r, alpha):
     # x -> c * x scales the distortion by c**r and keeps every entropy, so
     # every order's limit on uniform(0, w) is C(r) * w**r; None stands for 1 + r

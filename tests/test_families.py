@@ -1,5 +1,6 @@
 """The two density families give the same figures of merit for the same pdf,
-and only ``densities`` tells them apart."""
+and only ``densities`` tells them apart.  Every object the library builds goes
+through its constructor."""
 
 import ast
 import sys
@@ -115,3 +116,22 @@ def test_densities_tests_the_family_of_a_pair_in_one_place():
 def test_the_library_imports_only_numpy_and_the_standard_library(path):
     allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
     assert set(_imported_packages(ast.parse(path.read_text()))) <= allowed
+
+
+def _new_calls(tree):
+    """Line of every call of a ``__new__`` attribute, as in ``cls.__new__(cls)``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"]
+
+
+def test_the_guard_sees_a_new_call():
+    tree = ast.parse("def f(cls):\n    q = object.__new__(cls)\n    return q\n")
+    assert _new_calls(tree) == [2]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_object_the_library_builds_goes_through_its_constructor(path):
+    # a density or quantizer made by __new__ would skip the checks in __init__,
+    # and a tracer that wraps __init__ would not see it
+    assert _new_calls(ast.parse(path.read_text())) == []

@@ -118,6 +118,15 @@ def test_gapped_mixture_is_detected():
                        uniform_quantizer(Interval(1.5, 2.0), 2)])
 
 
+def test_a_part_that_does_not_span_its_component_is_refused():
+    spec = MixtureSpec([MixtureComponent(0.5, uniform(0.0, 1.0)),
+                        MixtureComponent(0.5, uniform(1.0, 2.0))])
+    with pytest.raises(ValueError, match=r"^part spanning \[0.0, 0.9\] does not match the "
+                                         r"component support \[0.0, 1.0\]$"):
+        compose(spec, [uniform_quantizer(Interval(0.0, 0.9), 2),
+                       uniform_quantizer(Interval(1.0, 2.0), 2)])
+
+
 def test_allocation_weights_frozen():
     t = allocation_weights([0.25, 0.75], RenyiOrder(0.5), 2.0)
     assert np.allclose(t, [0.46492398928058182, 0.57917019801629388], rtol=1e-14)

@@ -163,6 +163,11 @@ def test_a_non_finite_integrand_raises_the_same_error(f, a, b, breaks):
     assert str(got.value) == str(expected.value)
 
 
+def test_integrate_refuses_a_reversed_range():
+    with pytest.raises(ValueError, match=r"^empty integration range \[1.0, 0.0\]$"):
+        integrate(lambda xs: xs, 1.0, 0.0)
+
+
 def test_moments_many_gives_zero_on_an_empty_piece():
     # the smooth cdf relies on this at the edges of its table
     out = moments_many(_each(math.exp), [0.3, 0.5], [0.3, 0.7], [0.3, 0.5], 0.0)

@@ -73,6 +73,15 @@ def test_a_cell_whose_width_overflows_is_refused_without_numpy_warnings():
             optimal_codepoint(Interval(-1e308, 1e308), truncated_gauss(0.4, 0.3, 0, 1), 2.0)
 
 
+def test_a_quantizer_whose_span_width_overflows_builds_without_numpy_warnings():
+    # finite boundaries 3e308 apart: the codepoint tolerance is inf, not a warning
+    for build in (lambda: IntervalQuantizer([-1.5e308, 0.0, 1.5e308], [-1.0, 1.0]),
+                  lambda: transform_quantizer(uniform_quantizer(Interval(-1.0, 1.0), 2),
+                                              1.5e308, 0.0)):
+        q = build()
+        assert q.boundaries.tolist() == [-1.5e308, 0.0, 1.5e308]
+
+
 def test_quantize_maps_to_cell_indices():
     q = uniform_quantizer(Interval(0.0, 1.0), 4)
     assert q.quantize(0.0) == 0          # first cell is closed on the left
