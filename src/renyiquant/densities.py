@@ -554,7 +554,7 @@ class SmoothDensity:
 
     def _power_density(self, p: float, order: float) -> "SmoothDensity":
         """The density proportional to pdf**p; ``order`` is the order it serves."""
-        norm = self.power_integral(p)
+        norm = self._positive_power_integral(p)
         lo_f, hi_f = self._ess
         bounds = sorted((lo_f**p / norm, hi_f**p / norm))
 
@@ -566,12 +566,15 @@ class SmoothDensity:
         return SmoothDensity(with_array_form(pdf), self._support.lo, self._support.hi,
                              breakpoints=self._breaks, ess_inf=bounds[0], ess_sup=bounds[1])
 
-    def _log_power_integral(self, p: float) -> float:
-        """log of ``power_integral(p)``; ValueError unless the integral is positive and finite."""
+    def _positive_power_integral(self, p: float) -> float:
+        """``power_integral(p)``; ValueError unless the integral is positive and finite."""
         integral = self.power_integral(p)
         if not (math.isfinite(integral) and integral > 0.0):
             raise ValueError(f"power integral of order {p} is not positive and finite")
-        return math.log(integral)
+        return integral
+
+    def _log_power_integral(self, p: float) -> float:
+        return math.log(self._positive_power_integral(p))
 
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
         c = float(c)

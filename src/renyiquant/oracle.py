@@ -12,11 +12,16 @@ more cut, so each row costs its parent's value and two table reads
 every ``max_cells``.  ``_entropies`` holds the row form of the range rule
 of ``_quadrature._log_of_sum``: ``np.log`` of each normal power sum, the
 log-sum-exp of its row's logs for the rest.
+
+The tree and its buffers depend only on the grid size and ``max_cells``, so
+each thread keeps the last one it built for every instance of that shape,
+held after its last search: 9.4 MB at 28 points and 7 cells, 84 MB at 32/8.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -44,6 +49,7 @@ FEASIBILITY_SLACK = 1e-12
 # partitions() rows hold grid indices; the smallest type that holds them keeps
 # the largest table (313,912 rows of 8 at 28 points and 7 cells) at 2.5 MB
 _GRID_INDEX = np.min_scalar_type(MAX_GRID_POINTS - 1)
+_last_tree = threading.local()  # .tree: the last _PartitionTree this thread built
 
 
 class MonotonicityError(RuntimeError):
@@ -71,8 +77,8 @@ class GridInstance:
     The grid must span the support exactly and contain every density
     breakpoint, so each grid segment has constant height and all cell masses
     are exact.  Cell (i, j) of an n-point grid sits at i * n + j of the flat
-    per-cell tables; the search reduces them over every partition along one
-    ``_PartitionTree``, built on first use and kept with its buffers.
+    per-cell tables; the search reduces them over every partition along the
+    ``_PartitionTree`` of its shape, which ``_tree`` shares per thread.
     """
 
     def __init__(self, density: PiecewiseConstantDensity, grid: Sequence[float], max_cells: int):
@@ -104,7 +110,6 @@ class GridInstance:
         pref = density.cdf(g)
         self._cell_mass = (pref[None, :] - pref[:, None]).ravel()  # cell (i, j) at i * n + j
         self._partitions = None
-        self._partition_tree = None
         self._mass_matrix = None
         self._per_r = {}
 
@@ -130,10 +135,12 @@ class GridInstance:
         return self._partitions
 
     def _tree(self) -> "_PartitionTree":
-        """The partitions() rows as a tree, built once per instance."""
-        if self._partition_tree is None:
-            self._partition_tree = _PartitionTree(len(self.grid), self.max_cells)
-        return self._partition_tree
+        """The partitions() rows as a tree: this thread's last one, if it has this shape."""
+        tree = getattr(_last_tree, "tree", None)
+        if tree is None or tree.shape != (len(self.grid), self.max_cells):
+            _last_tree.tree = None  # the old tree goes before the new one is built
+            tree = _last_tree.tree = _PartitionTree(len(self.grid), self.max_cells)
+        return tree
 
     def mass_matrix(self) -> np.ndarray:
         """Cell masses per partition; padding cells carry an exact zero."""
@@ -179,13 +186,14 @@ class _PartitionTree:
     x[k]) at x[k - 1] * n + x[k]; the empty prefix is cut 0.  The partitions
     of each cell count take the slice ``bounds[k - 1]:bounds[k]`` of a row
     vector.  ``reduce`` walks the depths in order, so each row's value is
-    one fold of its cells from the left.  ``out`` and ``scratch`` are
-    buffers of a row vector and of the largest level, kept so that repeated
-    reductions allocate nothing.
+    one fold of its cells from the left.  The index arrays are read-only.
+    ``out`` and ``scratch`` are buffers of a row vector and of the largest
+    level, kept so that repeated reductions allocate nothing; one thread
+    uses them, since each thread builds its own tree (``GridInstance._tree``).
     """
 
     def __init__(self, n: int, max_cells: int):
-        self.n = n
+        self.n, self.shape = n, (n, max_cells)
         self.parents, self.steps = [], []
         cut = np.zeros(1, dtype=np.intp)  # last cut of each prefix
         for _ in range(1, max_cells):
@@ -201,6 +209,8 @@ class _PartitionTree:
             self.parents.append(parent)
             self.steps.append(step)
         self.bounds = np.cumsum([0, 1, *map(len, self.steps)])
+        for arr in (self.bounds, *self.parents, *self.steps):
+            arr.flags.writeable = False
         self.rows = int(self.bounds[-1])
         self.out = np.empty(self.rows)
         self.scratch = np.empty(int(np.diff(self.bounds).max()))
@@ -254,7 +264,8 @@ class _PartitionTree:
 def _entropies(inst: GridInstance, alpha: RenyiOrder) -> np.ndarray:
     """Entropy of order alpha of every partition, from the flat cell masses.
 
-    The result is the tree's output buffer, overwritten by the next call.
+    The result is the output buffer of this thread's tree, which the next
+    call in the same thread overwrites, whatever its instance.
     """
     mass, tree = inst._cell_mass, inst._tree()
     branch = branch_of(alpha)

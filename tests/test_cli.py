@@ -400,12 +400,13 @@ GOLDEN_INSTANCE = {
 def test_oracle_stdout_matches_the_golden_file(capsys, tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(GOLDEN_INSTANCE))
-    rc, out = run_cli(capsys, "oracle", "--instance", str(path),
-                      "--alpha", "neg_inf,-2,-1,0,0.5,1,2,pos_inf",
-                      "--rate", "1.2", "--r", "2")
-    assert rc == 0
-    golden = Path(__file__).parent / "data" / "oracle_ladder_stdout.json"
-    assert out == golden.read_text()
+    golden = (Path(__file__).parent / "data" / "oracle_ladder_stdout.json").read_text()
+    # twice in one process: the second command takes the partition tree the first left
+    for _ in range(2):
+        rc, out = run_cli(capsys, "oracle", "--instance", str(path),
+                          "--alpha", "neg_inf,-2,-1,0,0.5,1,2,pos_inf",
+                          "--rate", "1.2", "--r", "2")
+        assert rc == 0 and out == golden
 
 
 # the printed output of these commands is fixed; the sweep's cells straddle
@@ -675,3 +676,15 @@ def test_predict_refuses_an_integral_that_misses_a_narrow_peak(capsys, tmp_path,
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("sigma", [3e-3, 3e-4, 3e-7])
+def test_design_refuses_a_point_density_whose_norm_misses_a_narrow_peak(capsys, tmp_path, sigma):
+    # the quadrature of f**0.2 read 0.0, and the point density divided by it
+    spec = {"kind": "truncated_gauss", "mean": 0.5, "sigma": sigma, "lo": 0.0, "hi": 1.0}
+    rc = main(["design", "--density", _spec_file(tmp_path, spec), "--alpha", "0.5", "--r", "2",
+               "--levels", "64"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: power integral of order 0.2 is not positive and finite"]

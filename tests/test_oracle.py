@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -355,6 +356,57 @@ def test_tree_rows_are_the_partition_rows(n, max_cells):
         assert np.array_equal(got, row[: len(got)])
         assert np.all(row[len(got):] == n - 1)
 
+
+
+def _in_a_new_thread(fn):
+    """fn() run in a thread of its own, so on a partition tree of its own."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+def test_instances_of_one_shape_share_the_tree_of_their_thread(two_mass):
+    a = GridInstance(two_mass, np.linspace(0.0, 1.0, 9), 4)
+    b = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, 9), 4)
+    assert a._tree() is b._tree()
+    # another thread builds its own, so it never shares a's buffers
+    assert _in_a_new_thread(a._tree) is not a._tree()
+
+
+def test_a_new_shape_replaces_the_tree_of_the_thread(two_mass):
+    small = GridInstance(two_mass, np.linspace(0.0, 1.0, 9), 4)
+    first = small._tree()
+    other = GridInstance(two_mass, np.linspace(0.0, 1.0, 9), 3)._tree()
+    assert other is not first and other.shape == (9, 3)
+    again = small._tree()
+    assert again is not first and again.shape == (9, 4)
+
+
+def test_the_tree_index_arrays_are_read_only():
+    tree = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, 9), 4)._tree()
+    for arr in (tree.bounds, *tree.parents, *tree.steps):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
+def test_interleaved_instances_give_what_each_gives_alone():
+    # two 20-point, 6-cell instances take turns on one tree, then a 12-point
+    # instance replaces it and they take turns again; each search must keep
+    # every bit it has alone
+    insts = [_seeded_instance(31, 20, 6, 4), _seeded_instance(32, 12, 5, 3),
+             _seeded_instance(33, 20, 6, 3)]
+
+    def profile(inst):
+        return [(res.value, res.feasible_count, res.argmin.boundaries.tolist(),
+                 res.argmin.codepoints.tolist())
+                for res in alpha_profile(inst, PROFILE_ORDERS, math.log(3.0), 2.0)]
+
+    alone = [_in_a_new_thread(lambda inst=inst: profile(inst)) for inst in insts]
+    order = [0, 2, 1, 0, 2]
+    assert [profile(insts[i]) for i in order] == [alone[i] for i in order]
 
 def test_the_largest_instance_stays_small():
     # a fresh interpreter, so the peak is this one search's over 2,804,012
