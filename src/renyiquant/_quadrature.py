@@ -7,12 +7,12 @@ once, weighted by |x - c|**p at a codepoint c and plain at p = 0 (masses,
 cdfs, ``integrate``), a piece halved where its rules disagree.  It raises
 past its depth cap or work budget: it never truncates.  Every integrand is
 a function of a 1-D array of points (``over_arrays``).
-``bisect_many``, the one bisection loop, steps all brackets at once; given
-a bracket known to hold each root, it asks only for the midpoints inside it,
-for all brackets in one call.  A power sum that leaves the float range is
-summed in logs: ``_log_of_sum`` does it for one sum, with ``math.log`` where
-the sum is a normal float, and ``oracle._entropies`` row by row with
-``np.log``, whose last bit may differ.
+``bisect_many``, the one bisection loop, steps all brackets at once by one
+rule: midpoints outside the bracket known to hold each root step without a
+call, the rest are asked for in one call; no known bracket is (-inf, inf).
+A power sum that leaves the float range is summed in logs: ``_log_of_sum``
+does it for one sum, with ``math.log`` where the sum is a normal float, and
+``oracle._entropies`` row by row with ``np.log``, whose last bit may differ.
 """
 
 from __future__ import annotations
@@ -154,14 +154,15 @@ def moments_many(f, a, b, c, p, rel_tol=DEFAULT_REL_TOL, max_depth=DEFAULT_MAX_D
     A piece keeps its 2n-point sum Q where the n-point one is within
     ``rel_tol`` of the largest of |Q|, its share of the piece it was halved
     from (half of that one's |Q| or share) and the smallest normal float,
-    and, as no node lies on an end, where Q is a normal float or the pdf at
-    both ends bounds the piece below one (a pdf that is 0 at every node and
-    at both ends, but not between, reads 0).  Else it adds up its halves, or
-    raises ValueError past ``max_depth`` halvings or ``WORK_BUDGET`` pdf
-    values per piece given.  A level calls the array function f once per
-    ``LEVEL_NODES`` pieces and adds elementwise, so a piece gets the bits of
-    a call on it.  A piece that c[k] lies past by less than SLIVER widths is
-    taken out to c[k], which its rules would halve towards, less the sliver.
+    and, as no node lies on an end, where Q is a normal float or the pdf a float
+    inside each end, past any jump at a kink, bounds the piece below one (a pdf
+    0 at every node and next to both ends, but not between, reads 0).  Else it
+    adds up its halves, or raises ValueError past ``max_depth`` halvings or
+    ``WORK_BUDGET`` pdf values per piece given.  A level calls the array
+    function f once per ``LEVEL_NODES`` pieces and adds elementwise, so a piece
+    gets the bits of a call on it.  A piece that c[k] lies past by less than
+    SLIVER widths is taken out to c[k], which its rules would halve towards,
+    less the sliver.
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     if a.ndim != 1 or not a.shape == b.shape == c.shape or not (a <= b).all():
@@ -237,10 +238,10 @@ def _gauss_pieces(f, a, b, c, share, p, rule, job, depth):
     split = ~(apart <= rel_tol * np.maximum(np.maximum(size, share), _TINY))
     faint = np.flatnonzero(~split & (size < _TINY)) if size.min() < _TINY else []
     if len(faint):
-        ends = values(np.stack((a[faint], b[faint])), faint)
+        ends = values(np.stack((np.nextafter(a, b)[faint], np.nextafter(b, a)[faint])), faint)
         reach = np.maximum(np.abs(a - c), np.abs(b - c))[faint]
         with np.errstate(over="ignore"):
-            # the pdf at an end, times the largest |x - c|**p and the width
+            # the pdf a float inside an end, times the largest |x - c|**p and the width
             split[faint] = ~(h[faint] * np.float_power(reach, p) * ends.max(axis=0) <= _TINY)
     split = np.flatnonzero(split)
     if len(split) == 0:
@@ -283,19 +284,19 @@ def bisect_many(below, lo, hi, tol, max_iter=200, known=None):
     after ``max_iter`` steps, or once a step leaves it as it was (its midpoint
     rounds onto the end it replaces): every later step would repeat that one.
     ``below(m, k)`` gets the midpoints m of brackets k and returns, for
-    each, whether f_k(m) < target_k; without ``known`` it is asked for every
-    open bracket at every step.  ``known = (xa, xb)`` says that
+    each, whether f_k(m) < target_k.  ``known = (xa, xb)`` says that
     f_k(xa[k]) < target_k <= f_k(xb[k]), so a midpoint at or left of xa[k]
-    is below and one at or right of xb[k] is not.  The brackets then step on
-    by these answers while they can, and ``below`` is asked only once every
-    open bracket waits on a midpoint strictly inside its (xa[k], xb[k]), for
-    all of them in one call.
+    is below and one not left of xb[k] is not; without it the bracket known
+    is (-inf, inf).  The brackets step on by these answers while they can,
+    and ``below`` is asked only once every open bracket waits on a midpoint
+    strictly inside its (xa[k], xb[k]), for all of them in one call: without
+    ``known``, for every open bracket at every step.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     # the open brackets: their indices k, ends, tolerances and steps taken
     k, al, bl = np.arange(len(a)), a, b
     tl = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
-    xa, xb = known if known is not None else (al, bl)  # placeholders without known
+    xa, xb = known or (np.full(len(a), -np.inf), np.full(len(a), np.inf))
     steps = np.zeros(len(a), dtype=int)
     while True:
         # a bracket stops where b - a <= tol, so a NaN width keeps going
@@ -306,16 +307,13 @@ def bisect_many(below, lo, hi, tol, max_iter=200, known=None):
         if len(k) == 0:
             return 0.5 * (a + b)
         m = 0.5 * (al + bl)
-        move = True
-        if known is None:
-            go = below(m, k)
+        # below at or left of xa; not below where not left of xb, a NaN m too
+        go = m <= xa
+        wait = ~go & (m < xb)
+        if wait.all():
+            go, move = below(m, k), True
         else:
-            go = m <= xa
-            wait = ~go & (m < xb)
-            if wait.all():
-                go = below(m, k)
-            else:
-                move = ~wait
+            move = ~wait
         # a step onto an end changes nothing, nor would any later one
         same = move & np.where(go, m == al, m == bl)
         al = np.where(move & go, m, al)

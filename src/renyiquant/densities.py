@@ -16,12 +16,12 @@ expander value once (see ``compander.Compander``).
 Every formula that differs between the families lives here: each class
 has the private methods ``_cell_masses``, ``_moment_terms``, ``_cell_terms``
 (both, one walk for a piecewise density), ``_power_density`` and
-``_log_power_integral``.  The functions of two densities test the pair's family
-once, in ``_pair_cut``, which gives them the shared support, the kinks in
-it and, for two piecewise densities, the common refinement on which their
+``_log_power_integral``, and each carries its JSON ``spec`` (None for a
+caller's smooth pdf).  The family is tested only in ``_pair_cut``, which
+gives the functions of two densities the shared support, the kinks in it
+and, for two piecewise densities, the common refinement on which their
 closed forms run.  Codepoint balances are moments of power r - 1, so
-``quantizer`` takes them from ``_moment_terms``.  No other module tests the
-family.
+``quantizer`` takes them from ``_moment_terms``.
 
 Densities are immutable; all caches, ``support`` among them, are built
 eagerly in ``__init__``, so a pdf that is not a density is refused there
@@ -107,6 +107,13 @@ def _not_nan(x, name="cdf argument"):
 
 def _unit_arguments(u):
     return _arguments(u, lambda v: (0.0 <= v) & (v <= 1.0), "quantile argument must lie in [0, 1]")
+
+
+def _positive_scale(c):
+    """c, refused unless it is positive."""
+    if not c > 0:
+        raise ValueError(f"scale must be positive, got {c!r}")
+    return c
 
 
 class PiecewiseConstantDensity:
@@ -304,13 +311,17 @@ class PiecewiseConstantDensity:
 
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
         """Density of c*X + t (or c*(-X) + t when reflect is set)."""
-        c = float(c)
-        if not c > 0:
-            raise ValueError(f"scale must be positive, got {c!r}")
+        c = _positive_scale(float(c))
         # negation is exact, so t + (-c) * x is t - c * x; reflecting reverses the order
         step = -1 if reflect else 1
         return PiecewiseConstantDensity((t + step * c * self.breakpoints)[::step],
                                         (self.heights / c)[::step])
+
+    @property
+    def spec(self) -> dict:
+        """The JSON description that ``density_from_spec`` reads back."""
+        return {"kind": "piecewise", "breakpoints": self.breakpoints.tolist(),
+                "heights": self.heights.tolist()}
 
     def __repr__(self):
         return (
@@ -335,6 +346,8 @@ class SmoothDensity:
     quadrature call.  An essential bound not passed in, as the package's own
     densities pass theirs, is found by a dense scan refined by golden sections.
     """
+
+    spec = None  # the JSON description: only the shipped families set one
 
     def __init__(
         self,
@@ -577,9 +590,7 @@ class SmoothDensity:
         return math.log(self._positive_power_integral(p))
 
     def similarity_transform(self, c: float, t: float, reflect: bool = False):
-        c = float(c)
-        if not c > 0:
-            raise ValueError(f"scale must be positive, got {c!r}")
+        c = _positive_scale(float(c))
         base = self._pdf_many
         # y = t + s * x with s = +-c.  Negation is exact, so the inverse
         # (sign * y - sign * t) / c is (t - y) / c when reflecting, +0.0 at y == t.
@@ -673,8 +684,7 @@ def truncated_gauss(mean: float, sigma: float, lo: float, hi: float) -> SmoothDe
 
 def truncated_laplace(center: float, scale: float, lo: float, hi: float) -> SmoothDensity:
     """Two-sided exponential restricted to [lo, hi] and renormalized."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    _positive_scale(scale)
 
     def raw_cdf(x):
         z = (x - center) / scale
@@ -887,14 +897,7 @@ def density_from_spec(spec: dict) -> Density:
 
 
 def density_to_spec(d: Density) -> dict:
-    """Inverse of density_from_spec."""
-    if isinstance(d, PiecewiseConstantDensity):
-        return {
-            "kind": "piecewise",
-            "breakpoints": [float(x) for x in d.breakpoints],
-            "heights": [float(x) for x in d.heights],
-        }
-    spec = getattr(d, "spec", None)
-    if spec is not None:
-        return dict(spec)
-    raise ValueError("density does not carry a serializable description")
+    """Inverse of density_from_spec: a copy of ``d.spec``."""
+    if d.spec is None:
+        raise ValueError("density does not carry a serializable description")
+    return dict(d.spec)

@@ -54,7 +54,7 @@ class MixtureSpec:
         comps = list(components)
         if len(comps) < 2:
             raise ValueError("a mixture needs at least two components")
-        _clean_weights([c.weight for c in comps])
+        _positive_weights([c.weight for c in comps])
         span = comps[-1].density.support.hi - comps[0].density.support.lo
         for left, right in zip(comps[:-1], comps[1:]):
             if right.density.support.lo < left.density.support.hi - SPAN_TOL * max(span, 1.0):
@@ -98,7 +98,7 @@ class MixtureSpec:
         return PiecewiseConstantDensity(b, h)
 
 
-def _clean_weights(weights) -> np.ndarray:
+def _positive_weights(weights) -> np.ndarray:
     """The weight vector, checked by ``entropy._checked_weights``, with every weight positive."""
     s, least = _checked_weights(weights)
     if not least > 0.0:
@@ -115,7 +115,7 @@ def allocation_weights(weights, alpha, r: float) -> np.ndarray:
     plain t_i is not a normal float it is taken from logs; a weight that
     still leaves the float range raises ``ValueError``.
     """
-    s = _clean_weights(weights)
+    s = _positive_weights(weights)
     r = validate_exponent(r)
     a = as_order(alpha)
     if not a.is_finite:
@@ -167,7 +167,7 @@ def check_rate_condition(weights, rates, rate: float, alpha) -> bool:
     For alpha in [0, 1): log sum s_i**alpha e**((1-alpha) R_i) must not
     exceed (1-alpha) * rate; for alpha > 1 the inequality reverses.
     """
-    s = _clean_weights(weights)
+    s = _positive_weights(weights)
     rs = np.ascontiguousarray(rates, dtype=float)
     if rs.shape != s.shape:
         raise ValueError("need one rate per weight")
@@ -198,7 +198,7 @@ def composed_entropy(weights, entropies, alpha) -> float | list[float]:
     once, and the result is a list of floats whose entry i equals
     ``composed_entropy(weights, entropies[i], alpha[i])`` bit for bit.
     """
-    s = _clean_weights(weights)
+    s = _positive_weights(weights)
     hs = np.ascontiguousarray(entropies, dtype=float)
     many = isinstance(alpha, (list, tuple))
     rows = (len(alpha),) if many else ()
@@ -270,7 +270,7 @@ def f_functional(weights, values, r: float) -> float | np.ndarray:
     r are validated once.  A value that is not positive, or an objective
     that overflows or underflows, raises ``ValueError``.
     """
-    s = _clean_weights(weights)
+    s = _positive_weights(weights)
     v = np.ascontiguousarray(values, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1:] != s.shape:
         raise ValueError("need one value per weight")

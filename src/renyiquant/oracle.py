@@ -11,7 +11,8 @@ more cut, so each row costs its parent's value and two table reads
 (``_PartitionTree``), and every sum adds a row's cells left to right, at
 every ``max_cells``.  ``_entropies`` holds the row form of the range rule
 of ``_quadrature._log_of_sum``: ``np.log`` of each normal power sum, the
-log-sum-exp of its row's logs for the rest.
+log-sum-exp of its row's logs for the rest.  ``brute_force_optimal`` reads
+its argmin's bounds and codepoints from the tree's cells of the best row.
 
 The tree and its buffers depend only on the grid size and ``max_cells``, so
 each thread keeps the last one it built for every instance of that shape,
@@ -89,6 +90,8 @@ class GridInstance:
             raise ValueError("grid must hold at least two points")
         if len(g) > MAX_GRID_POINTS:
             raise ValueError(f"grid may hold at most {MAX_GRID_POINTS} points, got {len(g)}")
+        if not np.isfinite(g).all():
+            raise ValueError("grid points must be finite")
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
         supp = density.support
@@ -255,11 +258,6 @@ class _PartitionTree:
                 j = self.parents[depth - 1][j]
         return cells
 
-    def row(self, i: int) -> np.ndarray:
-        """Grid indices of partitions() row i without its padding: 0, the cuts, n - 1."""
-        cells = self.cells(np.array([i]))[0]
-        return np.append(cells[cells < self.n * self.n - 1] // self.n, self.n - 1)
-
 
 def _entropies(inst: GridInstance, alpha: RenyiOrder) -> np.ndarray:
     """Entropy of order alpha of every partition, from the flat cell masses.
@@ -317,10 +315,11 @@ def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> Ora
     table = inst.cell_table(r)
     dist = table.partition_distortion
     best_value = float(np.min(dist, where=feasible, initial=np.inf))
-    part = inst._tree().row(int(np.argmax(feasible & (dist == best_value))))
-    bounds = inst.grid[part]
-    points = table.points[part[:-1], part[1:]]
-    return OracleResult(best_value, IntervalQuantizer(bounds, points), count)
+    n, best = len(inst.grid), np.argmax(feasible & (dist == best_value))
+    cells = inst._tree().cells(np.array([best]))[0]
+    lo, hi = np.divmod(cells[cells < n * n - 1], n)  # the padding cells go
+    bounds = inst.grid[np.append(lo, hi[-1])]
+    return OracleResult(best_value, IntervalQuantizer(bounds, table.points[lo, hi]), count)
 
 
 def alpha_profile(inst: GridInstance, alphas, rate: float, r: float):

@@ -28,7 +28,8 @@ import numpy as np
 
 from ._quadrature import _normal_sums, bisect_many
 from .core import _as_count, validate_exponent
-from .densities import Density, Interval, _cell_sums, _checked, _not_nan, _require_within
+from .densities import (Density, Interval, _cell_sums, _checked, _not_nan, _positive_scale,
+                        _require_within)
 from .entropy import renyi_entropy
 
 __all__ = [
@@ -286,7 +287,5 @@ def uniform_quantizer(interval: Interval, n: int) -> IntervalQuantizer:
 
 def transform_quantizer(q: IntervalQuantizer, c: float, t: float) -> IntervalQuantizer:
     """Image of the quantizer under x -> c*x + t with c > 0."""
-    c = float(c)
-    if not c > 0:
-        raise ValueError(f"scale must be positive, got {c!r}")
+    c = _positive_scale(float(c))
     return IntervalQuantizer(c * q.boundaries + t, c * q.codepoints + t)

@@ -99,8 +99,8 @@ def _gauss_piece(f, a, b, c, p, rel_tol, max_depth, depth=0, share=0.0):
     both of ``GAUSS_POINTS``; each point is clamped into the piece.  The
     2n-point sum stands where it agrees with the n-point sum to rel_tol of
     itself or of the smallest normal float, whichever is larger, and, if it
-    is below that float, where the pdf at both ends bounds the piece below
-    it too; otherwise the piece is the sum of its halves.
+    is below that float, where the pdf one float inside each end bounds the
+    piece below it too; otherwise the piece is the sum of its halves.
     """
     if p == 0.0:
         c = a
@@ -123,7 +123,7 @@ def _gauss_piece(f, a, b, c, p, rel_tol, max_depth, depth=0, share=0.0):
     if abs(many - few) <= rel_tol * max(abs(many), share, sys.float_info.min):
         if abs(many) >= sys.float_info.min:
             return many
-        ends = f(a), f(b)
+        ends = f(math.nextafter(a, b)), f(math.nextafter(b, a))
         if not all(map(math.isfinite, ends)):
             raise ValueError(f"integrand is not finite on [{a}, {b}]")
         if (b - a) * max(abs(a - c), abs(b - c)) ** p * max(ends) <= sys.float_info.min:

@@ -89,6 +89,9 @@ _PIECEWISE = {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "heights": [0
     ("oracle", {"density": _PIECEWISE, "grid": [0.0], "max_cells": 1}, "at least two points"),
     ("oracle", {"density": _PIECEWISE, "grid": [0.0, 0.5, 0.5, 1.0], "max_cells": 2},
      "strictly increasing"),
+    # json writes and reads a bare NaN
+    ("oracle", {"density": _PIECEWISE, "grid": [0.0, math.nan, 1.0], "max_cells": 1},
+     "grid points must be finite"),
     ("oracle", {"density": _PIECEWISE, "grid": [0.0, 0.5, 1.0], "max_cells": 3},
      "max_cells exceeds"),
     ("predict", [_PIECEWISE], "density spec must be an object"),
@@ -99,7 +102,8 @@ _PIECEWISE = {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "heights": [0
     ("predict", {"kind": "truncated_laplace", "center": 0.5, "scale": -1.0, "lo": 0.0, "hi": 1.0},
      "scale must be positive"),
 ], ids=["instance_not_an_object", "no_grid", "one_point_grid", "repeated_grid_point",
-        "too_many_cells", "density_not_an_object", "no_sigma", "zero_sigma", "negative_scale"])
+        "nan_grid_point", "too_many_cells", "density_not_an_object", "no_sigma", "zero_sigma",
+        "negative_scale"])
 def test_a_bad_spec_exits_three_with_empty_stdout(capsys, tmp_path, command, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -234,6 +234,44 @@ def test_density_spec_round_trip(make):
         assert copy.cdf(float(x)) == pytest.approx(d.cdf(float(x)), abs=1e-12)
 
 
+_PIECEWISE_SPEC = {"kind": "piecewise", "breakpoints": [0.0, 0.25, 1.0], "heights": [1.6, 0.8]}
+_GAUSS_SPEC = {"kind": "truncated_gauss", "mean": 0.5, "sigma": 0.3, "lo": 0.0, "hi": 1.0}
+_LAPLACE_SPEC = {"kind": "truncated_laplace", "center": 0.3, "scale": 0.4, "lo": 0.0, "hi": 1.0}
+
+
+@pytest.mark.parametrize("spec, written", [
+    ({"kind": "uniform", "lo": -2.0, "hi": 5.0},
+     {"kind": "piecewise", "breakpoints": [-2.0, 5.0], "heights": [1.0 / 7.0]}),
+    (_PIECEWISE_SPEC, _PIECEWISE_SPEC),
+    (_GAUSS_SPEC, _GAUSS_SPEC),
+    (_LAPLACE_SPEC, _LAPLACE_SPEC),
+], ids=["uniform", "piecewise", "truncated_gauss", "truncated_laplace"])
+def test_every_spec_kind_is_written_back_by_its_density(spec, written):
+    # a uniform density is a one-piece piecewise density, and is written as one
+    d = density_from_spec(spec)
+    assert d.spec == written
+    assert density_to_spec(d) == written
+    assert density_to_spec(density_from_spec(written)) == written
+    density_to_spec(d)["kind"] = "changed"  # the caller gets a copy
+    assert d.spec == written
+
+
+def test_a_piecewise_spec_is_read_only():
+    with pytest.raises(AttributeError):
+        density_from_spec(_PIECEWISE_SPEC).spec = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SmoothDensity(lambda x: 2.0 * x, 0.0, 1.0),
+    lambda: truncated_gauss(0.5, 0.3, 0.0, 1.0).similarity_transform(2.0, 1.0),
+], ids=["callers_pdf", "shipped_family_transformed"])
+def test_a_smooth_density_without_a_spec_is_refused(make):
+    d = make()
+    assert d.spec is None
+    with pytest.raises(ValueError, match="does not carry a serializable description"):
+        density_to_spec(d)
+
+
 def test_density_from_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
         density_from_spec({"kind": "bogus"})

@@ -51,7 +51,8 @@ def _outcome(call):
 @given(pdf=st.sampled_from(sorted(PDFS)), ends=_interval(), cuts=st.lists(unit, max_size=3),
        rel_tol=st.sampled_from([1e-10, 1e-6, 1e-13]))
 def test_integrate_equals_the_recursion(pdf, ends, cuts, rel_tol):
-    # the pdfs jump to 0 past 1, so a piece from 1 halves to the cap and raises
+    # the pdfs jump to 0 past 1, and a piece from 1 reads 0: the pdf is read
+    # one float inside its ends
     f = PDFS[pdf]
     a, b = ends
     breaks = [a + c * (b - a) for c in cuts] + [0.45]
@@ -175,6 +176,20 @@ def test_moments_many_gives_zero_on_an_empty_piece():
     assert moments_many(lambda x: x, [], [], [], 0.0).shape == (0,)
 
 
+@pytest.mark.parametrize("closed_right", [False, True])
+def test_a_jump_at_a_kink_is_not_read_into_the_piece_before_it(closed_right):
+    # 0 on one side of the kink at 0.5 and 2 on the other, its value at the kink
+    # from the piece of height 2: the pieces of height 0 read 0, at every level
+    side = (lambda x: x <= 0.5) if closed_right else (lambda x: x >= 0.5)
+    f = lambda x: np.where(side(x), 2.0, 0.0)
+    zero, one = (1, 0) if closed_right else (0, 1)
+    for p, c in [(0.0, [0.0, 0.5]), (2.0, [0.5, 0.5]), (2.0, [0.0, 1.0])]:
+        out = moments_many(f, [0.0, 0.5], [0.5, 1.0], c, p)
+        assert out[zero] == 0.0 and out[one] > 0.0
+    d = SmoothDensity(f, 0.0, 1.0, breakpoints=[0.5])
+    assert d.cdf(0.5) == pytest.approx(float(closed_right), abs=1e-15)
+
+
 @contextlib.contextmanager
 def _block_size(n):
     saved = quadrature.LEVEL_NODES
@@ -266,6 +281,25 @@ def test_bisect_many_is_one_bisect_increasing_per_bracket(brackets, shared_tol, 
                       tol[0] if shared_tol else tol, max_iter)
     assert got.tolist() == expected
     assert [bisect_increasing(*case) for case in cases] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(brackets=st.lists(_bracket(), min_size=1, max_size=8))
+def test_bisect_many_without_known_is_the_bracket_known_from_minus_to_plus_inf(brackets):
+    lo, hi, tol, scale, target = (np.array(col) for col in zip(*brackets))
+    asked = {"plain": [], "known": []}
+
+    def below(name):
+        def ask(m, k):
+            asked[name].append(k.tolist())
+            return np.floor(scale[k] * m) < target[k]
+        return ask
+
+    everywhere = (np.full(len(lo), -np.inf), np.full(len(lo), np.inf))
+    plain = bisect_many(below("plain"), lo, hi, tol)
+    known = bisect_many(below("known"), lo, hi, tol, known=everywhere)
+    assert plain.tolist() == known.tolist()
+    assert asked["plain"] == asked["known"]
 
 
 def test_bisect_many_asks_only_for_the_open_brackets():
