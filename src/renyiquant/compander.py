@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import distortion_constant, validate_exponent
-from .densities import Density, _compressed, _pair_integrals, _powers, _require_covered
+from .densities import Density, _compressed, _ess_inf, _pair_integrals, _powers, _require_covered
 from .entropy import relative_entropy
 from .quantizer import IntervalQuantizer, _level_count
 
@@ -43,8 +43,7 @@ class Compander:
     """
 
     def __init__(self, point_density: Density):
-        if point_density.ess_bounds()[0] <= 0.0:
-            raise ValueError("point density must be bounded away from zero on its support")
+        _ess_inf(point_density, "point density must be bounded away from zero on its support")
         self.point_density = point_density
         supp = point_density.support
         xs = np.linspace(supp.lo, supp.hi, 2 * INVERSE_CHECK_POINTS + 1)[1::2]
@@ -112,8 +111,8 @@ def _bennett_functionals(f: Density, gs, r: float) -> list[float]:
     the integral is one ``densities._pair_integrals`` call for all of them."""
     r = validate_exponent(r)
     _require_covered(f, gs[0])
-    if min(g.ess_bounds()[0] for g in gs) <= 0.0:
-        raise ValueError("point density must be bounded away from zero")
+    for g in gs:
+        _ess_inf(g, "point density must be bounded away from zero")
     try:
         with np.errstate(divide="ignore", over="ignore"):
             integrals = _pair_integrals(f, gs, lambda w, hf, hg: w * hf / _powers(hg, r))
@@ -142,6 +141,5 @@ def compressed_density(f: Density, g: Density, *, table_cells: int = 256) -> Den
     [G(lo_f), G(hi_f)] is returned.  f may have no mass past the support of g.
     """
     _require_covered(f, g)
-    if g.ess_bounds()[0] <= 0.0:
-        raise ValueError("point density must be bounded away from zero")
+    _ess_inf(g, "point density must be bounded away from zero")
     return _compressed(f, g, table_cells)

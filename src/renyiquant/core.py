@@ -4,6 +4,11 @@ The entropy order ``alpha`` ranges over the extended reals.  Most formulas
 split into four branches (finite ``alpha != 1``, the Shannon point
 ``alpha = 1``, and the two infinite endpoints), so the order is carried as a
 small value object that makes the branch explicit instead of a bare float.
+
+The inputs every module takes are checked here once each: the order
+(``RenyiOrder``), the distortion exponent (``validate_exponent``), a count
+(``_as_count``) and an entropy budget (``_as_rate``: nonnegative, +inf meaning
+no budget, NaN refused).
 """
 
 from __future__ import annotations
@@ -126,6 +131,14 @@ def validate_exponent(r: float) -> float:
     if not math.isfinite(r) or r < 1.0:
         raise ValueError(f"distortion exponent must be finite and >= 1, got {r!r}")
     return r
+
+
+def _as_rate(rate) -> float:
+    """An entropy budget as a float: nonnegative, +inf included; ValueError otherwise, NaN too."""
+    rate = float(rate)
+    if not rate >= 0.0:
+        raise ValueError(f"rate must be nonnegative, got {rate!r}")
+    return rate
 
 
 def _as_count(n, what: str) -> int:

@@ -26,6 +26,12 @@ closed forms run.  Codepoint balances are moments of power r - 1, so
 Densities are immutable; all caches, ``support`` among them, are built
 eagerly in ``__init__``, so a pdf that is not a density is refused there
 and every later call only reads them.
+
+Two rules on densities are written once, here, for the whole package: how far
+an end may miss its mate on a span of width w (``_span_tol``, 1e-12 * max(w, 1))
+and that a density is bounded away from zero where a negative power of it is
+taken (``_ess_inf``, which refuses an essential infimum that is not positive,
+NaN included).
 """
 
 from __future__ import annotations
@@ -114,6 +120,20 @@ def _positive_scale(c):
     if not c > 0:
         raise ValueError(f"scale must be positive, got {c!r}")
     return c
+
+
+def _span_tol(width: float) -> float:
+    """How far an end may miss its mate on a span of this width: 1e-12 of the
+    width, and at least 1e-12."""
+    return 1e-12 * max(width, 1.0)
+
+
+def _ess_inf(d, message: str) -> float:
+    """The essential infimum of d; ValueError(message) unless it is positive."""
+    lo = d.ess_bounds()[0]
+    if not lo > 0.0:
+        raise ValueError(message)
+    return lo
 
 
 class PiecewiseConstantDensity:
@@ -344,7 +364,9 @@ class SmoothDensity:
     (``_quadrature.over_arrays``); ``pdf`` is that array function at one
     point.  ``breakpoints`` lists interior kink locations respected by every
     quadrature call.  An essential bound not passed in, as the package's own
-    densities pass theirs, is found by a dense scan refined by golden sections.
+    densities pass theirs, is found by a dense scan refined by golden sections;
+    the two bounds must satisfy 0 <= ess_inf <= ess_sup, so a NaN one raises
+    ValueError.
     """
 
     spec = None  # the JSON description: only the shipped families set one
@@ -383,18 +405,14 @@ class SmoothDensity:
         self._cum = np.concatenate(([0.0], np.cumsum(masses / total)))
         self._cum[-1] = 1.0
 
-        if ess_inf is not None and ess_sup is not None:
-            self._ess = (float(ess_inf), float(ess_sup))
-        else:
-            self._ess = self._scan_bounds(ess_inf, ess_sup)
-
-    def _scan_bounds(self, inf_override, sup_override):
-        xs = np.linspace(self._support.lo, self._support.hi, ESS_SCAN_POINTS)
-        vals = self._pdf_many(xs)
-        return tuple(
-            scan_extremum(self.pdf, xs, vals, maximize) if override is None else float(override)
-            for maximize, override in ((False, inf_override), (True, sup_override))
-        )
+        if ess_inf is None or ess_sup is None:
+            xs = np.linspace(support.lo, support.hi, ESS_SCAN_POINTS)
+            vals = self._pdf_many(xs)
+            ess_inf, ess_sup = (scan_extremum(self.pdf, xs, vals, top) if bound is None else bound
+                                for top, bound in ((False, ess_inf), (True, ess_sup)))
+        self._ess = (float(ess_inf), float(ess_sup))
+        if not 0.0 <= self._ess[0] <= self._ess[1]:
+            raise ValueError(f"essential bounds must satisfy 0 <= inf <= sup, got {self._ess!r}")
 
     @property
     def support(self) -> Interval:
@@ -503,8 +521,8 @@ class SmoothDensity:
         below Jensen's bound total**p * width**(1 - p), total the cdf table's
         mass, taken in logs with a slack of 1e-8, raises ValueError."""
         p = float(p)
-        if p < 0 and self.ess_bounds()[0] <= 0.0:
-            raise ValueError("negative power integral requires a density bounded away from zero")
+        if p < 0:
+            _ess_inf(self, "negative power integral requires a density bounded away from zero")
         try:
             value = self._whole(lambda x: _powers(self._pdf_many(x), p))
         except OverflowError:
@@ -710,8 +728,8 @@ def truncated_laplace(center: float, scale: float, lo: float, hi: float) -> Smoo
 
 def _require_within(inner: Interval, lo: float, hi: float, message: str):
     """ValueError(message.format(inner.lo, inner.hi, lo, hi)) unless ``inner``
-    reaches past [lo, hi] by at most 1e-12 * max(hi - lo, 1)."""
-    tol = 1e-12 * max(hi - lo, 1.0)
+    reaches past [lo, hi] by at most ``_span_tol(hi - lo)``."""
+    tol = _span_tol(hi - lo)
     if inner.lo < lo - tol or inner.hi > hi + tol:
         raise ValueError(message.format(inner.lo, inner.hi, lo, hi))
 

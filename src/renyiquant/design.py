@@ -18,9 +18,9 @@ import numpy as np
 
 from ._quadrature import _exp_product, _normal_sums, bisect_increasing
 from .compander import Compander, _bennett_functionals
-from .core import (_high_order, as_order, branch_of, distortion_constant, exponents,
+from .core import (_as_rate, _high_order, as_order, branch_of, distortion_constant, exponents,
                    validate_exponent)
-from .densities import Density, Interval, _plain_power_integral, uniform
+from .densities import Density, Interval, _ess_inf, _plain_power_integral, uniform
 from .entropy import _divergences, renyi_entropy
 from .quantizer import (MAX_UNIFORM_LEVELS, IntervalQuantizer, _masses_and_distortion,
                         uniform_quantizer)
@@ -162,9 +162,7 @@ def uniform_optimal(interval: Interval, alpha, rate: float, r: float) -> Interva
     r = validate_exponent(r)
     if r <= 1.0:
         raise ValueError("the structured uniform optimum requires r > 1")
-    rate = float(rate)
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate!r}")
+    rate = _as_rate(rate)
     a = as_order(alpha)
     if _high_order(a, r):
         raise ValueError(f"order {a.value!r} is outside the structured regime")
@@ -206,12 +204,8 @@ def uniform_optimal(interval: Interval, alpha, rate: float, r: float) -> Interva
 def pierce_upper_bound(f: Density, r: float, rate: float) -> float:
     """Nonasymptotic distortion bound (2 / ess inf f)**r * e**(-r * rate), in logs if need be."""
     r = validate_exponent(r)
-    rate = float(rate)
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate!r}")
-    lo = f.ess_bounds()[0]
-    if lo <= 0.0:
-        raise ValueError("bound requires a density bounded away from zero")
+    rate = _as_rate(rate)
+    lo = _ess_inf(f, "bound requires a density bounded away from zero")
     bound = _exp_product(lambda: (2.0 / lo) ** r * math.exp(-r * rate),
                          lambda: (r * (math.log(2.0) - math.log(lo)), -r * rate))
     if not _normal_sums(bound):

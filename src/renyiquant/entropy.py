@@ -14,8 +14,8 @@ import numpy as np
 
 from ._quadrature import _log_of_sum, call_each
 from .core import as_order, branch_of
-from .densities import (Density, _pair_integrals, _powers, _ratio_bounds, _require_covered,
-                        require_nested_supports)
+from .densities import (Density, _ess_inf, _pair_integrals, _powers, _ratio_bounds,
+                        _require_covered, require_nested_supports)
 
 __all__ = ["renyi_entropy", "differential_entropy", "relative_entropy"]
 
@@ -98,10 +98,7 @@ def differential_entropy(d: Density, alpha) -> float:
     if branch == "pos_inf":
         return -math.log(d.ess_bounds()[1])
     if branch == "neg_inf":
-        lo = d.ess_bounds()[0]
-        if lo <= 0.0:
-            raise ValueError("order -inf requires a density bounded away from zero")
-        return -math.log(lo)
+        return -math.log(_ess_inf(d, "order -inf requires a density bounded away from zero"))
     if branch == "shannon":
         return -d.log_integral()
     return d._log_power_integral(a.value) / (1.0 - a.value)
@@ -129,9 +126,9 @@ def _divergences(f: Density, gs, alpha) -> list[float]:
     branch = branch_of(a)
     if a.value >= 1.0:
         _require_covered(f, gs[0])
-    if a.value < 0.0 and f.ess_bounds()[0] <= 0.0:
-        raise ValueError(f"a divergence of negative order {a.value} requires a first density "
-                         "bounded away from zero; its pdf vanishes or underflows")
+    if a.value < 0.0:
+        _ess_inf(f, f"a divergence of negative order {a.value} requires a first density "
+                 "bounded away from zero; its pdf vanishes or underflows")
     if branch in ("pos_inf", "neg_inf"):
         lows, highs = _ratio_bounds(f, gs, 4096)
         return [math.log(x) for x in (highs if branch == "pos_inf" else lows)]

@@ -3,7 +3,10 @@
 A mixture splits the source into weighted components on ordered disjoint
 intervals.  Given a total rate, closed-form allocation weights spread it over
 the components so that the composed quantizer meets the total entropy budget
-and minimizes the aggregate scaled distortion.
+and minimizes the aggregate scaled distortion.  Component supports and
+composed parts meet within ``densities._span_tol`` of the mixture's span, and
+a total rate goes through ``core._as_rate``; ``allocate_rates`` also refuses
++inf, which would give every component an infinite rate.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _high_order, as_order, branch_of, exponents, validate_exponent
-from .densities import Density, Interval, PiecewiseConstantDensity
+from .core import _as_rate, _high_order, as_order, branch_of, exponents, validate_exponent
+from .densities import Density, Interval, PiecewiseConstantDensity, _span_tol
 from ._quadrature import _log_of_sum, _log_sum_exp, _normal_sums
 from .entropy import _checked_weights
 from .quantizer import IntervalQuantizer
@@ -31,9 +34,6 @@ __all__ = [
     "f_functional",
     "f_minimizer",
 ]
-
-SPAN_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MixtureComponent:
@@ -57,7 +57,7 @@ class MixtureSpec:
         _positive_weights([c.weight for c in comps])
         span = comps[-1].density.support.hi - comps[0].density.support.lo
         for left, right in zip(comps[:-1], comps[1:]):
-            if right.density.support.lo < left.density.support.hi - SPAN_TOL * max(span, 1.0):
+            if right.density.support.lo < left.density.support.hi - _span_tol(span):
                 raise ValueError("component supports must be ordered and non-overlapping")
         self.components = comps
 
@@ -70,7 +70,7 @@ class MixtureSpec:
         return Interval(self.components[0].density.support.lo, self.components[-1].density.support.hi)
 
     def is_abutting(self) -> bool:
-        tol = SPAN_TOL * max(self.span.width, 1.0)
+        tol = _span_tol(self.span.width)
         return all(
             abs(right.density.support.lo - left.density.support.hi) <= tol
             for left, right in zip(self.components[:-1], self.components[1:])
@@ -143,11 +143,13 @@ def allocation_weights(weights, alpha, r: float) -> np.ndarray:
 def allocate_rates(weights, alpha, r: float, rate: float) -> np.ndarray:
     """Split a total rate across components: R_i = rate + log t_i.
 
-    The rate must be at least max(0, max_i(-log t_i)) so every component
-    rate is nonnegative.
+    The rate must be finite and at least max(0, max_i(-log t_i)) so every
+    component rate is finite and nonnegative.
     """
     t = allocation_weights(weights, alpha, r)
-    rate = float(rate)
+    rate = _as_rate(rate)
+    if rate == math.inf:
+        raise ValueError("rate must be finite, got inf")
     threshold = max(0.0, float(-np.log(t).min()))
     if rate < threshold - 1e-12:
         raise ValueError(f"rate {rate!r} is below the feasibility threshold {threshold!r}")
@@ -180,7 +182,7 @@ def check_rate_condition(weights, rates, rate: float, alpha) -> bool:
         raise ValueError("the rate condition is undefined at order 1")
     v = a.value
     lhs = _log_weighted_sum(s, v, rs)
-    rhs = (1.0 - v) * float(rate)
+    rhs = (1.0 - v) * _as_rate(rate)
     if v < 1.0:
         return lhs <= rhs + 1e-12
     return lhs >= rhs - 1e-12
@@ -239,7 +241,7 @@ def compose(spec: MixtureSpec, parts: Sequence[IntervalQuantizer]) -> IntervalQu
     parts = list(parts)
     if len(parts) != len(spec.components):
         raise ValueError("need exactly one part per component")
-    tol = SPAN_TOL * max(spec.span.width, 1.0)
+    tol = _span_tol(spec.span.width)
     for comp, q in zip(spec.components, parts):
         supp = comp.density.support
         if abs(float(q.boundaries[0]) - supp.lo) > tol or abs(float(q.boundaries[-1]) - supp.hi) > tol:

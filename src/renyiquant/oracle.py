@@ -29,8 +29,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._quadrature import _exp_product, _log_sum_exp, _normal_sums
-from .core import RenyiOrder, _as_count, as_order, branch_of, validate_exponent
-from .densities import PiecewiseConstantDensity, _cell_sums, density_from_spec, density_to_spec
+from .core import RenyiOrder, _as_count, _as_rate, as_order, branch_of, validate_exponent
+from .densities import (PiecewiseConstantDensity, _cell_sums, _span_tol, density_from_spec,
+                         density_to_spec)
 from .quantizer import IntervalQuantizer, _optimal_codepoints
 
 __all__ = [
@@ -95,7 +96,7 @@ class GridInstance:
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
         supp = density.support
-        tol = 1e-12 * max(supp.width, 1.0)
+        tol = _span_tol(supp.width)
         if abs(g[0] - supp.lo) > tol or abs(g[-1] - supp.hi) > tol:
             raise ValueError("grid must span the density support exactly")
         for x in density.interior_breakpoints():
@@ -303,11 +304,7 @@ def brute_force_optimal(inst: GridInstance, alpha, rate: float, r: float) -> Ora
     cut vector, which is the enumeration order.
     """
     a = as_order(alpha)
-    rate = float(rate)
-    if math.isnan(rate):
-        raise ValueError(f"the rate must be a number, got {rate!r}")
-    if rate < 0.0:
-        raise ValueError(f"the feasible set is empty for negative rate {rate!r}")
+    rate = _as_rate(rate)
     feasible = _entropies(inst, a) <= rate + FEASIBILITY_SLACK
     count = int(np.count_nonzero(feasible))
     if count == 0:

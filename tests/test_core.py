@@ -7,13 +7,22 @@ from renyiquant import (
     NEG_INF,
     POS_INF,
     SHANNON,
+    GridInstance,
+    Interval,
     RenyiOrder,
+    allocate_rates,
     as_order,
+    brute_force_optimal,
+    check_rate_condition,
     distortion_constant,
+    empirical_limit_probe,
     exponents,
     parse_order,
+    pierce_upper_bound,
+    uniform,
+    uniform_optimal,
 )
-from renyiquant.core import branch_of, validate_exponent
+from renyiquant.core import _as_rate, branch_of, validate_exponent
 
 
 def test_order_construction_and_flags():
@@ -148,3 +157,37 @@ def test_an_order_inside_the_window_is_built_but_has_no_branch(value):
     a = RenyiOrder(value)
     with pytest.raises(ValueError, match="inside the exclusion window around 1"):
         branch_of(a)
+
+
+def test_as_rate_takes_every_nonnegative_rate_and_infinity():
+    assert _as_rate(0) == 0.0 and _as_rate(1.5) == 1.5 and _as_rate(math.inf) == math.inf
+    for bad in (-1e-300, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"rate must be nonnegative, got {bad!r}"):
+            _as_rate(bad)
+
+
+_GRID = GridInstance(uniform(0.0, 1.0), [0.0, 0.25, 0.5, 0.75, 1.0], 3)
+RATE_TAKERS = {
+    "uniform_optimal": lambda rate: uniform_optimal(Interval(0.0, 1.0), 0.5, rate, 2.0),
+    "pierce_upper_bound": lambda rate: pierce_upper_bound(uniform(0.0, 1.0), 2.0, rate),
+    "brute_force_optimal": lambda rate: brute_force_optimal(_GRID, 0.5, rate, 2.0),
+    "empirical_limit_probe": lambda rate: empirical_limit_probe(_GRID, 0.5, 2.0, [1.0, rate]),
+    "allocate_rates": lambda rate: allocate_rates([0.3, 0.7], 0.5, 2.0, rate),
+    "check_rate_condition": lambda rate: check_rate_condition([0.5, 0.5], [0.2, 0.2], rate, 0.5),
+}
+
+
+@pytest.mark.parametrize("rate", [math.nan, -1.0])
+@pytest.mark.parametrize("call", RATE_TAKERS.values(), ids=RATE_TAKERS.keys())
+def test_every_function_of_a_rate_refuses_one_below_zero_or_nan(call, rate):
+    with pytest.raises(ValueError, match="rate must be nonnegative"):
+        call(rate)
+
+
+def test_an_infinite_rate_is_no_budget_but_cannot_be_allocated():
+    # every partition of the grid is feasible under no budget
+    unbounded = brute_force_optimal(_GRID, 0.5, math.inf, 2.0)
+    assert unbounded.feasible_count == len(_GRID.partitions())
+    assert unbounded.value == brute_force_optimal(_GRID, 0.5, 50.0, 2.0).value
+    with pytest.raises(ValueError, match="rate must be finite, got inf"):
+        allocate_rates([0.3, 0.7], 0.5, 2.0, math.inf)

@@ -8,11 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import renyiquant._quadrature
 from renyiquant import (
+    GridInstance,
     Interval,
     IntervalQuantizer,
+    MixtureComponent,
+    MixtureSpec,
     PiecewiseConstantDensity,
     SmoothDensity,
     cell_masses,
+    compose,
     density_from_spec,
     density_to_spec,
     differential_entropy,
@@ -22,7 +26,8 @@ from renyiquant import (
     uniform,
 )
 from renyiquant.core import NEG_INF, exponents
-from renyiquant.densities import _pair_cut, _pair_integrals, require_nested_supports
+from renyiquant.densities import (_ess_inf, _pair_cut, _pair_integrals, _span_tol,
+                                  require_nested_supports)
 from renyiquant.design import optimal_point_density
 
 import reference_pieces
@@ -801,6 +806,60 @@ def test_a_smooth_pdf_or_transform_that_is_not_a_density_is_refused():
         SmoothDensity(lambda x: 2.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="scale must be positive, got 0.0"):
         truncated_gauss(0.5, 0.2, 0.0, 1.0).similarity_transform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("ess_inf, ess_sup", [
+    (math.nan, 1.0), (1.0, math.nan), (-0.5, 2.0), (1.5, 0.5), (math.nan, None),
+])
+def test_smooth_essential_bounds_out_of_order_or_nan_are_refused(ess_inf, ess_sup):
+    # a NaN infimum got past every "bounded away from zero" test
+    with pytest.raises(ValueError, match="essential bounds must satisfy 0 <= inf <= sup"):
+        SmoothDensity(lambda x: 1.0, 0.0, 1.0, ess_inf=ess_inf, ess_sup=ess_sup)
+
+
+def test_the_essential_infimum_must_be_positive_and_a_number():
+    class Bounds:
+        def __init__(self, lo):
+            self.ess_bounds = lambda: (lo, 2.0)
+
+    assert _ess_inf(Bounds(0.5), "unused") == 0.5
+    for lo in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^bounded away$"):
+            _ess_inf(Bounds(lo), "bounded away")
+
+
+def _span_checks(w, miss):
+    """What each span check says of an end that misses its mate by ``miss`` on
+    a span of width w: True where it takes it, else its message."""
+    def takes(build):
+        try:
+            build()
+        except ValueError as exc:
+            return str(exc)
+        return True
+
+    half = 0.5 * w
+    halves = [MixtureComponent(0.5, uniform(0.0, half)), MixtureComponent(0.5, uniform(half, w))]
+    parts = [IntervalQuantizer([-miss, half], [0.25 * w]), IntervalQuantizer([half, w], [0.75 * w])]
+    apart = MixtureSpec([halves[0], MixtureComponent(0.5, uniform(half + miss, w))])
+    return [
+        takes(lambda: require_nested_supports(uniform(-miss, w), uniform(0.0, w))),
+        takes(lambda: GridInstance(uniform(0.0, w), [-miss, w], 1)),
+        takes(lambda: MixtureSpec([halves[0], MixtureComponent(0.5, uniform(half - miss, w))])),
+        apart.is_abutting(),
+        takes(lambda: compose(MixtureSpec(halves), parts)),
+    ]
+
+
+@pytest.mark.parametrize("w", [1e-6, 1.0, 1e4])
+def test_every_span_check_allows_the_same_slack(w):
+    tol = _span_tol(w)
+    assert tol == 1e-12 * max(w, 1.0)
+    assert _span_checks(w, 0.5 * tol) == [True] * 5
+    refusals = ["must lie inside second", "must span the density support exactly",
+                "ordered and non-overlapping", None, "does not match the component support"]
+    for said, refusal in zip(_span_checks(w, 2.0 * tol), refusals):
+        assert said is False if refusal is None else refusal in said
 
 
 NARROW = truncated_gauss(0.5, 0.05, 0.0, 1.0)

@@ -1,6 +1,6 @@
 """The two density families give the same figures of merit for the same pdf,
 and only ``densities`` tells them apart.  Every object the library builds goes
-through its constructor."""
+through its constructor, and each shared input rule is written once."""
 
 import ast
 import math
@@ -200,6 +200,62 @@ def test_densities_tests_the_family_of_a_pair_in_one_place():
     path = Path(renyiquant.__file__).parent / "densities.py"
     checks = _family_checks(ast.parse(path.read_text()))
     assert {scope for scope, _ in checks} <= {"_pair_cut"}, checks
+
+
+def _rule_copies(tree):
+    """(rule, enclosing function) of every place that writes out one of three
+    input rules: a read of ``ess_bounds()[0]`` (a lower bound that must be
+    positive), ``1e-12 * max(...)`` (a span's slack) and ``float(rate)``."""
+    found = []
+
+    def rule(node):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "ess_bounds"
+                and isinstance(node.slice, ast.Constant) and node.slice.value == 0):
+            return "ess_inf"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right)
+            if (any(isinstance(x, ast.Constant) and x.value == 1e-12 for x in sides)
+                    and any(isinstance(x, ast.Call) and isinstance(x.func, ast.Name)
+                            and x.func.id == "max" for x in sides)):
+                return "span_tol"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "rate"):
+            return "rate"
+        return None
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            name = rule(child)
+            if name is not None:
+                found.append((name, inner))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_guard_sees_a_copy_of_each_rule():
+    tree = ast.parse("def f(d, rate, w):\n"
+                     "    if min(g.ess_bounds()[0] for g in d) <= 0.0:\n"
+                     "        return float(rate) + max(w, 1.0) * 1e-12\n")
+    assert sorted(_rule_copies(tree)) == [("ess_inf", "f"), ("rate", "f"), ("span_tol", "f")]
+
+
+def test_each_input_rule_is_written_once():
+    # a positive lower bound, a span's slack and a rate are each checked by one
+    # helper; golden_extremum's stop has the slack's form but is a search tolerance
+    copies = {(path.name, *copy) for path in SOURCES
+              for copy in _rule_copies(ast.parse(path.read_text()))}
+    assert copies == {("densities.py", "ess_inf", "_ess_inf"),
+                      ("densities.py", "span_tol", "_span_tol"),
+                      ("_quadrature.py", "span_tol", "golden_extremum"),
+                      ("core.py", "rate", "_as_rate")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -118,7 +118,7 @@ def test_ties_go_to_the_first_row_in_enumeration_order():
 
 def test_negative_rate_is_rejected():
     inst = GridInstance(uniform(0.0, 1.0), np.linspace(0.0, 1.0, 9), 4)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="rate must be nonnegative, got -0.5"):
         brute_force_optimal(inst, RenyiOrder(0.5), -0.5, 2.0)
 
 
